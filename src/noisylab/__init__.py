@@ -13,7 +13,6 @@ Modules:
 
 from .core import (
     DiscreteDistribution,
-    DomainPoint,
     FunctionHypothesis,
     Hypothesis,
     LabeledExample,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteDistribution",
-    "DomainPoint",
     "FunctionHypothesis",
     "Hypothesis",
     "LabeledExample",

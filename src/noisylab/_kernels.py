@@ -1,8 +1,19 @@
-"""Pure numpy implementations of the packed-bit kernels."""
+"""Packed-bit GF(2) kernels: the inner loop of code enumeration and list decoding.
+
+- ``codeword_table(row_masks)``: expand the 2^k GF(2) row-span of ``k`` bitmask
+  rows into a table indexed by message integer.
+- ``hamming_scan(table, target, mask)``: popcount of ``(table ^ target) & mask``
+  per entry (Hamming distances on the unmasked positions).
+
+Both operate on codewords packed into single ``uint64`` words (word length
+<= 64 bits).
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+__all__ = ["codeword_table", "hamming_scan"]
 
 
 def codeword_table(row_masks: np.ndarray) -> np.ndarray:

@@ -713,9 +713,7 @@ def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialR
             all_plus = bool(np.all(S_corr.labels[key_mask] == 1))
             all_plus_count += all_plus
             rec["key_all_plus"] = all_plus
-            block_counts[p] += np.bincount(
-                sp.block_of(S_corr.points[key_mask]), minlength=sp.w
-            )
+            block_counts[p] += sp.layout.block_counts(S_corr.points)
         records.append(rec)
     independence_p = two_sample_chi2(block_counts[p_a], block_counts[p_b])
 
@@ -750,7 +748,7 @@ def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialR
         S_sim = sep_simulate_T_nasty(T_value, inst_sim, r.split(3))
         for S, cat, lab in ((S_real, cat_real, lab_real), (S_sim, cat_sim, lab_sim)):
             key = S.points < sp_sim.key_size
-            cat[: sp.w] += np.bincount(sp_sim.block_of(S.points[key]), minlength=sp.w)
+            cat[: sp.w] += sp_sim.layout.block_counts(S.points)
             cat[sp.w] += int((~key).sum())
             lab[0] += int((S.labels[~key] == 1).sum())
             lab[1] += int((S.labels[~key] == -1).sum())
@@ -955,9 +953,7 @@ def _scenario_ice_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
             vulnerable += 1
             survivors = S_corr.take(ice_filter_keep(S_corr))
             key_mask = S_clean.points < ip.key_size
-            odd_blocks = int(
-                np.sum(np.bincount(ip.block_of(S_clean.points[key_mask]), minlength=ip.w) % 2 == 1)
-            )
+            odd_blocks = int(np.sum(ip.layout.block_counts(S_clean.points) % 2 == 1))
             no_key_survivors = bool(np.all(survivors.points >= ip.key_size))
             expected = int((~key_mask).sum()) + odd_blocks
             pattern_ok = no_key_survivors and len(survivors) == expected

@@ -101,7 +101,7 @@ class CodeParams:
 def signs_to_mask(bits: Sequence[int] | np.ndarray) -> int:
     """Pack a ±1 word into a bitmask (bit j set iff position j is -1)."""
     mask = 0
-    for j, b in enumerate(np.asarray(bits, dtype=np.int64).tolist()):
+    for j, b in enumerate(np.asarray(bits).tolist()):
         if b == -1:
             mask |= 1 << j
         elif b != 1:
@@ -151,17 +151,18 @@ class ReceivedWord:
     __slots__ = ("symbols",)
 
     def __init__(self, symbols: Sequence[int] | np.ndarray):
-        arr = np.asarray(symbols, dtype=np.int8)
+        arr = np.asarray(symbols)
         if arr.ndim != 1:
             raise ValueError("received word must be one-dimensional")
-        if arr.size and not np.isin(arr, (-1, 0, 1)).all():
+        if arr.size and not ((arr == 0) | (np.abs(arr) == 1)).all():
             raise ValueError("symbols must be in {-1, 0(=erasure), +1}")
+        arr = arr.astype(np.int8, copy=False)
         arr.setflags(write=False)
         self.symbols = arr
 
     @classmethod
     def erase(cls, bits: Sequence[int] | np.ndarray, positions: Sequence[int]) -> "ReceivedWord":
-        arr = np.asarray(bits, dtype=np.int8).copy()
+        arr = np.array(bits)
         arr[list(positions)] = 0
         return cls(arr)
 

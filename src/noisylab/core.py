@@ -17,7 +17,6 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "DomainPoint",
     "LabeledExample",
     "Sample",
     "DiscreteDistribution",
@@ -59,17 +58,6 @@ class RngHandle:
         return RngHandle(self.seed, self.stream, self.path + tuple(ids))
 
 
-@dataclass(frozen=True)
-class DomainPoint:
-    """A point of a finite indexed domain."""
-
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"domain point index must be >= 0, got {self.index}")
-
-
 class LabeledExample(NamedTuple):
     """A ``(point, ±1 label)`` pair."""
 
@@ -78,10 +66,10 @@ class LabeledExample(NamedTuple):
 
 
 def _as_sign_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
-    arr = np.asarray(labels, dtype=np.int8)
+    arr = np.asarray(labels)
     if arr.size and not (np.abs(arr) == 1).all():
         raise ValueError("labels must be ±1")
-    return arr
+    return arr.astype(np.int8, copy=False)
 
 
 class Sample:

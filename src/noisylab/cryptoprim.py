@@ -53,7 +53,7 @@ class PrfKey:
 
     @classmethod
     def from_signs(cls, bits: Sequence[int] | np.ndarray) -> "PrfKey":
-        return cls(tuple(int(b) for b in np.asarray(bits, dtype=np.int64)))
+        return cls(tuple(np.asarray(bits).tolist()))
 
     @property
     def length(self) -> int:
@@ -140,10 +140,10 @@ def extract(x: Sequence[int] | np.ndarray, seed: int, spec: ExtractorSpec) -> np
     t[i + j]``) with the source; the result is a ±1 vector of length
     ``m_out``. Linear in ``x`` for every fixed seed.
     """
-    arr = np.asarray(x, dtype=np.int64)
+    arr = np.asarray(x)
     if arr.shape != (spec.w,):
         raise ValueError(f"source must have length {spec.w}, got {arr.shape}")
-    if not np.isin(arr, (-1, 1)).all():
+    if not (np.abs(arr) == 1).all():
         raise ValueError("source bits must be ±1")
     if not 0 <= seed < spec.seed_count():
         raise ValueError(f"seed must be in [0, 2^{spec.u})")

@@ -18,7 +18,7 @@ so that the filter output equals the nasty-corrupted sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -39,15 +39,15 @@ from .core import (
     Sample,
     TableHypothesis,
 )
-from .cryptoprim import PrfKey, prf_truth_table
+from .cryptoprim import PrfKey
 from .learn import ice_filter, ice_filter_keep, select_best_hypothesis
 from .noise import CorruptionLedger, StrategyResult
+from .sep import KeyValueLayout, budget_capped_plan
 
 __all__ = [
     "IceSepParams",
     "IceInstance",
     "IceConcept",
-    "ice_concept_eval",
     "BlockCounters",
     "key_bit_guess",
     "round_vector",
@@ -57,18 +57,6 @@ __all__ = [
 ]
 
 
-def _block_size_for(w: int, d: int, key_fraction: Fraction) -> int:
-    """Smallest per-block size giving an exact key fraction and an integer
-    value side of at least ``2^d`` points."""
-    ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
-    b = max(1, math.ceil((1 << d) / (ratio * w)))
-    while True:
-        value = w * b * ratio
-        if value.denominator == 1 and value >= (1 << d):
-            return b
-        b += 1
-
-
 @dataclass(frozen=True)
 class IceSepParams:
     """Parameter pack for the contradiction-filter separation.
@@ -76,7 +64,9 @@ class IceSepParams:
     ``eta`` is the corruption rate, ``kappa`` the separation constant in
     (1/2, 1); derived constants are ``kappa_prime = (kappa + 1/2)/2`` and
     ``tau = (kappa - 1/2)/8``. The key side carries an exact
-    ``2*kappa_prime*eta`` fraction of the uniform domain.
+    ``2*kappa_prime*eta`` fraction of the uniform domain; ``layout`` is
+    that key/value split, derived once from ``w``, ``block_size``, ``eta``
+    and ``kappa``.
     """
 
     eta: float
@@ -87,6 +77,7 @@ class IceSepParams:
     block_size: int
     L: int = 64
     slack: float = 1.25
+    layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.eta <= 0.1:
@@ -95,8 +86,8 @@ class IceSepParams:
             raise ValueError("kappa must be in (1/2, 1)")
         if self.d >= self.w:
             raise ValueError("need d < w for a rate < 1 code")
-        if (Fraction(self.w * self.block_size) * (1 - self.key_fraction) / self.key_fraction).denominator != 1:
-            raise ValueError("block size does not give an integer value side")
+        layout = KeyValueLayout(self.w, self.block_size, self._key_fraction_exact(self.eta, self.kappa))
+        object.__setattr__(self, "layout", layout)
 
     @classmethod
     def create(
@@ -109,15 +100,15 @@ class IceSepParams:
         L: int = 64,
         slack: float = 1.25,
     ) -> "IceSepParams":
-        frac = 2 * cls._kappa_prime_exact(kappa) * Fraction(str(eta))
-        b = _block_size_for(w, d, frac)
+        b = KeyValueLayout.fit(w, d, cls._key_fraction_exact(eta, kappa)).block_size
         if n is None:
             n = math.ceil(50 * w / eta)
         return cls(eta=eta, kappa=kappa, w=w, d=d, n=n, block_size=b, L=L, slack=slack)
 
     @staticmethod
-    def _kappa_prime_exact(kappa: float) -> Fraction:
-        return (Fraction(str(kappa)) + Fraction(1, 2)) / 2
+    def _key_fraction_exact(eta: float, kappa: float) -> Fraction:
+        kappa_prime = (Fraction(str(kappa)) + Fraction(1, 2)) / 2
+        return 2 * kappa_prime * Fraction(str(eta))
 
     @property
     def kappa_prime(self) -> float:
@@ -130,19 +121,19 @@ class IceSepParams:
     @property
     def key_fraction(self) -> Fraction:
         """Exact key-side mass 2*kappa_prime*eta."""
-        return 2 * self._kappa_prime_exact(self.kappa) * Fraction(str(self.eta))
+        return self.layout.key_fraction
 
     @property
     def key_size(self) -> int:
-        return self.w * self.block_size
+        return self.layout.key_size
 
     @property
     def value_size(self) -> int:
-        return int(Fraction(self.key_size) * (1 - self.key_fraction) / self.key_fraction)
+        return self.layout.value_size
 
     @property
     def domain_size(self) -> int:
-        return self.key_size + self.value_size
+        return self.layout.domain_size
 
     @property
     def R(self) -> float:
@@ -159,7 +150,7 @@ class IceSepParams:
         return math.floor((0.5 - self.tau) * self.w)
 
     def block_of(self, points: np.ndarray) -> np.ndarray:
-        return points // self.block_size
+        return self.layout.block_of(points)
 
 
 class IceConcept(Hypothesis):
@@ -172,22 +163,13 @@ class IceConcept(Hypothesis):
         self.params = params
         self.key = key
         self.codeword = encode(G, np.array(key.bits, dtype=np.int8))
-        key_side = np.repeat(self.codeword.bits.astype(np.int8), params.block_size)
-        value_side = prf_truth_table(key, params.value_size)
-        table = np.concatenate([key_side, value_side])
-        table.setflags(write=False)
-        self.table = table
+        self.table = params.layout.table(self.codeword.bits, key)
         self.domain_size = params.domain_size
 
     def evaluate_many(
         self, points: np.ndarray, query_rng: RngHandle | None = None
     ) -> np.ndarray:
         return self.table[points]
-
-
-def ice_concept_eval(c: IceConcept, x: int) -> int:
-    """Label of point ``x``: the block's codeword bit, or the PRF output."""
-    return c.evaluate(x)
 
 
 class IceInstance:
@@ -234,17 +216,6 @@ def round_vector(v: np.ndarray | Sequence[float], rng: RngHandle) -> np.ndarray:
     return np.where(u < p_plus, 1, -1).astype(np.int8)
 
 
-def _block_label_counts(
-    S: Sample, params: IceSepParams
-) -> tuple[np.ndarray, np.ndarray]:
-    key = S.points < params.key_size
-    blocks = params.block_of(S.points[key])
-    labels = S.labels[key]
-    n_plus = np.bincount(blocks[labels == 1], minlength=params.w)
-    n_minus = np.bincount(blocks[labels == -1], minlength=params.w)
-    return n_plus, n_minus
-
-
 def ice_malicious_learner(
     S: Sample, inst: IceInstance, rng: RngHandle
 ) -> tuple[Hypothesis, dict]:
@@ -260,7 +231,7 @@ def ice_malicious_learner(
         details.update(flagged=True, flag_reason="no examples survive the filter")
         return TableHypothesis.constant(1, params.domain_size), details
 
-    n_plus, n_minus = _block_label_counts(S_prime, params)
+    n_plus, n_minus = params.layout.label_counts(S_prime)
     v = (n_plus - n_minus) / (params.R * (1 - params.eta))
     z = round_vector(v, rng.split(0))
     details.update(v=v, z=z)
@@ -293,41 +264,31 @@ def ice_idealized_nasty_strategy(inst: IceInstance) -> Callable:
     blocks contribute nothing and odd blocks exactly one value example.
     Budget exhaustion stops the plan and flags the trial.
     """
-    params = inst.params
+    layout = inst.params.layout
 
     def strategy(S_clean: Sample, z: int, c: IceConcept, D=None, rng=None) -> StrategyResult:
         gen = rng.generator()
-        key_mask = S_clean.points < params.key_size
-        blocks = np.where(key_mask, params.block_of(S_clean.points), -1)
-        choices = []
-        exhausted = False
-        for j in range(params.w):
-            positions = np.flatnonzero(blocks == j)
-            size = positions.size
-            half = size // 2
-            offset = size - half
-            plan = []
-            for t in range(half):
-                partner = int(positions[offset + t])
-                plan.append(
-                    (int(positions[t]),
-                     (int(S_clean.points[partner]), -int(S_clean.labels[partner])))
-                )
-            if size % 2 == 1:
-                x = int(gen.integers(params.key_size, params.domain_size))
-                plan.append((int(positions[half]), (x, int(c.evaluate(x)))))
-            for item in plan:
-                if len(choices) >= z:
-                    exhausted = True
-                    break
-                choices.append(item)
-            if exhausted:
-                break
-        return StrategyResult(
-            choices,
-            flagged=exhausted,
-            flag_reason="budget exhausted" if exhausted else None,
-        )
+        blocks = layout.key_blocks(S_clean.points)
+
+        def block_plans():
+            for j in range(layout.w):
+                positions = np.flatnonzero(blocks == j)
+                size = positions.size
+                half = size // 2
+                offset = size - half
+                plan = []
+                for t in range(half):
+                    partner = int(positions[offset + t])
+                    plan.append(
+                        (int(positions[t]),
+                         (int(S_clean.points[partner]), -int(S_clean.labels[partner])))
+                    )
+                if size % 2 == 1:
+                    x = int(gen.integers(layout.key_size, layout.domain_size))
+                    plan.append((int(positions[half]), (x, int(c.evaluate(x)))))
+                yield plan
+
+        return budget_capped_plan(block_plans(), z)
 
     return strategy
 
@@ -413,11 +374,9 @@ class BlockCounters:
         corrupted = np.zeros(n, dtype=bool)
         corrupted[ledger.corrupted_indices] = True
         correct = S_corr.labels == c.evaluate_many(S_corr.points)
-        key = S_corr.points < params.key_size
-        blocks = params.block_of(S_corr.points)
 
         def count(mask: np.ndarray) -> np.ndarray:
-            return np.bincount(blocks[mask & key], minlength=params.w)
+            return params.layout.block_counts(S_corr.points, mask)
 
         alpha = count(~corrupted)
         beta = count(corrupted & correct)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -35,9 +35,6 @@ __all__ = [
     "select_best_hypothesis",
     "bv_sample_size",
     "expected_error_estimate",
-    "register_learner",
-    "make_learner",
-    "learner_names",
 ]
 
 
@@ -236,30 +233,3 @@ def expected_error_estimate(
         return mean, float("nan")
     halfwidth = 2.5758293035489004 * float(errs.std(ddof=1)) / math.sqrt(trials)
     return mean, halfwidth
-
-
-# --------------------------------------------------------------------------
-# Named learner registry (config files select learners by string id).
-# --------------------------------------------------------------------------
-
-_REGISTRY: dict[str, Callable[..., Learner]] = {}
-
-
-def register_learner(name: str) -> Callable:
-    def deco(factory: Callable[..., Learner]) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate learner id {name!r}")
-        _REGISTRY[name] = factory
-        return factory
-
-    return deco
-
-
-def make_learner(name: str, params: Mapping | None = None) -> Learner:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown learner id {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**dict(params or {}))
-
-
-def learner_names() -> list[str]:
-    return sorted(_REGISTRY)

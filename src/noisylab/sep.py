@@ -16,9 +16,9 @@ the resulting partial word, and hypothesis-tests every candidate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,13 +44,14 @@ from .core import (
 )
 from .cryptoprim import ExtractorSpec, PrfKey, extract, prf_truth_table
 from .learn import select_best_hypothesis
-from .noise import StrategyResult
+from .noise import Choice, StrategyResult
 
 __all__ = [
+    "KeyValueLayout",
+    "budget_capped_plan",
     "SepParams",
     "SepInstance",
     "SepConcept",
-    "sep_concept_eval",
     "sep_nasty_strategy",
     "sep_key_erasure_strategy",
     "sep_malicious_learner",
@@ -58,16 +59,91 @@ __all__ = [
 ]
 
 
-def _block_size_for(w: int, d: int, kappa: Fraction) -> int:
-    """Smallest per-block size making the key fraction exactly ``kappa``
-    with an integer value side of at least ``2^d`` points."""
-    ratio = (1 - kappa) / kappa  # value_size / key_size
-    b = max(1, math.ceil((1 << d) / (ratio * w)))
-    while True:
-        value = w * b * ratio
-        if value.denominator == 1 and value >= (1 << d):
-            return b
-        b += 1
+@dataclass(frozen=True)
+class KeyValueLayout:
+    """Key/value split of the uniform domain ``{0, ..., domain_size - 1}``.
+
+    The first ``key_size = w * block_size`` points form the key side, in ``w``
+    equal blocks; the rest form the value side, sized so that the key side
+    carries exactly ``key_fraction`` of the domain. The sizes are derived once.
+    """
+
+    w: int
+    block_size: int
+    key_fraction: Fraction
+    key_size: int = field(init=False)
+    value_size: int = field(init=False)
+    domain_size: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        key_size = self.w * self.block_size
+        value = key_size * (1 - self.key_fraction) / self.key_fraction
+        if value.denominator != 1:
+            raise ValueError("block size does not give an integer value side")
+        object.__setattr__(self, "key_size", key_size)
+        object.__setattr__(self, "value_size", int(value))
+        object.__setattr__(self, "domain_size", key_size + int(value))
+
+    @classmethod
+    def fit(cls, w: int, d: int, key_fraction: Fraction) -> "KeyValueLayout":
+        """Smallest per-block size giving an exact ``key_fraction`` with an
+        integer value side of at least ``2^d`` points."""
+        ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
+        b = max(1, math.ceil((1 << d) / (ratio * w)))
+        while True:
+            value = w * b * ratio
+            if value.denominator == 1 and value >= (1 << d):
+                return cls(w, b, key_fraction)
+            b += 1
+
+    def block_of(self, points: np.ndarray) -> np.ndarray:
+        """Key-block index of each point (caller restricts to the key side)."""
+        return points // self.block_size
+
+    def key_blocks(self, points: np.ndarray) -> np.ndarray:
+        """Key-block index of each point, ``-1`` on the value side."""
+        return np.where(points < self.key_size, self.block_of(points), -1)
+
+    def block_counts(self, points: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+        """Key-side points per block, counting only ``where`` if given."""
+        key = points < self.key_size
+        if where is not None:
+            key &= where
+        return np.bincount(self.block_of(points[key]), minlength=self.w)
+
+    def label_counts(self, S: Sample) -> tuple[np.ndarray, np.ndarray]:
+        """Per-block counts of ``+1`` and of ``-1`` labels in ``S``."""
+        return (
+            self.block_counts(S.points, S.labels == 1),
+            self.block_counts(S.points, S.labels == -1),
+        )
+
+    def table(self, key_bits: np.ndarray, prf_key: PrfKey) -> np.ndarray:
+        """Read-only concept table: block ``j`` labeled ``key_bits[j]``, the
+        value side by the PRF under ``prf_key``."""
+        table = np.concatenate(
+            [
+                np.repeat(key_bits.astype(np.int8), self.block_size),
+                prf_truth_table(prf_key, self.value_size),
+            ]
+        )
+        table.setflags(write=False)
+        return table
+
+
+def budget_capped_plan(plans: Iterable[Iterable[Choice]], z: int) -> StrategyResult:
+    """Concatenate ``plans`` in order, stopping at the budget ``z``.
+
+    A plan item beyond the budget cuts the result there and flags the trial as
+    budget exhausted.
+    """
+    choices: list[Choice] = []
+    for plan in plans:
+        for item in plan:
+            if len(choices) >= z:
+                return StrategyResult(choices, flagged=True, flag_reason="budget exhausted")
+            choices.append(item)
+    return StrategyResult(choices)
 
 
 @dataclass(frozen=True)
@@ -78,7 +154,9 @@ class SepParams:
     mass, ``w`` the block (codeword) count, ``d`` the value-side dimension
     exponent, ``u`` the extractor seed length, ``m_out`` the extracted key
     length, ``n`` the sample size, and ``slack`` the multiplicative slack
-    applied to every asymptotic inequality at desk scale.
+    applied to every asymptotic inequality at desk scale. ``layout`` is the
+    key/value split of the domain, derived from ``w``, ``block_size`` and
+    ``kappa``.
     """
 
     eta_N: float
@@ -92,6 +170,7 @@ class SepParams:
     block_size: int
     m_out: int
     slack: float = 1.25
+    layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.eta_N < 1 or not 0 < self.eta_M < 1:
@@ -101,8 +180,7 @@ class SepParams:
             raise ValueError(
                 f"need eta_M/((1-eta_M)*tau) = {lower} < kappa < 1, got {self.kappa}"
             )
-        if (Fraction(self.w * self.block_size) * (1 - self.kappa) / self.kappa).denominator != 1:
-            raise ValueError("block size does not give an integer value side")
+        object.__setattr__(self, "layout", KeyValueLayout(self.w, self.block_size, self.kappa))
         rows = self.code.rho * self.w
         if abs(rows - round(rows)) > 1e-9:
             raise ValueError("rho*w must be an integer")
@@ -129,7 +207,7 @@ class SepParams:
         if lam is None:
             lam = 0.5 * (rho + binary_entropy(eta_N) - 1)
         code = CodeParams(rho=rho, tau=tau, lam=lam, eta_N=eta_N, L=L)
-        b = _block_size_for(w, d, kap)
+        b = KeyValueLayout.fit(w, d, kap).block_size
         if n is None:
             n = cls._auto_n(w, eta_M, kap)
         if m_out is None:
@@ -162,7 +240,7 @@ class SepParams:
         )
         kappa_f = 0.998 * eta_M / ((1 - eta_M) * code.tau) + 0.002
         kap = Fraction(kappa_f).limit_denominator(10_000)
-        b = _block_size_for(w, d, kap)
+        b = KeyValueLayout.fit(w, d, kap).block_size
         if n is None:
             n = cls._auto_n(w, eta_M, kap)
         return cls(
@@ -178,15 +256,15 @@ class SepParams:
 
     @property
     def key_size(self) -> int:
-        return self.w * self.block_size
+        return self.layout.key_size
 
     @property
     def value_size(self) -> int:
-        return int(Fraction(self.key_size) * (1 - self.kappa) / self.kappa)
+        return self.layout.value_size
 
     @property
     def domain_size(self) -> int:
-        return self.key_size + self.value_size
+        return self.layout.domain_size
 
     @property
     def D(self) -> float:
@@ -204,7 +282,7 @@ class SepParams:
 
     def block_of(self, points: np.ndarray) -> np.ndarray:
         """Key-block index of each point (caller restricts to the key side)."""
-        return points // self.block_size
+        return self.layout.block_of(points)
 
 
 class SepConcept(Hypothesis):
@@ -217,13 +295,7 @@ class SepConcept(Hypothesis):
         self.p = p
         self.q = q
         self.key = PrfKey.from_signs(extract(codeword.bits, q, params.extractor_spec))
-        key_side = np.repeat(
-            codeword.bits.astype(np.int8), params.block_size
-        )
-        value_side = prf_truth_table(self.key, params.value_size)
-        table = np.concatenate([key_side, value_side])
-        table.setflags(write=False)
-        self.table = table
+        self.table = params.layout.table(codeword.bits, self.key)
         self.domain_size = params.domain_size
 
     def evaluate_many(
@@ -233,11 +305,6 @@ class SepConcept(Hypothesis):
 
     def hypothesis(self) -> TableHypothesis:
         return TableHypothesis(self.table)
-
-
-def sep_concept_eval(c: SepConcept, x: int) -> int:
-    """Label of point ``x`` under ``c`` (key-block bit or PRF output)."""
-    return c.evaluate(x)
 
 
 class SepInstance:
@@ -268,27 +335,15 @@ def sep_nasty_strategy(inst: SepInstance):
     Blocks are processed in index order (sample order within a block); if the
     drawn budget runs out mid-plan the trial is flagged as exhausted.
     """
-    params = inst.params
+    layout = inst.params.layout
 
     def strategy(S_clean: Sample, z: int, c: SepConcept, D=None, rng=None) -> StrategyResult:
-        minus_blocks = np.flatnonzero(c.codeword.bits == -1)
-        key_mask = S_clean.points < params.key_size
-        blocks = np.where(key_mask, params.block_of(S_clean.points), -1)
-        choices = []
-        exhausted = False
-        for j in minus_blocks.tolist():
-            for pos in np.flatnonzero(blocks == j).tolist():
-                if len(choices) >= z:
-                    exhausted = True
-                    break
-                choices.append((int(pos), (int(S_clean.points[pos]), 1)))
-            if exhausted:
-                break
-        return StrategyResult(
-            choices,
-            flagged=exhausted,
-            flag_reason="budget exhausted" if exhausted else None,
+        blocks = layout.key_blocks(S_clean.points)
+        plans = (
+            [(pos, (int(S_clean.points[pos]), 1)) for pos in np.flatnonzero(blocks == j).tolist()]
+            for j in np.flatnonzero(c.codeword.bits == -1).tolist()
         )
+        return budget_capped_plan(plans, z)
 
     return strategy
 
@@ -323,11 +378,7 @@ def sep_key_erasure_strategy(inst: SepInstance):
 def _key_bit_thresholds(S: Sample, params: SepParams) -> np.ndarray:
     """Per-block key-bit estimates: +1 / -1 when one label count clears
     ``D - Delta`` and the other stays below it, 0 (erasure) otherwise."""
-    key = S.points < params.key_size
-    blocks = params.block_of(S.points[key])
-    labels = S.labels[key]
-    s_plus = np.bincount(blocks[labels == 1], minlength=params.w)
-    s_minus = np.bincount(blocks[labels == -1], minlength=params.w)
+    s_plus, s_minus = params.layout.label_counts(S)
     thr = params.D - params.Delta
     z = np.zeros(params.w, dtype=np.int8)
     z[(s_minus < thr) & (thr <= s_plus)] = 1

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from noisylab.core import (
     DiscreteDistribution,
-    DomainPoint,
     FunctionHypothesis,
     LabeledExample,
     MixtureHypothesis,
@@ -195,7 +194,27 @@ class TestDrawCleanSample:
         assert len(draw_clean_sample(D, TableHypothesis([1, 1]), 0, RngHandle(0))) == 0
 
 
-def test_domain_point_validation():
-    DomainPoint(3)
+
+def _bad_inputs():
+    from noisylab.codes import ReceivedWord, signs_to_mask
+    from noisylab.cryptoprim import ExtractorSpec, PrfKey, extract
+
+    return {
+        "sample-wrapping-ints": lambda: Sample([0, 1], np.array([255, 257])),
+        "sample-fraction": lambda: Sample([0], np.array([1.7])),
+        "sample-int8-min": lambda: Sample([0], np.array([-128], dtype=np.int8)),
+        "received-word-wrapping-int": lambda: ReceivedWord(np.array([255, 1])),
+        "received-word-fraction": lambda: ReceivedWord(np.array([0.5, 1.0])),
+        "received-word-int8-min": lambda: ReceivedWord(np.array([-128, 1], dtype=np.int8)),
+        "received-word-erase": lambda: ReceivedWord.erase(np.array([255, 1]), [1]),
+        "signs-to-mask-fraction": lambda: signs_to_mask(np.array([1.9, -1.2])),
+        "extract-fraction": lambda: extract(np.array([1.5, -1, 1, 1]), 0, ExtractorSpec(4, 2, 2)),
+        "prf-key-fraction": lambda: PrfKey.from_signs(np.array([1.7, -1.0])),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_values_checked_before_integer_cast(case):
+    # Each input would wrap or truncate into {-1, 0, +1} if cast first.
     with pytest.raises(ValueError):
-        DomainPoint(-1)
+        _bad_inputs()[case]()

@@ -22,7 +22,6 @@ from noisylab.icesep import (
     BlockCounters,
     IceInstance,
     IceSepParams,
-    ice_concept_eval,
     ice_idealized_nasty_strategy,
     ice_malicious_learner,
     key_bit_guess,
@@ -117,7 +116,6 @@ class TestConcept:
         p = inst.params
         pts = np.arange(p.key_size, p.domain_size)
         assert np.array_equal(c.evaluate_many(pts), prf_truth_table(c.key, p.value_size))
-        assert ice_concept_eval(c, p.key_size) == c.evaluate(p.key_size)
 
     def test_key_length_validated(self):
         inst = small_instance()

@@ -29,9 +29,6 @@ from noisylab.learn import (
     expected_error_estimate,
     ice_filter,
     ice_filter_keep,
-    learner_names,
-    make_learner,
-    register_learner,
     select_best_hypothesis,
     subsample_filter,
 )
@@ -240,14 +237,3 @@ class TestExpectedErrorEstimate:
         mean, hw = expected_error_estimate(A, D, c, process, trials=1, rng=RngHandle(0))
         assert mean == 0.0 and math.isnan(hw)
 
-
-def test_learner_registry():
-    @register_learner("test-majority-learner")
-    def _factory(n=2):
-        return _majority_learner(n)
-
-    assert "test-majority-learner" in learner_names()
-    A = make_learner("test-majority-learner", {"n": 4})
-    assert A.n == 4
-    with pytest.raises(KeyError):
-        make_learner("missing-learner")

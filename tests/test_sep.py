@@ -14,10 +14,11 @@ from noisylab.codes import GeneratorMatrix
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.noise import nasty_corrupt, strong_malicious_corrupt
 from noisylab.sep import (
+    KeyValueLayout,
     SepConcept,
     SepInstance,
     SepParams,
-    sep_concept_eval,
+    budget_capped_plan,
     sep_key_erasure_strategy,
     sep_malicious_learner,
     sep_nasty_strategy,
@@ -79,6 +80,30 @@ class TestSepParams:
         assert p.block_of(np.array([0, 1, 2, 15])).tolist() == [0, 0, 1, 7]
 
 
+class TestKeyValueLayout:
+    def test_fit_and_counts(self):
+        layout = KeyValueLayout.fit(8, 4, Fraction(1, 2))
+        assert (layout.block_size, layout.key_size, layout.value_size) == (2, 16, 16)
+        S = Sample([0, 1, 1, 3, 15, 16, 31], [1, -1, -1, 1, -1, 1, 1])
+        n_plus, n_minus = layout.label_counts(S)
+        assert n_plus.tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
+        assert n_minus.tolist() == [2, 0, 0, 0, 0, 0, 0, 1]
+        assert layout.key_blocks(S.points).tolist() == [0, 0, 0, 1, 7, -1, -1]
+
+    def test_non_integer_value_side_rejected(self):
+        with pytest.raises(ValueError, match="integer value side"):
+            KeyValueLayout(3, 1, Fraction(2, 5))
+
+
+def test_budget_capped_plan_cut_off():
+    plans = [[(0, (5, 1)), (1, (6, 1))], [(2, (7, -1))]]
+    full = budget_capped_plan(plans, 3)
+    assert len(full.choices) == 3 and not full.flagged
+    cut = budget_capped_plan(plans, 2)
+    assert cut.choices == plans[0]
+    assert cut.flagged and cut.flag_reason == "budget exhausted"
+
+
 class TestSepConcept:
     def test_key_side_repeats_codeword(self):
         inst = small_instance()
@@ -97,11 +122,6 @@ class TestSepConcept:
         table = prf_truth_table(c.key, p.value_size)
         pts = np.arange(p.key_size, p.domain_size)
         assert np.array_equal(c.evaluate_many(pts), table)
-
-    def test_concept_eval_helper(self):
-        inst = small_instance()
-        c = inst.concept(1, 0)
-        assert sep_concept_eval(c, 0) == c.evaluate(0)
 
     def test_low_weight_index_zero_is_zero_codeword(self):
         inst = small_instance()
