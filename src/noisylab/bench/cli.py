@@ -17,11 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from ..codes import (
+    DecodeFailure,
     GeneratorMatrix,
     ReceivedWord,
     bitflip_list_decode,
     erasure_list_decode,
     gen_random_linear_code,
+    mask_to_signs,
 )
 from ..core import RngHandle
 from .reports import render_text, write_report
@@ -77,25 +79,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(message: object) -> int:
+    """Report a bad input as one ``error:`` line on stderr; exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.config is not None:
-        config = ExperimentConfig.from_file(
-            args.config, seed=args.seed, trials=args.trials,
-            out=str(args.out) if args.out else None,
-        )
-        if config.scenario != args.scenario:
-            print(
-                f"error: config file names scenario {config.scenario!r}, "
-                f"command line says {args.scenario!r}",
-                file=sys.stderr,
+    try:
+        if args.config is not None:
+            config = ExperimentConfig.from_file(
+                args.config, seed=args.seed, trials=args.trials,
+                out=str(args.out) if args.out else None,
             )
-            return 2
-    else:
-        config = ExperimentConfig(
-            scenario=args.scenario,
-            trials=args.trials if args.trials is not None else 1,
-            seed=args.seed if args.seed is not None else 0,
-            out=str(args.out) if args.out else None,
+        else:
+            config = ExperimentConfig(
+                scenario=args.scenario,
+                trials=args.trials if args.trials is not None else 1,
+                seed=args.seed if args.seed is not None else 0,
+                out=str(args.out) if args.out else None,
+            )
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    if config.scenario != args.scenario:
+        return _error(
+            f"config file names scenario {config.scenario!r}, "
+            f"command line says {args.scenario!r}"
         )
     report = run_scenario(config)
     out_dir = Path(config.out) if config.out else Path.cwd() / "reports"
@@ -123,17 +132,20 @@ def _cmd_codes(args: argparse.Namespace) -> int:
         else:
             print(text)
         return 0
-    G = GeneratorMatrix.from_text(args.code.read_text())
-    word = ReceivedWord(_parse_word(args.word))
-    if args.radius is None:
-        messages = erasure_list_decode(G, word, cap=args.cap)
-    else:
-        messages = bitflip_list_decode(G, word, args.radius, cap=args.cap)
+    try:
+        G = GeneratorMatrix.from_text(args.code.read_text())
+        word = ReceivedWord(_parse_word(args.word))
+        if args.radius is None:
+            messages = erasure_list_decode(G, word, cap=args.cap)
+        else:
+            messages = bitflip_list_decode(G, word, args.radius, cap=args.cap)
+    except (OSError, ValueError, DecodeFailure) as exc:
+        return _error(exc)
     if not messages:
         print("no consistent messages")
         return 1
-    for msg in messages:
-        print("".join("+" if b == 1 else "-" for b in msg))
+    for m in messages:
+        print("".join("+" if b == 1 else "-" for b in mask_to_signs(m, G.rows)))
     return 0
 
 

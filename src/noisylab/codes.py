@@ -8,7 +8,8 @@ bit ``j`` is set iff position ``j`` carries ``-1``.
 
 Decoding is exact at desk scale: erasures by Gaussian elimination on the
 punctured generator, bit flips by full codeword enumeration through the
-packed-bit kernels (compiled or pure backend).
+packed-bit kernels. Both decoders return sorted message integers (bit ``i``
+is message position ``i``, as in :attr:`GeneratorMatrix.codeword_masks`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .core import RngHandle
+from .core import RngHandle, _frozen
 
 __all__ = [
     "DecodeFailure",
@@ -156,9 +157,7 @@ class ReceivedWord:
             raise ValueError("received word must be one-dimensional")
         if arr.size and not ((arr == 0) | (np.abs(arr) == 1)).all():
             raise ValueError("symbols must be in {-1, 0(=erasure), +1}")
-        arr = arr.astype(np.int8, copy=False)
-        arr.setflags(write=False)
-        self.symbols = arr
+        self.symbols = _frozen(arr.astype(np.int8, copy=False), symbols)
 
     @classmethod
     def erase(cls, bits: Sequence[int] | np.ndarray, positions: Sequence[int]) -> "ReceivedWord":
@@ -230,9 +229,12 @@ class GeneratorMatrix:
     @classmethod
     def from_text(cls, text: str) -> "GeneratorMatrix":
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        header = dict(part.split("=") for part in lines[0].split())
-        w, rows = int(header["w"]), int(header["rows"])
-        masks = [int(ln, 16) for ln in lines[1:]]
+        try:
+            header = dict(part.split("=") for part in lines[0].split())
+            w, rows = int(header["w"]), int(header["rows"])
+            masks = [int(ln, 16) for ln in lines[1:]]
+        except (IndexError, KeyError, ValueError) as exc:
+            raise ValueError(f"malformed serialized code: {exc!r}") from exc
         if len(masks) != rows:
             raise ValueError("row count mismatch in serialized code")
         return cls(masks, w)
@@ -275,7 +277,7 @@ def gen_random_linear_code(
 
 
 def _message_mask(msg: Sequence[int] | np.ndarray, k: int) -> int:
-    arr = np.asarray(msg, dtype=np.int64)
+    arr = np.asarray(msg)
     if arr.size != k:
         raise ValueError(f"message length {arr.size} != {k} rows")
     return signs_to_mask(arr)
@@ -291,21 +293,17 @@ def encode(G: GeneratorMatrix, msg: Sequence[int] | np.ndarray) -> Codeword:
     return Codeword(bits=mask_to_signs(cmask, G.w), message=mask_to_signs(mmask, G.rows))
 
 
-def _messages_from_ints(ints: Sequence[int], k: int) -> list[np.ndarray]:
-    return [mask_to_signs(m, k) for m in ints]
-
-
 def erasure_list_decode(
     G: GeneratorMatrix, r: ReceivedWord, cap: int = 64
-) -> list[np.ndarray]:
+) -> list[int]:
     """Exact set of messages consistent with ``r`` on its non-erased positions.
 
     Solved by Gaussian elimination on the punctured generator matrix; the
-    result is the full affine solution space (possibly empty). Raises
-    :class:`DecodeFailure` if that space exceeds ``cap``.
+    result is the full affine solution space (possibly empty), as sorted
+    message integers. Raises :class:`DecodeFailure` if it exceeds ``cap``.
     """
     if len(r) != G.w:
-        raise ValueError("received word length mismatch")
+        raise ValueError(f"received word length {len(r)} != code length {G.w}")
     k = G.rows
     # One linear equation per non-erased position j:
     #   sum_i m_i * G[i, j] = r_j  over GF(2),
@@ -361,19 +359,20 @@ def erasure_list_decode(
             if (combo >> b) & 1:
                 assignment |= 1 << col
         solutions.append(back_substitute(assignment))
-    return _messages_from_ints(sorted(solutions), k)
+    return sorted(solutions)
 
 
 def bitflip_list_decode(
     G: GeneratorMatrix, r: ReceivedWord, radius: int, cap: int = 64
-) -> list[np.ndarray]:
-    """All messages whose codeword lies within Hamming ``radius`` of ``r``.
+) -> list[int]:
+    """All messages whose codeword lies within Hamming ``radius`` of ``r``,
+    as sorted message integers.
 
     Exact by enumeration of all ``2^rows`` codewords (packed-bit kernel).
     Raises :class:`DecodeFailure` when the list exceeds ``cap``.
     """
     if len(r) != G.w:
-        raise ValueError("received word length mismatch")
+        raise ValueError(f"received word length {len(r)} != code length {G.w}")
     if (r.symbols == 0).any():
         raise ValueError("bit-flip decoding takes a fully-determined ±1 word")
     target = signs_to_mask(r.symbols)
@@ -382,7 +381,7 @@ def bitflip_list_decode(
     hits = np.flatnonzero(dists <= radius)
     if hits.size > cap:
         raise DecodeFailure(f"list size {hits.size} exceeds the cap {cap}")
-    return _messages_from_ints([int(h) for h in hits], G.rows)
+    return hits.tolist()
 
 
 def low_weight_codewords(G: GeneratorMatrix, weight_bound: float) -> list[Codeword]:

@@ -72,6 +72,15 @@ def _as_sign_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
+def _frozen(arr: np.ndarray, given: object) -> np.ndarray:
+    """``arr`` made read-only. When ``arr`` is the caller's own writeable
+    array ``given``, a copy is frozen instead, so the caller's stays writeable."""
+    if arr is given and arr.flags.writeable:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
 class Sample:
     """An ordered multiset of labeled examples.
 
@@ -88,10 +97,8 @@ class Sample:
             raise ValueError("points and labels must be 1-d arrays of equal length")
         if pts.size and pts.min() < 0:
             raise ValueError("negative domain point index")
-        pts.setflags(write=False)
-        labs.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "labels", labs)
+        object.__setattr__(self, "points", _frozen(pts, points))
+        object.__setattr__(self, "labels", _frozen(labs, labels))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Sample is immutable")
@@ -241,10 +248,8 @@ class TableHypothesis(Hypothesis):
     """Deterministic hypothesis given by an explicit ±1 truth table."""
 
     def __init__(self, table: Sequence[int] | np.ndarray):
-        tab = _as_sign_array(table)
-        tab.setflags(write=False)
-        self.table = tab
-        self.domain_size = int(tab.size)
+        self.table = _frozen(_as_sign_array(table), table)
+        self.domain_size = int(self.table.size)
 
     def evaluate_many(
         self, points: np.ndarray, query_rng: RngHandle | None = None

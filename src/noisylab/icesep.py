@@ -31,6 +31,7 @@ from .codes import (
     bitflip_list_decode,
     encode,
     gen_random_linear_code,
+    mask_to_signs,
 )
 from .core import (
     DiscreteDistribution,
@@ -42,12 +43,11 @@ from .core import (
 from .cryptoprim import PrfKey
 from .learn import ice_filter, ice_filter_keep, select_best_hypothesis
 from .noise import CorruptionLedger, StrategyResult
-from .sep import KeyValueLayout, budget_capped_plan
+from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
 
 __all__ = [
     "IceSepParams",
     "IceInstance",
-    "IceConcept",
     "BlockCounters",
     "key_bit_guess",
     "round_vector",
@@ -153,25 +153,6 @@ class IceSepParams:
         return self.layout.block_of(points)
 
 
-class IceConcept(Hypothesis):
-    """A concept ``c_k``: key blocks labeled by ``Enc(k)``, value side by the
-    PRF under ``k``. Carries a cached full truth table."""
-
-    def __init__(self, params: IceSepParams, G: GeneratorMatrix, key: PrfKey):
-        if key.length != params.d:
-            raise ValueError(f"key must have {params.d} bits")
-        self.params = params
-        self.key = key
-        self.codeword = encode(G, np.array(key.bits, dtype=np.int8))
-        self.table = params.layout.table(self.codeword.bits, key)
-        self.domain_size = params.domain_size
-
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
-        return self.table[points]
-
-
 class IceInstance:
     """One sampled experiment instance: parameters plus a concrete code."""
 
@@ -186,10 +167,14 @@ class IceInstance:
         G = gen_random_linear_code(params.d / params.w, params.w, rng)
         return cls(params, G)
 
-    def concept(self, key_bits: Sequence[int] | np.ndarray) -> IceConcept:
-        return IceConcept(self.params, self.G, PrfKey.from_signs(key_bits))
+    def concept(self, key_bits: Sequence[int] | np.ndarray) -> KeyValueConcept:
+        """Concept ``c_k``: codeword ``Enc(k)``, PRF key ``k``."""
+        key = PrfKey.from_signs(key_bits)
+        if key.length != self.params.d:
+            raise ValueError(f"key must have {self.params.d} bits")
+        return KeyValueConcept(self.params.layout, encode(self.G, key.bits), key)
 
-    def random_concept(self, rng: RngHandle) -> IceConcept:
+    def random_concept(self, rng: RngHandle) -> KeyValueConcept:
         bits = rng.generator().choice((-1, 1), size=self.params.d)
         return self.concept(bits)
 
@@ -248,7 +233,7 @@ def ice_malicious_learner(
         details.update(flagged=True, flag_reason="empty decode list")
         return TableHypothesis.constant(1, params.domain_size), details
 
-    hyps = [inst.concept(msg) for msg in messages]
+    hyps = [inst.concept(mask_to_signs(m, params.d)) for m in messages]
     idx, best = select_best_hypothesis(hyps, S_prime)
     details["selected_key"] = hyps[idx].key
     return best, details
@@ -266,7 +251,7 @@ def ice_idealized_nasty_strategy(inst: IceInstance) -> Callable:
     """
     layout = inst.params.layout
 
-    def strategy(S_clean: Sample, z: int, c: IceConcept, D=None, rng=None) -> StrategyResult:
+    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
         gen = rng.generator()
         blocks = layout.key_blocks(S_clean.points)
 
@@ -365,7 +350,7 @@ class BlockCounters:
 
     @classmethod
     def from_trial(
-        cls, ledger: CorruptionLedger, c: IceConcept, params: IceSepParams
+        cls, ledger: CorruptionLedger, c: KeyValueConcept, params: IceSepParams
     ) -> "BlockCounters":
         S_corr = ledger.reapply()
         n = len(S_corr)

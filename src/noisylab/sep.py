@@ -29,7 +29,6 @@ from .codes import (
     GeneratorMatrix,
     ReceivedWord,
     binary_entropy,
-    encode,
     erasure_list_decode,
     gen_random_linear_code,
     low_weight_codewords,
@@ -48,10 +47,10 @@ from .noise import Choice, StrategyResult
 
 __all__ = [
     "KeyValueLayout",
+    "KeyValueConcept",
     "budget_capped_plan",
     "SepParams",
     "SepInstance",
-    "SepConcept",
     "sep_nasty_strategy",
     "sep_key_erasure_strategy",
     "sep_malicious_learner",
@@ -129,6 +128,19 @@ class KeyValueLayout:
         )
         table.setflags(write=False)
         return table
+
+
+class KeyValueConcept(TableHypothesis):
+    """A key/value concept, shared by both separations: key block ``j`` is
+    labeled by bit ``j`` of ``codeword``, the value side by the PRF under
+    ``key``. Carries its full truth table."""
+
+    def __init__(self, layout: KeyValueLayout, codeword: Codeword, key: PrfKey):
+        # layout.table is read-only ±1 by construction: no re-check.
+        self.codeword = codeword
+        self.key = key
+        self.table = layout.table(codeword.bits, key)
+        self.domain_size = layout.domain_size
 
 
 def budget_capped_plan(plans: Iterable[Iterable[Choice]], z: int) -> StrategyResult:
@@ -285,28 +297,6 @@ class SepParams:
         return self.layout.block_of(points)
 
 
-class SepConcept(Hypothesis):
-    """A concept ``c_{p,q}``: key blocks labeled by ``W_p``, value side by
-    the PRF under the extracted key. Carries a cached full truth table."""
-
-    def __init__(self, params: SepParams, codeword: Codeword, p: int, q: int):
-        self.params = params
-        self.codeword = codeword
-        self.p = p
-        self.q = q
-        self.key = PrfKey.from_signs(extract(codeword.bits, q, params.extractor_spec))
-        self.table = params.layout.table(codeword.bits, self.key)
-        self.domain_size = params.domain_size
-
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
-        return self.table[points]
-
-    def hypothesis(self) -> TableHypothesis:
-        return TableHypothesis(self.table)
-
-
 class SepInstance:
     """One sampled experiment instance: parameters plus a concrete code."""
 
@@ -316,14 +306,21 @@ class SepInstance:
         self.params = params
         self.G = G
         self.low_weight = low_weight_codewords(G, params.eta_N * params.w)
+        # Message integer (as the decoders return it) -> low-weight index.
+        self.low_weight_index = {
+            signs_to_mask(cw.message): p for p, cw in enumerate(self.low_weight)
+        }
 
     @classmethod
     def generate(cls, params: SepParams, rng: RngHandle) -> "SepInstance":
         G = gen_random_linear_code(params.code.rho, params.w, rng)
         return cls(params, G)
 
-    def concept(self, p: int, q: int) -> SepConcept:
-        return SepConcept(self.params, self.low_weight[p], p, q)
+    def concept(self, p: int, q: int) -> KeyValueConcept:
+        """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
+        cw = self.low_weight[p]
+        key = PrfKey.from_signs(extract(cw.bits, q, self.params.extractor_spec))
+        return KeyValueConcept(self.params.layout, cw, key)
 
     def distribution(self) -> DiscreteDistribution:
         return DiscreteDistribution.uniform(self.params.domain_size)
@@ -337,7 +334,7 @@ def sep_nasty_strategy(inst: SepInstance):
     """
     layout = inst.params.layout
 
-    def strategy(S_clean: Sample, z: int, c: SepConcept, D=None, rng=None) -> StrategyResult:
+    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
         blocks = layout.key_blocks(S_clean.points)
         plans = (
             [(pos, (int(S_clean.points[pos]), 1)) for pos in np.flatnonzero(blocks == j).tolist()]
@@ -359,7 +356,7 @@ def sep_key_erasure_strategy(inst: SepInstance):
     params = inst.params
     chunk = math.ceil(params.D)
 
-    def strategy(S_clean: Sample, Z: np.ndarray, c: SepConcept, D=None, rng=None) -> StrategyResult:
+    def strategy(S_clean: Sample, Z: np.ndarray, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
         n_erase = min(len(Z) // chunk, params.w)
         gen = rng.generator()
         blocks = gen.choice(params.w, size=n_erase, replace=False)
@@ -398,19 +395,16 @@ def sep_malicious_learner(
     z = _key_bit_thresholds(S, params)
     details: dict = {"z": z, "flagged": False, "flag_reason": None, "candidates": []}
 
-    low_masks = {signs_to_mask(cw.bits): p for p, cw in enumerate(inst.low_weight)}
     try:
         messages = erasure_list_decode(inst.G, ReceivedWord(z), cap=params.code.L)
     except DecodeFailure as exc:
         details.update(flagged=True, flag_reason=f"decode failure: {exc}")
         return TableHypothesis.constant(1, params.domain_size), details
 
-    candidate_ps = []
-    for msg in messages:
-        cmask = signs_to_mask(encode(inst.G, msg).bits)
-        if cmask in low_masks:
-            candidate_ps.append(low_masks[cmask])
-    candidate_ps = sorted(set(candidate_ps))
+    # Distinct messages give distinct codewords (G has full rank): no duplicates.
+    candidate_ps = sorted(
+        inst.low_weight_index[m] for m in messages if m in inst.low_weight_index
+    )
     details["candidates"] = candidate_ps
 
     if not candidate_ps:

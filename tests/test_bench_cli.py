@@ -14,7 +14,7 @@ from noisylab.bench import (
     render_text,
 )
 from noisylab.bench.cli import main
-from noisylab.bench.scenarios import binom_ci, chisquare_vs_binomial
+from noisylab.bench.scenarios import binom_ci, chisquare_vs_binomial, two_sample_chi2
 from noisylab.learn import AmplifyParams
 
 
@@ -79,6 +79,13 @@ class TestRunScenario:
         rep = run_scenario(ExperimentConfig(scenario="badamplify", trials=2, seed=3))
         assert rep.aggregate["amplify_k"] == AmplifyParams.auto(0.1, 0.01).k
 
+    def test_sep_adversary_single_trial(self):
+        # One trial runs only the first concept, so the second's counts are 0.
+        rep = run_scenario(
+            ExperimentConfig(scenario="sep-adversary", params={"sim_trials": 20}, trials=1)
+        )
+        assert rep.aggregate["independence_pvalue"] == 1.0
+
 
 class TestReports:
     def test_write_and_render(self, tmp_path):
@@ -114,6 +121,11 @@ class TestStatsHelpers:
         bad = gen.binomial(100, 0.3, size=2000)
         assert chisquare_vs_binomial(good, 100, 0.2) > 1e-3
         assert chisquare_vs_binomial(bad, 100, 0.2) < 1e-3
+
+    def test_two_sample_chi2_drops_zero_rows(self):
+        assert two_sample_chi2(np.array([5, 0, 7]), np.zeros(3, dtype=np.int64)) == 1.0
+        assert two_sample_chi2(np.array([5, 0]), np.array([6, 0])) == 1.0
+        assert two_sample_chi2(np.array([50, 0, 5]), np.array([5, 0, 50])) < 1e-3
 
 
 class TestCli:
@@ -189,3 +201,29 @@ class TestCli:
         main(["codes", "gen", "--rho", "0.5", "--w", "4", "--seed", "0", "--out", str(code_path)])
         with pytest.raises(SystemExit):
             main(["codes", "decode", "--code", str(code_path), "--word", "+x++"])
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param("codes decode --code {bad} --word ++++++++", id="code-unparsable"),
+        pytest.param("codes decode --code {missing} --word +", id="code-missing"),
+        pytest.param("codes decode --code {code} --word +++", id="word-length"),
+        pytest.param("codes decode --code {code} --word ???????? --cap 4", id="list-cap"),
+        pytest.param("run round-lemma --config {typo}", id="config-unknown-key"),
+        pytest.param("run no-such-scenario", id="unknown-scenario"),
+    ],
+)
+def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
+    code, bad, typo = tmp_path / "code.txt", tmp_path / "bad.txt", tmp_path / "typo.json"
+    main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code)])
+    bad.write_text("w=8 rows=1\nzz\n")
+    typo.write_text(json.dumps({"scenario": "round-lemma", "trails": 5}))
+    capsys.readouterr()
+    args = argv.format(code=code, bad=bad, typo=typo, missing=tmp_path / "none").split()
+    assert main(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    if "typo" in argv:
+        assert "trails" in err[0] and "trials" in err[0]

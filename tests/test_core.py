@@ -195,8 +195,20 @@ class TestDrawCleanSample:
 
 
 
+def test_constructors_leave_caller_arrays_writeable():
+    from noisylab.codes import ReceivedWord
+
+    pts, labs = np.array([0, 1]), np.array([1, -1], dtype=np.int8)
+    word, table = np.array([1, 0, -1], dtype=np.int8), np.array([1, -1], dtype=np.int8)
+    S, r, h = Sample(pts, labs), ReceivedWord(word), TableHypothesis(table)
+    assert all(a.flags.writeable for a in (pts, labs, word, table))
+    assert not any(a.flags.writeable for a in (S.points, S.labels, r.symbols, h.table))
+    labs[0] = -1  # the sample holds its own copy
+    assert S.labels[0] == 1
+
+
 def _bad_inputs():
-    from noisylab.codes import ReceivedWord, signs_to_mask
+    from noisylab.codes import GeneratorMatrix, ReceivedWord, encode, signs_to_mask
     from noisylab.cryptoprim import ExtractorSpec, PrfKey, extract
 
     return {
@@ -208,6 +220,7 @@ def _bad_inputs():
         "received-word-int8-min": lambda: ReceivedWord(np.array([-128, 1], dtype=np.int8)),
         "received-word-erase": lambda: ReceivedWord.erase(np.array([255, 1]), [1]),
         "signs-to-mask-fraction": lambda: signs_to_mask(np.array([1.9, -1.2])),
+        "encode-fraction": lambda: encode(GeneratorMatrix([0b01, 0b10], 2), [1.7, -1.2]),
         "extract-fraction": lambda: extract(np.array([1.5, -1, 1, 1]), 0, ExtractorSpec(4, 2, 2)),
         "prf-key-fraction": lambda: PrfKey.from_signs(np.array([1.7, -1.0])),
     }

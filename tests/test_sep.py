@@ -14,8 +14,8 @@ from noisylab.codes import GeneratorMatrix
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.noise import nasty_corrupt, strong_malicious_corrupt
 from noisylab.sep import (
+    KeyValueConcept,
     KeyValueLayout,
-    SepConcept,
     SepInstance,
     SepParams,
     budget_capped_plan,
