@@ -106,7 +106,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
             f"config file names scenario {config.scenario!r}, "
             f"command line says {args.scenario!r}"
         )
-    report = run_scenario(config)
+    try:
+        report = run_scenario(config)
+    except ValueError as exc:  # a scenario parameter the scenario rejects
+        return _error(exc)
     out_dir = Path(config.out) if config.out else Path.cwd() / "reports"
     _, json_path = write_report(report, out_dir)
     print(render_text(json_path))
@@ -119,7 +122,7 @@ def _parse_word(text: str) -> np.ndarray:
     try:
         return np.array([mapping[ch] for ch in text], dtype=np.int8)
     except KeyError as exc:
-        raise SystemExit(f"invalid symbol {exc.args[0]!r} in word (use +, -, ?)")
+        raise ValueError(f"invalid symbol {exc.args[0]!r} in word (use +, -, ?)") from None
 
 
 def _cmd_codes(args: argparse.Namespace) -> int:

@@ -38,6 +38,7 @@ __all__ = [
     "low_weight_codewords",
     "signs_to_mask",
     "mask_to_signs",
+    "masks_to_signs",
 ]
 
 MAX_WORD_BITS = 64
@@ -114,6 +115,13 @@ def mask_to_signs(mask: int, w: int) -> np.ndarray:
     """Unpack a bitmask into a ±1 word of length ``w``."""
     j = np.arange(w, dtype=np.uint64)
     bits = (np.uint64(mask) >> j) & np.uint64(1)
+    return np.where(bits == 1, -1, 1).astype(np.int8)
+
+
+def masks_to_signs(masks: Sequence[int] | np.ndarray, w: int) -> np.ndarray:
+    """Unpack bitmasks into ±1 words of length ``w``, one row per mask."""
+    j = np.arange(w, dtype=np.uint64)
+    bits = (np.asarray(masks, dtype=np.uint64)[:, None] >> j) & np.uint64(1)
     return np.where(bits == 1, -1, 1).astype(np.int8)
 
 

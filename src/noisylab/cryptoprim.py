@@ -25,18 +25,15 @@ __all__ = [
     "PrfKey",
     "prf_eval",
     "prf_truth_table",
+    "prf_truth_tables",
     "ExtractorSpec",
     "extract",
+    "toeplitz_matrices",
+    "extract_all_seeds",
 ]
 
 _PRF_BLOCK_BITS = 512  # one 64-byte BLAKE2b digest per counter block
 MAX_SEED_BITS = 16
-
-
-def _signs_to_bytes(bits: np.ndarray) -> bytes:
-    """Pack a ±1 vector into bytes (-1 -> bit 1), little-endian within bytes."""
-    gf2 = (bits == -1).astype(np.uint8)
-    return np.packbits(gf2, bitorder="little").tobytes()
 
 
 @dataclass(frozen=True)
@@ -60,34 +57,65 @@ class PrfKey:
         return len(self.bits)
 
     def key_bytes(self) -> bytes:
-        return _signs_to_bytes(np.array(self.bits, dtype=np.int8))
+        """The bits packed little-endian (position ``i`` is bit ``i % 8`` of
+        byte ``i // 8``), ``-1`` as a set bit."""
+        mask = sum(1 << i for i, b in enumerate(self.bits) if b == -1)
+        return mask.to_bytes(-(-self.length // 8), "little")
 
 
-def _prf_block(key: PrfKey, block: int) -> np.ndarray:
-    """512 PRF output bits (as a 0/1 array) for counter block ``block``."""
-    digest = hashlib.blake2b(
-        block.to_bytes(8, "little"), key=key.key_bytes(), digest_size=64
-    ).digest()
-    return np.unpackbits(np.frombuffer(digest, dtype=np.uint8), bitorder="little")
+def _counters(blocks: range) -> list[bytes]:
+    """The 8-byte little-endian counter of each stream block in ``blocks``."""
+    return [b.to_bytes(8, "little") for b in blocks]
+
+
+def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> bytes:
+    """The keyed BLAKE2b stream blocks at ``counters``, joined (64 bytes each).
+
+    The key is absorbed once; each block hashes from a copy of that state.
+    """
+    keyed = hashlib.blake2b(key=key_bytes, digest_size=64)
+    digests = []
+    for c in counters:
+        h = keyed.copy()
+        h.update(c)
+        digests.append(h.digest())
+    return b"".join(digests)
+
+
+def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
+    """0/1 bits to ±1 int8 signs (bit 1 -> -1)."""
+    return 1 - 2 * bits.astype(np.int8)
 
 
 def prf_eval(key: PrfKey, x: int) -> int:
     """Deterministic ±1 output of the keyed function at point ``x``."""
     if x < 0:
         raise ValueError("point index must be >= 0")
-    bit = _prf_block(key, x // _PRF_BLOCK_BITS)[x % _PRF_BLOCK_BITS]
+    block = x // _PRF_BLOCK_BITS
+    digest = _prf_digests(key.key_bytes(), _counters(range(block, block + 1)))
+    bit = (digest[(x % _PRF_BLOCK_BITS) // 8] >> (x % 8)) & 1
     return -1 if bit else 1
+
+
+def prf_truth_tables(keys: Sequence[PrfKey], n_points: int) -> np.ndarray:
+    """±1 outputs at points ``0 .. n_points-1`` under each key, one row per key.
+
+    Each key's bytes are packed once and the joined digests of all keys are
+    unpacked in one call (one hash per key per 512 points).
+    """
+    if n_points < 0:
+        raise ValueError("n_points must be >= 0")
+    n_blocks = -(-n_points // _PRF_BLOCK_BITS)
+    counters = _counters(range(n_blocks))
+    stream = b"".join(_prf_digests(key.key_bytes(), counters) for key in keys)
+    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
+    bits = bits.reshape(len(keys), n_blocks * _PRF_BLOCK_BITS)[:, :n_points]
+    return _bits_to_signs(bits)
 
 
 def prf_truth_table(key: PrfKey, n_points: int) -> np.ndarray:
     """±1 outputs at points ``0 .. n_points-1`` (one hash per 512 points)."""
-    if n_points < 0:
-        raise ValueError("n_points must be >= 0")
-    n_blocks = -(-n_points // _PRF_BLOCK_BITS)
-    if n_blocks == 0:
-        return np.empty(0, dtype=np.int8)
-    bits = np.concatenate([_prf_block(key, b) for b in range(n_blocks)])[:n_points]
-    return np.where(bits == 1, -1, 1).astype(np.int8)
+    return prf_truth_tables([key], n_points)[0]
 
 
 @dataclass(frozen=True)
@@ -133,6 +161,37 @@ def _toeplitz_diagonal(seed: int, spec: ExtractorSpec) -> np.ndarray:
     ]
 
 
+def _toeplitz_matrix(seed: int, spec: ExtractorSpec) -> np.ndarray:
+    """The seed's ``m_out x w`` matrix ``T[i, j] = t[i + j]`` as 0/1 bits."""
+    if spec.m_out == 0:
+        return np.zeros((0, spec.w), dtype=np.uint8)
+    t = _toeplitz_diagonal(seed, spec)
+    return t[np.arange(spec.m_out)[:, None] + np.arange(spec.w)[None, :]]
+
+
+def toeplitz_matrices(spec: ExtractorSpec) -> np.ndarray:
+    """Every seed's Toeplitz matrix, stacked by seed: shape ``(2^u, m_out, w)``."""
+    return np.stack([_toeplitz_matrix(q, spec) for q in range(spec.seed_count())])
+
+
+def _source_bits(x: Sequence[int] | np.ndarray, w: int) -> np.ndarray:
+    """The ±1 source word as 0/1 bits (-1 -> 1), after checking it."""
+    arr = np.asarray(x)
+    if arr.shape != (w,):
+        raise ValueError(f"source must have length {w}, got {arr.shape}")
+    if not (np.abs(arr) == 1).all():
+        raise ValueError("source bits must be ±1")
+    return (arr == -1).astype(np.uint8)
+
+
+def _gf2_apply(matrices: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """±1 signs of the GF(2) product of 0/1 ``matrices`` with 0/1 ``src``.
+
+    The uint8 row sums may wrap modulo 256, which keeps their parity.
+    """
+    return _bits_to_signs((matrices @ src) & 1)
+
+
 def extract(x: Sequence[int] | np.ndarray, seed: int, spec: ExtractorSpec) -> np.ndarray:
     """Apply the seed's Toeplitz matrix to the ±1 source word.
 
@@ -140,17 +199,16 @@ def extract(x: Sequence[int] | np.ndarray, seed: int, spec: ExtractorSpec) -> np
     t[i + j]``) with the source; the result is a ±1 vector of length
     ``m_out``. Linear in ``x`` for every fixed seed.
     """
-    arr = np.asarray(x)
-    if arr.shape != (spec.w,):
-        raise ValueError(f"source must have length {spec.w}, got {arr.shape}")
-    if not (np.abs(arr) == 1).all():
-        raise ValueError("source bits must be ±1")
+    src = _source_bits(x, spec.w)
     if not 0 <= seed < spec.seed_count():
         raise ValueError(f"seed must be in [0, 2^{spec.u})")
-    if spec.m_out == 0:
-        return np.empty(0, dtype=np.int8)
-    t = _toeplitz_diagonal(seed, spec)
-    src = (arr == -1).astype(np.uint8)
-    idx = np.arange(spec.m_out)[:, None] + np.arange(spec.w)[None, :]
-    out = (t[idx] & src[None, :]).sum(axis=1) % 2
-    return np.where(out == 1, -1, 1).astype(np.int8)
+    return _gf2_apply(_toeplitz_matrix(seed, spec), src)
+
+
+def extract_all_seeds(x: Sequence[int] | np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """``extract(x, q, spec)`` for every seed ``q`` at once, as row ``q``.
+
+    ``matrices`` is :func:`toeplitz_matrices` of ``spec``; the result has
+    shape ``(2^u, m_out)``.
+    """
+    return _gf2_apply(matrices, _source_bits(x, matrices.shape[2]))

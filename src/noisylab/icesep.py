@@ -31,7 +31,7 @@ from .codes import (
     bitflip_list_decode,
     encode,
     gen_random_linear_code,
-    mask_to_signs,
+    masks_to_signs,
 )
 from .core import (
     DiscreteDistribution,
@@ -41,7 +41,7 @@ from .core import (
     TableHypothesis,
 )
 from .cryptoprim import PrfKey
-from .learn import ice_filter, ice_filter_keep, select_best_hypothesis
+from .learn import ice_filter, ice_filter_keep
 from .noise import CorruptionLedger, StrategyResult
 from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
 
@@ -233,9 +233,11 @@ def ice_malicious_learner(
         details.update(flagged=True, flag_reason="empty decode list")
         return TableHypothesis.constant(1, params.domain_size), details
 
-    hyps = [inst.concept(mask_to_signs(m, params.d)) for m in messages]
-    idx, best = select_best_hypothesis(hyps, S_prime)
-    details["selected_key"] = hyps[idx].key
+    key_bits = masks_to_signs(inst.G.codeword_masks[messages], params.w)
+    keys = [PrfKey(tuple(row)) for row in masks_to_signs(messages, params.d).tolist()]
+    idx = params.layout.best_candidate(S_prime, key_bits, keys)
+    best = inst.concept(keys[idx].bits)
+    details["selected_key"] = best.key
     return best, details
 
 

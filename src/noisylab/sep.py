@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,8 +42,15 @@ from .core import (
     Sample,
     TableHypothesis,
 )
-from .cryptoprim import ExtractorSpec, PrfKey, extract, prf_truth_table
-from .learn import select_best_hypothesis
+from .cryptoprim import (
+    ExtractorSpec,
+    PrfKey,
+    extract,
+    extract_all_seeds,
+    prf_truth_table,
+    prf_truth_tables,
+    toeplitz_matrices,
+)
 from .noise import Choice, StrategyResult
 
 __all__ = [
@@ -56,6 +64,9 @@ __all__ = [
     "sep_malicious_learner",
     "sep_simulate_T_nasty",
 ]
+
+# Candidates whose value-side tables are held at once while scoring.
+_SCORE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,45 @@ class KeyValueLayout:
         )
         table.setflags(write=False)
         return table
+
+    def best_candidate(
+        self, S: Sample, key_bits: np.ndarray, keys: Sequence[PrfKey]
+    ) -> int:
+        """Index of the candidate that mislabels the fewest examples of ``S``,
+        the lowest index among ties: the choice of
+        :func:`~noisylab.learn.select_best_hypothesis` over the candidates'
+        tables, made without building them.
+
+        Candidate ``i`` labels key block ``j`` by ``key_bits[i, j]`` and the
+        value side by the PRF under ``keys[i]``. With ``net`` the per-point
+        count of ``+1`` labels minus ``-1`` labels, a ±1 table ``h`` makes
+        ``(n - h·net)/2`` mistakes. Value-side tables are built
+        ``_SCORE_CHUNK`` candidates at a time, which bounds the memory used.
+        """
+        if not keys:
+            raise ValueError("empty candidate list")
+        if key_bits.shape != (len(keys), self.w):
+            raise ValueError(f"key_bits must have shape ({len(keys)}, {self.w})")
+        n = len(S)
+        if n == 0:
+            raise ValueError("empty test sample")
+        top = int(S.points.max())
+        if top >= self.domain_size:
+            raise IndexError(f"point {top} is outside the domain of size {self.domain_size}")
+        # One bincount over labeled indices 2x + [label = -1]: even slots
+        # count x's +1 labels, odd slots its -1 labels.
+        counts = np.bincount(2 * S.points + (S.labels == -1), minlength=2 * self.domain_size)
+        net = counts[0::2] - counts[1::2]
+        block_net = net[: self.key_size].reshape(self.w, self.block_size).sum(axis=1)
+        agree = key_bits.astype(np.int64) @ block_net
+        # The value-side products run in float64 (BLAS). They are exact: every
+        # term and partial sum is an integer of magnitude at most n < 2^53.
+        value_net = net[self.key_size :].astype(np.float64)
+        for start in range(0, len(keys), _SCORE_CHUNK):
+            tables = prf_truth_tables(keys[start : start + _SCORE_CHUNK], self.value_size)
+            agree[start : start + len(tables)] += (tables @ value_net).astype(np.int64)
+        mistakes = (n - agree) // 2
+        return int(np.argmin(mistakes))
 
 
 class KeyValueConcept(TableHypothesis):
@@ -316,6 +366,11 @@ class SepInstance:
         G = gen_random_linear_code(params.code.rho, params.w, rng)
         return cls(params, G)
 
+    @cached_property
+    def extractor_matrices(self) -> np.ndarray:
+        """Every seed's Toeplitz matrix, built once for the instance."""
+        return toeplitz_matrices(self.params.extractor_spec)
+
     def concept(self, p: int, q: int) -> KeyValueConcept:
         """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
         cw = self.low_weight[p]
@@ -411,15 +466,18 @@ def sep_malicious_learner(
         details.update(flagged=True, flag_reason="no low-weight candidate decoded")
         return TableHypothesis.constant(1, params.domain_size), details
 
-    hyps = []
-    labels = []
-    for p in candidate_ps:
-        for q in range(params.extractor_spec.seed_count()):
-            hyps.append(inst.concept(p, q))
-            labels.append((p, q))
-    idx, best = select_best_hypothesis(hyps, S)
-    details["selected"] = labels[idx]
-    return best, details
+    seeds = params.extractor_spec.seed_count()
+    codewords = [inst.low_weight[p].bits for p in candidate_ps]
+    keys = [
+        PrfKey(tuple(row))
+        for bits in codewords
+        for row in extract_all_seeds(bits, inst.extractor_matrices).tolist()
+    ]
+    # Candidate i is (candidate_ps[i // seeds], seed i % seeds).
+    idx = params.layout.best_candidate(S, np.repeat(codewords, seeds, axis=0), keys)
+    p, q = candidate_ps[idx // seeds], idx % seeds
+    details["selected"] = (p, q)
+    return inst.concept(p, q), details
 
 
 def sep_simulate_T_nasty(

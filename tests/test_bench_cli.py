@@ -196,13 +196,6 @@ class TestCli:
         assert rc == 0
         assert "verdicts:" in capsys.readouterr().out
 
-    def test_invalid_word_symbol(self, tmp_path):
-        code_path = tmp_path / "code.txt"
-        main(["codes", "gen", "--rho", "0.5", "--w", "4", "--seed", "0", "--out", str(code_path)])
-        with pytest.raises(SystemExit):
-            main(["codes", "decode", "--code", str(code_path), "--word", "+x++"])
-
-
 
 @pytest.mark.parametrize(
     "argv",
@@ -210,18 +203,24 @@ class TestCli:
         pytest.param("codes decode --code {bad} --word ++++++++", id="code-unparsable"),
         pytest.param("codes decode --code {missing} --word +", id="code-missing"),
         pytest.param("codes decode --code {code} --word +++", id="word-length"),
+        pytest.param("codes decode --code {code} --word +x++++++", id="word-symbol"),
         pytest.param("codes decode --code {code} --word ???????? --cap 4", id="list-cap"),
         pytest.param("run round-lemma --config {typo}", id="config-unknown-key"),
         pytest.param("run no-such-scenario", id="unknown-scenario"),
+        pytest.param("run sep-learner --config {param}", id="scenario-param"),
     ],
 )
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     code, bad, typo = tmp_path / "code.txt", tmp_path / "bad.txt", tmp_path / "typo.json"
+    param = tmp_path / "param.json"
     main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code)])
     bad.write_text("w=8 rows=1\nzz\n")
     typo.write_text(json.dumps({"scenario": "round-lemma", "trails": 5}))
+    param.write_text(json.dumps({"scenario": "sep-learner", "params": {"w": 7}}))
     capsys.readouterr()
-    args = argv.format(code=code, bad=bad, typo=typo, missing=tmp_path / "none").split()
+    args = argv.format(
+        code=code, bad=bad, typo=typo, param=param, missing=tmp_path / "none"
+    ).split()
     assert main(args) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

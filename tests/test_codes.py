@@ -24,6 +24,7 @@ from noisylab.codes import (
     gen_random_linear_code,
     low_weight_codewords,
     mask_to_signs,
+    masks_to_signs,
     signs_to_mask,
 )
 from noisylab.core import RngHandle
@@ -43,6 +44,15 @@ def test_binary_entropy_against_scipy():
 def test_mask_round_trip(w, data):
     mask = data.draw(st.integers(0, (1 << w) - 1))
     assert signs_to_mask(mask_to_signs(mask, w)) == mask
+
+
+@given(st.integers(1, 64), st.data())
+def test_masks_to_signs_rows_match_mask_to_signs(w, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=6))
+    rows = masks_to_signs(masks, w)
+    assert rows.shape == (len(masks), w) and rows.dtype == np.int8
+    for m, row in zip(masks, rows):
+        assert np.array_equal(row, mask_to_signs(m, w))
 
 
 def test_signs_to_mask_validation():

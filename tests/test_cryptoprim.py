@@ -7,8 +7,11 @@ from noisylab.cryptoprim import (
     ExtractorSpec,
     PrfKey,
     extract,
+    extract_all_seeds,
     prf_eval,
     prf_truth_table,
+    prf_truth_tables,
+    toeplitz_matrices,
 )
 
 KEY_A = PrfKey.from_signs([1, -1, 1, -1, 1, 1, -1, -1])
@@ -27,6 +30,12 @@ class TestPrfKey:
         # positions 1,3,6,7 are -1 -> bits 1,3,6,7 set -> 0b11001010 = 0xca.
         assert KEY_A.key_bytes() == bytes([0b11001010])
         assert KEY_A.length == 8
+
+    def test_key_bytes_span_bytes(self):
+        # Position 8 is bit 0 of the second byte; a 9-bit key packs into 2 bytes.
+        key = PrfKey.from_signs([-1, 1, 1, 1, 1, 1, 1, 1, -1])
+        assert key.key_bytes() == bytes([0b00000001, 0b00000001])
+        assert PrfKey.from_signs([1] * 16).key_bytes() == bytes(2)
 
 
 class TestPrf:
@@ -111,3 +120,42 @@ class TestExtract:
     def test_deterministic(self):
         x = np.array([1, -1] * 5)
         assert np.array_equal(extract(x, 5, self.SPEC), extract(x, 5, self.SPEC))
+
+
+class TestBatched:
+    @pytest.mark.parametrize("n_points", [0, 511, 512, 1200])
+    def test_prf_truth_tables_rows_match_single_key(self, n_points):
+        keys = [KEY_A, KEY_B, PrfKey.from_signs([-1] * 12), KEY_A]
+        tables = prf_truth_tables(keys, n_points)
+        assert tables.shape == (len(keys), n_points) and tables.dtype == np.int8
+        for key, row in zip(keys, tables):
+            assert np.array_equal(row, prf_truth_table(key, n_points))
+            # prf_eval hashes one block on its own path.
+            assert row.tolist() == [prf_eval(key, x) for x in range(n_points)]
+
+    def test_prf_truth_tables_no_keys(self):
+        assert prf_truth_tables([], 600).shape == (0, 600)
+
+    def test_all_seeds_match_extract(self):
+        spec = ExtractorSpec(w=10, u=4, m_out=5)
+        matrices = toeplitz_matrices(spec)
+        assert matrices.shape == (16, 5, 10)
+        gen = np.random.default_rng(1)
+        for _ in range(8):
+            x = gen.choice((-1, 1), size=10)
+            out = extract_all_seeds(x, matrices)
+            assert out.shape == (16, 5) and out.dtype == np.int8
+            for q in range(16):
+                assert np.array_equal(out[q], extract(x, q, spec))
+
+    def test_all_seeds_m_out_zero(self):
+        spec = ExtractorSpec(w=4, u=2, m_out=0)
+        out = extract_all_seeds(np.array([1, -1, -1, 1]), toeplitz_matrices(spec))
+        assert out.shape == (4, 0) and out.dtype == np.int8
+
+    def test_all_seeds_validation(self):
+        matrices = toeplitz_matrices(ExtractorSpec(w=10, u=2, m_out=3))
+        with pytest.raises(ValueError):
+            extract_all_seeds(np.ones(9, dtype=np.int8), matrices)
+        with pytest.raises(ValueError):
+            extract_all_seeds(np.array([1.5] + [1] * 9), matrices)

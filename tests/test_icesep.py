@@ -28,7 +28,8 @@ from noisylab.icesep import (
     nasty_via_strong_malicious,
     round_vector,
 )
-from noisylab.learn import ice_filter, ice_filter_keep
+from noisylab.codes import ReceivedWord, bitflip_list_decode, mask_to_signs
+from noisylab.learn import ice_filter, ice_filter_keep, select_best_hypothesis
 from noisylab.noise import StrategyResult, nasty_corrupt, strong_malicious_corrupt
 
 
@@ -139,6 +140,27 @@ class TestLearner:
             assert not det["flagged"]
             assert det["selected_key"].bits == c.key.bits
             assert error_rate(h, c, inst.distribution()) == 0.0
+
+    def test_selection_matches_oracle(self):
+        # Every decoded candidate built and scored explicitly, on a sample
+        # with a tenth of its labels flipped.
+        inst = small_instance()
+        p = inst.params
+        D = inst.distribution()
+        for seed in range(4):
+            c = inst.random_concept(RngHandle(300 + seed))
+            S = draw_clean_sample(D, c, p.n, RngHandle(seed))
+            flips = np.random.default_rng(seed).choice((-1, 1), size=p.n, p=(0.1, 0.9))
+            S = Sample(S.points, S.labels * flips)
+            h, det = ice_malicious_learner(S, inst, RngHandle(400 + seed))
+            messages = bitflip_list_decode(
+                inst.G, ReceivedWord(det["z"]), radius=p.decode_radius, cap=p.L
+            )
+            assert len(messages) == det["n_candidates"] > 1
+            hyps = [inst.concept(mask_to_signs(m, p.d)) for m in messages]
+            idx, best = select_best_hypothesis(hyps, ice_filter(S))
+            assert det["selected_key"] == best.key
+            assert np.array_equal(h.table, best.table)
 
     def test_learner_v_matches_block_counter_reconstruction(self):
         # Dual route: the learner's per-block estimate v equals the signed

@@ -10,10 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from noisylab.codes import GeneratorMatrix
+from noisylab.codes import Codeword, GeneratorMatrix
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
+from noisylab.cryptoprim import PrfKey
+from noisylab.learn import select_best_hypothesis
 from noisylab.noise import nasty_corrupt, strong_malicious_corrupt
 from noisylab.sep import (
+    _SCORE_CHUNK,
     KeyValueConcept,
     KeyValueLayout,
     SepInstance,
@@ -93,6 +96,86 @@ class TestKeyValueLayout:
     def test_non_integer_value_side_rejected(self):
         with pytest.raises(ValueError, match="integer value side"):
             KeyValueLayout(3, 1, Fraction(2, 5))
+
+
+class TestBestCandidate:
+    """The batched scorer against select_best_hypothesis over the explicit
+    KeyValueConcepts of the same candidates."""
+
+    @staticmethod
+    def random_case(gen, n_candidates, n_examples):
+        w = int(gen.integers(1, 6))
+        layout = KeyValueLayout.fit(
+            w, int(gen.integers(1, 10)), Fraction(int(gen.integers(1, 4)), 5)
+        )
+        key_bits = gen.choice((-1, 1), size=(n_candidates, w)).astype(np.int8)
+        keys = [
+            PrfKey.from_signs(gen.choice((-1, 1), size=int(gen.integers(1, 12))))
+            for _ in range(n_candidates)
+        ]
+        # Label the sample by a random candidate with some labels flipped,
+        # or else by coin flips, so the winner's index and the minimum count
+        # both vary.
+        t = int(gen.integers(0, n_candidates))
+        truth = KeyValueConcept(layout, Codeword(key_bits[t], key_bits[t]), keys[t])
+        points = gen.integers(0, layout.domain_size, size=n_examples)
+        flip_rate = float(gen.choice((0.2, 0.5)))
+        flips = gen.choice((-1, 1), size=n_examples, p=(flip_rate, 1 - flip_rate))
+        return layout, key_bits, keys, Sample(points, truth.evaluate_many(points) * flips)
+
+    @staticmethod
+    def oracle(layout, S, key_bits, keys):
+        hyps = [KeyValueConcept(layout, Codeword(b, b), k) for b, k in zip(key_bits, keys)]
+        return select_best_hypothesis(hyps, S)[0]
+
+    def test_matches_oracle_on_random_cases(self):
+        gen = np.random.default_rng(11)
+        chosen = set()
+        for _ in range(60):
+            layout, key_bits, keys, S = self.random_case(
+                gen, int(gen.integers(1, 12)), int(gen.integers(1, 400))
+            )
+            idx = layout.best_candidate(S, key_bits, keys)
+            assert idx == self.oracle(layout, S, key_bits, keys)
+            chosen.add(idx)
+        assert len(chosen) > 5
+
+    def test_more_candidates_than_one_chunk(self):
+        gen = np.random.default_rng(12)
+        for n_candidates in (_SCORE_CHUNK + 1, 2 * _SCORE_CHUNK + 5):
+            for _ in range(5):
+                layout, key_bits, keys, S = self.random_case(gen, n_candidates, 300)
+                idx = layout.best_candidate(S, key_bits, keys)
+                assert idx == self.oracle(layout, S, key_bits, keys)
+
+    def test_tie_picks_lowest_index(self):
+        gen = np.random.default_rng(13)
+        layout, key_bits, keys, S = self.random_case(gen, 2 * _SCORE_CHUNK + 5, 300)
+        best = self.oracle(layout, S, key_bits, keys)
+        # Copy the winner to position 3 and into the second chunk: the copies
+        # tie with it for the fewest mistakes, and the first one wins.
+        for i in (_SCORE_CHUNK + 8, 3):
+            key_bits[i] = key_bits[best]
+            keys[i] = keys[best]
+        assert layout.best_candidate(S, key_bits, keys) == min(best, 3)
+        assert self.oracle(layout, S, key_bits, keys) == min(best, 3)
+
+    def test_point_outside_domain_raises_index_error(self):
+        gen = np.random.default_rng(14)
+        layout, key_bits, keys, S = self.random_case(gen, 4, 50)
+        outside = S.concat(Sample([layout.domain_size], [1]))
+        with pytest.raises(IndexError):
+            self.oracle(layout, outside, key_bits, keys)
+        with pytest.raises(IndexError):
+            layout.best_candidate(outside, key_bits, keys)
+
+    def test_empty_sample_raises_value_error(self):
+        gen = np.random.default_rng(15)
+        layout, key_bits, keys, _ = self.random_case(gen, 4, 50)
+        with pytest.raises(ValueError):
+            self.oracle(layout, Sample.empty(), key_bits, keys)
+        with pytest.raises(ValueError):
+            layout.best_candidate(Sample.empty(), key_bits, keys)
 
 
 def test_budget_capped_plan_cut_off():
@@ -212,6 +295,24 @@ class TestLearner:
         z = det["z"]
         assert np.all((z == 0) | (z == c.codeword.bits))  # never wrong
         assert error_rate(h, c, D) <= 0.05
+
+    def test_selection_matches_oracle(self):
+        # Every (candidate, seed) concept built and scored explicitly. The
+        # zero codeword gives every seed the same key, so its seeds tie.
+        inst = small_instance()
+        D = inst.distribution()
+        seeds = inst.params.extractor_spec.seed_count()
+        for p_idx, q, noise_seed in ((1, 2, 20), (0, 3, 21), (1, 1, 22)):
+            c = inst.concept(p_idx, q)
+            S = draw_clean_sample(D, c, inst.params.n, RngHandle(noise_seed))
+            S_corr, _ = strong_malicious_corrupt(
+                S, 0.2, sep_key_erasure_strategy(inst), RngHandle(noise_seed + 1), c=c, D=D
+            )
+            h, det = sep_malicious_learner(S_corr, inst)
+            labels = [(p, s) for p in det["candidates"] for s in range(seeds)]
+            idx, best = select_best_hypothesis([inst.concept(*pq) for pq in labels], S_corr)
+            assert det["selected"] == labels[idx]
+            assert np.array_equal(h.table, best.table)
 
     def test_too_small_sample_flags(self):
         # A sample far below the threshold leaves every bit erased; with a
