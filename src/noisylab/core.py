@@ -7,20 +7,29 @@ Conventions used throughout the package:
 - Every randomized operation takes an explicit :class:`RngHandle`; identical
   handles yield identical results, and distinct stream ids yield independent
   streams (counter-based Philox generators keyed through ``SeedSequence``).
+- A handle can be *primed* with :func:`prime`, which derives the Philox keys
+  of a whole batch of handles in one numpy pass (:func:`philox_keys`, a
+  vectorized copy of ``SeedSequence``'s key derivation). A primed handle's
+  :meth:`RngHandle.generator` skips the ``SeedSequence``; its draws are
+  unchanged, and it equals, hashes and prints like the unprimed handle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "LabeledExample",
     "Sample",
     "DiscreteDistribution",
     "RngHandle",
+    "philox_keys",
+    "prime",
     "Hypothesis",
     "TableHypothesis",
     "FunctionHypothesis",
@@ -50,12 +59,152 @@ class RngHandle:
     stream: int = 0
     path: tuple[int, ...] = field(default=())
 
+    # The Philox key stored by prime(); not a field, so it takes no part in
+    # equality, hashing, repr or the constructor.
+    _key = None
+
     def generator(self) -> np.random.Generator:
+        """A fresh generator; a primed handle's draws equal the unprimed one's."""
+        if self._key is not None:
+            return np.random.Generator(np.random.Philox(_StoredKey(self._key)))
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *self.path))
         return np.random.Generator(np.random.Philox(seq))
 
     def split(self, *ids: int) -> "RngHandle":
         return RngHandle(self.seed, self.stream, self.path + tuple(ids))
+
+
+class _StoredKey(ISeedSequence):
+    """Hands Philox a key :func:`philox_keys` already derived, in place of
+    the ``SeedSequence`` that would derive it again."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a stored Philox key is two uint64 words")
+        return self.key
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq): a pool of 4 uint32 words, mixed with these constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash_constants(first: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of ``steps`` successive SeedSequence hash steps from
+    ``first``, as two ``(steps, 1)`` columns: step ``j`` xors with ``c_j`` and
+    multiplies by ``c_{j+1} = c_j * mult mod 2**32``. They depend on no data."""
+    c = [first]
+    for _ in range(steps):
+        c.append(c[-1] * mult & _MASK32)
+    col = np.array(c, np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+def _hash(words: np.ndarray, xors: np.ndarray, muls: np.ndarray) -> np.ndarray:
+    v = (words ^ xors) * muls
+    return v ^ (v >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return r ^ (r >> 16)
+
+
+def _entropy_words(ids: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray] | None:
+    """SeedSequence's entropy of each ``(seed, stream, *path)`` row as one
+    column of a zero-padded uint32 matrix, with each column's word count.
+    The seed is split into little-endian 32-bit words and padded to the pool
+    size, then every other id is split the same way. ``None`` when some id
+    is not a non-negative integer."""
+    counts = np.fromiter(map(len, ids), np.intp, len(ids))
+    flat = np.array(list(chain.from_iterable(ids)))
+    if flat.dtype.kind == "O":  # ints of 2**64 or more
+        if not all(isinstance(x, (int, np.integer)) for x in flat):
+            return None
+    elif flat.dtype.kind not in "biu":
+        return None
+    if (flat < 0).any():
+        return None
+    words = [(flat & _MASK32).astype(np.uint32)]
+    n_words = np.ones(flat.size, np.intp)
+    rest = flat >> 32
+    while (rest > 0).any():
+        n_words += rest > 0
+        words.append((rest & _MASK32).astype(np.uint32))
+        rest = rest >> 32
+    starts = np.cumsum(counts) - counts
+    width = n_words.copy()
+    width[starts] = np.maximum(width[starts], _POOL_SIZE)
+    offset = np.cumsum(width) - width
+    row = np.repeat(np.arange(len(ids)), counts)
+    col = offset - offset[starts][row]
+    lengths = np.add.reduceat(width, starts)
+    matrix = np.zeros((int(lengths.max()), len(ids)), np.uint32)
+    for j, w in enumerate(words):
+        has = n_words > j
+        matrix[col[has] + j, row[has]] = w[has]
+    return matrix, lengths
+
+
+def philox_keys(handles: Sequence[RngHandle]) -> np.ndarray:
+    """The Philox key of each handle, derived for the whole batch at once.
+
+    Row ``i`` of the ``(len(handles), 2)`` uint64 result equals
+    ``np.random.SeedSequence(h.seed, spawn_key=(h.stream, *h.path))
+    .generate_state(2, np.uint64)`` for ``h = handles[i]``, bit for bit: the
+    same pool mixing and state generation, run column by column over every
+    handle. Handles whose ids take different numbers of 32-bit words share
+    the batch; each row stops mixing at its own length. A batch with a
+    negative or non-integer id goes through ``SeedSequence`` itself, so it
+    raises what ``SeedSequence`` raises.
+    """
+    if not handles:
+        return np.empty((0, 2), np.uint64)
+    ids = [(h.seed, h.stream, *h.path) for h in handles]
+    entropy = _entropy_words(ids)
+    if entropy is None:
+        return np.array(
+            [np.random.SeedSequence(s, spawn_key=rest).generate_state(2, np.uint64)
+             for s, *rest in ids]
+        )
+    E, lengths = entropy
+    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(E) - _POOL_SIZE)
+    xors, muls = _hash_constants(_INIT_A, _MULT_A, steps)
+    pool = _hash(E[:_POOL_SIZE], xors[:_POOL_SIZE], muls[:_POOL_SIZE])
+    step = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # mix every pool word into every other
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        end = step + _POOL_SIZE - 1
+        pool[dst] = _mix(pool[dst], _hash(pool[src], xors[step:end], muls[step:end]))
+        step = end
+    for src in range(_POOL_SIZE, len(E)):  # then each further entropy word
+        end = step + _POOL_SIZE
+        mixed = _mix(pool, _hash(E[src], xors[step:end], muls[step:end]))
+        pool = np.where(lengths > src, mixed, pool)
+        step = end
+    state = _hash(pool, *_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+def prime(handles: Sequence[RngHandle]) -> None:
+    """Store each handle's Philox key, derived for the batch by
+    :func:`philox_keys`, so its :meth:`RngHandle.generator` skips the
+    ``SeedSequence``. Draws, equality, hashing and repr are unchanged, each
+    ``generator()`` call still builds a fresh bit generator, and
+    :meth:`RngHandle.split` of a primed handle gives an unprimed child."""
+    keys = philox_keys(handles)
+    keys.setflags(write=False)
+    for h, key in zip(handles, keys):
+        object.__setattr__(h, "_key", key)
 
 
 class LabeledExample(NamedTuple):
@@ -70,6 +219,16 @@ def _as_sign_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
     if arr.size and not (np.abs(arr) == 1).all():
         raise ValueError("labels must be ±1")
     return arr.astype(np.int8, copy=False)
+
+
+def _as_point_array(points: Sequence[int] | np.ndarray) -> np.ndarray:
+    arr = np.asarray(points)
+    if arr.size and arr.dtype.kind not in "biu" and not (np.mod(arr, 1) == 0).all():
+        raise ValueError("domain points must be integers")
+    pts = arr.astype(np.int64, copy=False)
+    if pts.size and pts.min() < 0:
+        raise ValueError("negative domain point index")
+    return pts
 
 
 def _frozen(arr: np.ndarray, given: object) -> np.ndarray:
@@ -91,14 +250,24 @@ class Sample:
     __slots__ = ("points", "labels")
 
     def __init__(self, points: Sequence[int] | np.ndarray, labels: Sequence[int] | np.ndarray):
-        pts = np.asarray(points, dtype=np.int64)
+        pts = _as_point_array(points)
         labs = _as_sign_array(labels)
         if pts.shape != labs.shape or pts.ndim != 1:
             raise ValueError("points and labels must be 1-d arrays of equal length")
-        if pts.size and pts.min() < 0:
-            raise ValueError("negative domain point index")
         object.__setattr__(self, "points", _frozen(pts, points))
         object.__setattr__(self, "labels", _frozen(labs, labels))
+
+    @classmethod
+    def _trusted(cls, points: np.ndarray, labels: np.ndarray) -> "Sample":
+        """A sample of arrays already known valid (1-d int64 points >= 0 and
+        int8 ±1 labels of equal length) that no caller can write through:
+        fresh arrays or views of a sample's own. Skips the checks and the copy."""
+        points.setflags(write=False)
+        labels.setflags(write=False)
+        S = object.__new__(cls)
+        object.__setattr__(S, "points", points)
+        object.__setattr__(S, "labels", labels)
+        return S
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Sample is immutable")
@@ -144,19 +313,26 @@ class Sample:
             out[(p, l)] = out.get((p, l), 0) + 1
         return out
 
-    def take(self, indices: np.ndarray) -> "Sample":
-        return Sample(self.points[indices], self.labels[indices])
+    def take(self, indices: np.ndarray | slice) -> "Sample":
+        """The examples at ``indices``; a slice gives views of this sample's arrays."""
+        pts = self.points[indices]
+        if pts.ndim != 1:
+            raise ValueError("indices must select a 1-d run of examples")
+        return Sample._trusted(pts, self.labels[indices])
 
     def replace_at(self, indices: np.ndarray, points: np.ndarray, labels: np.ndarray) -> "Sample":
-        """A copy with positions ``indices`` replaced by the given examples."""
+        """A copy with positions ``indices`` replaced by the given examples,
+        which are checked as :class:`Sample` checks its own."""
+        new_pts = _as_point_array(points)
+        new_labs = _as_sign_array(labels)
         pts = self.points.copy()
         labs = self.labels.copy()
-        pts[indices] = points
-        labs[indices] = labels
-        return Sample(pts, labs)
+        pts[indices] = new_pts
+        labs[indices] = new_labs
+        return Sample._trusted(pts, labs)
 
     def concat(self, other: "Sample") -> "Sample":
-        return Sample(
+        return Sample._trusted(
             np.concatenate([self.points, other.points]),
             np.concatenate([self.labels, other.labels]),
         )

@@ -22,6 +22,7 @@ from .core import (
     Sample,
     empirical_error,
     error_rate,
+    prime,
 )
 
 __all__ = [
@@ -56,7 +57,11 @@ class Learner:
             S = subsample_filter(S, self.n, rng.split(0))
         elif len(S) < self.n:
             raise ValueError(f"learner needs {self.n} examples, got {len(S)}")
-        return self.train(S, rng.split(1))
+        return self.train(S, self.train_handle(rng))
+
+    def train_handle(self, rng: RngHandle) -> RngHandle:
+        """The handle ``train`` gets when the learner is called with ``rng``."""
+        return rng.split(1)
 
 
 @dataclass(frozen=True)
@@ -132,17 +137,25 @@ def subsample_filter(S: Sample, n: int, rng: RngHandle) -> Sample:
     return S.take(perm)
 
 
-def _permute_and_split(
-    S_big: Sample, group_size: int, k: int, rng: RngHandle
-) -> tuple[list[Sample], Sample]:
-    perm = rng.generator().permutation(len(S_big))
+def _train_groups(
+    A: Learner, S_big: Sample, k: int, rng: RngHandle
+) -> tuple[list[Hypothesis], Sample]:
+    """Uniformly permute ``S_big`` and train ``A`` on each of its first ``k``
+    runs of ``A.n`` examples, group ``i`` exactly as ``A(group, rng.split(1, i))``
+    would. Returns the hypotheses and the examples after the groups.
+
+    The groups' train handles are primed in one batch, so no group pays for
+    a ``SeedSequence``; draws are unchanged.
+    """
+    n = A.n
+    perm = rng.split(0).generator().permutation(len(S_big))
     shuffled = S_big.take(perm)
-    groups = [
-        shuffled.take(np.arange(i * group_size, (i + 1) * group_size))
-        for i in range(k)
+    handles = [A.train_handle(rng.split(1, i)) for i in range(k)]
+    prime(handles)
+    hyps = [
+        A.train(shuffled.take(slice(i * n, (i + 1) * n)), h) for i, h in enumerate(handles)
     ]
-    holdout = shuffled.take(np.arange(k * group_size, len(S_big)))
-    return groups, holdout
+    return hyps, shuffled.take(slice(k * n, None))
 
 
 def amplify(
@@ -156,8 +169,7 @@ def amplify(
     k = params.k
     if len(S_big) != A.n * k:
         raise ValueError(f"need exactly n·k = {A.n * k} examples, got {len(S_big)}")
-    groups, _ = _permute_and_split(S_big, A.n, k, rng.split(0))
-    hyps = [A(g, rng.split(1, i)) for i, g in enumerate(groups)]
+    hyps, _ = _train_groups(A, S_big, k, rng)
     return MixtureHypothesis(hyps)
 
 
@@ -174,8 +186,7 @@ def bad_amplify(
         raise ValueError(
             f"need exactly n·k + n_test = {A.n * k + n_test} examples, got {len(S_big)}"
         )
-    groups, holdout = _permute_and_split(S_big, A.n, k, rng.split(0))
-    hyps = [A(g, rng.split(1, i)) for i, g in enumerate(groups)]
+    hyps, holdout = _train_groups(A, S_big, k, rng)
     errors = np.array([empirical_error(h, holdout) for h in hyps])
     best = np.flatnonzero(errors == errors.min())
     pick = int(best[rng.split(2).generator().integers(0, len(best))])

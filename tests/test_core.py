@@ -26,6 +26,8 @@ from noisylab.core import (
     error_rate,
     labeled_index,
     labeled_pair,
+    philox_keys,
+    prime,
 )
 
 
@@ -56,6 +58,130 @@ class TestRngHandle:
         r.split(0).generator().random(100)
         a = r.generator().random(5)
         assert np.array_equal(a, RngHandle(7).generator().random(5))
+
+
+def _seed_sequence_key(h):
+    return np.random.SeedSequence(h.seed, spawn_key=(h.stream, *h.path)).generate_state(
+        2, np.uint64
+    )
+
+
+# One id of each word length SeedSequence splits an int into: one 32-bit word
+# (0 included), two, and three or more.
+_ids = st.one_of(
+    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140)
+)
+_handles = st.builds(RngHandle, _ids, _ids, st.lists(_ids, max_size=5).map(tuple))
+
+
+class TestPhiloxKeys:
+    FIXED = [
+        RngHandle(0),
+        RngHandle(5, 3),
+        RngHandle(2**32 - 1, 0, (1, 2)),
+        RngHandle(2**32, 1, (2**32,)),
+        RngHandle(2**64, 2, (0, 2**64 + 1, 7)),
+        RngHandle(2**130, 0, ()),
+        RngHandle(7, 0, (1, 0, 1)),
+        RngHandle(3, 2**40, (2**32 - 1, 2**33, 0, 0, 0, 9)),
+    ]
+
+    def test_fixed_cases_in_one_batch(self):
+        keys = philox_keys(self.FIXED)
+        assert keys.dtype == np.uint64 and keys.shape == (len(self.FIXED), 2)
+        for h, key in zip(self.FIXED, keys):
+            assert np.array_equal(key, _seed_sequence_key(h)), h
+
+    def test_empty_batch(self):
+        assert philox_keys([]).shape == (0, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_handles, min_size=1, max_size=10))
+    def test_matches_seed_sequence(self, handles):
+        expected = np.array([_seed_sequence_key(h) for h in handles])
+        assert np.array_equal(philox_keys(handles), expected)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_handles, min_size=1, max_size=6))
+    def test_primed_draws_match_unprimed(self, handles):
+        primed = [RngHandle(h.seed, h.stream, h.path) for h in handles]
+        prime(primed)
+        for p, h in zip(primed, handles):
+            assert np.array_equal(p.generator().random(4), h.generator().random(4))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            RngHandle(-1),
+            RngHandle(1.5),
+            RngHandle(1, -2),
+            RngHandle(1, 0.5),
+            RngHandle(1, 0, (3, -1)),
+            RngHandle(1, 0, (2.5,)),
+            RngHandle(2**64, 0, (-1,)),
+            RngHandle(2**64, 0, (1.0,)),
+        ],
+        ids=repr,
+    )
+    def test_invalid_ids_raise_like_seed_sequence(self, bad):
+        with pytest.raises(Exception) as expected:
+            _seed_sequence_key(bad)
+        with pytest.raises(Exception) as got:
+            philox_keys([RngHandle(1, 0, (2,)), bad])
+        assert got.type is expected.type
+
+
+class TestPrimedHandle:
+    @staticmethod
+    def _pair():
+        primed = RngHandle(11, 2, (3, 2**40))
+        prime([primed])
+        return primed, RngHandle(11, 2, (3, 2**40))
+
+    @staticmethod
+    def _no_seed_sequence(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence built")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+
+    def test_equal_hash_repr_like_unprimed(self):
+        primed, plain = self._pair()
+        assert primed == plain and hash(primed) == hash(plain)
+        assert repr(primed) == repr(plain)
+        assert {primed: 1}[plain] == 1
+
+    def test_generator_skips_seed_sequence(self, monkeypatch):
+        primed, plain = self._pair()
+        expected = plain.generator().random(3)
+        self._no_seed_sequence(monkeypatch)
+        assert np.array_equal(primed.generator().random(3), expected)
+        with pytest.raises(AssertionError, match="SeedSequence built"):
+            plain.generator()
+
+    def test_each_generator_is_fresh(self):
+        primed, plain = self._pair()
+        g1, g2 = primed.generator(), primed.generator()
+        assert g1.bit_generator is not g2.bit_generator
+        assert np.array_equal(g1.random(5), g2.random(5))
+        g1.random(100)  # advancing one leaves the other where it was
+        assert np.array_equal(g2.random(5), plain.generator().random(10)[5:])
+        assert np.array_equal(primed.generator().random(5), plain.generator().random(5))
+
+    def test_split_gives_the_unprimed_child(self, monkeypatch):
+        primed, plain = self._pair()
+        child = primed.split(4, 2**33)
+        assert child == plain.split(4, 2**33)
+        assert repr(child) == repr(plain.split(4, 2**33))
+        expected = plain.split(4, 2**33).generator().random(3)
+        assert np.array_equal(child.generator().random(3), expected)
+        self._no_seed_sequence(monkeypatch)
+        with pytest.raises(AssertionError, match="SeedSequence built"):
+            child.generator()  # an ordinary handle: it derives its own key
+
+    def test_key_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            RngHandle(1, 0, (), _key=np.zeros(2, np.uint64))
 
 
 class TestSample:
@@ -207,6 +333,10 @@ def test_constructors_leave_caller_arrays_writeable():
     assert S.labels[0] == 1
 
 
+def _two():
+    return Sample([0, 1], [1, -1])
+
+
 def _bad_inputs():
     from noisylab.codes import GeneratorMatrix, ReceivedWord, encode, signs_to_mask
     from noisylab.cryptoprim import ExtractorSpec, PrfKey, extract
@@ -215,6 +345,10 @@ def _bad_inputs():
         "sample-wrapping-ints": lambda: Sample([0, 1], np.array([255, 257])),
         "sample-fraction": lambda: Sample([0], np.array([1.7])),
         "sample-int8-min": lambda: Sample([0], np.array([-128], dtype=np.int8)),
+        "sample-point-fraction": lambda: Sample([2.9], [1]),
+        "replace-at-label-fraction": lambda: _two().replace_at([0], [2], [1.7]),
+        "replace-at-label-wrapping-int": lambda: _two().replace_at([0], [2], np.array([255])),
+        "replace-at-point-fraction": lambda: _two().replace_at([0], [2.9], [-1]),
         "received-word-wrapping-int": lambda: ReceivedWord(np.array([255, 1])),
         "received-word-fraction": lambda: ReceivedWord(np.array([0.5, 1.0])),
         "received-word-int8-min": lambda: ReceivedWord(np.array([-128, 1], dtype=np.int8)),

@@ -18,6 +18,7 @@ from noisylab.core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    empirical_error,
     error_rate,
 )
 from noisylab.learn import (
@@ -132,6 +133,70 @@ class TestLearner:
         A = _majority_learner(3)
         S = Sample.from_pairs([(0, 1)] * 10)
         assert A(S, RngHandle(0)).evaluate(0) == 1
+
+
+def _recording_learner(n, domain=6):
+    """A learner whose hypothesis records its group, its train handle and
+    its draws; its random table makes holdout errors differ between groups."""
+
+    def train(S, rng):
+        table = np.where(rng.generator().random(domain) < 0.5, 1, -1).astype(np.int8)
+        h = TableHypothesis(table)
+        h.record = (S.points.tolist(), S.labels.tolist(), rng, table.tolist())
+        return h
+
+    return Learner(n=n, train=train, name="recording")
+
+
+def _reference_groups(A, S_big, k, rng):
+    """The groups and hypotheses of a plain loop over ``A(g, rng.split(1, i))``."""
+    shuffled = S_big.take(rng.split(0).generator().permutation(len(S_big)))
+    groups = [shuffled.take(np.arange(i * A.n, (i + 1) * A.n)) for i in range(k)]
+    holdout = shuffled.take(np.arange(k * A.n, len(S_big)))
+    return [A(g, rng.split(1, i)) for i, g in enumerate(groups)], holdout
+
+
+_AMPLIFY_HANDLES = [
+    RngHandle(0),
+    RngHandle(12345),
+    RngHandle(2**70 + 3),
+    RngHandle(9, 4),
+    RngHandle(5, 1, (2, 2**33)),
+]
+
+
+class TestAmplifyMatchesReferenceLoop:
+    @staticmethod
+    def _sample(m, seed):
+        gen = np.random.default_rng(seed)
+        return Sample(gen.integers(0, 6, size=m), gen.choice((-1, 1), size=m))
+
+    @pytest.mark.parametrize("rng", _AMPLIFY_HANDLES, ids=repr)
+    def test_amplify_components(self, rng):
+        A, k = _recording_learner(3), 7
+        S = self._sample(A.n * k, 1)
+        ref, _ = _reference_groups(A, S, k, rng)
+        mix = amplify(A, AmplifyParams(k=k), S, rng)
+        assert [h.record for h in mix.components] == [h.record for h in ref]
+
+    @pytest.mark.parametrize("rng", _AMPLIFY_HANDLES, ids=repr)
+    def test_bad_amplify_pick(self, rng):
+        A, k, n_test = _recording_learner(3), 6, 5
+        S = self._sample(A.n * k + n_test, 2)
+        ref, holdout = _reference_groups(A, S, k, rng)
+        errors = np.array([empirical_error(h, holdout) for h in ref])
+        best = np.flatnonzero(errors == errors.min())
+        pick = int(best[rng.split(2).generator().integers(0, len(best))])
+        assert bad_amplify(A, k, n_test, S, rng).record == ref[pick].record
+
+    def test_call_and_amplify_share_the_train_handle(self, monkeypatch):
+        monkeypatch.setattr(Learner, "train_handle", lambda self, rng: rng.split(7, 7))
+        A, rng = _recording_learner(2), RngHandle(3, 1, (4,))
+        assert A(self._sample(2, 3), rng).record[2] == rng.split(7, 7)
+        mix = amplify(A, AmplifyParams(k=3), self._sample(6, 4), rng)
+        assert [h.record[2] for h in mix.components] == [
+            rng.split(1, i, 7, 7) for i in range(3)
+        ]
 
 
 class TestAmplifyParams:
