@@ -56,10 +56,13 @@ from ..learn import (
 )
 from ..noise import (
     StrategyResult,
+    contradict_replaced,
     fixed_rate_nasty_corrupt,
+    flip_first_z_labels,
+    flip_random_labels,
     huber_sample,
-    make_strategy,
     nasty_corrupt,
+    noop,
     strong_malicious_corrupt,
     tv_distance,
 )
@@ -290,7 +293,6 @@ def _scenario_nasty_budget_law(params: dict, trials: int, rng: RngHandle) -> Tri
     eta = float(params.get("eta", 0.2))
     alpha = float(params.get("significance", 1e-3))
     S = Sample(np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int8))
-    noop = make_strategy("noop")
     budgets = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         _, ledger = nasty_corrupt(S, eta, noop, rng.split(t))
@@ -329,13 +331,12 @@ def _scenario_amplify_concentration(params: dict, trials: int, rng: RngHandle) -
         return c if heads else TableHypothesis.constant(-1, 2)
 
     A = Learner(n=n_group, train=train, name="coin-learner")
-    flip = make_strategy("flip-random-labels")
     records = []
     exceed = 0
     for t in range(trials):
         r = rng.split(t)
         S_clean = draw_clean_sample(D, c, n_group * k, r.split(0))
-        S_corr, _ = nasty_corrupt(S_clean, eta, flip, r.split(1), c=c, D=D)
+        S_corr, _ = nasty_corrupt(S_clean, eta, flip_random_labels, r.split(1), c=c, D=D)
         mix = amplify(A, AmplifyParams(k=k), S_corr, r.split(2))
         total = sum(error_rate(h, c, D) for h in mix.components)
         over = total > threshold
@@ -397,7 +398,9 @@ def badamplify_counterexample(
     c = TableHypothesis.constant(1, M + 1)
 
     def adversary(S, budget, c_=None, D_=None, srng=None):
-        return StrategyResult([(i, (XL, 1)) for i in range(budget)])
+        return StrategyResult(
+            np.arange(budget), Sample(np.full(budget, XL), np.ones(budget, dtype=np.int8))
+        )
 
     # The base learner only ever outputs a constant table or a subset table,
     # each with either sign: build each once and share it between train calls.
@@ -822,12 +825,12 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
         g = srng.generator()
         k = int(g.integers(0, z + 1)) if z > 0 else 0
         idx = g.choice(len(S), size=k, replace=False) if k else np.empty(0, dtype=np.int64)
-        return StrategyResult(
-            [
-                (int(i), (int(g.integers(0, domain)), int(g.choice((-1, 1)))))
-                for i in idx
-            ]
-        )
+        pts = np.empty(k, dtype=np.int64)
+        labs = np.empty(k, dtype=np.int8)
+        for j in range(k):  # one point draw then one label draw per example
+            pts[j] = g.integers(0, domain)
+            labs[j] = g.choice((-1, 1))
+        return StrategyResult(idx, Sample(pts, labs))
 
     strong = nasty_via_strong_malicious(inner, filler_point=filler)
     records = []
@@ -848,14 +851,7 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
         mask[Z[: 2 * half]] = False
         S_inner = S_clean.take(np.flatnonzero(mask))
         res = inner(S_inner, half, c, D, r.split(2, 1, 0))
-        if res.choices:
-            S_nasty = S_inner.replace_at(
-                np.array([ch[0] for ch in res.choices], dtype=np.int64),
-                np.array([ch[1][0] for ch in res.choices], dtype=np.int64),
-                np.array([ch[1][1] for ch in res.choices], dtype=np.int8),
-            )
-        else:
-            S_nasty = S_inner
+        S_nasty = S_inner.replace_at(res.positions, res.introduced.points, res.introduced.labels)
 
         ms_strong = S_strong.multiset()
         ms_nasty = S_nasty.multiset()
@@ -880,7 +876,7 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
             {
                 "trial": t,
                 "m": m,
-                "k": len(res.choices),
+                "k": len(res.positions),
                 "surplus_pairs_exact": bool(surplus_ok),
                 "filter_outputs_equal": bool(ice_eq),
                 "nasty_contradiction_free": bool(contradiction_free),
@@ -917,7 +913,6 @@ def _scenario_ice_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
     ip = _ice_params_from(params)
     inst = IceInstance.generate(ip, rng.split(0))
     D = inst.distribution()
-    contradictor = make_strategy("contradict-replaced")
     idealized = ice_idealized_nasty_strategy(inst)
 
     records = []
@@ -928,7 +923,7 @@ def _scenario_ice_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
             c = inst.random_concept(r.split(0))
             S = draw_clean_sample(D, c, ip.n, r.split(1))
             if arm == "low-noise":
-                S, _ = strong_malicious_corrupt(S, ip.eta, contradictor, r.split(2), c=c, D=D)
+                S, _ = strong_malicious_corrupt(S, ip.eta, contradict_replaced, r.split(2), c=c, D=D)
             h, det = ice_malicious_learner(S, inst, r.split(3))
             ok = (not det["flagged"]) and det["selected_key"].bits == c.key.bits
             recovered[arm] += ok
@@ -1029,24 +1024,19 @@ def reduction_pipeline_demo(params: dict, trials: int, rng: RngHandle) -> TrialR
     _ = huber_sample(D, c, huber_eta, outliers, 100, rng.split(1))
 
     k0 = math.floor(eta * m)
-    flip = make_strategy("flip-first-z-labels")
     records = []
     diffs = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         r = rng.split(2, t)
         S_clean = draw_clean_sample(D, c, m, r.split(0))
-        S_n, ledger = nasty_corrupt(S_clean, eta, flip, r.split(1), c=c, D=D)
+        S_n, ledger = nasty_corrupt(S_clean, eta, flip_first_z_labels, r.split(1), c=c, D=D)
         z = ledger.budget
 
         def tracker(S: Sample, k: int, c_=None, D_=None, trng=None) -> StrategyResult:
-            choices = [
-                (i, (int(S.points[i]), -int(S.labels[i]))) for i in range(min(z, k))
-            ]
-            # No-op padding keeps the corruption count at exactly k.
-            choices += [
-                (i, (int(S.points[i]), int(S.labels[i]))) for i in range(min(z, k), k)
-            ]
-            return StrategyResult(choices)
+            j = min(z, k)
+            # No-op padding after the first j flips keeps the count at exactly k.
+            labs = np.concatenate([-S.labels[:j], S.labels[j:k]])
+            return StrategyResult(np.arange(k), Sample(S.points[:k], labs))
 
         S_f, _ = fixed_rate_nasty_corrupt(S_clean, eta, tracker, r.split(2))
         diff = int(np.sum((S_n.points != S_f.points) | (S_n.labels != S_f.labels)))

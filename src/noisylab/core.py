@@ -37,7 +37,6 @@ __all__ = [
     "complement",
     "labeled_index",
     "labeled_pair",
-    "labeled_distribution",
     "error_rate",
     "draw_clean_sample",
     "empirical_error",

@@ -260,20 +260,15 @@ def ice_idealized_nasty_strategy(inst: IceInstance) -> Callable:
         def block_plans():
             for j in range(layout.w):
                 positions = np.flatnonzero(blocks == j)
-                size = positions.size
-                half = size // 2
-                offset = size - half
-                plan = []
-                for t in range(half):
-                    partner = int(positions[offset + t])
-                    plan.append(
-                        (int(positions[t]),
-                         (int(S_clean.points[partner]), -int(S_clean.labels[partner])))
-                    )
-                if size % 2 == 1:
+                offset = positions.size - positions.size // 2
+                partners = positions[offset:]
+                pts = S_clean.points[partners]
+                labs = -S_clean.labels[partners]
+                if positions.size % 2 == 1:
                     x = int(gen.integers(layout.key_size, layout.domain_size))
-                    plan.append((int(positions[half]), (x, int(c.evaluate(x)))))
-                yield plan
+                    pts = np.append(pts, x)
+                    labs = np.append(labs, c.evaluate(x))
+                yield positions[:offset], Sample(pts, labs)
 
         return budget_capped_plan(block_plans(), z)
 
@@ -306,27 +301,21 @@ def nasty_via_strong_malicious(
         inner_mask[written] = False
         S_inner = S_clean.take(np.flatnonzero(inner_mask))
 
-        raw = nasty_strategy(S_inner, half, c, D, rng.split(0) if rng else None)
-        inner = raw if isinstance(raw, StrategyResult) else StrategyResult(list(raw))
+        inner = nasty_strategy(S_inner, half, c, D, rng.split(0) if rng else None)
         flagged = inner.flagged
         flag_reason = inner.flag_reason
-        inner_choices = inner.choices
-        if len(inner_choices) > half:
-            inner_choices = inner_choices[:half]
+        pos, new = inner.positions, inner.introduced
+        if len(pos) > half:
+            pos, new = pos[:half], new.take(slice(0, half))
             flagged = True
             flag_reason = "non-malleable: nasty corruption count exceeds half the coin set"
-        k = len(inner_choices)
-
-        choices = []
-        for j, (pos, _) in enumerate(inner_choices):
-            replaced = S_inner[pos]
-            choices.append((int(written[j]), (replaced.point, -replaced.label)))
-        for j, (_, new_example) in enumerate(inner_choices):
-            choices.append((int(written[k + j]), (int(new_example[0]), int(new_example[1]))))
-        for t in range(half - k):
-            choices.append((int(written[2 * k + 2 * t]), (filler_point, 1)))
-            choices.append((int(written[2 * k + 2 * t + 1]), (filler_point, -1)))
-        return StrategyResult(choices, flagged=flagged, flag_reason=flag_reason)
+        replaced = S_inner.take(pos)
+        fill = half - len(pos)
+        points = np.concatenate([replaced.points, new.points, np.full(2 * fill, filler_point)])
+        labels = np.concatenate([-replaced.labels, new.labels, np.tile(np.int8([1, -1]), fill)])
+        return StrategyResult(
+            written, Sample(points, labels), flagged=flagged, flag_reason=flag_reason
+        )
 
     return strategy
 

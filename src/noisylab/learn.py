@@ -87,33 +87,25 @@ class AmplifyParams:
         return cls(k=max(k, 1), eps_additional=eps_additional, delta=delta)
 
 
-def _cumcount(group_ids: np.ndarray) -> np.ndarray:
-    """Number of earlier occurrences of the same id, in array order."""
-    order = np.argsort(group_ids, kind="stable")
-    sorted_ids = group_ids[order]
-    first = np.zeros(len(group_ids), dtype=np.int64)
-    if len(group_ids):
-        new_group = np.r_[True, sorted_ids[1:] != sorted_ids[:-1]]
-        starts = np.flatnonzero(new_group)
-        offsets = np.arange(len(group_ids)) - np.repeat(
-            starts, np.diff(np.r_[starts, len(group_ids)])
-        )
-        first[order] = offsets
-    return first
-
-
 def ice_filter_keep(S: Sample) -> np.ndarray:
     """Positions surviving contradictory-pair cancellation (see ice_filter)."""
-    if len(S) == 0:
+    n = len(S)
+    if n == 0:
         return np.empty(0, dtype=np.int64)
-    uniq, inv = np.unique(S.points, return_inverse=True)
-    net = np.bincount(inv, weights=S.labels.astype(np.float64)).astype(np.int64)
-    majority = np.where(net >= 0, 1, -1).astype(np.int8)
-    quota = np.abs(net)
-    matches = S.labels == majority[inv]
-    occurrence = np.full(len(S), np.iinfo(np.int64).max, dtype=np.int64)
-    occurrence[matches] = _cumcount(inv[matches])
-    keep = matches & (occurrence < quota[inv])
+    # One stable sort groups equal points and keeps each group in sample order.
+    order = np.argsort(S.points, kind="stable")
+    pts = S.points[order]
+    labs = S.labels[order]
+    new_group = np.r_[True, pts[1:] != pts[:-1]]
+    starts = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+    net = np.add.reduceat(labs, starts, dtype=np.int64)
+    matches = labs == np.where(net >= 0, 1, -1)[group]
+    # Matching examples earlier in the same group: this one's occurrence rank.
+    before = np.cumsum(matches) - matches
+    rank = before - before[starts][group]
+    keep = np.zeros(n, dtype=bool)
+    keep[order[matches & (rank < np.abs(net)[group])]] = True
     return np.flatnonzero(keep)
 
 

@@ -6,6 +6,14 @@ Bin(n, η) law), fixed-rate nasty (exactly ⌊ηn⌋ replacements), Huber
 contamination (mixture with an outlier distribution), and bounded
 total-variation resampling.
 
+An offline adversary is a plain function ``strategy(S_clean, budget, c, D,
+rng)`` returning a :class:`StrategyResult`: the sample positions it rewrites
+as an int64 array, and a :class:`~noisylab.core.Sample` of the examples
+written there. The budget is an int for the nasty models and the coin set
+(an array of positions) for strong malicious. :func:`noop`,
+:func:`flip_first_z_labels`, :func:`flip_random_labels` and
+:func:`contradict_replaced` are the stock strategies.
+
 Every corruptor returns the corrupted sample together with a
 :class:`CorruptionLedger` recording exactly which positions were touched and
 how, so that tests can audit the adversary's moves.
@@ -14,7 +22,7 @@ how, so that tests can audit the adversary's moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,12 +46,11 @@ __all__ = [
     "tv_corrupt",
     "tv_distance",
     "shift_mass",
-    "register_strategy",
-    "make_strategy",
-    "strategy_names",
+    "noop",
+    "flip_first_z_labels",
+    "flip_random_labels",
+    "contradict_replaced",
 ]
-
-Choice = tuple[int, tuple[int, int]]  # (sample position, (point, label))
 
 
 @dataclass(frozen=True)
@@ -59,22 +66,24 @@ class NoiseRate:
 
 @dataclass
 class StrategyResult:
-    """Adversary output: replacement choices plus an optional trial flag.
+    """Adversary output: the rewritten positions, what is written there, and
+    an optional trial flag.
 
-    ``choices`` maps distinct sample positions to replacement examples. A
-    strategy sets ``flagged`` when the drawn budget was too small to carry out
-    its scripted plan (an exhausted / non-malleable trial).
+    ``positions`` (int64) are distinct sample positions; position
+    ``positions[i]`` receives example ``i`` of ``introduced``. A strategy
+    sets ``flagged`` when the drawn budget was too small to carry out its
+    scripted plan (an exhausted / non-malleable trial).
     """
 
-    choices: list[Choice]
+    positions: np.ndarray
+    introduced: Sample
     flagged: bool = False
     flag_reason: str | None = None
 
-
-def _as_result(raw: StrategyResult | Sequence[Choice]) -> StrategyResult:
-    if isinstance(raw, StrategyResult):
-        return raw
-    return StrategyResult(list(raw))
+    @classmethod
+    def empty(cls) -> "StrategyResult":
+        """No corruptions."""
+        return cls(np.empty(0, dtype=np.int64), Sample.empty())
 
 
 @dataclass
@@ -119,18 +128,11 @@ class CorruptionLedger:
 
 def _apply_choices(S_clean: Sample, result: StrategyResult, drawn_budget: int,
                    coin_set: np.ndarray | None = None) -> tuple[Sample, CorruptionLedger]:
-    if result.choices:
-        idx = np.array([c[0] for c in result.choices], dtype=np.int64)
-        pts = np.array([c[1][0] for c in result.choices], dtype=np.int64)
-        labs = np.array([c[1][1] for c in result.choices], dtype=np.int8)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-        pts = np.empty(0, dtype=np.int64)
-        labs = np.empty(0, dtype=np.int8)
+    idx = result.positions
     ledger = CorruptionLedger(
         corrupted_indices=idx,
         replaced=S_clean.take(idx),
-        introduced=Sample(pts, labs),
+        introduced=result.introduced,
         budget=len(idx),
         drawn_budget=drawn_budget,
         clean=S_clean,
@@ -175,17 +177,14 @@ def malicious_corrupt(
         out_pts[i] = ex.point
         out_labs[i] = ex.label
     clean = Sample(clean_pts, clean_labs)
-    result = StrategyResult(
-        [(int(i), (int(out_pts[i]), int(out_labs[i]))) for i in heads]
-    )
-    _, ledger = _apply_choices(clean, result, drawn_budget=int(coins.sum()))
-    return Sample(out_pts, out_labs), ledger
+    result = StrategyResult(heads, Sample(out_pts[heads], out_labs[heads]))
+    return _apply_choices(clean, result, drawn_budget=int(coins.sum()))
 
 
 def strong_malicious_corrupt(
     S_clean: Sample,
     eta: float,
-    strategy: Callable[..., StrategyResult | Sequence[Choice]],
+    strategy: Callable[..., StrategyResult],
     rng: RngHandle,
     c: Hypothesis | None = None,
     D: DiscreteDistribution | None = None,
@@ -201,19 +200,17 @@ def strong_malicious_corrupt(
     n = len(S_clean)
     gen = rng.split(0).generator()
     Z = np.flatnonzero(gen.random(n) < eta)
-    result = _as_result(strategy(S_clean, Z, c, D, rng.split(1)))
-    allowed = set(Z.tolist())
-    for pos, _ in result.choices:
-        if pos not in allowed:
-            raise ValueError(f"strategy wrote outside its coin set: position {pos}")
-    sample, ledger = _apply_choices(S_clean, result, drawn_budget=len(Z), coin_set=Z)
-    return sample, ledger
+    result = strategy(S_clean, Z, c, D, rng.split(1))
+    outside = result.positions[~np.isin(result.positions, Z)]
+    if outside.size:
+        raise ValueError(f"strategy wrote outside its coin set: position {outside[0]}")
+    return _apply_choices(S_clean, result, drawn_budget=len(Z), coin_set=Z)
 
 
 def nasty_corrupt(
     S_clean: Sample,
     eta: float,
-    strategy: Callable[..., StrategyResult | Sequence[Choice]],
+    strategy: Callable[..., StrategyResult],
     rng: RngHandle,
     c: Hypothesis | None = None,
     D: DiscreteDistribution | None = None,
@@ -229,16 +226,16 @@ def nasty_corrupt(
     n = len(S_clean)
     gen = rng.split(0).generator()
     z = int((gen.random(n) < eta).sum())
-    result = _as_result(strategy(S_clean, z, c, D, rng.split(1)))
-    if len(result.choices) > z:
-        raise ValueError(f"strategy used {len(result.choices)} corruptions, budget {z}")
+    result = strategy(S_clean, z, c, D, rng.split(1))
+    if len(result.positions) > z:
+        raise ValueError(f"strategy used {len(result.positions)} corruptions, budget {z}")
     return _apply_choices(S_clean, result, drawn_budget=z)
 
 
 def fixed_rate_nasty_corrupt(
     S_clean: Sample,
     eta: float,
-    strategy: Callable[..., StrategyResult | Sequence[Choice]],
+    strategy: Callable[..., StrategyResult],
     rng: RngHandle | None = None,
     c: Hypothesis | None = None,
     D: DiscreteDistribution | None = None,
@@ -247,9 +244,9 @@ def fixed_rate_nasty_corrupt(
     NoiseRate(eta)
     n = len(S_clean)
     k = int(np.floor(eta * n))
-    result = _as_result(strategy(S_clean, k, c, D, rng.split(1) if rng else None))
-    if len(result.choices) != k:
-        raise ValueError(f"fixed-rate strategy must use exactly {k} corruptions, used {len(result.choices)}")
+    result = strategy(S_clean, k, c, D, rng.split(1) if rng else None)
+    if len(result.positions) != k:
+        raise ValueError(f"fixed-rate strategy must use exactly {k} corruptions, used {len(result.positions)}")
     return _apply_choices(S_clean, result, drawn_budget=k)
 
 
@@ -311,98 +308,32 @@ def shift_mass(
 
 
 # --------------------------------------------------------------------------
-# Named strategy registry (config files select adversaries by string id).
+# Stock strategies
 # --------------------------------------------------------------------------
 
-_REGISTRY: dict[str, Callable[..., Callable]] = {}
 
-
-def register_strategy(name: str) -> Callable:
-    def deco(factory: Callable[..., Callable]) -> Callable:
-        if name in _REGISTRY:
-            raise ValueError(f"duplicate strategy id {name!r}")
-        _REGISTRY[name] = factory
-        return factory
-
-    return deco
-
-
-def make_strategy(name: str, params: Mapping | None = None) -> Callable:
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown strategy id {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**dict(params or {}))
-
-
-def strategy_names() -> list[str]:
-    return sorted(_REGISTRY)
-
-
-@register_strategy("noop")
-def _noop_factory() -> Callable:
+def noop(S_clean: Sample, budget, c=None, D=None, rng=None) -> StrategyResult:
     """Uses no corruptions at all (any offline model)."""
-
-    def strategy(S_clean: Sample, budget, c=None, D=None, rng=None) -> StrategyResult:
-        return StrategyResult([])
-
-    return strategy
+    return StrategyResult.empty()
 
 
-@register_strategy("flip-first-z-labels")
-def _flip_first_factory() -> Callable:
+def flip_first_z_labels(S_clean: Sample, z: int, c=None, D=None, rng=None) -> StrategyResult:
     """Nasty/fixed-rate strategy: flip the labels of the first z positions."""
-
-    def strategy(S_clean: Sample, z: int, c=None, D=None, rng=None) -> StrategyResult:
-        z = min(z, len(S_clean))
-        return StrategyResult(
-            [(i, (int(S_clean.points[i]), -int(S_clean.labels[i]))) for i in range(z)]
-        )
-
-    return strategy
+    z = min(z, len(S_clean))
+    return StrategyResult(np.arange(z), Sample(S_clean.points[:z], -S_clean.labels[:z]))
 
 
-@register_strategy("flip-random-labels")
-def _flip_random_factory() -> Callable:
+def flip_random_labels(S_clean: Sample, z: int, c=None, D=None, rng=None) -> StrategyResult:
     """Nasty/fixed-rate strategy: flip the labels of z uniform positions."""
-
-    def strategy(S_clean: Sample, z: int, c=None, D=None, rng=None) -> StrategyResult:
-        z = min(z, len(S_clean))
-        idx = rng.generator().choice(len(S_clean), size=z, replace=False)
-        return StrategyResult(
-            [(int(i), (int(S_clean.points[i]), -int(S_clean.labels[i]))) for i in idx]
-        )
-
-    return strategy
+    z = min(z, len(S_clean))
+    idx = rng.generator().choice(len(S_clean), size=z, replace=False)
+    return StrategyResult(idx, Sample(S_clean.points[idx], -S_clean.labels[idx]))
 
 
-@register_strategy("constant-replacement")
-def _constant_factory(point: int = 0, label: int = 1) -> Callable:
-    """Replace every budgeted position with a fixed labeled example."""
-
-    def strategy(S_clean: Sample, budget, c=None, D=None, rng=None) -> StrategyResult:
-        if isinstance(budget, (int, np.integer)):
-            positions = range(min(int(budget), len(S_clean)))
-        else:  # strong malicious: budget is the coin set
-            positions = [int(i) for i in budget]
-        return StrategyResult([(int(i), (point, label)) for i in positions])
-
-    return strategy
-
-
-@register_strategy("contradict-replaced")
-def _contradict_replaced_factory() -> Callable:
+def contradict_replaced(S_clean: Sample, Z: np.ndarray, c=None, D=None, rng=None) -> StrategyResult:
     """Strong-malicious strategy: each coin position becomes a contradiction
     of a uniformly chosen clean example (the canonical ICE attack)."""
-
-    def strategy(S_clean: Sample, Z: np.ndarray, c=None, D=None, rng=None) -> StrategyResult:
-        if len(Z) == 0 or len(S_clean) == 0:
-            return StrategyResult([])
-        gen = rng.generator()
-        targets = gen.integers(0, len(S_clean), size=len(Z))
-        return StrategyResult(
-            [
-                (int(i), (int(S_clean.points[t]), -int(S_clean.labels[t])))
-                for i, t in zip(Z.tolist(), targets.tolist())
-            ]
-        )
-
-    return strategy
+    if len(Z) == 0 or len(S_clean) == 0:
+        return StrategyResult.empty()
+    targets = rng.generator().integers(0, len(S_clean), size=len(Z))
+    return StrategyResult(Z, Sample(S_clean.points[targets], -S_clean.labels[targets]))

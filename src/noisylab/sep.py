@@ -51,7 +51,7 @@ from .cryptoprim import (
     prf_truth_tables,
     toeplitz_matrices,
 )
-from .noise import Choice, StrategyResult
+from .noise import StrategyResult
 
 __all__ = [
     "KeyValueLayout",
@@ -193,19 +193,33 @@ class KeyValueConcept(TableHypothesis):
         self.domain_size = layout.domain_size
 
 
-def budget_capped_plan(plans: Iterable[Iterable[Choice]], z: int) -> StrategyResult:
-    """Concatenate ``plans`` in order, stopping at the budget ``z``.
+def budget_capped_plan(plans: Iterable[tuple[np.ndarray, Sample]], z: int) -> StrategyResult:
+    """Concatenate ``plans``, each ``(positions, examples written there)``, in
+    order, stopping at the budget ``z``.
 
     A plan item beyond the budget cuts the result there and flags the trial as
     budget exhausted.
     """
-    choices: list[Choice] = []
-    for plan in plans:
-        for item in plan:
-            if len(choices) >= z:
-                return StrategyResult(choices, flagged=True, flag_reason="budget exhausted")
-            choices.append(item)
-    return StrategyResult(choices)
+    positions = [np.empty(0, dtype=np.int64)]
+    points = [np.empty(0, dtype=np.int64)]
+    labels = [np.empty(0, dtype=np.int8)]
+    used = 0
+    flagged = False
+    for pos, new in plans:
+        if used + len(pos) > z:
+            pos, new, flagged = pos[: z - used], new.take(slice(0, z - used)), True
+        positions.append(pos)
+        points.append(new.points)
+        labels.append(new.labels)
+        used += len(pos)
+        if flagged:
+            break
+    return StrategyResult(
+        np.concatenate(positions),
+        Sample(np.concatenate(points), np.concatenate(labels)),
+        flagged=flagged,
+        flag_reason="budget exhausted" if flagged else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -391,11 +405,13 @@ def sep_nasty_strategy(inst: SepInstance):
 
     def strategy(S_clean: Sample, z: int, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
         blocks = layout.key_blocks(S_clean.points)
-        plans = (
-            [(pos, (int(S_clean.points[pos]), 1)) for pos in np.flatnonzero(blocks == j).tolist()]
-            for j in np.flatnonzero(c.codeword.bits == -1).tolist()
-        )
-        return budget_capped_plan(plans, z)
+
+        def block_plans():
+            for j in np.flatnonzero(c.codeword.bits == -1):
+                pos = np.flatnonzero(blocks == j)
+                yield pos, Sample(S_clean.points[pos], np.ones(len(pos), dtype=np.int8))
+
+        return budget_capped_plan(block_plans(), z)
 
     return strategy
 
@@ -415,14 +431,11 @@ def sep_key_erasure_strategy(inst: SepInstance):
         n_erase = min(len(Z) // chunk, params.w)
         gen = rng.generator()
         blocks = gen.choice(params.w, size=n_erase, replace=False)
-        choices = []
-        for t, j in enumerate(blocks.tolist()):
-            lab = -int(c.codeword.bits[j])
-            lo = j * params.block_size
-            pts = gen.integers(lo, lo + params.block_size, size=chunk)
-            for pos, x in zip(Z[t * chunk : (t + 1) * chunk].tolist(), pts.tolist()):
-                choices.append((int(pos), (int(x), lab)))
-        return StrategyResult(choices)
+        pts = np.empty((n_erase, chunk), dtype=np.int64)
+        for t, lo in enumerate((blocks * params.block_size).tolist()):
+            pts[t] = gen.integers(lo, lo + params.block_size, size=chunk)
+        labs = np.repeat(-c.codeword.bits[blocks], chunk)
+        return StrategyResult(Z[: n_erase * chunk], Sample(pts.ravel(), labs))
 
     return strategy
 

@@ -30,7 +30,12 @@ from noisylab.icesep import (
 )
 from noisylab.codes import ReceivedWord, bitflip_list_decode, mask_to_signs
 from noisylab.learn import ice_filter, ice_filter_keep, select_best_hypothesis
-from noisylab.noise import StrategyResult, nasty_corrupt, strong_malicious_corrupt
+from noisylab.noise import (
+    StrategyResult,
+    contradict_replaced,
+    nasty_corrupt,
+    strong_malicious_corrupt,
+)
 
 
 def small_params(n=4000):
@@ -170,10 +175,8 @@ class TestLearner:
         c = inst.random_concept(RngHandle(5))
         D = inst.distribution()
         S_clean = draw_clean_sample(D, c, p.n, RngHandle(6))
-        from noisylab.noise import make_strategy
-
         S_corr, ledger = strong_malicious_corrupt(
-            S_clean, p.eta, make_strategy("contradict-replaced"), RngHandle(7), c=c, D=D
+            S_clean, p.eta, contradict_replaced, RngHandle(7), c=c, D=D
         )
         _, det = ice_malicious_learner(S_corr, inst, RngHandle(8))
         counters = BlockCounters.from_trial(ledger, c, p)
@@ -252,7 +255,7 @@ class TestCoupling:
         c = self._concept()
         D = DiscreteDistribution.uniform(self.DOMAIN)
         S = draw_clean_sample(D, c, 60, RngHandle(1))
-        noop = lambda S_inner, z, c_, D_, rng: StrategyResult([])
+        noop = lambda S_inner, z, c_, D_, rng: StrategyResult.empty()
         strong = nasty_via_strong_malicious(noop, filler_point=3)
         out, ledger = strong_malicious_corrupt(S, 0.3, strong, RngHandle(2), c=c, D=D)
         half = ledger.drawn_budget // 2
@@ -277,7 +280,8 @@ class TestCoupling:
 
         def greedy(S_inner, z, c_, D_, rng):
             # Ignores its budget: asks for one corruption per inner example.
-            return StrategyResult([(i, (0, 1)) for i in range(len(S_inner))])
+            n = len(S_inner)
+            return StrategyResult(np.arange(n), Sample(np.zeros(n), np.ones(n)))
 
         strong = nasty_via_strong_malicious(greedy)
         out, ledger = strong_malicious_corrupt(S, 0.4, strong, RngHandle(4), c=c, D=D)
@@ -293,13 +297,9 @@ class TestCoupling:
         def inner(S_inner, z, c_, D_, rng):
             g = rng.generator()
             k = int(g.integers(0, z + 1)) if z else 0
-            idx = g.choice(len(S_inner), size=k, replace=False) if k else []
-            return StrategyResult(
-                [
-                    (int(i), (int(g.integers(0, self.DOMAIN)), int(g.choice((-1, 1)))))
-                    for i in idx
-                ]
-            )
+            idx = g.choice(len(S_inner), size=k, replace=False) if k else np.empty(0, int)
+            pairs = [(g.integers(0, self.DOMAIN), g.choice((-1, 1))) for _ in idx]
+            return StrategyResult(idx, Sample.from_pairs(pairs))
 
         strong = nasty_via_strong_malicious(inner)
         for t in range(20):
@@ -312,13 +312,7 @@ class TestCoupling:
             mask[Z[: 2 * half]] = False
             S_inner = S.take(np.flatnonzero(mask))
             res = inner(S_inner, half, c, D, r.split(1, 1, 0))
-            S_nasty = S_inner
-            if res.choices:
-                S_nasty = S_inner.replace_at(
-                    np.array([ch[0] for ch in res.choices]),
-                    np.array([ch[1][0] for ch in res.choices]),
-                    np.array([ch[1][1] for ch in res.choices], dtype=np.int8),
-                )
+            S_nasty = S_inner.replace_at(res.positions, res.introduced.points, res.introduced.labels)
             # Filter outputs agree exactly.
             assert ice_filter(out).multiset() == ice_filter(S_nasty).multiset()
             # The raw surplus is exactly `half` contradictory pairs.

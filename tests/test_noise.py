@@ -15,13 +15,14 @@ from noisylab.noise import (
     CorruptionLedger,
     NoiseRate,
     StrategyResult,
+    contradict_replaced,
     fixed_rate_nasty_corrupt,
+    flip_first_z_labels,
     huber_sample,
-    make_strategy,
     malicious_corrupt,
     nasty_corrupt,
+    noop,
     shift_mass,
-    strategy_names,
     strong_malicious_corrupt,
     tv_corrupt,
     tv_distance,
@@ -82,14 +83,13 @@ class TestStrongMalicious:
 
         def bad(S_clean, Z, c, D, rng):
             outside = next(i for i in range(len(S_clean)) if i not in set(Z.tolist()))
-            return StrategyResult([(outside, (0, 1))])
+            return StrategyResult(np.array([outside]), Sample([0], [1]))
 
         with pytest.raises(ValueError, match="outside"):
             strong_malicious_corrupt(S, 0.2, bad, RngHandle(4))
 
     def test_unused_coins_stay_clean(self):
         S = clean()
-        noop = make_strategy("noop")
         out, ledger = strong_malicious_corrupt(S, 0.3, noop, RngHandle(5))
         assert out.multiset() == S.multiset()
         assert ledger.drawn_budget == len(ledger.coin_set)
@@ -98,7 +98,6 @@ class TestStrongMalicious:
         # Mean |Z| over trials approximates eta * n (4-sigma tolerance).
         n, eta, trials = 200, 0.25, 300
         S = clean(n)
-        noop = make_strategy("noop")
         sizes = [
             strong_malicious_corrupt(S, eta, noop, RngHandle(0).split(t))[1].drawn_budget
             for t in range(trials)
@@ -108,8 +107,9 @@ class TestStrongMalicious:
 
     def test_contradict_replaced_strategy(self):
         S = clean(100)
-        strat = make_strategy("contradict-replaced")
-        out, ledger = strong_malicious_corrupt(S, 0.2, strat, RngHandle(6), c=C4, D=D4)
+        out, ledger = strong_malicious_corrupt(
+            S, 0.2, contradict_replaced, RngHandle(6), c=C4, D=D4
+        )
         # Every introduced example contradicts some clean example.
         clean_ms = S.multiset()
         for pt, lab in zip(ledger.introduced.points, ledger.introduced.labels):
@@ -121,7 +121,7 @@ class TestNasty:
         S = clean(10)
 
         def greedy(S_clean, z, c, D, rng):
-            return StrategyResult([(i, (0, 1)) for i in range(z + 1)])
+            return StrategyResult(np.arange(z + 1), Sample(np.zeros(z + 1), np.ones(z + 1)))
 
         with pytest.raises(ValueError, match="budget"):
             nasty_corrupt(S, 0.3, greedy, RngHandle(1))
@@ -129,7 +129,6 @@ class TestNasty:
     def test_budget_law_binomial(self):
         n, eta, trials = 100, 0.2, 500
         S = clean(n)
-        noop = make_strategy("noop")
         budgets = np.array(
             [
                 nasty_corrupt(S, eta, noop, RngHandle(11).split(t))[1].drawn_budget
@@ -147,7 +146,7 @@ class TestNasty:
 
     def test_flip_first_z(self):
         S = clean(30)
-        out, ledger = nasty_corrupt(S, 0.3, make_strategy("flip-first-z-labels"), RngHandle(2))
+        out, ledger = nasty_corrupt(S, 0.3, flip_first_z_labels, RngHandle(2))
         z = ledger.budget
         assert np.array_equal(out.labels[:z], -S.labels[:z])
         assert np.array_equal(out.labels[z:], S.labels[z:])
@@ -173,21 +172,20 @@ def _pooled(budgets, n, eta, trials, min_expected=5.0):
 class TestFixedRate:
     def test_exact_count_enforced(self):
         S = clean(20)
-        noop = make_strategy("noop")
         with pytest.raises(ValueError, match="exactly"):
             fixed_rate_nasty_corrupt(S, 0.25, noop, RngHandle(0))
 
     def test_floor_eta_n(self):
         S = clean(23)
         out, ledger = fixed_rate_nasty_corrupt(
-            S, 0.25, make_strategy("flip-first-z-labels"), RngHandle(0)
+            S, 0.25, flip_first_z_labels, RngHandle(0)
         )
         assert ledger.budget == 5  # floor(0.25 * 23)
 
     def test_eta_zero(self):
         S = clean(10)
         out, ledger = fixed_rate_nasty_corrupt(
-            S, 0.0, make_strategy("flip-first-z-labels"), RngHandle(0)
+            S, 0.0, flip_first_z_labels, RngHandle(0)
         )
         assert out.multiset() == S.multiset() and ledger.budget == 0
 
@@ -245,24 +243,11 @@ class TestLedger:
         with pytest.raises(ValueError, match="distinct"):
             ledger.validate()
 
+    @pytest.mark.parametrize("n_introduced", [1, 3])
+    def test_strategy_length_mismatch_rejected(self, n_introduced):
+        # Two positions (floor(0.2 * 10)) but a different number of examples.
+        def lopsided(S_clean, k, c, D, rng):
+            return StrategyResult(np.arange(k), clean(n_introduced))
 
-def test_strategy_registry():
-    names = strategy_names()
-    for expected in (
-        "noop",
-        "flip-first-z-labels",
-        "flip-random-labels",
-        "constant-replacement",
-        "contradict-replaced",
-    ):
-        assert expected in names
-    with pytest.raises(KeyError):
-        make_strategy("no-such-strategy")
-
-
-def test_constant_replacement_params():
-    S = clean(10)
-    strat = make_strategy("constant-replacement", {"point": 3, "label": -1})
-    out, ledger = nasty_corrupt(S, 0.5, strat, RngHandle(3))
-    z = ledger.budget
-    assert np.all(out.points[:z] == 3) and np.all(out.labels[:z] == -1)
+        with pytest.raises(ValueError, match="arity"):
+            fixed_rate_nasty_corrupt(clean(10), 0.2, lopsided, RngHandle(0))

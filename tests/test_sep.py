@@ -179,12 +179,17 @@ class TestBestCandidate:
 
 
 def test_budget_capped_plan_cut_off():
-    plans = [[(0, (5, 1)), (1, (6, 1))], [(2, (7, -1))]]
+    plans = [(np.array([0, 1]), Sample([5, 6], [1, 1])), (np.array([2]), Sample([7], [-1]))]
     full = budget_capped_plan(plans, 3)
-    assert len(full.choices) == 3 and not full.flagged
+    assert full.positions.tolist() == [0, 1, 2] and not full.flagged
+    assert full.introduced == Sample([5, 6, 7], [1, 1, -1])
     cut = budget_capped_plan(plans, 2)
-    assert cut.choices == plans[0]
+    assert cut.positions.tolist() == plans[0][0].tolist()
+    assert cut.introduced == plans[0][1]
     assert cut.flagged and cut.flag_reason == "budget exhausted"
+    mid = budget_capped_plan(plans, 1)
+    assert mid.positions.tolist() == [0] and mid.introduced == Sample([5], [1])
+    assert mid.flagged and mid.flag_reason == "budget exhausted"
 
 
 class TestSepConcept:
