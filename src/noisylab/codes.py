@@ -10,11 +10,15 @@ Decoding is exact at desk scale: erasures by Gaussian elimination on the
 punctured generator, bit flips by full codeword enumeration through the
 packed-bit kernels. Both decoders return sorted message integers (bit ``i``
 is message position ``i``, as in :attr:`GeneratorMatrix.codeword_masks`).
+The erasure decoder works on batches: :func:`erasure_list_decode_many` runs
+one elimination for every packed word that shares an erasure pattern, and
+:func:`erasure_list_decode` is its one-word case for a :class:`ReceivedWord`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -34,6 +38,7 @@ __all__ = [
     "gen_random_linear_code",
     "encode",
     "erasure_list_decode",
+    "erasure_list_decode_many",
     "bitflip_list_decode",
     "low_weight_codewords",
     "signs_to_mask",
@@ -301,73 +306,114 @@ def encode(G: GeneratorMatrix, msg: Sequence[int] | np.ndarray) -> Codeword:
     return Codeword(bits=mask_to_signs(cmask, G.w), message=mask_to_signs(mmask, G.rows))
 
 
+def erasure_list_decode_many(
+    G: GeneratorMatrix, erased_mask: int, word_masks: Sequence[int] | np.ndarray, cap: int = 64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Erasure-list-decode a batch of packed words that share one erasure pattern.
+
+    ``erased_mask`` packs the erased positions; each entry of ``word_masks``
+    packs a word's ``-1`` positions (its bits on erased positions are
+    ignored). Returns ``(consistent, solutions)``: ``consistent[i]`` says
+    whether some message agrees with word ``i`` on every visible position,
+    and row ``i`` of the uint64 array ``solutions`` is then the full affine
+    solution space, ``2^f`` sorted message integers, where ``f`` is the
+    number of free message positions of the punctured code. Rows of
+    inconsistent words carry no meaning.
+
+    One Gaussian elimination on the visible columns serves every word: each
+    reduced row remembers which visible positions were XORed into it, so a
+    word's right-hand side is the parity of ``word & combo``. Inconsistency
+    beats the cap: :class:`DecodeFailure` is raised when ``2^f > cap`` and
+    at least one word is consistent; when none is, ``solutions`` has no
+    columns.
+    """
+    w, k = G.w, G.rows
+    full = (1 << w) - 1
+    erased = operator.index(erased_mask)
+    if not 0 <= erased <= full:
+        raise ValueError(f"erasure mask out of range for code length {w}")
+    if isinstance(word_masks, np.ndarray):
+        if word_masks.size and word_masks.dtype.kind not in "iu":
+            raise ValueError("word masks must be integers")
+        words = word_masks
+    else:  # Python ints on both sides of 2^63 would make a float array
+        words = np.array([operator.index(m) for m in word_masks], dtype=object)
+    if words.ndim != 1:
+        raise ValueError("word masks must be one-dimensional")
+    if words.size and (words.min() < 0 or words.max() > full):
+        raise ValueError(f"word mask out of range for code length {w}")
+    words = words.astype(np.uint64)
+
+    # Reduced row echelon form over the k unknowns, one equation per visible
+    # position j (coefficients column_masks[j], right-hand side word bit j).
+    # pivots[p] = (coefficients, combo): the row whose leading unknown is p,
+    # and the visible positions whose equations were summed into it.
+    pivots: dict[int, tuple[int, int]] = {}
+    zero_combos: list[int] = []
+    cols = G.column_masks
+    for j in range(w):
+        if (erased >> j) & 1:
+            continue
+        coef, combo = cols[j], 1 << j
+        for p, (pcoef, pcombo) in pivots.items():
+            if (coef >> p) & 1:
+                coef ^= pcoef
+                combo ^= pcombo
+        if not coef:  # 0 = parity(word & combo): a consistency check
+            zero_combos.append(combo)
+            continue
+        lead = (coef & -coef).bit_length() - 1
+        for p, (pcoef, pcombo) in pivots.items():
+            if (pcoef >> lead) & 1:
+                pivots[p] = (pcoef ^ coef, pcombo ^ combo)
+        pivots[lead] = (coef, combo)
+
+    # One parity per (word, reduced row): pivot rows give the particular
+    # solution with every free unknown 0; all-zero rows must have parity 0.
+    pivot_cols = list(pivots)
+    combos = np.array([pivots[p][1] for p in pivot_cols] + zero_combos, dtype=np.uint64)
+    parities = (np.bitwise_count(words[:, None] & combos) & 1).astype(np.uint64)
+    consistent = ~parities[:, len(pivot_cols):].any(axis=1)
+
+    free_cols = [c for c in range(k) if c not in pivots]
+    if 1 << len(free_cols) > cap:
+        if consistent.any():
+            raise DecodeFailure(
+                f"solution space 2^{len(free_cols)} exceeds the list cap {cap}"
+            )
+        return consistent, np.zeros((words.size, 0), dtype=np.uint64)
+    particular = (
+        parities[:, : len(pivot_cols)] << np.array(pivot_cols, dtype=np.uint64)
+    ).sum(axis=1, dtype=np.uint64)
+    # Each row's leading unknown is its lowest set bit, so every pivot row
+    # that contains free column c has its pivot below c, and c is the highest
+    # bit of c's null vector. With the free columns ascending the span table
+    # is sorted, and XOR with a particular solution (0 on every free column)
+    # keeps each row sorted.
+    null_basis = [
+        (1 << c) | sum(1 << p for p, (pcoef, _) in pivots.items() if (pcoef >> c) & 1)
+        for c in free_cols
+    ]
+    null_space = _kernels.codeword_table(np.array(null_basis, dtype=np.uint64))
+    return consistent, particular[:, None] ^ null_space
+
+
 def erasure_list_decode(
     G: GeneratorMatrix, r: ReceivedWord, cap: int = 64
 ) -> list[int]:
     """Exact set of messages consistent with ``r`` on its non-erased positions.
 
-    Solved by Gaussian elimination on the punctured generator matrix; the
-    result is the full affine solution space (possibly empty), as sorted
-    message integers. Raises :class:`DecodeFailure` if it exceeds ``cap``.
+    The one-word case of :func:`erasure_list_decode_many`: the full affine
+    solution space as sorted message integers. An inconsistent word gives
+    ``[]``, even when its solution space would exceed ``cap``; a consistent
+    one raises :class:`DecodeFailure` if its solutions exceed ``cap``.
     """
     if len(r) != G.w:
         raise ValueError(f"received word length {len(r)} != code length {G.w}")
-    k = G.rows
-    # One linear equation per non-erased position j:
-    #   sum_i m_i * G[i, j] = r_j  over GF(2),
-    # packed as (k coefficient bits | 1 rhs bit at position k).
-    equations = []
-    cols = G.column_masks
-    symbols = r.symbols.tolist()
-    for j in range(G.w):
-        sym = symbols[j]
-        if sym == 0:
-            continue
-        rhs = 1 if sym == -1 else 0
-        equations.append(cols[j] | (rhs << k))
-
-    # Gaussian elimination to row echelon form over the k unknowns.
-    pivots: dict[int, int] = {}
-    for eq in equations:
-        for col in range(k):
-            if not (eq >> col) & 1:
-                continue
-            if col in pivots:
-                eq ^= pivots[col]
-            else:
-                pivots[col] = eq
-                eq = 0
-                break
-        if eq:  # all coefficients eliminated
-            if eq >> k:  # 0 = 1: inconsistent system
-                return []
-
-    free_cols = [c for c in range(k) if c not in pivots]
-    if 1 << len(free_cols) > cap:
-        raise DecodeFailure(
-            f"solution space 2^{len(free_cols)} exceeds the list cap {cap}"
-        )
-
-    def back_substitute(assignment: int) -> int:
-        sol = assignment
-        for col in sorted(pivots, reverse=True):
-            eq = pivots[col]
-            acc = (eq >> k) & 1
-            for c2 in range(col + 1, k):
-                if (eq >> c2) & 1:
-                    acc ^= (sol >> c2) & 1
-            if acc:
-                sol |= 1 << col
-        return sol
-
-    solutions = []
-    for combo in range(1 << len(free_cols)):
-        assignment = 0
-        for b, col in enumerate(free_cols):
-            if (combo >> b) & 1:
-                assignment |= 1 << col
-        solutions.append(back_substitute(assignment))
-    return sorted(solutions)
+    erased = sum(1 << j for j in np.flatnonzero(r.symbols == 0).tolist())
+    word = sum(1 << j for j in np.flatnonzero(r.symbols == -1).tolist())
+    consistent, solutions = erasure_list_decode_many(G, erased, [word], cap)
+    return solutions[0].tolist() if consistent[0] else []
 
 
 def bitflip_list_decode(

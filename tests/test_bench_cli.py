@@ -178,6 +178,12 @@ class TestCli:
         expected = "".join("+" if b == 1 else "-" for b in cw.message)
         assert expected in out
 
+    def test_codes_decode_inconsistent_erasure_word(self, tmp_path, capsys):
+        code_path = tmp_path / "code.txt"
+        code_path.write_text("w=3 rows=1\n7\n")  # repetition code {+++, ---}
+        assert main(["codes", "decode", "--code", str(code_path), "--word", "+?-"]) == 1
+        assert capsys.readouterr().out.strip() == "no consistent messages"
+
     def test_codes_decode_bitflip(self, tmp_path, capsys):
         code_path = tmp_path / "code.txt"
         main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code_path)])

@@ -8,7 +8,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -21,6 +21,7 @@ from noisylab.codes import (
     bitflip_list_decode,
     encode,
     erasure_list_decode,
+    erasure_list_decode_many,
     gen_random_linear_code,
     low_weight_codewords,
     mask_to_signs,
@@ -173,6 +174,114 @@ class TestErasureDecode:
         G = GeneratorMatrix([0b111], 3)
         with pytest.raises(ValueError):
             erasure_list_decode(G, ReceivedWord([1, 1]))
+
+    def test_inconsistency_beats_cap(self):
+        # Message bit 0 is read twice (positions 0, 1); bit 1 only at the
+        # erased positions 2, 3, so a consistent word has 2 solutions.
+        G = GeneratorMatrix([0b0011, 0b1100], 4)
+        assert erasure_list_decode(G, ReceivedWord([1, -1, 0, 0]), cap=1) == []
+        with pytest.raises(DecodeFailure):
+            erasure_list_decode(G, ReceivedWord([1, 1, 0, 0]), cap=1)
+
+
+@st.composite
+def _erasure_batches(draw):
+    """A full-rank code, an erasure mask, a cap and a batch of packed words:
+    codewords with random bits flipped, consistent when the flips miss the
+    visible positions or form a punctured codeword."""
+    w = draw(st.integers(1, 10))
+    k = draw(st.integers(1, w))
+    rows = draw(st.lists(st.integers(1, (1 << w) - 1), min_size=k, max_size=k))
+    try:
+        G = GeneratorMatrix(rows, w)
+    except ValueError:
+        assume(False)
+    full = (1 << w) - 1
+    erased = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    cw = G.codeword_masks
+    words = [
+        int(cw[m]) ^ flips
+        for m, flips in draw(
+            st.lists(
+                st.tuples(st.integers(0, (1 << k) - 1), st.integers(0, full)),
+                min_size=1,
+                max_size=draw(st.sampled_from([1, 8])),
+            )
+        )
+    ]
+    cap = draw(st.one_of(st.just(1), st.integers(1, 1 << k)))
+    return G, erased, words, cap
+
+
+@settings(max_examples=300, deadline=None)
+@given(_erasure_batches())
+def test_erasure_list_decode_many_against_brute_force(batch):
+    G, erased, words, cap = batch
+    visible = np.uint64(((1 << G.w) - 1) ^ erased)
+    cw = G.codeword_masks
+    # Brute force: the messages whose codeword agrees with the word on every
+    # visible position. Every consistent word has 2^f of them.
+    oracle = [np.flatnonzero(((cw ^ np.uint64(word)) & visible) == 0) for word in words]
+    n_solutions = int(((cw & visible) == 0).sum())
+    expect_consistent = [o.size > 0 for o in oracle]
+    if n_solutions > cap and any(expect_consistent):
+        with pytest.raises(DecodeFailure):
+            erasure_list_decode_many(G, erased, words, cap)
+        return
+    consistent, solutions = erasure_list_decode_many(G, erased, words, cap)
+    assert consistent.tolist() == expect_consistent
+    assert solutions.dtype == np.uint64
+    assert solutions.shape == (len(words), n_solutions if n_solutions <= cap else 0)
+    for ok, row, o in zip(consistent, solutions, oracle):
+        if ok:
+            assert row.tolist() == o.tolist()
+
+
+class TestErasureDecodeMany:
+    G = GeneratorMatrix([0b0011, 0b1100], 4)
+
+    def test_all_inconsistent_over_cap_does_not_raise(self):
+        consistent, solutions = erasure_list_decode_many(self.G, 0b1100, [0b01, 0b10], cap=1)
+        assert consistent.tolist() == [False, False] and solutions.shape == (2, 0)
+        with pytest.raises(DecodeFailure):
+            erasure_list_decode_many(self.G, 0b1100, [0b01, 0b00], cap=1)
+
+    @pytest.mark.parametrize("erased", [-1, 1 << 4])
+    def test_erasure_mask_out_of_range(self, erased):
+        with pytest.raises(ValueError, match="erasure mask"):
+            erasure_list_decode_many(self.G, erased, [0])
+
+    @pytest.mark.parametrize("word", [1 << 4, -1])
+    def test_word_out_of_range(self, word):
+        with pytest.raises(ValueError, match="word mask"):
+            erasure_list_decode_many(self.G, 0, [0, word])
+
+    def test_non_integer_words_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            erasure_list_decode_many(self.G, 0, np.array([1.0]))
+        with pytest.raises(TypeError):
+            erasure_list_decode_many(self.G, 0, [1.0])
+
+    def test_word_masks_across_bit_63(self):
+        # Python ints below and above 2^63 in one list; w = 64, one row.
+        G = GeneratorMatrix([1 | 1 << 63], 64)
+        words = [0, 1 | 1 << 63, 1 << 63]
+        for batch in (words, np.array(words, dtype=np.uint64)):
+            consistent, solutions = erasure_list_decode_many(G, 0, batch)
+            assert consistent.tolist() == [True, True, False]
+            assert solutions[:2].tolist() == [[0], [1]]
+
+    def test_bits_on_erased_positions_ignored(self):
+        plain = erasure_list_decode_many(self.G, 0b1100, [0b00, 0b11], cap=4)
+        noisy = erasure_list_decode_many(self.G, 0b1100, [0b0100, 0b1111], cap=4)
+        for a, b in zip(plain, noisy):
+            assert np.array_equal(a, b)
+        assert plain[1].tolist() == [[0, 2], [1, 3]]
+
+    def test_empty_batch(self):
+        consistent, solutions = erasure_list_decode_many(self.G, 0b1100, [], cap=4)
+        assert consistent.shape == (0,) and solutions.shape == (0, 2)
+        assert solutions.dtype == np.uint64
 
 
 class TestBitflipDecode:
