@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["codeword_table", "hamming_scan"]
+__all__ = ["MAX_TABLE_ROWS", "codeword_table", "hamming_scan"]
+
+# codeword_table refuses more rows than this: 2^24 uint64 entries is 128 MiB.
+MAX_TABLE_ROWS = 24
 
 
 def codeword_table(row_masks: np.ndarray) -> np.ndarray:
@@ -24,8 +27,8 @@ def codeword_table(row_masks: np.ndarray) -> np.ndarray:
     """
     rows = np.asarray(row_masks, dtype=np.uint64)
     k = len(rows)
-    if k > 24:
-        raise ValueError(f"refusing to expand 2^{k} codewords (k > 24)")
+    if k > MAX_TABLE_ROWS:
+        raise ValueError(f"refusing to expand 2^{k} codewords (k > {MAX_TABLE_ROWS})")
     table = np.zeros(1 << k, dtype=np.uint64)
     size = 1
     for i in range(k):

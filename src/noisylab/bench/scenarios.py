@@ -5,6 +5,10 @@ a :class:`TrialReport` with per-trial records, aggregate statistics, and
 boolean verdicts. Statistical verdicts use 99% two-sided binomial confidence
 intervals and chi-square tests at significance 1e-3 unless a scenario
 documents otherwise; both significance knobs are parameters.
+
+``scipy.stats`` is imported inside the three statistics helpers
+(``binom_ci``, ``chisquare_vs_binomial``, ``two_sample_chi2``), not here: it
+is most of the package's import time, and only a scenario's verdicts need it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import stats
 
 from ..codes import (
     ReceivedWord,
@@ -153,6 +156,8 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
 
 def binom_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
     """Two-sided Wilson confidence interval for a binomial proportion."""
+    from scipy import stats
+
     ci = stats.binomtest(successes, trials).proportion_ci(
         confidence_level=confidence, method="wilson"
     )
@@ -162,6 +167,8 @@ def binom_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple[flo
 def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: float = 5.0) -> float:
     """Goodness-of-fit p-value of observed draws against Bin(n, p), pooling
     adjacent support bins until every expected count reaches the minimum."""
+    from scipy import stats
+
     trials = values.size
     observed = np.bincount(values, minlength=n + 1).astype(float)
     expected = trials * stats.binom.pmf(np.arange(n + 1), n, p)
@@ -191,6 +198,8 @@ def two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
     if min(table.shape) < 2:
         return 1.0
+    from scipy import stats
+
     return float(stats.chi2_contingency(table).pvalue)
 
 

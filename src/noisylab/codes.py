@@ -323,9 +323,9 @@ def erasure_list_decode_many(
     One Gaussian elimination on the visible columns serves every word: each
     reduced row remembers which visible positions were XORed into it, so a
     word's right-hand side is the parity of ``word & combo``. Inconsistency
-    beats the cap: :class:`DecodeFailure` is raised when ``2^f > cap`` and
-    at least one word is consistent; when none is, ``solutions`` has no
-    columns.
+    beats the cap: :class:`DecodeFailure` is raised when ``2^f > cap``, or
+    ``f`` is above the ``2^24`` listing limit, and at least one word is
+    consistent; when none is, ``solutions`` has no columns.
     """
     w, k = G.w, G.rows
     full = (1 << w) - 1
@@ -376,11 +376,15 @@ def erasure_list_decode_many(
     consistent = ~parities[:, len(pivot_cols):].any(axis=1)
 
     free_cols = [c for c in range(k) if c not in pivots]
-    if 1 << len(free_cols) > cap:
+    f = len(free_cols)
+    if 1 << f > cap or f > _kernels.MAX_TABLE_ROWS:
         if consistent.any():
-            raise DecodeFailure(
-                f"solution space 2^{len(free_cols)} exceeds the list cap {cap}"
+            limit = (
+                f"the list cap {cap}"
+                if 1 << f > cap
+                else f"the listing limit 2^{_kernels.MAX_TABLE_ROWS}"
             )
+            raise DecodeFailure(f"solution space 2^{f} exceeds {limit}")
         return consistent, np.zeros((words.size, 0), dtype=np.uint64)
     particular = (
         parities[:, : len(pivot_cols)] << np.array(pivot_cols, dtype=np.uint64)

@@ -184,6 +184,20 @@ class TestCli:
         assert main(["codes", "decode", "--code", str(code_path), "--word", "+?-"]) == 1
         assert capsys.readouterr().out.strip() == "no consistent messages"
 
+    def test_codes_decode_beyond_listing_limit(self, tmp_path, capsys):
+        # An all-erased word of a rank-32 code has 2^32 solutions: a cap that
+        # admits them still stops at the decoder's 2^24 listing limit.
+        code_path = tmp_path / "code.txt"
+        main(["codes", "gen", "--rho", "0.5", "--w", "64", "--seed", "3", "--out", str(code_path)])
+        capsys.readouterr()
+        rc = main([
+            "codes", "decode", "--code", str(code_path),
+            "--word", "?" * 64, "--cap", str(2**33),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: solution space 2^32 exceeds the listing limit 2^24"]
+
     def test_codes_decode_bitflip(self, tmp_path, capsys):
         code_path = tmp_path / "code.txt"
         main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code_path)])

@@ -24,6 +24,7 @@ from noisylab.core import (
 from noisylab.learn import (
     AmplifyParams,
     Learner,
+    _stable_point_order,
     amplify,
     bad_amplify,
     bv_sample_size,
@@ -33,6 +34,8 @@ from noisylab.learn import (
     select_best_hypothesis,
     subsample_filter,
 )
+
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def _ice_oracle(pairs):
@@ -100,6 +103,33 @@ class TestIceFilter:
         # Output multiset invariant under input permutation.
         rev = Sample.from_pairs(pairs[::-1]) if pairs else Sample.empty()
         assert ice_filter(rev).multiset() == ms
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_sort_key_path_matches_stable_argsort(self, data):
+        # The unique-key sort runs only for points in [0, INT64_MAX // n);
+        # draw points on both sides of that limit, near its negative and
+        # around zero, and require the stable argsort's positions either way.
+        n = data.draw(st.integers(1, 30))
+        limit = INT64_MAX // n
+        point = st.one_of(
+            st.integers(-3, 6),
+            st.integers(limit - 2, limit + 1),
+            st.integers(-limit - 2, -limit + 1),
+            st.integers(-(2**63), INT64_MAX),
+        )
+        points = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), np.int64)
+        order, pts = _stable_point_order(points)
+        expected = np.argsort(points, kind="stable")
+        assert order.tolist() == expected.tolist()
+        assert pts.tolist() == points[expected].tolist()
+
+    @pytest.mark.parametrize("offset", [-1, 0], ids=["key-sort", "argsort"])
+    def test_points_at_the_sort_key_limit(self, offset):
+        labels = [1, -1, -1, 1, -1, 1, 1]
+        top = INT64_MAX // len(labels) + offset
+        pairs = list(zip([top, 0, top, top, 0, 0, top], labels))
+        assert ice_filter_keep(Sample.from_pairs(pairs)).tolist() == _ice_oracle(pairs)
 
 
 class TestSubsampleFilter:
