@@ -1,13 +1,7 @@
 """Experiment scenarios, report emission, and the command-line interface."""
 
 from .reports import SCHEMA_VERSION, TrialReport, render_text, write_report
-from .scenarios import (
-    ExperimentConfig,
-    badamplify_counterexample,
-    reduction_pipeline_demo,
-    run_scenario,
-    scenario_names,
-)
+from .scenarios import ExperimentConfig, run_scenario, scenario_names
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -15,8 +9,6 @@ __all__ = [
     "render_text",
     "write_report",
     "ExperimentConfig",
-    "badamplify_counterexample",
-    "reduction_pipeline_demo",
     "run_scenario",
     "scenario_names",
 ]

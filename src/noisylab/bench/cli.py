@@ -127,13 +127,13 @@ def _parse_word(text: str) -> np.ndarray:
 
 def _cmd_codes(args: argparse.Namespace) -> int:
     if args.codes_command == "gen":
-        G = gen_random_linear_code(args.rho, args.w, RngHandle(args.seed))
-        text = G.to_text()
-        if args.out:
-            args.out.write_text(text + "\n")
-            print(f"code written to {args.out}")
-        else:
-            print(text)
+        try:
+            text = gen_random_linear_code(args.rho, args.w, RngHandle(args.seed)).to_text()
+            if args.out:
+                args.out.write_text(text + "\n")
+        except (OSError, ValueError) as exc:
+            return _error(exc)
+        print(f"code written to {args.out}" if args.out else text)
         return 0
     try:
         G = GeneratorMatrix.from_text(args.code.read_text())
@@ -163,7 +163,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "codes":
         return _cmd_codes(args)
     if args.command == "report":
-        print(render_text(args.path))
+        try:
+            print(render_text(args.path))
+        except (OSError, ValueError) as exc:  # a missing file or malformed JSON
+            return _error(exc)
         return 0
     raise AssertionError("unreachable")
 

@@ -1,10 +1,13 @@
 """Experiment scenarios: one per acceptance-style statistical verdict.
 
-Each scenario is a deterministic function of (params, trials, seed) producing
-a :class:`TrialReport` with per-trial records, aggregate statistics, and
-boolean verdicts. Statistical verdicts use 99% two-sided binomial confidence
-intervals and chi-square tests at significance 1e-3 unless a scenario
-documents otherwise; both significance knobs are parameters.
+Each scenario is a deterministic function of (trials, rng, params) returning
+its per-trial records, aggregate statistics, and boolean verdicts;
+:func:`run_scenario` wraps them in a :class:`TrialReport`. A scenario
+declares its parameters once, as the defaults it is registered with: a config
+may set only those, and each given value is cast to its default's type.
+Statistical verdicts use 99% two-sided binomial confidence intervals and
+chi-square tests at significance 1e-3 unless a scenario documents otherwise;
+both significance knobs are parameters.
 
 ``scipy.stats`` is imported inside the three statistics helpers
 (``binom_ci``, ``chisquare_vs_binomial``, ``two_sample_chi2``), not here: it
@@ -79,20 +82,19 @@ from ..sep import (
 )
 from .reports import TrialReport
 
-__all__ = [
-    "ExperimentConfig",
-    "run_scenario",
-    "scenario_names",
-    "badamplify_counterexample",
-    "reduction_pipeline_demo",
-]
+__all__ = ["ExperimentConfig", "run_scenario", "scenario_names"]
 
-_SCENARIOS: dict[str, Callable[[dict, int, RngHandle], TrialReport]] = {}
+# What a scenario returns: records, aggregate, verdicts.
+Outcome = tuple[list[dict], dict, dict[str, bool]]
+
+_SCENARIOS: dict[str, tuple[Callable[..., Outcome], dict]] = {}
 
 
-def _register(name: str):
+def _register(name: str, **defaults):
+    """Register a scenario under ``name``; ``defaults`` are all its parameters."""
+
     def deco(fn):
-        _SCENARIOS[name] = fn
+        _SCENARIOS[name] = (fn, defaults)
         return fn
 
     return deco
@@ -119,6 +121,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; known: {scenario_names()}"
             )
+        if not isinstance(self.params, dict):
+            raise ValueError("params must be a JSON object")
+        allowed = sorted(_SCENARIOS[self.scenario][1])
+        unknown = sorted(set(self.params) - set(allowed))
+        if unknown:
+            raise ValueError(
+                f"unknown params {unknown} for scenario {self.scenario!r}; "
+                f"allowed: {allowed}"
+            )
 
     @classmethod
     def from_file(cls, path: str | Path, **overrides) -> "ExperimentConfig":
@@ -136,17 +147,18 @@ class ExperimentConfig:
 
 
 def run_scenario(config: ExperimentConfig) -> TrialReport:
-    """Execute the named scenario with trial-split RNG streams."""
-    report = _SCENARIOS[config.scenario](
-        dict(config.params), config.trials, RngHandle(config.seed)
-    )
-    report.config = {
-        "scenario": config.scenario,
-        "params": config.params,
-        "trials": config.trials,
-        "seed": config.seed,
-    }
-    return report
+    """Execute the named scenario with trial-split RNG streams, every
+    parameter the config leaves out at its default."""
+    fn, defaults = _SCENARIOS[config.scenario]
+    params = dict(defaults)
+    for key, value in config.params.items():
+        try:
+            params[key] = type(defaults[key])(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
+    records, aggregate, verdicts = fn(config.trials, RngHandle(config.seed), **params)
+    echo = {key: getattr(config, key) for key in ("scenario", "params", "trials", "seed")}
+    return TrialReport(config.scenario, echo, records, aggregate, verdicts)
 
 
 # --------------------------------------------------------------------------
@@ -208,14 +220,14 @@ def two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-@_register("ice-filter-unit")
-def _scenario_ice_filter_unit(params: dict, trials: int, rng: RngHandle) -> TrialReport:
+@_register("ice-filter-unit", max_len=6, domain_points=3)
+def _scenario_ice_filter_unit(
+    trials: int, rng: RngHandle, max_len: int, domain_points: int
+) -> Outcome:
     """Exhaustive filter properties over all samples of length <= max_len on a
     small domain: idempotence, contradiction-freeness, even cardinality drop,
     permutation invariance, and agreement with the net-count oracle."""
-    max_len = int(params.get("max_len", 6))
-    n_points = int(params.get("domain_points", 3))
-    n_types = 2 * n_points
+    n_types = 2 * domain_points
     records = []
 
     def batch_counts(digits: np.ndarray) -> tuple[np.ndarray, Sample, np.ndarray]:
@@ -225,12 +237,12 @@ def _scenario_ice_filter_unit(params: dict, trials: int, rng: RngHandle) -> Tria
         N, L = digits.shape
         pts_local = digits // 2
         labels = np.where(digits % 2 == 0, 1, -1).astype(np.int8)
-        pts = (pts_local + np.arange(N)[:, None] * n_points).ravel()
+        pts = (pts_local + np.arange(N)[:, None] * domain_points).ravel()
         S = Sample(pts, labels.ravel())
         out = S.take(ice_filter_keep(S))
         cell = out.points * 2 + (out.labels < 0)
-        counts = np.bincount(cell, minlength=N * n_types).reshape(N, n_points, 2)
-        surv = np.bincount(out.points // n_points, minlength=N)
+        counts = np.bincount(cell, minlength=N * n_types).reshape(N, domain_points, 2)
+        surv = np.bincount(out.points // domain_points, minlength=N)
         return counts, out, surv
 
     all_ok = {
@@ -254,9 +266,9 @@ def _scenario_ice_filter_unit(params: dict, trials: int, rng: RngHandle) -> Tria
         pts_local = digits // 2
         labels_in = np.where(digits % 2 == 0, 1, -1)
         cell_in = (
-            (pts_local + np.arange(N)[:, None] * n_points) * 2 + (labels_in < 0)
+            (pts_local + np.arange(N)[:, None] * domain_points) * 2 + (labels_in < 0)
         ).ravel()
-        counts_in = np.bincount(cell_in, minlength=N * n_types).reshape(N, n_points, 2)
+        counts_in = np.bincount(cell_in, minlength=N * n_types).reshape(N, domain_points, 2)
         net = counts_in[:, :, 0] - counts_in[:, :, 1]
         canonical = np.array_equal(counts[:, :, 0], np.maximum(net, 0)) and np.array_equal(
             counts[:, :, 1], np.maximum(-net, 0)
@@ -282,13 +294,7 @@ def _scenario_ice_filter_unit(params: dict, trials: int, rng: RngHandle) -> Tria
         for k in all_ok:
             all_ok[k] &= rec[k]
 
-    return TrialReport(
-        scenario="ice-filter-unit",
-        config={},
-        records=records,
-        aggregate={"sequences_checked": total},
-        verdicts=all_ok,
-    )
+    return records, {"sequences_checked": total}, all_ok
 
 
 # --------------------------------------------------------------------------
@@ -296,23 +302,20 @@ def _scenario_ice_filter_unit(params: dict, trials: int, rng: RngHandle) -> Tria
 # --------------------------------------------------------------------------
 
 
-@_register("nasty-budget-law")
-def _scenario_nasty_budget_law(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    n = int(params.get("n", 100))
-    eta = float(params.get("eta", 0.2))
-    alpha = float(params.get("significance", 1e-3))
+@_register("nasty-budget-law", n=100, eta=0.2, significance=1e-3)
+def _scenario_nasty_budget_law(
+    trials: int, rng: RngHandle, n: int, eta: float, significance: float
+) -> Outcome:
     S = Sample(np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int8))
     budgets = np.empty(trials, dtype=np.int64)
     for t in range(trials):
         _, ledger = nasty_corrupt(S, eta, noop, rng.split(t))
         budgets[t] = ledger.drawn_budget
     pvalue = chisquare_vs_binomial(budgets, n, eta)
-    return TrialReport(
-        scenario="nasty-budget-law",
-        config={},
-        records=[{"trial": t, "budget": int(b)} for t, b in enumerate(budgets)],
-        aggregate={"chi2_pvalue": pvalue, "mean_budget": float(budgets.mean())},
-        verdicts={"budget_law_binomial": pvalue > alpha},
+    return (
+        [{"trial": t, "budget": int(b)} for t, b in enumerate(budgets)],
+        {"chi2_pvalue": pvalue, "mean_budget": float(budgets.mean())},
+        {"budget_law_binomial": pvalue > significance},
     )
 
 
@@ -321,15 +324,13 @@ def _scenario_nasty_budget_law(params: dict, trials: int, rng: RngHandle) -> Tri
 # --------------------------------------------------------------------------
 
 
-@_register("amplify-concentration")
-def _scenario_amplify_concentration(params: dict, trials: int, rng: RngHandle) -> TrialReport:
+@_register("amplify-concentration", eps=0.2, k=64, eta=0.2, n_group=1)
+def _scenario_amplify_concentration(
+    trials: int, rng: RngHandle, eps: float, k: int, eta: float, n_group: int
+) -> Outcome:
     """A crafted base learner with error exactly 1 w.p. eps (0 otherwise)
     trained on nasty-corrupted groups; the summed group errors must stay
     under eps*k + 3*sqrt(k*ln 20) in at least 95% of trials."""
-    eps = float(params.get("eps", 0.2))
-    k = int(params.get("k", 64))
-    eta = float(params.get("eta", 0.2))
-    n_group = int(params.get("n_group", 1))
     threshold = eps * k + 3 * math.sqrt(k * math.log(20))
 
     D = DiscreteDistribution.uniform(2)
@@ -352,16 +353,14 @@ def _scenario_amplify_concentration(params: dict, trials: int, rng: RngHandle) -
         exceed += over
         records.append({"trial": t, "sum_error": total, "exceeds": bool(over)})
     freq = exceed / trials
-    return TrialReport(
-        scenario="amplify-concentration",
-        config={},
-        records=records,
-        aggregate={
+    return (
+        records,
+        {
             "threshold": threshold,
             "exceed_frequency": freq,
             "exceed_ci99": binom_ci(exceed, trials),
         },
-        verdicts={"concentration": freq < 0.05},
+        {"concentration": freq < 0.05},
     )
 
 
@@ -370,9 +369,10 @@ def _scenario_amplify_concentration(params: dict, trials: int, rng: RngHandle) -
 # --------------------------------------------------------------------------
 
 
+@_register("badamplify", eps=0.3, eta=0.25, n=60, k=10, n_test=40)
 def badamplify_counterexample(
-    eps: float, eta: float, n: int, k: int, n_test: int, trials: int, rng: RngHandle
-) -> TrialReport:
+    trials: int, rng: RngHandle, eps: float, eta: float, n: int, k: int, n_test: int
+) -> Outcome:
     """Run the holdout-selection failure construction.
 
     Domain: a small uniform part of ``100*(n*k + n_test)`` points plus subset
@@ -473,11 +473,9 @@ def badamplify_counterexample(
 
     bad_freq = bad_count / trials
     amp_freq = amp_exceed / trials
-    return TrialReport(
-        scenario="badamplify",
-        config={},
-        records=records,
-        aggregate={
+    return (
+        records,
+        {
             "bad_output_frequency": bad_freq,
             "bad_output_ci99": binom_ci(bad_count, trials),
             "amplify_k": amp.k,
@@ -486,23 +484,10 @@ def badamplify_counterexample(
             "amplify_exceed_ci99": binom_ci(amp_exceed, trials),
             "error_crosscheck_abs_diff": crosscheck,
         },
-        verdicts={
+        {
             "bad_output_in_range": 0.25 <= bad_freq <= 0.35,
             "amplify_rarely_bad": amp_freq < amp.delta,
         },
-    )
-
-
-@_register("badamplify")
-def _scenario_badamplify(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    return badamplify_counterexample(
-        eps=float(params.get("eps", 0.3)),
-        eta=float(params.get("eta", 0.25)),
-        n=int(params.get("n", 60)),
-        k=int(params.get("k", 10)),
-        n_test=int(params.get("n_test", 40)),
-        trials=trials,
-        rng=rng,
     )
 
 
@@ -511,12 +496,14 @@ def _scenario_badamplify(params: dict, trials: int, rng: RngHandle) -> TrialRepo
 # --------------------------------------------------------------------------
 
 
-@_register("codes-suite")
-def _scenario_codes_suite(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    n_codes = int(params.get("codes", 50))
-    w = int(params.get("w", 12))
-    rho = float(params.get("rho", 0.5))
-    max_erasures = int(params.get("max_erasures", 3))
+@_register(
+    "codes-suite",
+    codes=50, w=12, rho=0.5, max_erasures=3, bitflip_codes=20, low_weight_codes=20,
+)
+def _scenario_codes_suite(
+    trials: int, rng: RngHandle, codes: int, w: int, rho: float,
+    max_erasures: int, bitflip_codes: int, low_weight_codes: int,
+) -> Outcome:
     records = []
 
     # Erasure round trips: for every pattern, group messages by their
@@ -530,7 +517,7 @@ def _scenario_codes_suite(params: dict, trials: int, rng: RngHandle) -> TrialRep
     ]
     roundtrip_ok = True
     decodes = 0
-    for ci in range(n_codes):
+    for ci in range(codes):
         G = gen_random_linear_code(rho, w, rng.split(0, ci))
         cw_masks = G.codeword_masks
         for pattern in patterns:
@@ -551,7 +538,7 @@ def _scenario_codes_suite(params: dict, trials: int, rng: RngHandle) -> TrialRep
 
     # Bit-flip decoding against a naive double-loop oracle.
     bitflip_ok = True
-    for ci in range(int(params.get("bitflip_codes", 20))):
+    for ci in range(bitflip_codes):
         r = rng.split(1, ci)
         gen = r.generator()
         wb = int(gen.integers(6, 11))
@@ -571,7 +558,7 @@ def _scenario_codes_suite(params: dict, trials: int, rng: RngHandle) -> TrialRep
 
     # Low-weight extraction against a second enumeration path.
     low_ok = True
-    for ci in range(int(params.get("low_weight_codes", 20))):
+    for ci in range(low_weight_codes):
         G = gen_random_linear_code(rho, w, rng.split(2, ci))
         bound = int(rng.split(3, ci).generator().integers(0, w // 2 + 1))
         got = low_weight_codewords(G, bound)
@@ -587,12 +574,10 @@ def _scenario_codes_suite(params: dict, trials: int, rng: RngHandle) -> TrialRep
             low_ok = False
     records.append({"check": "low-weight", "ok": low_ok})
 
-    return TrialReport(
-        scenario="codes-suite",
-        config={},
-        records=records,
-        aggregate={"erasure_decodes": decodes},
-        verdicts={
+    return (
+        records,
+        {"erasure_decodes": decodes},
+        {
             "erasure_roundtrip": roundtrip_ok,
             "bitflip_oracle": bitflip_ok,
             "low_weight_oracle": low_ok,
@@ -605,23 +590,13 @@ def _scenario_codes_suite(params: dict, trials: int, rng: RngHandle) -> TrialRep
 # --------------------------------------------------------------------------
 
 
-def _sep_params_from(params: dict) -> SepParams:
-    return SepParams.create(
-        eta_N=float(params.get("eta_N", 0.25)),
-        eta_M=float(params.get("eta_M", 0.05)),
-        kappa=params.get("kappa", 0.5),
-        rho=float(params.get("rho", 0.5)),
-        tau=float(params.get("tau", 0.15)),
-        w=int(params.get("w", 24)),
-        d=int(params.get("d", 12)),
-        u=int(params.get("u", 8)),
-        n=int(params.get("n", 50000)),
-    )
+# The SepParams.create arguments both separation scenarios take.
+_SEP_DEFAULTS = dict(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=24, d=12, u=8, n=50000)
 
 
-@_register("sep-learner")
-def _scenario_sep_learner(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    sp = _sep_params_from(params)
+@_register("sep-learner", **_SEP_DEFAULTS)
+def _scenario_sep_learner(trials: int, rng: RngHandle, **sep) -> Outcome:
+    sp = SepParams.create(**sep)
     inst = SepInstance.generate(sp, rng.split(0))
     D = inst.distribution()
     strategy = sep_key_erasure_strategy(inst)
@@ -664,11 +639,9 @@ def _scenario_sep_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
             }
         )
     ok_rate = ok_count / trials
-    return TrialReport(
-        scenario="sep-learner",
-        config={},
-        records=records,
-        aggregate={
+    return (
+        records,
+        {
             "error_bound": err_bound,
             "error_ok_rate": ok_rate,
             "error_ok_ci99": binom_ci(ok_count, trials),
@@ -676,7 +649,7 @@ def _scenario_sep_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
             "erased_bits_bound": q_bound,
             "erased_bits_violations": q_violations,
         },
-        verdicts={
+        {
             "error_ok_rate": ok_rate >= 0.95,
             "z_never_wrong": z_wrong_total == 0,
             "erased_bits_bounded": q_violations == 0,
@@ -689,13 +662,14 @@ def _scenario_sep_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
 # --------------------------------------------------------------------------
 
 
-@_register("sep-adversary")
-def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    sp = _sep_params_from(params)
+@_register("sep-adversary", **_SEP_DEFAULTS, significance=1e-3, sim_trials=2000, sim_n=500)
+def _scenario_sep_adversary(
+    trials: int, rng: RngHandle, significance: float, sim_trials: int, sim_n: int, **sep
+) -> Outcome:
+    sp = SepParams.create(**sep)
     inst = SepInstance.generate(sp, rng.split(0))
     D = inst.distribution()
     strategy = sep_nasty_strategy(inst)
-    alpha = float(params.get("significance", 1e-3))
 
     # Two concept indices with nonzero codeword weight (index 0 is the
     # weight-0 all-+1 codeword, which never triggers the adversary).
@@ -724,12 +698,7 @@ def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialR
     independence_p = two_sample_chi2(block_counts[p_a], block_counts[p_b])
 
     # Distribution match of the simulation against the real corrupted sample.
-    sim_trials = int(params.get("sim_trials", 2000))
-    sim_n = int(params.get("sim_n", 500))
-    sp_sim = SepParams.create(
-        eta_N=sp.eta_N, eta_M=sp.eta_M, kappa=sp.kappa, rho=sp.code.rho,
-        tau=sp.code.tau, w=sp.w, d=sp.d, u=sp.u, n=sim_n,
-    )
+    sp_sim = SepParams.create(**{**sep, "n": sim_n})
     inst_sim = SepInstance(sp_sim, inst.G)
     c_sim = inst_sim.concept(p_a, 0)
     strategy_sim = sep_nasty_strategy(inst_sim)
@@ -762,11 +731,9 @@ def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialR
     sim_lab_p = two_sample_chi2(lab_real, lab_sim)
 
     all_plus_rate = all_plus_count / max(non_exhausted, 1)
-    return TrialReport(
-        scenario="sep-adversary",
-        config={},
-        records=records,
-        aggregate={
+    return (
+        records,
+        {
             "non_exhausted": non_exhausted,
             "key_all_plus_rate": all_plus_rate,
             "independence_pvalue": independence_p,
@@ -774,9 +741,9 @@ def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialR
             "simulation_labels_pvalue": sim_lab_p,
             "sim_trials_skipped": sim_skipped,
         },
-        verdicts={
-            "key_information_free": all_plus_rate >= 0.99 and independence_p > alpha,
-            "simulation_matches": sim_cat_p > alpha and sim_lab_p > alpha,
+        {
+            "key_information_free": all_plus_rate >= 0.99 and independence_p > significance,
+            "simulation_matches": sim_cat_p > significance and sim_lab_p > significance,
         },
     )
 
@@ -786,10 +753,8 @@ def _scenario_sep_adversary(params: dict, trials: int, rng: RngHandle) -> TrialR
 # --------------------------------------------------------------------------
 
 
-@_register("round-lemma")
-def _scenario_round_lemma(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    kappa = float(params.get("kappa", 0.6))
-    w = int(params.get("w", 200))
+@_register("round-lemma", kappa=0.6, w=200)
+def _scenario_round_lemma(trials: int, rng: RngHandle, kappa: float, w: int) -> Outcome:
     budget = (1 - kappa) * w
     bound = 0.5 * (1 - kappa / 2) * w
     records = []
@@ -808,12 +773,10 @@ def _scenario_round_lemma(params: dict, trials: int, rng: RngHandle) -> TrialRep
         hold += ok
         records.append({"trial": t, "hamming": ham, "within_bound": bool(ok)})
     rate = hold / trials
-    return TrialReport(
-        scenario="round-lemma",
-        config={},
-        records=records,
-        aggregate={"bound": bound, "hold_rate": rate, "hold_ci99": binom_ci(hold, trials)},
-        verdicts={"rounding_bound": rate >= 0.99},
+    return (
+        records,
+        {"bound": bound, "hold_rate": rate, "hold_ci99": binom_ci(hold, trials)},
+        {"rounding_bound": rate >= 0.99},
     )
 
 
@@ -822,12 +785,10 @@ def _scenario_round_lemma(params: dict, trials: int, rng: RngHandle) -> TrialRep
 # --------------------------------------------------------------------------
 
 
-@_register("ice-coupling")
-def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    domain = int(params.get("domain", 20))
-    n = int(params.get("n", 40))
-    eta = float(params.get("eta", 0.3))
-    filler = int(params.get("filler_point", 0))
+@_register("ice-coupling", domain=20, n=40, eta=0.3, filler_point=0)
+def _scenario_ice_coupling(
+    trials: int, rng: RngHandle, domain: int, n: int, eta: float, filler_point: int
+) -> Outcome:
 
     def inner(S: Sample, z: int, c=None, D=None, srng: RngHandle | None = None) -> StrategyResult:
         g = srng.generator()
@@ -840,7 +801,7 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
             labs[j] = g.choice((-1, 1))
         return StrategyResult(idx, Sample(pts, labs))
 
-    strong = nasty_via_strong_malicious(inner, filler_point=filler)
+    strong = nasty_via_strong_malicious(inner, filler_point=filler_point)
     records = []
     all_exact = True
     for t in range(trials):
@@ -870,14 +831,13 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
         )
         pair_total = sum(diff.get((x, 1), 0) for x in points)
         surplus_ok = pairs_ok and pair_total == half
-        ice_eq = ice_filter(S_strong).multiset() == ice_filter(S_nasty).multiset()
+        ms_filtered = ice_filter(S_strong).multiset()
+        ice_eq = ms_filtered == ice_filter(S_nasty).multiset()
         contradiction_free = all(
             not (ms_nasty.get((x, 1), 0) and ms_nasty.get((x, -1), 0))
             for x, _ in ms_nasty
         )
-        literal_ok = (not contradiction_free) or (
-            ice_filter(S_strong).multiset() == ms_nasty
-        )
+        literal_ok = (not contradiction_free) or ms_filtered == ms_nasty
         exact = surplus_ok and ice_eq and literal_ok
         all_exact &= exact
         records.append(
@@ -891,12 +851,10 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
                 "exact": bool(exact),
             }
         )
-    return TrialReport(
-        scenario="ice-coupling",
-        config={},
-        records=records,
-        aggregate={"exact_rate": float(np.mean([r["exact"] for r in records]))},
-        verdicts={"coupling_exact": all_exact},
+    return (
+        records,
+        {"exact_rate": float(np.mean([r["exact"] for r in records]))},
+        {"coupling_exact": all_exact},
     )
 
 
@@ -905,20 +863,9 @@ def _scenario_ice_coupling(params: dict, trials: int, rng: RngHandle) -> TrialRe
 # --------------------------------------------------------------------------
 
 
-def _ice_params_from(params: dict) -> IceSepParams:
-    return IceSepParams.create(
-        eta=float(params.get("eta", 0.05)),
-        kappa=float(params.get("kappa", 0.7)),
-        w=int(params.get("w", 20)),
-        d=int(params.get("d", 10)),
-        n=int(params.get("n", 20000)),
-        L=int(params.get("L", 1024)),
-    )
-
-
-@_register("ice-learner")
-def _scenario_ice_learner(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    ip = _ice_params_from(params)
+@_register("ice-learner", eta=0.05, kappa=0.7, w=20, d=10, n=20000, L=1024)
+def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
+    ip = IceSepParams.create(**params)
     inst = IceInstance.generate(ip, rng.split(0))
     D = inst.distribution()
     idealized = ice_idealized_nasty_strategy(inst)
@@ -961,17 +908,15 @@ def _scenario_ice_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
 
     rate_noiseless = recovered["noiseless"] / trials
     rate_lownoise = recovered["low-noise"] / trials
-    return TrialReport(
-        scenario="ice-learner",
-        config={},
-        records=records,
-        aggregate={
+    return (
+        records,
+        {
             "recovery_rate_noiseless": rate_noiseless,
             "recovery_rate_low_noise": rate_lownoise,
             "vulnerable_trials": vulnerable,
             "survivor_pattern_ok": post_ok,
         },
-        verdicts={
+        {
             "noiseless_recovery": rate_noiseless >= 0.95,
             "low_noise_recovery": rate_lownoise >= 0.95,
             "idealized_survivor_pattern": post_ok == vulnerable,
@@ -984,7 +929,10 @@ def _scenario_ice_learner(params: dict, trials: int, rng: RngHandle) -> TrialRep
 # --------------------------------------------------------------------------
 
 
-def reduction_pipeline_demo(params: dict, trials: int, rng: RngHandle) -> TrialReport:
+@_register("reduction-demos", domain=16, eta=0.1, huber_eta=0.3, m=400)
+def reduction_pipeline_demo(
+    trials: int, rng: RngHandle, domain: int, eta: float, huber_eta: float, m: int
+) -> Outcome:
     """Two exact reduction demonstrations.
 
     (a) Any Huber contamination is realizable by a malicious adversary whose
@@ -997,10 +945,6 @@ def reduction_pipeline_demo(params: dict, trials: int, rng: RngHandle) -> TrialR
     budget exceeds the fixed count; the measured mean positional difference
     is compared against sqrt(m) + 1.
     """
-    domain = int(params.get("domain", 16))
-    eta = float(params.get("eta", 0.1))
-    huber_eta = float(params.get("huber_eta", 0.3))
-    m = int(params.get("m", 400))
     if domain > 64:
         raise ValueError("exact marginal comparison needs a domain of <= 64 points")
 
@@ -1053,22 +997,15 @@ def reduction_pipeline_demo(params: dict, trials: int, rng: RngHandle) -> TrialR
 
     mean_diff = float(diffs.mean())
     bound = math.sqrt(m) + 1
-    return TrialReport(
-        scenario="reduction-demos",
-        config={},
-        records=records,
-        aggregate={
+    return (
+        records,
+        {
             "huber_marginal_tv": huber_tv,
             "mean_positional_diff": mean_diff,
             "positional_diff_bound": bound,
         },
-        verdicts={
+        {
             "huber_as_malicious_exact": huber_tv <= 1e-12,
             "fixed_rate_tracks_standard": mean_diff <= bound,
         },
     )
-
-
-@_register("reduction-demos")
-def _scenario_reduction_demos(params: dict, trials: int, rng: RngHandle) -> TrialReport:
-    return reduction_pipeline_demo(params, trials, rng)

@@ -277,6 +277,8 @@ def gen_random_linear_code(
     """
     if not 0 < rho < 1:
         raise ValueError("rate must be in (0, 1)")
+    if not 1 <= w <= MAX_WORD_BITS:
+        raise ValueError(f"codeword length must be in [1, {MAX_WORD_BITS}]")
     k_float = rho * w
     k = round(k_float)
     if abs(k_float - k) > 1e-9 or k < 1:

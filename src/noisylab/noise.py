@@ -21,7 +21,7 @@ how, so that tests can audit the adversary's moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -106,7 +106,6 @@ class CorruptionLedger:
     coin_set: np.ndarray | None = None
     flagged: bool = False
     flag_reason: str | None = None
-    notes: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         n = len(self.clean)

@@ -39,6 +39,15 @@ class TestExperimentConfig:
         cfg2 = ExperimentConfig.from_file(cfg_path, trials=9, seed=None)
         assert cfg2.trials == 9 and cfg2.seed == 3
 
+    def test_undeclared_param_rejected(self):
+        with pytest.raises(ValueError, match="unknown params") as exc:
+            ExperimentConfig(scenario="round-lemma", params={"kapa": 0.9, "w": 100})
+        assert "['kapa']" in str(exc.value) and "['kappa', 'w']" in str(exc.value)
+
+    def test_non_object_params_rejected(self):
+        with pytest.raises(ValueError, match="params must be a JSON object"):
+            ExperimentConfig(scenario="round-lemma", params=[("kappa", 0.9)])
+
 
 class TestRunScenario:
     def test_single_trial_single_record(self):
@@ -78,6 +87,16 @@ class TestRunScenario:
         # needs, not the holdout arm's k.
         rep = run_scenario(ExperimentConfig(scenario="badamplify", trials=2, seed=3))
         assert rep.aggregate["amplify_k"] == AmplifyParams.auto(0.1, 0.01).k
+
+    def test_param_cast_to_its_default_type(self):
+        # A JSON float for an integer parameter runs the same scenario.
+        as_int, as_float = (
+            run_scenario(ExperimentConfig(scenario="round-lemma", params={"w": w}, trials=5))
+            for w in (200, 200.0)
+        )
+        assert as_float.records == as_int.records
+        assert as_float.aggregate == as_int.aggregate
+        assert as_float.verdicts == as_int.verdicts
 
     def test_sep_adversary_single_trial(self):
         # One trial runs only the first concept, so the second's counts are 0.
@@ -228,21 +247,33 @@ class TestCli:
         pytest.param("run round-lemma --config {typo}", id="config-unknown-key"),
         pytest.param("run no-such-scenario", id="unknown-scenario"),
         pytest.param("run sep-learner --config {param}", id="scenario-param"),
+        pytest.param("run round-lemma --config {kapa}", id="scenario-unknown-param"),
+        pytest.param("run round-lemma --config {null}", id="scenario-param-type"),
+        pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
+        pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
+        pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
+        pytest.param("report render {missing}", id="report-missing"),
+        pytest.param("report render {bad}", id="report-malformed"),
     ],
 )
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     code, bad, typo = tmp_path / "code.txt", tmp_path / "bad.txt", tmp_path / "typo.json"
-    param = tmp_path / "param.json"
+    param, kapa, null = (tmp_path / f"{name}.json" for name in ("param", "kapa", "null"))
     main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code)])
     bad.write_text("w=8 rows=1\nzz\n")
     typo.write_text(json.dumps({"scenario": "round-lemma", "trails": 5}))
     param.write_text(json.dumps({"scenario": "sep-learner", "params": {"w": 7}}))
+    kapa.write_text(json.dumps({"scenario": "round-lemma", "params": {"kapa": 0.9}}))
+    null.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": None}}))
     capsys.readouterr()
     args = argv.format(
-        code=code, bad=bad, typo=typo, param=param, missing=tmp_path / "none"
+        code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null,
+        missing=tmp_path / "none",
     ).split()
     assert main(args) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     if "typo" in argv:
         assert "trails" in err[0] and "trials" in err[0]
+    if "kapa" in argv:
+        assert "kapa" in err[0] and "kappa" in err[0]

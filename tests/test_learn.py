@@ -112,10 +112,11 @@ class TestIceFilter:
         # around zero, and require the stable argsort's positions either way.
         n = data.draw(st.integers(1, 30))
         limit = INT64_MAX // n
+        # At n = 1 the limit is INT64_MAX itself: clamp the ranges to int64.
         point = st.one_of(
             st.integers(-3, 6),
-            st.integers(limit - 2, limit + 1),
-            st.integers(-limit - 2, -limit + 1),
+            st.integers(limit - 2, min(limit + 1, INT64_MAX)),
+            st.integers(max(-limit - 2, -(2**63)), -limit + 1),
             st.integers(-(2**63), INT64_MAX),
         )
         points = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), np.int64)
