@@ -91,6 +91,10 @@ def render_text(json_path: str | Path) -> str:
     """Human-readable rendering of a JSON aggregate report."""
     with Path(json_path).open() as fh:
         data = json.load(fh)
+    has_keys = isinstance(data, dict) and {"scenario", "schema_version", "n_records"} <= data.keys()
+    if not has_keys or not all(isinstance(data.get(k, {}), dict) for k in ("aggregate", "verdicts")):
+        raise ValueError(f"{json_path} is not a report aggregate: expected a JSON object "
+                         "with 'scenario', 'schema_version' and 'n_records' keys")
     lines = [
         f"scenario: {data['scenario']} (schema v{data['schema_version']})",
         f"records:  {data['n_records']}",

@@ -43,6 +43,7 @@ from ..core import (
     draw_clean_sample,
     error_rate,
     labeled_index,
+    philox_uniforms,
 )
 from ..icesep import (
     IceInstance,
@@ -115,6 +116,10 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
         if self.scenario not in _SCENARIOS:
@@ -336,9 +341,11 @@ def _scenario_amplify_concentration(
     D = DiscreteDistribution.uniform(2)
     c = TableHypothesis.constant(1, 2)
 
-    def train(S: Sample, trng: RngHandle) -> Hypothesis:
-        heads = trng.generator().random() < 1 - eps
-        return c if heads else TableHypothesis.constant(-1, 2)
+    wrong = TableHypothesis.constant(-1, 2)
+
+    def train(points: np.ndarray, labels: np.ndarray, keys: np.ndarray) -> list[Hypothesis]:
+        heads = philox_uniforms(keys, 1)[:, 0] < 1 - eps
+        return [c if h else wrong for h in heads]
 
     A = Learner(n=n_group, train=train, name="coin-learner")
     records = []
@@ -439,13 +446,14 @@ def badamplify_counterexample(
             subset[b] = TableHypothesis(np.where(in_appear, b, -b).astype(np.int8))
             subset[b].exact_error = 1.0 - appear_frac if b == 1 else appear_frac
 
-        def train(S: Sample, trng: RngHandle) -> Hypothesis:
-            b = 1 if 2 * int((S.labels == 1).sum()) >= len(S) else -1
-            if trng.generator().random() < 1 - eps:
-                return constant[b]
-            if (S.points >= M).any():
-                return subset[b]
-            return constant[-b]
+        def train(points: np.ndarray, labels: np.ndarray, keys: np.ndarray) -> list[Hypothesis]:
+            majority = np.where(labels.sum(axis=1) >= 0, 1, -1).tolist()
+            heads = (philox_uniforms(keys, 1)[:, 0] < 1 - eps).tolist()
+            has_subset = (points >= M).any(axis=1).tolist()
+            return [
+                constant[b] if h else subset[b] if s else constant[-b]
+                for b, h, s in zip(majority, heads, has_subset)
+            ]
 
         A = Learner(n=n, train=train, name="coin-subset-base")
         h_sel = bad_amplify(A, k, n_test, S_corr, r.split(2))

@@ -7,11 +7,11 @@ Conventions used throughout the package:
 - Every randomized operation takes an explicit :class:`RngHandle`; identical
   handles yield identical results, and distinct stream ids yield independent
   streams (counter-based Philox generators keyed through ``SeedSequence``).
-- A handle can be *primed* with :func:`prime`, which derives the Philox keys
-  of a whole batch of handles in one numpy pass (:func:`philox_keys`, a
-  vectorized copy of ``SeedSequence``'s key derivation). A primed handle's
-  :meth:`RngHandle.generator` skips the ``SeedSequence``; its draws are
-  unchanged, and it equals, hashes and prints like the unprimed handle.
+- Batch code derives the Philox keys of many streams in one numpy pass
+  (:func:`philox_keys`, a vectorized copy of ``SeedSequence``'s key
+  derivation) and draws their uniforms in another (:func:`philox_uniforms`,
+  Philox4x64-10 in numpy); both match what :meth:`RngHandle.generator`
+  would draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "LabeledExample",
@@ -29,7 +28,7 @@ __all__ = [
     "DiscreteDistribution",
     "RngHandle",
     "philox_keys",
-    "prime",
+    "philox_uniforms",
     "Hypothesis",
     "TableHypothesis",
     "FunctionHypothesis",
@@ -58,34 +57,17 @@ class RngHandle:
     stream: int = 0
     path: tuple[int, ...] = field(default=())
 
-    # The Philox key stored by prime(); not a field, so it takes no part in
-    # equality, hashing, repr or the constructor.
-    _key = None
+    @property
+    def ids(self) -> tuple[int, ...]:
+        """``(seed, stream, *path)``: the id row :func:`philox_keys` takes."""
+        return (self.seed, self.stream, *self.path)
 
     def generator(self) -> np.random.Generator:
-        """A fresh generator; a primed handle's draws equal the unprimed one's."""
-        if self._key is not None:
-            return np.random.Generator(np.random.Philox(_StoredKey(self._key)))
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *self.path))
         return np.random.Generator(np.random.Philox(seq))
 
     def split(self, *ids: int) -> "RngHandle":
         return RngHandle(self.seed, self.stream, self.path + tuple(ids))
-
-
-class _StoredKey(ISeedSequence):
-    """Hands Philox a key :func:`philox_keys` already derived, in place of
-    the ``SeedSequence`` that would derive it again."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: np.ndarray):
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a stored Philox key is two uint64 words")
-        return self.key
 
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
@@ -118,7 +100,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _entropy_words(ids: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray] | None:
+def _entropy_words(ids: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray] | None:
     """SeedSequence's entropy of each ``(seed, stream, *path)`` row as one
     column of a zero-padded uint32 matrix, with each column's word count.
     The seed is split into little-endian 32-bit words and padded to the pool
@@ -154,21 +136,21 @@ def _entropy_words(ids: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray] 
     return matrix, lengths
 
 
-def philox_keys(handles: Sequence[RngHandle]) -> np.ndarray:
-    """The Philox key of each handle, derived for the whole batch at once.
+def philox_keys(ids: Sequence[Sequence[int]]) -> np.ndarray:
+    """The Philox key of each ``(seed, stream, *path)`` id row, derived for
+    the whole batch at once.
 
-    Row ``i`` of the ``(len(handles), 2)`` uint64 result equals
-    ``np.random.SeedSequence(h.seed, spawn_key=(h.stream, *h.path))
-    .generate_state(2, np.uint64)`` for ``h = handles[i]``, bit for bit: the
-    same pool mixing and state generation, run column by column over every
-    handle. Handles whose ids take different numbers of 32-bit words share
-    the batch; each row stops mixing at its own length. A batch with a
-    negative or non-integer id goes through ``SeedSequence`` itself, so it
-    raises what ``SeedSequence`` raises.
+    Row ``i`` of the ``(len(ids), 2)`` uint64 result equals
+    ``np.random.SeedSequence(seed, spawn_key=(stream, *path))
+    .generate_state(2, np.uint64)`` for ``ids[i]``, bit for bit: the same
+    pool mixing and state generation, run column by column over every row.
+    Rows whose ids take different numbers of 32-bit words share the batch;
+    each row stops mixing at its own length. A batch with a negative or
+    non-integer id goes through ``SeedSequence`` itself, so it raises what
+    ``SeedSequence`` raises.
     """
-    if not handles:
+    if not ids:
         return np.empty((0, 2), np.uint64)
-    ids = [(h.seed, h.stream, *h.path) for h in handles]
     entropy = _entropy_words(ids)
     if entropy is None:
         return np.array(
@@ -194,16 +176,42 @@ def philox_keys(handles: Sequence[RngHandle]) -> np.ndarray:
     return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
 
 
-def prime(handles: Sequence[RngHandle]) -> None:
-    """Store each handle's Philox key, derived for the batch by
-    :func:`philox_keys`, so its :meth:`RngHandle.generator` skips the
-    ``SeedSequence``. Draws, equality, hashing and repr are unchanged, each
-    ``generator()`` call still builds a fresh bit generator, and
-    :meth:`RngHandle.split` of a primed handle gives an unprimed child."""
-    keys = philox_keys(handles)
-    keys.setflags(write=False)
-    for h, key in zip(handles, keys):
-        object.__setattr__(h, "_key", key)
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011) as numpy runs it. Multipliers and key increments are (2, 1, 1)
+# columns that pair with counter words (0, 2) and key words (0, 1).
+_PHILOX_MULTS = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
+_PHILOX_BUMPS = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
+_32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
+_MULTS_LO, _MULTS_HI = _PHILOX_MULTS & _LOW32, _PHILOX_MULTS >> _32
+
+
+def philox_uniforms(keys: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` uniforms of each key's Philox stream.
+
+    Row ``i`` of the ``(len(keys), m)`` float64 result equals
+    ``np.random.Generator(np.random.Philox(key=keys[i])).random(m)`` bit for
+    bit. numpy bumps the counter before its first block, so block ``b``
+    (words ``4b`` to ``4b + 3``) encrypts the counter ``(b + 1, 0, 0, 0)``;
+    each word ``x`` gives the double ``(x >> 11) * 2**-53``.
+    """
+    keys = np.asarray(keys, np.uint64)
+    n, blocks = len(keys), -(-m // 4)
+    even = np.zeros((2, n, blocks), np.uint64)  # counter words 0 and 2
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)  # counter words 1 and 3
+    key = keys.T[:, :, None]
+    for r in range(10):  # rounds
+        if r:
+            key = key + _PHILOX_BUMPS
+        # The high words of the 128-bit products, from 32-bit halves so that
+        # no partial product overflows (Warren, Hacker's Delight, mulhu).
+        lo, hi = even & _LOW32, even >> _32
+        t = _MULTS_HI * lo + (_MULTS_LO * lo >> _32)
+        w = (t & _LOW32) + _MULTS_LO * hi
+        high = _MULTS_HI * hi + (t >> _32) + (w >> _32)
+        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_MULTS * even)[::-1]
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(n, 4 * blocks)
+    return (words[:, :m] >> np.uint64(11)) * 2.0**-53
 
 
 class LabeledExample(NamedTuple):

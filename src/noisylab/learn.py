@@ -2,8 +2,8 @@
 
 Contains the contradictory-pair filter, the subsampling filter, success
 amplification by sample splitting, its holdout-selection variant (which is a
-counterexample generator, not an improvement), hypothesis selection, the
-quartic sample-size calculator, and a Monte-Carlo expected-error estimator.
+counterexample generator, not an improvement), hypothesis selection, and the
+quartic sample-size calculator.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    DiscreteDistribution,
     Hypothesis,
     MixtureHypothesis,
     RngHandle,
     Sample,
     empirical_error,
-    error_rate,
-    prime,
+    philox_keys,
 )
 
 __all__ = [
@@ -35,21 +33,28 @@ __all__ = [
     "bad_amplify",
     "select_best_hypothesis",
     "bv_sample_size",
-    "expected_error_estimate",
 ]
+
+
+# A learner called with ``rng`` subsamples with ``rng.split(0)`` and trains
+# with the randomness of ``rng.split(_TRAIN_ID)``.
+_TRAIN_ID = 1
 
 
 @dataclass(frozen=True)
 class Learner:
-    """A base learner: consumes a length-``n`` sample, emits a hypothesis.
+    """A base learner: trains one hypothesis per length-``n`` sample.
 
-    ``train`` must be deterministic given (sample, rng). Oversized samples are
-    first reduced with :func:`subsample_filter`; undersized samples are an
-    error.
+    ``train(points, labels, keys)`` takes ``k`` samples as ``(k, n)`` point
+    and ±1 label arrays and the ``(k, 2)`` Philox keys of their randomness
+    (see :func:`~noisylab.core.philox_uniforms`), and returns ``k``
+    hypotheses, row ``i``'s a function of row ``i`` alone. Calling the learner
+    trains it on one sample: oversized samples are first reduced with
+    :func:`subsample_filter`; undersized samples are an error.
     """
 
     n: int
-    train: Callable[[Sample, RngHandle], Hypothesis]
+    train: Callable[[np.ndarray, np.ndarray, np.ndarray], list[Hypothesis]]
     name: str = "learner"
 
     def __call__(self, S: Sample, rng: RngHandle) -> Hypothesis:
@@ -57,11 +62,8 @@ class Learner:
             S = subsample_filter(S, self.n, rng.split(0))
         elif len(S) < self.n:
             raise ValueError(f"learner needs {self.n} examples, got {len(S)}")
-        return self.train(S, self.train_handle(rng))
-
-    def train_handle(self, rng: RngHandle) -> RngHandle:
-        """The handle ``train`` gets when the learner is called with ``rng``."""
-        return rng.split(1)
+        keys = philox_keys([(*rng.ids, _TRAIN_ID)])
+        return self.train(S.points[None], S.labels[None], keys)[0]
 
 
 @dataclass(frozen=True)
@@ -148,20 +150,15 @@ def _train_groups(
 ) -> tuple[list[Hypothesis], Sample]:
     """Uniformly permute ``S_big`` and train ``A`` on each of its first ``k``
     runs of ``A.n`` examples, group ``i`` exactly as ``A(group, rng.split(1, i))``
-    would. Returns the hypotheses and the examples after the groups.
-
-    The groups' train handles are primed in one batch, so no group pays for
-    a ``SeedSequence``; draws are unchanged.
-    """
+    would, all ``k`` in one batch. Returns the hypotheses and the examples
+    after the groups."""
     n = A.n
     perm = rng.split(0).generator().permutation(len(S_big))
-    shuffled = S_big.take(perm)
-    handles = [A.train_handle(rng.split(1, i)) for i in range(k)]
-    prime(handles)
-    hyps = [
-        A.train(shuffled.take(slice(i * n, (i + 1) * n)), h) for i, h in enumerate(handles)
-    ]
-    return hyps, shuffled.take(slice(k * n, None))
+    groups = perm[: k * n]
+    ids = rng.ids
+    keys = philox_keys([(*ids, 1, i, _TRAIN_ID) for i in range(k)])
+    hyps = A.train(S_big.points[groups].reshape(k, n), S_big.labels[groups].reshape(k, n), keys)
+    return hyps, S_big.take(perm[k * n :])
 
 
 def amplify(
@@ -220,33 +217,3 @@ def bv_sample_size(n: int, domain_size: int, param: float, C: float = 1.0) -> in
         raise ValueError("C must be > 0")
     return math.ceil(C * n**4 * math.log2(2 * domain_size) ** 2 / param**4)
 
-
-def expected_error_estimate(
-    A: Learner,
-    D: DiscreteDistribution,
-    c: Hypothesis,
-    noise_process: Callable[[RngHandle], Sample],
-    trials: int,
-    rng: RngHandle,
-) -> tuple[float, float]:
-    """Monte-Carlo mean error of ``A`` under a corruption process.
-
-    Returns ``(mean, halfwidth)`` where ``halfwidth`` is a 99%
-    normal-approximation confidence radius; with a single trial the halfwidth
-    is reported as NaN (flagged as undefined). Only the supplied corruption
-    process is evaluated — no supremum over adversaries is attempted.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    errs = np.empty(trials)
-    for t in range(trials):
-        S = noise_process(rng.split(0, t))
-        if isinstance(S, tuple):  # corruptors return (sample, ledger)
-            S = S[0]
-        h = A(S, rng.split(1, t))
-        errs[t] = error_rate(h, c, D)
-    mean = float(errs.mean())
-    if trials == 1:
-        return mean, float("nan")
-    halfwidth = 2.5758293035489004 * float(errs.std(ddof=1)) / math.sqrt(trials)
-    return mean, halfwidth

@@ -111,11 +111,11 @@ class CorruptionLedger:
         n = len(self.clean)
         if not (len(self.corrupted_indices) == len(self.replaced) == len(self.introduced) == self.budget):
             raise ValueError("ledger arity mismatch")
-        if self.budget and (
-            self.corrupted_indices.min() < 0 or self.corrupted_indices.max() >= n
-        ):
+        if not self.budget:
+            return
+        if self.corrupted_indices.min() < 0 or self.corrupted_indices.max() >= n:
             raise ValueError("corrupted index out of range")
-        if len(np.unique(self.corrupted_indices)) != self.budget:
+        if np.bincount(self.corrupted_indices).max() > 1:
             raise ValueError("corrupted indices must be distinct")
 
     def reapply(self) -> Sample:

@@ -254,6 +254,12 @@ class TestCli:
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
         pytest.param("report render {missing}", id="report-missing"),
         pytest.param("report render {bad}", id="report-malformed"),
+        pytest.param("report render {listed}", id="report-not-object"),
+        pytest.param("report render {unnamed}", id="report-no-scenario"),
+        pytest.param("run round-lemma --config {trials_str}", id="config-trials-str"),
+        pytest.param("run round-lemma --config {trials_bool}", id="config-trials-bool"),
+        pytest.param("run round-lemma --config {seed_str}", id="config-seed-str"),
+        pytest.param("run round-lemma --config {seed_bool}", id="config-seed-bool"),
     ],
 )
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
@@ -265,10 +271,18 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     param.write_text(json.dumps({"scenario": "sep-learner", "params": {"w": 7}}))
     kapa.write_text(json.dumps({"scenario": "round-lemma", "params": {"kapa": 0.9}}))
     null.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": None}}))
+    listed, unnamed = tmp_path / "listed.json", tmp_path / "unnamed.json"
+    listed.write_text("[1]")
+    unnamed.write_text(json.dumps({"schema_version": 1, "n_records": 0}))
+    fields = {"trials_str": ("trials", "5"), "trials_bool": ("trials", True),
+              "seed_str": ("seed", "x"), "seed_bool": ("seed", False)}
+    for name, (key, value) in fields.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"scenario": "round-lemma", key: value}))
     capsys.readouterr()
     args = argv.format(
-        code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null,
-        missing=tmp_path / "none",
+        code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null, listed=listed,
+        unnamed=unnamed, missing=tmp_path / "none",
+        **{name: tmp_path / f"{name}.json" for name in fields},
     ).split()
     assert main(args) == 2
     err = capsys.readouterr().err.strip().splitlines()

@@ -27,7 +27,7 @@ from noisylab.core import (
     labeled_index,
     labeled_pair,
     philox_keys,
-    prime,
+    philox_uniforms,
 )
 
 
@@ -87,7 +87,7 @@ class TestPhiloxKeys:
     ]
 
     def test_fixed_cases_in_one_batch(self):
-        keys = philox_keys(self.FIXED)
+        keys = philox_keys([h.ids for h in self.FIXED])
         assert keys.dtype == np.uint64 and keys.shape == (len(self.FIXED), 2)
         for h, key in zip(self.FIXED, keys):
             assert np.array_equal(key, _seed_sequence_key(h)), h
@@ -99,15 +99,7 @@ class TestPhiloxKeys:
     @given(st.lists(_handles, min_size=1, max_size=10))
     def test_matches_seed_sequence(self, handles):
         expected = np.array([_seed_sequence_key(h) for h in handles])
-        assert np.array_equal(philox_keys(handles), expected)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(_handles, min_size=1, max_size=6))
-    def test_primed_draws_match_unprimed(self, handles):
-        primed = [RngHandle(h.seed, h.stream, h.path) for h in handles]
-        prime(primed)
-        for p, h in zip(primed, handles):
-            assert np.array_equal(p.generator().random(4), h.generator().random(4))
+        assert np.array_equal(philox_keys([h.ids for h in handles]), expected)
 
     @pytest.mark.parametrize(
         "bad",
@@ -127,61 +119,29 @@ class TestPhiloxKeys:
         with pytest.raises(Exception) as expected:
             _seed_sequence_key(bad)
         with pytest.raises(Exception) as got:
-            philox_keys([RngHandle(1, 0, (2,)), bad])
+            philox_keys([(1, 0, 2), bad.ids])
         assert got.type is expected.type
 
 
-class TestPrimedHandle:
-    @staticmethod
-    def _pair():
-        primed = RngHandle(11, 2, (3, 2**40))
-        prime([primed])
-        return primed, RngHandle(11, 2, (3, 2**40))
+_words = st.integers(0, 2**64 - 1)
 
-    @staticmethod
-    def _no_seed_sequence(monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("SeedSequence built")
 
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+class TestPhiloxUniforms:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_words, _words), min_size=1, max_size=8), st.integers(1, 9))
+    def test_matches_numpy_philox(self, keys, m):
+        # m up to 9 crosses the boundaries of Philox's 4-word blocks.
+        keys = np.array(keys, np.uint64)
+        expected = [np.random.Generator(np.random.Philox(key=key)).random(m) for key in keys]
+        got = philox_uniforms(keys, m)
+        assert got.dtype == np.float64 and got.shape == (len(keys), m)
+        assert np.array_equal(got, np.array(expected))
 
-    def test_equal_hash_repr_like_unprimed(self):
-        primed, plain = self._pair()
-        assert primed == plain and hash(primed) == hash(plain)
-        assert repr(primed) == repr(plain)
-        assert {primed: 1}[plain] == 1
-
-    def test_generator_skips_seed_sequence(self, monkeypatch):
-        primed, plain = self._pair()
-        expected = plain.generator().random(3)
-        self._no_seed_sequence(monkeypatch)
-        assert np.array_equal(primed.generator().random(3), expected)
-        with pytest.raises(AssertionError, match="SeedSequence built"):
-            plain.generator()
-
-    def test_each_generator_is_fresh(self):
-        primed, plain = self._pair()
-        g1, g2 = primed.generator(), primed.generator()
-        assert g1.bit_generator is not g2.bit_generator
-        assert np.array_equal(g1.random(5), g2.random(5))
-        g1.random(100)  # advancing one leaves the other where it was
-        assert np.array_equal(g2.random(5), plain.generator().random(10)[5:])
-        assert np.array_equal(primed.generator().random(5), plain.generator().random(5))
-
-    def test_split_gives_the_unprimed_child(self, monkeypatch):
-        primed, plain = self._pair()
-        child = primed.split(4, 2**33)
-        assert child == plain.split(4, 2**33)
-        assert repr(child) == repr(plain.split(4, 2**33))
-        expected = plain.split(4, 2**33).generator().random(3)
-        assert np.array_equal(child.generator().random(3), expected)
-        self._no_seed_sequence(monkeypatch)
-        with pytest.raises(AssertionError, match="SeedSequence built"):
-            child.generator()  # an ordinary handle: it derives its own key
-
-    def test_key_is_not_a_constructor_argument(self):
-        with pytest.raises(TypeError):
-            RngHandle(1, 0, (), _key=np.zeros(2, np.uint64))
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_handles, min_size=1, max_size=6))
+    def test_keys_of_ids_give_the_handle_draws(self, handles):
+        got = philox_uniforms(philox_keys([h.ids for h in handles]), 5)
+        assert np.array_equal(got, [h.generator().random(5) for h in handles])
 
 
 class TestSample:

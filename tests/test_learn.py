@@ -20,6 +20,7 @@ from noisylab.core import (
     TableHypothesis,
     empirical_error,
     error_rate,
+    philox_uniforms,
 )
 from noisylab.learn import (
     AmplifyParams,
@@ -28,7 +29,6 @@ from noisylab.learn import (
     amplify,
     bad_amplify,
     bv_sample_size,
-    expected_error_estimate,
     ice_filter,
     ice_filter_keep,
     select_best_hypothesis,
@@ -147,9 +147,8 @@ class TestSubsampleFilter:
 
 
 def _majority_learner(n):
-    def train(S, rng):
-        b = 1 if 2 * int((S.labels == 1).sum()) >= len(S) else -1
-        return TableHypothesis.constant(b, 2)
+    def train(points, labels, keys):
+        return [TableHypothesis.constant(1 if s >= 0 else -1, 2) for s in labels.sum(axis=1)]
 
     return Learner(n=n, train=train, name="majority")
 
@@ -167,14 +166,17 @@ class TestLearner:
 
 
 def _recording_learner(n, domain=6):
-    """A learner whose hypothesis records its group, its train handle and
-    its draws; its random table makes holdout errors differ between groups."""
+    """A learner whose hypothesis records its group, its key and its draws;
+    its random table makes holdout errors differ between groups."""
 
-    def train(S, rng):
-        table = np.where(rng.generator().random(domain) < 0.5, 1, -1).astype(np.int8)
-        h = TableHypothesis(table)
-        h.record = (S.points.tolist(), S.labels.tolist(), rng, table.tolist())
-        return h
+    def train(points, labels, keys):
+        tables = np.where(philox_uniforms(keys, domain) < 0.5, 1, -1).astype(np.int8)
+        hyps = []
+        for p, l, key, table in zip(points, labels, keys, tables):
+            h = TableHypothesis(table)
+            h.record = (p.tolist(), l.tolist(), key.tolist(), table.tolist())
+            hyps.append(h)
+        return hyps
 
     return Learner(n=n, train=train, name="recording")
 
@@ -220,14 +222,31 @@ class TestAmplifyMatchesReferenceLoop:
         pick = int(best[rng.split(2).generator().integers(0, len(best))])
         assert bad_amplify(A, k, n_test, S, rng).record == ref[pick].record
 
-    def test_call_and_amplify_share_the_train_handle(self, monkeypatch):
-        monkeypatch.setattr(Learner, "train_handle", lambda self, rng: rng.split(7, 7))
-        A, rng = _recording_learner(2), RngHandle(3, 1, (4,))
-        assert A(self._sample(2, 3), rng).record[2] == rng.split(7, 7)
-        mix = amplify(A, AmplifyParams(k=3), self._sample(6, 4), rng)
-        assert [h.record[2] for h in mix.components] == [
-            rng.split(1, i, 7, 7) for i in range(3)
-        ]
+    def test_call_and_amplify_share_the_train_handle(self):
+        # Group i of amplify draws what A(group, rng.split(1, i)) draws, and a
+        # call with handle r trains with the randomness of r.split(1).
+        A, k = _recording_learner(2), 3
+        for rng in _AMPLIFY_HANDLES:
+            mix = amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 4), rng)
+            for i, h in enumerate(mix.components):
+                draws = rng.split(1, i, 1).generator().random(6)
+                assert h.record[3] == np.where(draws < 0.5, 1, -1).tolist()
+                assert h.record[3] == A(self._sample(A.n, 3), rng.split(1, i)).record[3]
+
+    def test_groups_build_no_seed_sequence(self, monkeypatch):
+        # The k groups' keys come from one batch derivation; only the
+        # permutation's handle builds a SeedSequence.
+        built = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        A, k = _recording_learner(2), 50
+        amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 5), RngHandle(4))
+        assert len(built) == 1
 
 
 class TestAmplifyParams:
@@ -314,22 +333,4 @@ def test_bv_sample_size_formula():
     assert bv_sample_size(n, X, param, C=2.0) == math.ceil(2 * n**4 * math.log2(2 * X) ** 2 / param**4)
     with pytest.raises(ValueError):
         bv_sample_size(1, 2, 0.0)
-
-
-class TestExpectedErrorEstimate:
-    def test_constant_process(self):
-        D = DiscreteDistribution.uniform(2)
-        c = TableHypothesis([1, 1])
-        A = Learner(n=4, train=lambda S, r: TableHypothesis([1, -1]), name="fixed")
-        process = lambda rng: Sample.from_pairs([(0, 1)] * 4)
-        mean, hw = expected_error_estimate(A, D, c, process, trials=10, rng=RngHandle(0))
-        assert mean == pytest.approx(0.5) and hw == pytest.approx(0.0)
-
-    def test_single_trial_halfwidth_nan(self):
-        D = DiscreteDistribution.uniform(2)
-        c = TableHypothesis([1, 1])
-        A = Learner(n=1, train=lambda S, r: c, name="c")
-        process = lambda rng: Sample.from_pairs([(0, 1)])
-        mean, hw = expected_error_estimate(A, D, c, process, trials=1, rng=RngHandle(0))
-        assert mean == 0.0 and math.isnan(hw)
 

@@ -230,18 +230,29 @@ class TestTV:
 
 
 class TestLedger:
-    def test_duplicate_indices_rejected(self):
-        S = clean(10)
-        ledger = CorruptionLedger(
-            corrupted_indices=np.array([1, 1]),
-            replaced=S.take(np.array([1, 1])),
-            introduced=Sample([0, 0], [1, 1]),
-            budget=2,
-            drawn_budget=2,
+    @staticmethod
+    def _ledger(indices):
+        S, idx = clean(10), np.array(indices, np.int64)
+        return CorruptionLedger(
+            corrupted_indices=idx,
+            replaced=S.take(np.clip(idx, 0, 9)),
+            introduced=Sample(np.zeros(idx.size, np.int64), np.ones(idx.size, np.int8)),
+            budget=idx.size,
+            drawn_budget=idx.size,
             clean=S,
         )
-        with pytest.raises(ValueError, match="distinct"):
-            ledger.validate()
+
+    def test_duplicate_indices_rejected(self):
+        for indices in ([1, 1], [9, 0, 4, 0], [0, 9, 9]):
+            with pytest.raises(ValueError, match="distinct"):
+                self._ledger(indices).validate()
+        for indices in ([], [9, 0, 4]):
+            self._ledger(indices).validate()
+
+    @pytest.mark.parametrize("indices", [[3, 10, 3], [-1, -1]])
+    def test_range_checked_before_distinctness(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            self._ledger(indices).validate()
 
     @pytest.mark.parametrize("n_introduced", [1, 3])
     def test_strategy_length_mismatch_rejected(self, n_introduced):
