@@ -2,7 +2,7 @@
 
 Modules:
   core       — samples, distributions, hypotheses, seeded RNG handles
-  noise      — corruption processes (online/strong/budgeted/fixed-rate/Huber/TV)
+  noise      — corruption processes (online/strong/budgeted/fixed-rate/Huber)
   learn      — learners, contradiction filter, amplification, selection
   codes      — binary linear codes with erasure and bit-flip list decoding
   cryptoprim — PRF truth tables and a Toeplitz bit extractor

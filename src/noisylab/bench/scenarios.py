@@ -4,7 +4,8 @@ Each scenario is a deterministic function of (trials, rng, params) returning
 its per-trial records, aggregate statistics, and boolean verdicts;
 :func:`run_scenario` wraps them in a :class:`TrialReport`. A scenario
 declares its parameters once, as the defaults it is registered with: a config
-may set only those, and each given value is cast to its default's type.
+may set only those, and each given value is cast to its default's type and
+must equal its cast (``200.0`` may set an int, ``200.7`` may not).
 Statistical verdicts use 99% two-sided binomial confidence intervals and
 chi-square tests at significance 1e-3 unless a scenario documents otherwise;
 both significance knobs are parameters.
@@ -157,10 +158,15 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
     fn, defaults = _SCENARIOS[config.scenario]
     params = dict(defaults)
     for key, value in config.params.items():
+        # A value must equal its cast, so the echoed config describes the run.
+        kind = type(defaults[key])
         try:
-            params[key] = type(defaults[key])(value)
+            params[key] = kind(value)
+            if params[key] != value:
+                raise ValueError
         except (TypeError, ValueError):
-            raise ValueError(f"param {key!r} must be a number, got {value!r}") from None
+            noun = "an integer" if kind is int else "a number"
+            raise ValueError(f"param {key!r} must be {noun}, got {value!r}") from None
     records, aggregate, verdicts = fn(config.trials, RngHandle(config.seed), **params)
     echo = {key: getattr(config, key) for key in ("scenario", "params", "trials", "seed")}
     return TrialReport(config.scenario, echo, records, aggregate, verdicts)
@@ -888,7 +894,7 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
             if arm == "low-noise":
                 S, _ = strong_malicious_corrupt(S, ip.eta, contradict_replaced, r.split(2), c=c, D=D)
             h, det = ice_malicious_learner(S, inst, r.split(3))
-            ok = (not det["flagged"]) and det["selected_key"].bits == c.key.bits
+            ok = (not det["flagged"]) and det["selected_key"] == c.key
             recovered[arm] += ok
             records.append({"arm": arm, "trial": t, "recovered": bool(ok)})
 

@@ -21,9 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
+from .codes import signs_to_mask
+
 __all__ = [
     "PrfKey",
-    "prf_eval",
     "prf_truth_table",
     "prf_truth_tables",
     "ExtractorSpec",
@@ -38,34 +39,37 @@ MAX_SEED_BITS = 16
 
 @dataclass(frozen=True)
 class PrfKey:
-    """A ±1 key vector selecting one function from the keyed-hash family."""
+    """A ``length``-bit key selecting one function from the keyed-hash family.
 
-    bits: tuple[int, ...]
+    The key is packed: bit ``i`` of ``mask`` is key position ``i``, set where
+    the ±1 key has ``-1``, as the decoders' message integers are packed.
+    """
+
+    mask: int
+    length: int
 
     def __post_init__(self) -> None:
-        if not self.bits:
+        if self.length < 1:
             raise ValueError("key must be nonempty")
-        if any(b not in (-1, 1) for b in self.bits):
-            raise ValueError("key bits must be ±1")
+        if not 0 <= self.mask < 1 << self.length:
+            raise ValueError(f"key mask must be in [0, 2^{self.length})")
 
     @classmethod
     def from_signs(cls, bits: Sequence[int] | np.ndarray) -> "PrfKey":
-        return cls(tuple(np.asarray(bits).tolist()))
+        """The key of a ±1 vector."""
+        arr = np.asarray(bits)
+        return cls(signs_to_mask(arr), arr.size)
 
     @property
-    def length(self) -> int:
-        return len(self.bits)
+    def bits(self) -> np.ndarray:
+        """The key as a ±1 vector."""
+        packed = np.frombuffer(self.key_bytes(), dtype=np.uint8)
+        return _bits_to_signs(np.unpackbits(packed, bitorder="little")[: self.length])
 
     def key_bytes(self) -> bytes:
-        """The bits packed little-endian (position ``i`` is bit ``i % 8`` of
-        byte ``i // 8``), ``-1`` as a set bit."""
-        mask = sum(1 << i for i, b in enumerate(self.bits) if b == -1)
-        return mask.to_bytes(-(-self.length // 8), "little")
-
-
-def _counters(blocks: range) -> list[bytes]:
-    """The 8-byte little-endian counter of each stream block in ``blocks``."""
-    return [b.to_bytes(8, "little") for b in blocks]
+        """The mask in ``ceil(length / 8)`` little-endian bytes (position
+        ``i`` is bit ``i % 8`` of byte ``i // 8``)."""
+        return self.mask.to_bytes(-(-self.length // 8), "little")
 
 
 def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> bytes:
@@ -87,26 +91,17 @@ def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
     return 1 - 2 * bits.astype(np.int8)
 
 
-def prf_eval(key: PrfKey, x: int) -> int:
-    """Deterministic ±1 output of the keyed function at point ``x``."""
-    if x < 0:
-        raise ValueError("point index must be >= 0")
-    block = x // _PRF_BLOCK_BITS
-    digest = _prf_digests(key.key_bytes(), _counters(range(block, block + 1)))
-    bit = (digest[(x % _PRF_BLOCK_BITS) // 8] >> (x % 8)) & 1
-    return -1 if bit else 1
-
-
 def prf_truth_tables(keys: Sequence[PrfKey], n_points: int) -> np.ndarray:
     """±1 outputs at points ``0 .. n_points-1`` under each key, one row per key.
 
-    Each key's bytes are packed once and the joined digests of all keys are
-    unpacked in one call (one hash per key per 512 points).
+    Block ``b`` hashes the 8-byte little-endian counter ``b``; the joined
+    digests of all keys are unpacked in one call (one hash per key per 512
+    points).
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     n_blocks = -(-n_points // _PRF_BLOCK_BITS)
-    counters = _counters(range(n_blocks))
+    counters = [b.to_bytes(8, "little") for b in range(n_blocks)]
     stream = b"".join(_prf_digests(key.key_bytes(), counters) for key in keys)
     bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
     bits = bits.reshape(len(keys), n_blocks * _PRF_BLOCK_BITS)[:, :n_points]

@@ -49,7 +49,6 @@ __all__ = [
     "IceSepParams",
     "IceInstance",
     "BlockCounters",
-    "key_bit_guess",
     "round_vector",
     "ice_malicious_learner",
     "ice_idealized_nasty_strategy",
@@ -172,7 +171,7 @@ class IceInstance:
         key = PrfKey.from_signs(key_bits)
         if key.length != self.params.d:
             raise ValueError(f"key must have {self.params.d} bits")
-        return KeyValueConcept(self.params.layout, encode(self.G, key.bits), key)
+        return KeyValueConcept(self.params.layout, encode(self.G, key_bits), key)
 
     def random_concept(self, rng: RngHandle) -> KeyValueConcept:
         bits = rng.generator().choice((-1, 1), size=self.params.d)
@@ -180,16 +179,6 @@ class IceInstance:
 
     def distribution(self) -> DiscreteDistribution:
         return DiscreteDistribution.uniform(self.params.domain_size)
-
-
-def key_bit_guess(S_prime_i: Sample, R: float, eta: float) -> float:
-    """Normalized key-bit estimate ``(n_{i,+1} - n_{i,-1}) / (R(1-eta))``."""
-    denom = R * (1 - eta)
-    if denom == 0:
-        raise ValueError("R(1-eta) must be nonzero")
-    n_plus = int((S_prime_i.labels == 1).sum())
-    n_minus = int((S_prime_i.labels == -1).sum())
-    return (n_plus - n_minus) / denom
 
 
 def round_vector(v: np.ndarray | Sequence[float], rng: RngHandle) -> np.ndarray:
@@ -234,7 +223,7 @@ def ice_malicious_learner(
         return TableHypothesis.constant(1, params.domain_size), details
 
     key_bits = masks_to_signs(inst.G.codeword_masks[messages], params.w)
-    keys = [PrfKey(tuple(row)) for row in masks_to_signs(messages, params.d).tolist()]
+    keys = [PrfKey(m, params.d) for m in messages]
     idx = params.layout.best_candidate(S_prime, key_bits, keys)
     best = inst.concept(keys[idx].bits)
     details["selected_key"] = best.key

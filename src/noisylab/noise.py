@@ -1,10 +1,10 @@
-"""Executable corruption processes for six noise models.
+"""Executable corruption processes for five noise models.
 
 Models: malicious (online per-example η-coin), strong malicious (adversary
 sees the whole sample and the coin set), nasty (budget drawn first with a
-Bin(n, η) law), fixed-rate nasty (exactly ⌊ηn⌋ replacements), Huber
-contamination (mixture with an outlier distribution), and bounded
-total-variation resampling.
+Bin(n, η) law), fixed-rate nasty (exactly ⌊ηn⌋ replacements), and Huber
+contamination (mixture with an outlier distribution). :func:`tv_distance`
+measures how far apart two distributions are.
 
 An offline adversary is a plain function ``strategy(S_clean, budget, c, D,
 rng)`` returning a :class:`StrategyResult`: the sample positions it rewrites
@@ -43,9 +43,7 @@ __all__ = [
     "nasty_corrupt",
     "fixed_rate_nasty_corrupt",
     "huber_sample",
-    "tv_corrupt",
     "tv_distance",
-    "shift_mass",
     "noop",
     "flip_first_z_labels",
     "flip_random_labels",
@@ -282,28 +280,6 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
     if len(p) != len(q):
         raise ValueError("distributions live on different domain sizes")
     return 0.5 * float(np.abs(p.weights - q.weights).sum())
-
-
-def tv_corrupt(
-    Dc: DiscreteDistribution, eta: float, Dprime: DiscreteDistribution
-) -> DiscreteDistribution:
-    """Validate an adversarial resampling distribution against its TV budget."""
-    d = tv_distance(Dc, Dprime)
-    if d > eta + 1e-12:
-        raise ValueError(f"TV budget exceeded: d_TV = {d} > η = {eta}")
-    return Dprime
-
-
-def shift_mass(
-    D: DiscreteDistribution, src: int, dst: int, mass: float
-) -> DiscreteDistribution:
-    """Builder for TV adversaries: move probability mass between two atoms."""
-    w = D.weights.copy()
-    if w[src] < mass - 1e-15:
-        raise ValueError("not enough mass at the source atom")
-    w[src] -= mass
-    w[dst] += mass
-    return DiscreteDistribution(w)
 
 
 # --------------------------------------------------------------------------

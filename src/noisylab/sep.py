@@ -481,11 +481,11 @@ def sep_malicious_learner(
 
     seeds = params.extractor_spec.seed_count()
     codewords = [inst.low_weight[p].bits for p in candidate_ps]
-    keys = [
-        PrfKey(tuple(row))
-        for bits in codewords
-        for row in extract_all_seeds(bits, inst.extractor_matrices).tolist()
-    ]
+    extracted = np.concatenate(
+        [extract_all_seeds(bits, inst.extractor_matrices) for bits in codewords]
+    )
+    place = np.uint64(1) << np.arange(params.m_out, dtype=np.uint64)
+    keys = [PrfKey(m, params.m_out) for m in ((extracted == -1) @ place).tolist()]
     # Candidate i is (candidate_ps[i // seeds], seed i % seeds).
     idx = params.layout.best_candidate(S, np.repeat(codewords, seeds, axis=0), keys)
     p, q = candidate_ps[idx // seeds], idx % seeds

@@ -249,6 +249,7 @@ class TestCli:
         pytest.param("run sep-learner --config {param}", id="scenario-param"),
         pytest.param("run round-lemma --config {kapa}", id="scenario-unknown-param"),
         pytest.param("run round-lemma --config {null}", id="scenario-param-type"),
+        pytest.param("run round-lemma --config {frac}", id="scenario-param-fraction"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
@@ -264,13 +265,16 @@ class TestCli:
 )
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     code, bad, typo = tmp_path / "code.txt", tmp_path / "bad.txt", tmp_path / "typo.json"
-    param, kapa, null = (tmp_path / f"{name}.json" for name in ("param", "kapa", "null"))
+    param, kapa, null, frac = (
+        tmp_path / f"{name}.json" for name in ("param", "kapa", "null", "frac")
+    )
     main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code)])
     bad.write_text("w=8 rows=1\nzz\n")
     typo.write_text(json.dumps({"scenario": "round-lemma", "trails": 5}))
     param.write_text(json.dumps({"scenario": "sep-learner", "params": {"w": 7}}))
     kapa.write_text(json.dumps({"scenario": "round-lemma", "params": {"kapa": 0.9}}))
     null.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": None}}))
+    frac.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": 200.7}}))
     listed, unnamed = tmp_path / "listed.json", tmp_path / "unnamed.json"
     listed.write_text("[1]")
     unnamed.write_text(json.dumps({"schema_version": 1, "n_records": 0}))
@@ -280,7 +284,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         (tmp_path / f"{name}.json").write_text(json.dumps({"scenario": "round-lemma", key: value}))
     capsys.readouterr()
     args = argv.format(
-        code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null, listed=listed,
+        code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null, frac=frac, listed=listed,
         unnamed=unnamed, missing=tmp_path / "none",
         **{name: tmp_path / f"{name}.json" for name in fields},
     ).split()
@@ -291,3 +295,5 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "trails" in err[0] and "trials" in err[0]
     if "kapa" in argv:
         assert "kapa" in err[0] and "kappa" in err[0]
+    if "frac" in argv:
+        assert "200.7" in err[0] and "integer" in err[0]

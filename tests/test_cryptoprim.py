@@ -1,14 +1,16 @@
 """Keyed PRF and Toeplitz extractor: determinism, structure, linearity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from noisylab.codes import masks_to_signs
 from noisylab.cryptoprim import (
     ExtractorSpec,
     PrfKey,
     extract,
     extract_all_seeds,
-    prf_eval,
     prf_truth_table,
     prf_truth_tables,
     toeplitz_matrices,
@@ -18,12 +20,39 @@ KEY_A = PrfKey.from_signs([1, -1, 1, -1, 1, 1, -1, -1])
 KEY_B = PrfKey.from_signs([1, -1, 1, -1, 1, 1, -1, 1])
 
 
+def spec_prf(key: PrfKey, x: int) -> int:
+    """The documented PRF, hashed on its own: bit ``x % 512`` of the keyed
+    BLAKE2b digest of the 8-byte little-endian counter ``x // 512``."""
+    digest = hashlib.blake2b((x // 512).to_bytes(8, "little"), key=key.key_bytes(), digest_size=64)
+    bit = (digest.digest()[(x % 512) // 8] >> (x % 8)) & 1
+    return -1 if bit else 1
+
+
 class TestPrfKey:
     def test_validation(self):
         with pytest.raises(ValueError):
-            PrfKey(())
+            PrfKey(0, 0)
         with pytest.raises(ValueError):
-            PrfKey((1, 0))
+            PrfKey(-1, 4)
+        with pytest.raises(ValueError):
+            PrfKey(16, 4)
+        with pytest.raises(ValueError):
+            PrfKey.from_signs([1, 0])
+        with pytest.raises(ValueError):
+            PrfKey.from_signs([])
+
+    def test_packed_key_is_the_message_int(self):
+        # A decoder's message int is the key: packing its ±1 form gives the
+        # same key, whose bytes are the int's little-endian bytes.
+        gen = np.random.default_rng(4)
+        for d in range(1, 64):
+            for m in (0, (1 << d) - 1, int(gen.integers(0, 1 << d, dtype=np.uint64))):
+                key = PrfKey(m, d)
+                assert PrfKey.from_signs(masks_to_signs([m], d)[0]) == key
+                assert key.key_bytes() == int(m).to_bytes(-(-d // 8), "little")
+                assert np.array_equal(key.bits, masks_to_signs([m], d)[0])
+            with pytest.raises(ValueError):
+                PrfKey(1 << d, d)
 
     def test_key_bytes_hand_oracle(self):
         # Bits (-1 -> 1) little-endian in the byte: 01010011b = 0x4a reversed;
@@ -42,7 +71,7 @@ class TestPrf:
     def test_eval_matches_truth_table_across_blocks(self):
         table = prf_truth_table(KEY_A, 1200)  # spans three 512-bit blocks
         for x in (0, 1, 511, 512, 513, 1023, 1024, 1199):
-            assert prf_eval(KEY_A, x) == table[x]
+            assert spec_prf(KEY_A, x) == table[x]
 
     def test_deterministic(self):
         assert np.array_equal(prf_truth_table(KEY_A, 600), prf_truth_table(KEY_A, 600))
@@ -56,7 +85,7 @@ class TestPrf:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            prf_eval(KEY_A, -1)
+            prf_truth_table(KEY_A, -1)
         assert prf_truth_table(KEY_A, 0).size == 0
 
 
@@ -130,8 +159,7 @@ class TestBatched:
         assert tables.shape == (len(keys), n_points) and tables.dtype == np.int8
         for key, row in zip(keys, tables):
             assert np.array_equal(row, prf_truth_table(key, n_points))
-            # prf_eval hashes one block on its own path.
-            assert row.tolist() == [prf_eval(key, x) for x in range(n_points)]
+            assert row.tolist() == [spec_prf(key, x) for x in range(n_points)]
 
     def test_prf_truth_tables_no_keys(self):
         assert prf_truth_tables([], 600).shape == (0, 600)

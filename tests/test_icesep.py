@@ -24,7 +24,6 @@ from noisylab.icesep import (
     IceSepParams,
     ice_idealized_nasty_strategy,
     ice_malicious_learner,
-    key_bit_guess,
     nasty_via_strong_malicious,
     round_vector,
 )
@@ -76,16 +75,6 @@ class TestParams:
     def test_exact_key_fraction(self):
         p = small_params()
         assert Fraction(p.key_size, p.domain_size) == p.key_fraction
-
-
-class TestKeyBitGuess:
-    def test_hand_oracle(self):
-        S = Sample.from_pairs([(0, 1)] * 7 + [(0, -1)] * 3)
-        assert key_bit_guess(S, R=10.0, eta=0.2) == pytest.approx((7 - 3) / 8.0)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError):
-            key_bit_guess(Sample.empty(), R=0.0, eta=0.0)
 
 
 class TestRoundVector:
@@ -143,7 +132,7 @@ class TestLearner:
             S = draw_clean_sample(inst.distribution(), c, inst.params.n, RngHandle(seed))
             h, det = ice_malicious_learner(S, inst, RngHandle(200 + seed))
             assert not det["flagged"]
-            assert det["selected_key"].bits == c.key.bits
+            assert det["selected_key"] == c.key
             assert error_rate(h, c, inst.distribution()) == 0.0
 
     def test_selection_matches_oracle(self):

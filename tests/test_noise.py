@@ -22,9 +22,7 @@ from noisylab.noise import (
     malicious_corrupt,
     nasty_corrupt,
     noop,
-    shift_mass,
     strong_malicious_corrupt,
-    tv_corrupt,
     tv_distance,
 )
 
@@ -213,20 +211,6 @@ class TestTV:
         q = DiscreteDistribution([0.25, 0.25, 0.5])
         assert tv_distance(p, q) == pytest.approx(0.5)
         assert tv_distance(p, p) == 0.0
-
-    def test_tv_corrupt_budget(self):
-        p = DiscreteDistribution([0.5, 0.5])
-        q = DiscreteDistribution([0.3, 0.7])
-        assert tv_corrupt(p, 0.2, q) is q
-        with pytest.raises(ValueError, match="TV budget"):
-            tv_corrupt(p, 0.1, q)
-
-    def test_shift_mass(self):
-        p = DiscreteDistribution([0.5, 0.5])
-        q = shift_mass(p, 0, 1, 0.2)
-        assert np.allclose(q.weights, [0.3, 0.7])
-        with pytest.raises(ValueError, match="mass"):
-            shift_mass(p, 0, 1, 0.6)
 
 
 class TestLedger:
