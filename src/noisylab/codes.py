@@ -341,15 +341,13 @@ def erasure_list_decode_many(
     """
     w, k = G.w, G.rows
     full = (1 << w) - 1
-    erased = operator.index(erased_mask)
-    if not 0 <= erased <= full:
-        raise ValueError(f"erasure mask out of range for code length {w}")
+    erased = _as_mask(erased_mask, w, "erasure mask")
     if isinstance(word_masks, np.ndarray):
         if word_masks.size and word_masks.dtype.kind not in "iu":
             raise ValueError("word masks must be integers")
         words = word_masks
     else:  # Python ints on both sides of 2^63 would make a float array
-        words = np.array([operator.index(m) for m in word_masks], dtype=object)
+        words = np.array([_as_mask(m, w, "word mask") for m in word_masks], dtype=object)
     if words.ndim != 1:
         raise ValueError("word masks must be one-dimensional")
     if words.size and (words.min() < 0 or words.max() > full):

@@ -7,17 +7,16 @@ Conventions used throughout the package:
 - Every randomized operation takes an explicit :class:`RngHandle`; identical
   handles yield identical results, and distinct stream ids yield independent
   streams (counter-based Philox generators keyed through ``SeedSequence``).
-- Batch code derives the Philox keys of many streams in one numpy pass
-  (:func:`philox_keys`, a vectorized copy of ``SeedSequence``'s key
-  derivation) and draws their uniforms in another (:func:`philox_uniforms`,
-  Philox4x64-10 in numpy); both match what :meth:`RngHandle.generator`
-  would draw, bit for bit.
+- Batch code derives the Philox keys of many streams that share a parent
+  handle's ids (:func:`philox_keys`: the parent's ``SeedSequence`` pool, then
+  each stream's suffix ids mixed in numpy) and draws their uniforms in one
+  numpy pass (:func:`philox_uniforms`, Philox4x64-10 in numpy); both match
+  what :meth:`RngHandle.generator` would draw, bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -59,7 +58,7 @@ class RngHandle:
 
     @property
     def ids(self) -> tuple[int, ...]:
-        """``(seed, stream, *path)``: the id row :func:`philox_keys` takes."""
+        """``(seed, stream, *path)``: the parent ids :func:`philox_keys` takes."""
         return (self.seed, self.stream, *self.path)
 
     def generator(self) -> np.random.Generator:
@@ -100,79 +99,45 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> 16)
 
 
-def _entropy_words(ids: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray] | None:
-    """SeedSequence's entropy of each ``(seed, stream, *path)`` row as one
-    column of a zero-padded uint32 matrix, with each column's word count.
-    The seed is split into little-endian 32-bit words and padded to the pool
-    size, then every other id is split the same way. ``None`` when some id
-    is not a non-negative integer."""
-    counts = np.fromiter(map(len, ids), np.intp, len(ids))
-    flat = np.array(list(chain.from_iterable(ids)))
-    if flat.dtype.kind == "O":  # ints of 2**64 or more
-        if not all(isinstance(x, (int, np.integer)) for x in flat):
-            return None
-    elif flat.dtype.kind not in "biu":
-        return None
-    if (flat < 0).any():
-        return None
-    words = [(flat & _MASK32).astype(np.uint32)]
-    n_words = np.ones(flat.size, np.intp)
-    rest = flat >> 32
-    while (rest > 0).any():
-        n_words += rest > 0
-        words.append((rest & _MASK32).astype(np.uint32))
-        rest = rest >> 32
-    starts = np.cumsum(counts) - counts
-    width = n_words.copy()
-    width[starts] = np.maximum(width[starts], _POOL_SIZE)
-    offset = np.cumsum(width) - width
-    row = np.repeat(np.arange(len(ids)), counts)
-    col = offset - offset[starts][row]
-    lengths = np.add.reduceat(width, starts)
-    matrix = np.zeros((int(lengths.max()), len(ids)), np.uint32)
-    for j, w in enumerate(words):
-        has = n_words > j
-        matrix[col[has] + j, row[has]] = w[has]
-    return matrix, lengths
+def _n_words(value: int) -> int:
+    """How many little-endian 32-bit words ``SeedSequence`` splits an id into."""
+    return max(1, -(-int(value).bit_length() // 32))
 
 
-def philox_keys(ids: Sequence[Sequence[int]]) -> np.ndarray:
-    """The Philox key of each ``(seed, stream, *path)`` id row, derived for
-    the whole batch at once.
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
 
-    Row ``i`` of the ``(len(ids), 2)`` uint64 result equals
-    ``np.random.SeedSequence(seed, spawn_key=(stream, *path))
-    .generate_state(2, np.uint64)`` for ``ids[i]``, bit for bit: the same
-    pool mixing and state generation, run column by column over every row.
-    Rows whose ids take different numbers of 32-bit words share the batch;
-    each row stops mixing at its own length. A batch with a negative or
-    non-integer id goes through ``SeedSequence`` itself, so it raises what
-    ``SeedSequence`` raises.
+
+def philox_keys(parent: Sequence[int], suffixes: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """The Philox key of each id row ``(*parent, *suffixes[i])``.
+
+    For ``parent = (seed, *rest)``, row ``i`` of the ``(k, 2)`` uint64 result
+    equals ``np.random.SeedSequence(seed, spawn_key=(*rest, *suffixes[i]))
+    .generate_state(2, np.uint64)``, bit for bit. The pool after the shared
+    parent ids is numpy's own ``SeedSequence(seed, spawn_key=rest).pool``,
+    which also checks the parent as ``SeedSequence`` does. Only the suffix
+    columns are then hashed and mixed, over a ``(4, k)`` pool; the hash
+    constants pick up where the parent left them. ``suffixes`` is a ``(k, s)``
+    integer array with every entry in ``[0, 2**32)``, one 32-bit word each.
     """
-    if not ids:
-        return np.empty((0, 2), np.uint64)
-    entropy = _entropy_words(ids)
-    if entropy is None:
-        return np.array(
-            [np.random.SeedSequence(s, spawn_key=rest).generate_state(2, np.uint64)
-             for s, *rest in ids]
-        )
-    E, lengths = entropy
-    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * (len(E) - _POOL_SIZE)
-    xors, muls = _hash_constants(_INIT_A, _MULT_A, steps)
-    pool = _hash(E[:_POOL_SIZE], xors[:_POOL_SIZE], muls[:_POOL_SIZE])
-    step = _POOL_SIZE
-    for src in range(_POOL_SIZE):  # mix every pool word into every other
-        dst = [d for d in range(_POOL_SIZE) if d != src]
-        end = step + _POOL_SIZE - 1
-        pool[dst] = _mix(pool[dst], _hash(pool[src], xors[step:end], muls[step:end]))
-        step = end
-    for src in range(_POOL_SIZE, len(E)):  # then each further entropy word
-        end = step + _POOL_SIZE
-        mixed = _mix(pool, _hash(E[src], xors[step:end], muls[step:end]))
-        pool = np.where(lengths > src, mixed, pool)
-        step = end
-    state = _hash(pool, *_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)).astype(np.uint64)
+    seed, *rest = parent
+    parent_pool = np.random.SeedSequence(seed, spawn_key=tuple(rest)).pool
+    ids = np.asarray(suffixes)
+    if ids.ndim != 2 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ValueError("suffixes must be a (k, s) array of integers")
+    if ids.size and (ids.min() < 0 or ids.max() > _MASK32):
+        raise ValueError("suffix ids must be in [0, 2**32)")
+    k, s = ids.shape
+    # The parent's entropy is its seed, zero-padded to the pool size, then its
+    # spawn ids. The first pool-size words took one hash step each to fill the
+    # pool and three each to mix it; every later word one per pool word.
+    steps = _POOL_SIZE * (max(_POOL_SIZE, _n_words(seed)) + sum(map(_n_words, rest)))
+    first = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+    xors, muls = _hash_constants(first, _MULT_A, _POOL_SIZE * s)
+    pool = np.broadcast_to(parent_pool[:, None], (_POOL_SIZE, k))
+    for j, word in enumerate(ids.T.astype(np.uint32)):
+        step = slice(_POOL_SIZE * j, _POOL_SIZE * (j + 1))
+        pool = _mix(pool, _hash(word, xors[step], muls[step]))
+    state = _hash(pool, *_STATE_CONSTANTS).astype(np.uint64)
     return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
 
 

@@ -62,7 +62,7 @@ class Learner:
             S = subsample_filter(S, self.n, rng.split(0))
         elif len(S) < self.n:
             raise ValueError(f"learner needs {self.n} examples, got {len(S)}")
-        keys = philox_keys([(*rng.ids, _TRAIN_ID)])
+        keys = philox_keys(rng.ids, [[_TRAIN_ID]])
         return self.train(S.points[None], S.labels[None], keys)[0]
 
 
@@ -155,8 +155,8 @@ def _train_groups(
     n = A.n
     perm = rng.split(0).generator().permutation(len(S_big))
     groups = perm[: k * n]
-    ids = rng.ids
-    keys = philox_keys([(*ids, 1, i, _TRAIN_ID) for i in range(k)])
+    suffixes = np.column_stack((np.arange(k), np.full(k, _TRAIN_ID)))
+    keys = philox_keys((*rng.ids, 1), suffixes)
     hyps = A.train(S_big.points[groups].reshape(k, n), S_big.labels[groups].reshape(k, n), keys)
     return hyps, S_big.take(perm[k * n :])
 

@@ -196,9 +196,12 @@ def strong_malicious_corrupt(
     NoiseRate(eta)
     n = len(S_clean)
     gen = rng.split(0).generator()
-    Z = np.flatnonzero(gen.random(n) < eta)
+    coins = gen.random(n) < eta
+    Z = np.flatnonzero(coins)
     result = strategy(S_clean, Z, c, D, rng.split(1))
-    outside = result.positions[~np.isin(result.positions, Z)]
+    pos = result.positions
+    # A position outside [0, n) looks up the appended False.
+    outside = pos[~np.append(coins, False)[np.where((pos >= 0) & (pos < n), pos, n)]]
     if outside.size:
         raise ValueError(f"strategy wrote outside its coin set: position {outside[0]}")
     return _apply_choices(S_clean, result, drawn_budget=len(Z), coin_set=Z)

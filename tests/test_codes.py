@@ -281,8 +281,10 @@ class TestErasureDecodeMany:
     def test_non_integer_words_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             erasure_list_decode_many(self.G, 0, np.array([1.0]))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="word mask must be an integer"):
             erasure_list_decode_many(self.G, 0, [1.0])
+        with pytest.raises(ValueError, match="erasure mask must be an integer"):
+            erasure_list_decode_many(self.G, 1.0, [0])
 
     def test_word_masks_across_bit_63(self):
         # Python ints below and above 2^63 in one list; w = 64, one row.

@@ -60,10 +60,8 @@ class TestRngHandle:
         assert np.array_equal(a, RngHandle(7).generator().random(5))
 
 
-def _seed_sequence_key(h):
-    return np.random.SeedSequence(h.seed, spawn_key=(h.stream, *h.path)).generate_state(
-        2, np.uint64
-    )
+def _seed_sequence_key(seed, *spawn_key):
+    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
 
 
 # One id of each word length SeedSequence splits an int into: one 32-bit word
@@ -72,6 +70,12 @@ _ids = st.one_of(
     st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140)
 )
 _handles = st.builds(RngHandle, _ids, _ids, st.lists(_ids, max_size=5).map(tuple))
+# A (k, s) suffix array, s from 0 to 3, each id one 32-bit word.
+_suffixes = st.tuples(st.integers(0, 6), st.integers(0, 3)).flatmap(
+    lambda ks: st.lists(
+        st.integers(0, 2**32 - 1), min_size=ks[0] * ks[1], max_size=ks[0] * ks[1]
+    ).map(lambda flat: np.array(flat, np.int64).reshape(ks))
+)
 
 
 class TestPhiloxKeys:
@@ -85,21 +89,31 @@ class TestPhiloxKeys:
         RngHandle(7, 0, (1, 0, 1)),
         RngHandle(3, 2**40, (2**32 - 1, 2**33, 0, 0, 0, 9)),
     ]
+    ROWS = np.array([[0, 0, 0], [1, 2, 3], [2**32 - 1, 0, 2**31]])
 
     def test_fixed_cases_in_one_batch(self):
-        keys = philox_keys([h.ids for h in self.FIXED])
-        assert keys.dtype == np.uint64 and keys.shape == (len(self.FIXED), 2)
-        for h, key in zip(self.FIXED, keys):
-            assert np.array_equal(key, _seed_sequence_key(h)), h
+        for h in self.FIXED:
+            for s in (0, 1, 3):
+                rows = self.ROWS[:, :s]
+                keys = philox_keys(h.ids, rows)
+                assert keys.dtype == np.uint64 and keys.shape == (len(rows), 2)
+                for row, key in zip(rows.tolist(), keys):
+                    assert np.array_equal(key, _seed_sequence_key(*h.ids, *row)), (h, row)
+
+    def test_parent_without_spawn_key(self):
+        # A seed alone: SeedSequence pads a short seed only when spawn ids follow.
+        for seed in (0, 5, 2**64, 2**130):
+            assert np.array_equal(philox_keys((seed,), [[]]), [_seed_sequence_key(seed)])
+            assert np.array_equal(philox_keys((seed,), [[9]]), [_seed_sequence_key(seed, 9)])
 
     def test_empty_batch(self):
-        assert philox_keys([]).shape == (0, 2)
+        assert philox_keys((1, 0), np.empty((0, 2), np.int64)).shape == (0, 2)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(_handles, min_size=1, max_size=10))
-    def test_matches_seed_sequence(self, handles):
-        expected = np.array([_seed_sequence_key(h) for h in handles])
-        assert np.array_equal(philox_keys([h.ids for h in handles]), expected)
+    @given(_handles, _suffixes)
+    def test_matches_seed_sequence(self, h, rows):
+        expected = [_seed_sequence_key(*h.ids, *row) for row in rows.tolist()]
+        assert np.array_equal(philox_keys(h.ids, rows), np.array(expected).reshape(-1, 2))
 
     @pytest.mark.parametrize(
         "bad",
@@ -117,10 +131,19 @@ class TestPhiloxKeys:
     )
     def test_invalid_ids_raise_like_seed_sequence(self, bad):
         with pytest.raises(Exception) as expected:
-            _seed_sequence_key(bad)
+            _seed_sequence_key(*bad.ids, 1)
         with pytest.raises(Exception) as got:
-            philox_keys([(1, 0, 2), bad.ids])
+            philox_keys(bad.ids, [[1]])
         assert got.type is expected.type
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[[-1]], [[0, 2**32]], [[1.0]], np.array([[0.5, 1.0]]), [1, 2], [[2**64]]],
+        ids=["negative", "two-words", "float", "float-array", "one-d", "object"],
+    )
+    def test_invalid_suffixes_raise(self, bad):
+        with pytest.raises(ValueError):
+            philox_keys((1, 0), bad)
 
 
 _words = st.integers(0, 2**64 - 1)
@@ -138,10 +161,11 @@ class TestPhiloxUniforms:
         assert np.array_equal(got, np.array(expected))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(_handles, min_size=1, max_size=6))
-    def test_keys_of_ids_give_the_handle_draws(self, handles):
-        got = philox_uniforms(philox_keys([h.ids for h in handles]), 5)
-        assert np.array_equal(got, [h.generator().random(5) for h in handles])
+    @given(_handles, _suffixes)
+    def test_keys_of_ids_give_the_handle_draws(self, h, rows):
+        got = philox_uniforms(philox_keys(h.ids, rows), 5)
+        expected = [h.split(*row).generator().random(5) for row in rows.tolist()]
+        assert np.array_equal(got, np.array(expected).reshape(-1, 5))
 
 
 class TestSample:

@@ -234,19 +234,24 @@ class TestAmplifyMatchesReferenceLoop:
                 assert h.record[3] == A(self._sample(A.n, 3), rng.split(1, i)).record[3]
 
     def test_groups_build_no_seed_sequence(self, monkeypatch):
-        # The k groups' keys come from one batch derivation; only the
-        # permutation's handle builds a SeedSequence.
-        built = []
+        # The k groups' keys come from one batch derivation: the permutation's
+        # handle and the groups' shared parent pool build a SeedSequence each,
+        # however many groups there are.
+        calls = []
         seed_sequence = np.random.SeedSequence
 
         def counting(*args, **kwargs):
-            built.append(args)
+            calls.append(args)
             return seed_sequence(*args, **kwargs)
 
+        def built(k):
+            before = len(calls)
+            A = _recording_learner(2)
+            amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 5), RngHandle(4))
+            return len(calls) - before
+
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        A, k = _recording_learner(2), 50
-        amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 5), RngHandle(4))
-        assert len(built) == 1
+        assert built(1) == built(50)
 
 
 class TestAmplifyParams:

@@ -86,6 +86,23 @@ class TestStrongMalicious:
         with pytest.raises(ValueError, match="outside"):
             strong_malicious_corrupt(S, 0.2, bad, RngHandle(4))
 
+    @pytest.mark.parametrize("wrong", ["negative", "too-large"])
+    def test_position_out_of_range_raises_first_outside(self, wrong):
+        # A negative position that would wrap onto a coin, or one at n or
+        # beyond, is outside Z; the error names the first such position.
+        S = clean()
+        n = len(S)
+        z = int(strong_malicious_corrupt(S, 0.2, noop, RngHandle(4))[1].coin_set[0])
+        first = z - n if wrong == "negative" else n
+        later = n + 5 if wrong == "negative" else -1
+
+        def bad(S_clean, Z, c, D, rng):
+            assert z in Z
+            return StrategyResult(np.array([z, first, later]), Sample([0, 0, 0], [1, 1, 1]))
+
+        with pytest.raises(ValueError, match=rf"outside its coin set: position {first}$"):
+            strong_malicious_corrupt(S, 0.2, bad, RngHandle(4))
+
     def test_unused_coins_stay_clean(self):
         S = clean()
         out, ledger = strong_malicious_corrupt(S, 0.3, noop, RngHandle(5))
