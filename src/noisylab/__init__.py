@@ -13,37 +13,31 @@ Modules:
 
 from .core import (
     DiscreteDistribution,
-    FunctionHypothesis,
     Hypothesis,
     LabeledExample,
     MixtureHypothesis,
     RngHandle,
     Sample,
     TableHypothesis,
-    complement,
     draw_clean_sample,
     empirical_error,
     error_rate,
     labeled_index,
-    labeled_pair,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteDistribution",
-    "FunctionHypothesis",
     "Hypothesis",
     "LabeledExample",
     "MixtureHypothesis",
     "RngHandle",
     "Sample",
     "TableHypothesis",
-    "complement",
     "draw_clean_sample",
     "empirical_error",
     "error_rate",
     "labeled_index",
-    "labeled_pair",
     "__version__",
 ]

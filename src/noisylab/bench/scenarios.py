@@ -260,10 +260,10 @@ def _scenario_ice_filter_unit(
         "no_contradiction": True,
         "even_drop": True,
         "permutation_invariant": True,
-        "canonical_match": True,
+        # The empty sample's canonical form is empty.
+        "canonical_match": len(ice_filter(Sample.empty())) == 0,
     }
     total = 1  # the empty sample
-    assert len(ice_filter(Sample.empty())) == 0
 
     for L in range(1, max_len + 1):
         N = n_types**L
@@ -352,13 +352,13 @@ def _scenario_amplify_concentration(
         heads = philox_uniforms(keys, 1)[:, 0] < 1 - eps
         return [c if h else wrong for h in heads]
 
-    A = Learner(n=n_group, train=train, name="coin-learner")
+    A = Learner(n=n_group, train=train)
     records = []
     exceed = 0
     for t in range(trials):
         r = rng.split(t)
         S_clean = draw_clean_sample(D, c, n_group * k, r.split(0))
-        S_corr, _ = nasty_corrupt(S_clean, eta, flip_random_labels, r.split(1), c=c, D=D)
+        S_corr, _ = nasty_corrupt(S_clean, eta, flip_random_labels, r.split(1), c=c)
         mix = amplify(A, AmplifyParams(k=k), S_corr, r.split(2))
         total = sum(error_rate(h, c, D) for h in mix.components)
         over = total > threshold
@@ -418,7 +418,7 @@ def badamplify_counterexample(
     D = DiscreteDistribution.uniform(M)
     c = TableHypothesis.constant(1, M + 1)
 
-    def adversary(S, budget, c_=None, D_=None, srng=None):
+    def adversary(S, budget, c_, srng):
         return StrategyResult(
             np.arange(budget), Sample(np.full(budget, XL), np.ones(budget, dtype=np.int8))
         )
@@ -460,7 +460,7 @@ def badamplify_counterexample(
                 for b, h, s in zip(majority, heads, has_subset)
             ]
 
-        A = Learner(n=n, train=train, name="coin-subset-base")
+        A = Learner(n=n, train=train)
         h_sel = bad_amplify(A, k, n_test, S_corr, r.split(2))
         bad_err = h_sel.exact_error
         if crosscheck is None:
@@ -626,7 +626,7 @@ def _scenario_sep_learner(trials: int, rng: RngHandle, **sep) -> Outcome:
         c = inst.concept(p, q)
         S_clean = draw_clean_sample(D, c, sp.n, r.split(1))
         S_corr, ledger = strong_malicious_corrupt(
-            S_clean, sp.eta_M, strategy, r.split(2), c=c, D=D
+            S_clean, sp.eta_M, strategy, r.split(2), c=c
         )
         h, det = sep_malicious_learner(S_corr, inst)
         err = error_rate(h, c, D)
@@ -701,7 +701,7 @@ def _scenario_sep_adversary(
         p = p_a if t % 2 == 0 else p_b
         c = inst.concept(p, 0)
         S_clean = draw_clean_sample(D, c, sp.n, r.split(0))
-        S_corr, ledger = nasty_corrupt(S_clean, sp.eta_N, strategy, r.split(1), c=c, D=D)
+        S_corr, ledger = nasty_corrupt(S_clean, sp.eta_N, strategy, r.split(1), c=c)
         rec = {"trial": t, "p": p, "exhausted": bool(ledger.flagged)}
         if not ledger.flagged:
             non_exhausted += 1
@@ -717,6 +717,7 @@ def _scenario_sep_adversary(
     sp_sim = SepParams.create(**{**sep, "n": sim_n})
     inst_sim = SepInstance(sp_sim, inst.G)
     c_sim = inst_sim.concept(p_a, 0)
+    D_sim = inst_sim.distribution()
     strategy_sim = sep_nasty_strategy(inst_sim)
     cat_real = np.zeros(sp.w + 1, dtype=np.int64)
     cat_sim = np.zeros(sp.w + 1, dtype=np.int64)
@@ -725,10 +726,8 @@ def _scenario_sep_adversary(
     sim_skipped = 0
     for t in range(sim_trials):
         r = rng.split(2, t)
-        S_clean = draw_clean_sample(inst_sim.distribution(), c_sim, sim_n, r.split(0))
-        S_real, ledger = nasty_corrupt(
-            S_clean, sp.eta_N, strategy_sim, r.split(1), c=c_sim, D=inst_sim.distribution()
-        )
+        S_clean = draw_clean_sample(D_sim, c_sim, sim_n, r.split(0))
+        S_real, ledger = nasty_corrupt(S_clean, sp.eta_N, strategy_sim, r.split(1), c=c_sim)
         if ledger.flagged:
             sim_skipped += 1
             continue
@@ -806,7 +805,7 @@ def _scenario_ice_coupling(
     trials: int, rng: RngHandle, domain: int, n: int, eta: float, filler_point: int
 ) -> Outcome:
 
-    def inner(S: Sample, z: int, c=None, D=None, srng: RngHandle | None = None) -> StrategyResult:
+    def inner(S: Sample, z: int, c, srng: RngHandle) -> StrategyResult:
         g = srng.generator()
         k = int(g.integers(0, z + 1)) if z > 0 else 0
         idx = g.choice(len(S), size=k, replace=False) if k else np.empty(0, dtype=np.int64)
@@ -826,7 +825,7 @@ def _scenario_ice_coupling(
         c = TableHypothesis(table)
         D = DiscreteDistribution.uniform(domain)
         S_clean = draw_clean_sample(D, c, n, r.split(1))
-        S_strong, ledger = strong_malicious_corrupt(S_clean, eta, strong, r.split(2), c=c, D=D)
+        S_strong, ledger = strong_malicious_corrupt(S_clean, eta, strong, r.split(2), c=c)
 
         # Rebuild the simulated nasty output independently (same derived rng).
         Z = ledger.coin_set
@@ -835,7 +834,7 @@ def _scenario_ice_coupling(
         mask = np.ones(n, dtype=bool)
         mask[Z[: 2 * half]] = False
         S_inner = S_clean.take(np.flatnonzero(mask))
-        res = inner(S_inner, half, c, D, r.split(2, 1, 0))
+        res = inner(S_inner, half, c, r.split(2, 1, 0))
         S_nasty = S_inner.replace_at(res.positions, res.introduced.points, res.introduced.labels)
 
         ms_strong = S_strong.multiset()
@@ -894,7 +893,7 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
             c = inst.random_concept(r.split(0))
             S = draw_clean_sample(D, c, ip.n, r.split(1))
             if arm == "low-noise":
-                S, _ = strong_malicious_corrupt(S, ip.eta, contradict_replaced, r.split(2), c=c, D=D)
+                S, _ = strong_malicious_corrupt(S, ip.eta, contradict_replaced, r.split(2), c=c)
             h, det = ice_malicious_learner(S, inst, r.split(3))
             ok = (not det["flagged"]) and det["selected_key"] == c.key
             recovered[arm] += ok
@@ -907,7 +906,7 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
         c = inst.random_concept(r.split(0))
         S_clean = draw_clean_sample(D, c, ip.n, r.split(1))
         S_corr, ledger = nasty_corrupt(
-            S_clean, ip.kappa * ip.eta, idealized, r.split(2), c=c, D=D
+            S_clean, ip.kappa * ip.eta, idealized, r.split(2), c=c
         )
         rec = {"arm": "idealized", "trial": t, "vulnerable": not ledger.flagged}
         if not ledger.flagged:
@@ -997,10 +996,10 @@ def reduction_pipeline_demo(
     for t in range(trials):
         r = rng.split(2, t)
         S_clean = draw_clean_sample(D, c, m, r.split(0))
-        S_n, ledger = nasty_corrupt(S_clean, eta, flip_first_z_labels, r.split(1), c=c, D=D)
+        S_n, ledger = nasty_corrupt(S_clean, eta, flip_first_z_labels, r.split(1), c=c)
         z = ledger.budget
 
-        def tracker(S: Sample, k: int, c_=None, D_=None, trng=None) -> StrategyResult:
+        def tracker(S: Sample, k: int, c_, trng) -> StrategyResult:
             j = min(z, k)
             # No-op padding after the first j flips keeps the count at exactly k.
             labs = np.concatenate([-S.labels[:j], S.labels[j:k]])

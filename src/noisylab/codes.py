@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 MAX_WORD_BITS = 64
+# Draws gen_random_linear_code makes for a full-rank matrix before it gives up.
+MAX_CODE_ATTEMPTS = 1000
 
 
 class DecodeFailure(Exception):
@@ -284,13 +286,11 @@ def _gf2_rank(rows: list[int]) -> int:
     return rank
 
 
-def gen_random_linear_code(
-    rho: float, w: int, rng: RngHandle, max_attempts: int = 1000
-) -> GeneratorMatrix:
+def gen_random_linear_code(rho: float, w: int, rng: RngHandle) -> GeneratorMatrix:
     """Uniformly random full-row-rank generator matrix at rate ``rho``.
 
     ``rho·w`` must be an integer number of rows; rank-deficient draws are
-    regenerated (up to ``max_attempts``).
+    regenerated (up to ``MAX_CODE_ATTEMPTS`` draws).
     """
     if not 0 < rho < 1:
         raise ValueError("rate must be in (0, 1)")
@@ -301,7 +301,7 @@ def gen_random_linear_code(
     if abs(k_float - k) > 1e-9 or k < 1:
         raise ValueError(f"rho*w must be a positive integer, got {k_float}")
     gen = rng.generator()
-    for _ in range(max_attempts):
+    for _ in range(MAX_CODE_ATTEMPTS):
         masks = [int(x) for x in gen.integers(0, 1 << w, size=k, dtype=np.uint64)]
         if _gf2_rank(list(masks)) == k:
             return GeneratorMatrix(masks, w)

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -30,11 +30,8 @@ __all__ = [
     "philox_uniforms",
     "Hypothesis",
     "TableHypothesis",
-    "FunctionHypothesis",
     "MixtureHypothesis",
-    "complement",
     "labeled_index",
-    "labeled_pair",
     "error_rate",
     "draw_clean_sample",
     "empirical_error",
@@ -333,6 +330,8 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, size: int) -> "DiscreteDistribution":
+        if size < 1:
+            raise ValueError(f"a uniform distribution needs size >= 1, got {size}")
         return cls(np.full(size, 1.0 / size))
 
     @classmethod
@@ -362,11 +361,6 @@ class DiscreteDistribution:
 def labeled_index(point: int, label: int) -> int:
     """Index of a labeled example in the product space: 2*point + [label == -1]."""
     return 2 * point + (1 if label < 0 else 0)
-
-
-def labeled_pair(index: int) -> LabeledExample:
-    """Inverse of :func:`labeled_index`."""
-    return LabeledExample(index // 2, -1 if index % 2 else +1)
 
 
 class Hypothesis:
@@ -409,19 +403,6 @@ class TableHypothesis(Hypothesis):
         return cls(np.full(domain_size, label, dtype=np.int8))
 
 
-class FunctionHypothesis(Hypothesis):
-    """Deterministic hypothesis given by a vectorized point -> ±1 function."""
-
-    def __init__(self, fn: Callable[[np.ndarray], np.ndarray], domain_size: int | None = None):
-        self.fn = fn
-        self.domain_size = domain_size
-
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
-        return _as_sign_array(self.fn(points))
-
-
 class MixtureHypothesis(Hypothesis):
     """Uniform mixture of hypotheses.
 
@@ -456,25 +437,6 @@ class MixtureHypothesis(Hypothesis):
         for h in self.components:
             acc += h.disagreement_prob(points, labels)
         return acc / len(self.components)
-
-
-class _ComplementHypothesis(Hypothesis):
-    def __init__(self, inner: Hypothesis):
-        self.inner = inner
-        self.domain_size = inner.domain_size
-
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
-        return -self.inner.evaluate_many(points, query_rng)
-
-    def disagreement_prob(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        return 1.0 - self.inner.disagreement_prob(points, labels)
-
-
-def complement(h: Hypothesis) -> Hypothesis:
-    """The pointwise negation of a hypothesis."""
-    return _ComplementHypothesis(h)
 
 
 def _check_domain(h: Hypothesis, size: int, role: str) -> None:

@@ -75,7 +75,6 @@ class IceSepParams:
     n: int
     block_size: int
     L: int = 64
-    slack: float = 1.25
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -85,6 +84,8 @@ class IceSepParams:
             raise ValueError("kappa must be in (1/2, 1)")
         if self.d >= self.w:
             raise ValueError("need d < w for a rate < 1 code")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         layout = KeyValueLayout(self.w, self.block_size, self._key_fraction_exact(self.eta, self.kappa))
         object.__setattr__(self, "layout", layout)
 
@@ -97,12 +98,11 @@ class IceSepParams:
         d: int,
         n: int | None = None,
         L: int = 64,
-        slack: float = 1.25,
     ) -> "IceSepParams":
         b = KeyValueLayout.fit(w, d, cls._key_fraction_exact(eta, kappa)).block_size
         if n is None:
             n = math.ceil(50 * w / eta)
-        return cls(eta=eta, kappa=kappa, w=w, d=d, n=n, block_size=b, L=L, slack=slack)
+        return cls(eta=eta, kappa=kappa, w=w, d=d, n=n, block_size=b, L=L)
 
     @staticmethod
     def _key_fraction_exact(eta: float, kappa: float) -> Fraction:
@@ -147,9 +147,6 @@ class IceSepParams:
     def decode_radius(self) -> int:
         """Bit-flip list-decoding radius floor((1/2 - tau) * w)."""
         return math.floor((0.5 - self.tau) * self.w)
-
-    def block_of(self, points: np.ndarray) -> np.ndarray:
-        return self.layout.block_of(points)
 
 
 class IceInstance:
@@ -241,7 +238,7 @@ def ice_idealized_nasty_strategy(inst: IceInstance) -> Callable:
     """
     layout = inst.params.layout
 
-    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
+    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, rng: RngHandle) -> StrategyResult:
         gen = rng.generator()
         blocks = layout.key_blocks(S_clean.points)
 
@@ -281,7 +278,7 @@ def nasty_via_strong_malicious(
     trial (the plan is truncated to stay within budget).
     """
 
-    def strategy(S_clean: Sample, Z: np.ndarray, c=None, D=None, rng: RngHandle | None = None) -> StrategyResult:
+    def strategy(S_clean: Sample, Z: np.ndarray, c, rng: RngHandle) -> StrategyResult:
         m = len(Z)
         half = m // 2
         written = Z[: 2 * half]
@@ -289,7 +286,7 @@ def nasty_via_strong_malicious(
         inner_mask[written] = False
         S_inner = S_clean.take(np.flatnonzero(inner_mask))
 
-        inner = nasty_strategy(S_inner, half, c, D, rng.split(0) if rng else None)
+        inner = nasty_strategy(S_inner, half, c, rng.split(0))
         flagged = inner.flagged
         flag_reason = inner.flag_reason
         pos, new = inner.positions, inner.introduced

@@ -55,7 +55,6 @@ class Learner:
 
     n: int
     train: Callable[[np.ndarray, np.ndarray, np.ndarray], list[Hypothesis]]
-    name: str = "learner"
 
     def __call__(self, S: Sample, rng: RngHandle) -> Hypothesis:
         if len(S) > self.n:
@@ -185,6 +184,8 @@ def bad_amplify(
     return the trained hypothesis with the lowest empirical error on the
     holdout, ties broken uniformly at random.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if len(S_big) != A.n * k + n_test:
         raise ValueError(
             f"need exactly n·k + n_test = {A.n * k + n_test} examples, got {len(S_big)}"

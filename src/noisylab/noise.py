@@ -6,11 +6,14 @@ Bin(n, η) law), fixed-rate nasty (exactly ⌊ηn⌋ replacements), and Huber
 contamination (mixture with an outlier distribution). :func:`tv_distance`
 measures how far apart two distributions are.
 
-An offline adversary is a plain function ``strategy(S_clean, budget, c, D,
+An offline adversary is a plain function ``strategy(S_clean, budget, c,
 rng)`` returning a :class:`StrategyResult`: the sample positions it rewrites
 as an int64 array, and a :class:`~noisylab.core.Sample` of the examples
 written there. The budget is an int for the nasty models and the coin set
-(an array of positions) for strong malicious. :func:`noop`,
+(an array of positions) for strong malicious. The online adversary of
+:func:`malicious_corrupt` is ``strategy(i, prefix, c, rng)`` and returns the
+example written at position ``i``. A strategy that needs more (the
+distribution, a concept-class instance) closes over it. :func:`noop`,
 :func:`flip_first_z_labels`, :func:`flip_random_labels` and
 :func:`contradict_replaced` are the stock strategies.
 
@@ -146,7 +149,7 @@ def malicious_corrupt(
     c: Hypothesis,
     n: int,
     eta: float,
-    strategy: Callable[[int, Sample, DiscreteDistribution, Hypothesis, RngHandle], tuple[int, int]],
+    strategy: Callable[[int, Sample, Hypothesis, RngHandle], tuple[int, int]],
     rng: RngHandle,
 ) -> tuple[Sample, CorruptionLedger]:
     """Online malicious corruption.
@@ -169,7 +172,7 @@ def malicious_corrupt(
     heads = np.flatnonzero(coins)
     for j, i in enumerate(heads.tolist()):
         prefix = Sample(out_pts[:i], out_labs[:i])
-        point, label = strategy(i, prefix, D, c, rng.split(2, j))
+        point, label = strategy(i, prefix, c, rng.split(2, j))
         ex = LabeledExample(int(point), int(label))
         out_pts[i] = ex.point
         out_labs[i] = ex.label
@@ -184,7 +187,6 @@ def strong_malicious_corrupt(
     strategy: Callable[..., StrategyResult],
     rng: RngHandle,
     c: Hypothesis | None = None,
-    D: DiscreteDistribution | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Strong malicious corruption.
 
@@ -198,7 +200,7 @@ def strong_malicious_corrupt(
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
     Z = np.flatnonzero(coins)
-    result = strategy(S_clean, Z, c, D, rng.split(1))
+    result = strategy(S_clean, Z, c, rng.split(1))
     pos = result.positions
     # A position outside [0, n) looks up the appended False.
     outside = pos[~np.append(coins, False)[np.where((pos >= 0) & (pos < n), pos, n)]]
@@ -213,7 +215,6 @@ def nasty_corrupt(
     strategy: Callable[..., StrategyResult],
     rng: RngHandle,
     c: Hypothesis | None = None,
-    D: DiscreteDistribution | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Nasty corruption with the budget-first protocol.
 
@@ -226,7 +227,7 @@ def nasty_corrupt(
     n = len(S_clean)
     gen = rng.split(0).generator()
     z = int((gen.random(n) < eta).sum())
-    result = strategy(S_clean, z, c, D, rng.split(1))
+    result = strategy(S_clean, z, c, rng.split(1))
     if len(result.positions) > z:
         raise ValueError(f"strategy used {len(result.positions)} corruptions, budget {z}")
     return _apply_choices(S_clean, result, drawn_budget=z)
@@ -236,15 +237,14 @@ def fixed_rate_nasty_corrupt(
     S_clean: Sample,
     eta: float,
     strategy: Callable[..., StrategyResult],
-    rng: RngHandle | None = None,
+    rng: RngHandle,
     c: Hypothesis | None = None,
-    D: DiscreteDistribution | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Fixed-rate nasty corruption: exactly ⌊ηn⌋ positions replaced."""
     NoiseRate(eta)
     n = len(S_clean)
     k = int(np.floor(eta * n))
-    result = strategy(S_clean, k, c, D, rng.split(1) if rng else None)
+    result = strategy(S_clean, k, c, rng.split(1))
     if len(result.positions) != k:
         raise ValueError(f"fixed-rate strategy must use exactly {k} corruptions, used {len(result.positions)}")
     return _apply_choices(S_clean, result, drawn_budget=k)
@@ -290,25 +290,25 @@ def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
 # --------------------------------------------------------------------------
 
 
-def noop(S_clean: Sample, budget, c=None, D=None, rng=None) -> StrategyResult:
+def noop(S_clean: Sample, budget, c, rng) -> StrategyResult:
     """Uses no corruptions at all (any offline model)."""
     return StrategyResult.empty()
 
 
-def flip_first_z_labels(S_clean: Sample, z: int, c=None, D=None, rng=None) -> StrategyResult:
+def flip_first_z_labels(S_clean: Sample, z: int, c, rng) -> StrategyResult:
     """Nasty/fixed-rate strategy: flip the labels of the first z positions."""
     z = min(z, len(S_clean))
     return StrategyResult(np.arange(z), Sample(S_clean.points[:z], -S_clean.labels[:z]))
 
 
-def flip_random_labels(S_clean: Sample, z: int, c=None, D=None, rng=None) -> StrategyResult:
+def flip_random_labels(S_clean: Sample, z: int, c, rng: RngHandle) -> StrategyResult:
     """Nasty/fixed-rate strategy: flip the labels of z uniform positions."""
     z = min(z, len(S_clean))
     idx = rng.generator().choice(len(S_clean), size=z, replace=False)
     return StrategyResult(idx, Sample(S_clean.points[idx], -S_clean.labels[idx]))
 
 
-def contradict_replaced(S_clean: Sample, Z: np.ndarray, c=None, D=None, rng=None) -> StrategyResult:
+def contradict_replaced(S_clean: Sample, Z: np.ndarray, c, rng: RngHandle) -> StrategyResult:
     """Strong-malicious strategy: each coin position becomes a contradiction
     of a uniformly chosen clean example (the canonical ICE attack)."""
     if len(Z) == 0 or len(S_clean) == 0:

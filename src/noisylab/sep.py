@@ -251,6 +251,8 @@ class SepParams:
     def __post_init__(self) -> None:
         if not 0 < self.eta_N < 1 or not 0 < self.eta_M < 1:
             raise ValueError("noise rates must be in (0, 1)")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         lower = self.eta_M / ((1 - self.eta_M) * self.code.tau)
         if not lower < self.kappa < 1:
             raise ValueError(
@@ -273,30 +275,23 @@ class SepParams:
         d: int,
         u: int,
         n: int | None = None,
-        lam: float | None = None,
-        m_out: int | None = None,
         L: int = 64,
-        slack: float = 1.25,
     ) -> "SepParams":
         """Explicit-rate construction (desk-scale parameter packs)."""
         kap = kappa if isinstance(kappa, Fraction) else Fraction(str(kappa))
-        if lam is None:
-            lam = 0.5 * (rho + binary_entropy(eta_N) - 1)
+        lam = 0.5 * (rho + binary_entropy(eta_N) - 1)
         code = CodeParams(rho=rho, tau=tau, lam=lam, eta_N=eta_N, L=L)
         b = KeyValueLayout.fit(w, d, kap).block_size
         if n is None:
             n = cls._auto_n(w, eta_M, kap)
-        if m_out is None:
-            m_out = max(1, w // 2)
         return cls(
             eta_N=eta_N, eta_M=eta_M, kappa=kap, code=code,
-            w=w, d=d, u=u, n=n, block_size=b, m_out=m_out, slack=slack,
+            w=w, d=d, u=u, n=n, block_size=b, m_out=max(1, w // 2),
         )
 
     @classmethod
     def from_ratio(
-        cls, r: float, w: int, d: int, u: int, n: int | None = None,
-        L: int = 64, slack: float = 1.25,
+        cls, r: float, w: int, d: int, u: int, n: int | None = None, L: int = 64,
     ) -> "SepParams":
         """Rate pack derived from the ratio ``r > 1``:
         ``eta_N = 2^(-8r)``, ``eta_M = H(eta_N)/(H(eta_N)+2)``, code constants
@@ -321,7 +316,7 @@ class SepParams:
             n = cls._auto_n(w, eta_M, kap)
         return cls(
             eta_N=eta_N, eta_M=eta_M, kappa=kap, code=code,
-            w=w, d=d, u=u, n=n, block_size=b, m_out=max(1, w // 2), slack=slack,
+            w=w, d=d, u=u, n=n, block_size=b, m_out=max(1, w // 2),
         )
 
     @staticmethod
@@ -355,10 +350,6 @@ class SepParams:
     @property
     def extractor_spec(self) -> ExtractorSpec:
         return ExtractorSpec(w=self.w, u=self.u, m_out=self.m_out)
-
-    def block_of(self, points: np.ndarray) -> np.ndarray:
-        """Key-block index of each point (caller restricts to the key side)."""
-        return self.layout.block_of(points)
 
 
 class SepInstance:
@@ -401,7 +392,7 @@ def sep_nasty_strategy(inst: SepInstance):
     """
     layout = inst.params.layout
 
-    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
+    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, rng) -> StrategyResult:
         blocks = layout.key_blocks(S_clean.points)
 
         def block_plans():
@@ -425,7 +416,7 @@ def sep_key_erasure_strategy(inst: SepInstance):
     params = inst.params
     chunk = math.ceil(params.D)
 
-    def strategy(S_clean: Sample, Z: np.ndarray, c: KeyValueConcept, D=None, rng=None) -> StrategyResult:
+    def strategy(S_clean: Sample, Z: np.ndarray, c: KeyValueConcept, rng: RngHandle) -> StrategyResult:
         n_erase = min(len(Z) // chunk, params.w)
         gen = rng.generator()
         blocks = gen.choice(params.w, size=n_erase, replace=False)

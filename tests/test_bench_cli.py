@@ -262,6 +262,9 @@ class TestCli:
         pytest.param("run round-lemma --config {seed_str}", id="config-seed-str"),
         pytest.param("run round-lemma --config {seed_bool}", id="config-seed-bool"),
         pytest.param("run sep-adversary --config {weightless}", id="sep-adversary-no-codeword"),
+        pytest.param("run sep-learner --config {sep_n0}", id="sep-learner-zero-n"),
+        pytest.param("run ice-coupling --config {domain0}", id="ice-coupling-empty-domain"),
+        pytest.param("run badamplify --config {k0}", id="badamplify-zero-k"),
     ],
 )
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
@@ -280,6 +283,10 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     weightless = tmp_path / "weightless.json"
     weightless.write_text(json.dumps({"scenario": "sep-adversary", "params": {
         "eta_N": 0.01, "eta_M": 0.005, "n": 500, "sim_trials": 2, "sim_n": 50}}))
+    sep_n0, domain0, k0 = (tmp_path / f"{name}.json" for name in ("sep_n0", "domain0", "k0"))
+    sep_n0.write_text(json.dumps({"scenario": "sep-learner", "params": {"n": 0}}))
+    domain0.write_text(json.dumps({"scenario": "ice-coupling", "params": {"domain": 0}}))
+    k0.write_text(json.dumps({"scenario": "badamplify", "params": {"k": 0}}))
     listed, unnamed = tmp_path / "listed.json", tmp_path / "unnamed.json"
     listed.write_text("[1]")
     unnamed.write_text(json.dumps({"schema_version": 1, "n_records": 0}))
@@ -290,7 +297,8 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     capsys.readouterr()
     args = argv.format(
         code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null, frac=frac, listed=listed,
-        unnamed=unnamed, weightless=weightless, missing=tmp_path / "none",
+        unnamed=unnamed, weightless=weightless, sep_n0=sep_n0, domain0=domain0, k0=k0,
+        missing=tmp_path / "none",
         **{name: tmp_path / f"{name}.json" for name in fields},
     ).split()
     assert main(args) == 2
@@ -304,3 +312,5 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "200.7" in err[0] and "integer" in err[0]
     if "weightless" in argv:
         assert "nonzero codeword" in err[0]
+    if "k0" in argv:
+        assert "k must be >= 1" in err[0]

@@ -14,18 +14,15 @@ from hypothesis import strategies as st
 
 from noisylab.core import (
     DiscreteDistribution,
-    FunctionHypothesis,
     LabeledExample,
     MixtureHypothesis,
     RngHandle,
     Sample,
     TableHypothesis,
-    complement,
     draw_clean_sample,
     empirical_error,
     error_rate,
     labeled_index,
-    labeled_pair,
     philox_keys,
     philox_uniforms,
 )
@@ -216,6 +213,9 @@ class TestDiscreteDistribution:
             DiscreteDistribution([-0.5, 1.5])
         with pytest.raises(ValueError):
             DiscreteDistribution([])
+        for size in (0, -1):
+            with pytest.raises(ValueError, match="size >= 1"):
+                DiscreteDistribution.uniform(size)
 
     def test_uniform_and_point_mass(self):
         u = DiscreteDistribution.uniform(4)
@@ -236,7 +236,7 @@ class TestDiscreteDistribution:
 
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from((-1, 1)))
 def test_labeled_index_round_trip(point, label):
-    assert labeled_pair(labeled_index(point, label)) == LabeledExample(point, label)
+    assert labeled_index(point, label) == 2 * point + (label == -1)
 
 
 class TestHypotheses:
@@ -244,10 +244,6 @@ class TestHypotheses:
         h = TableHypothesis([1, -1, 1])
         assert h.evaluate(1) == -1
         assert np.array_equal(h.evaluate_many(np.array([0, 2])), [1, 1])
-
-    def test_function_hypothesis(self):
-        h = FunctionHypothesis(lambda p: np.where(p % 2 == 0, 1, -1), domain_size=10)
-        assert h.evaluate(4) == 1 and h.evaluate(5) == -1
 
     def test_error_rate_hand_oracle(self):
         # D = (0.5, 0.25, 0.25); h and c disagree only at point 2 -> 0.25.
@@ -273,11 +269,6 @@ class TestHypotheses:
         D = DiscreteDistribution.uniform(4)
         with pytest.raises(ValueError):
             error_rate(TableHypothesis([1, 1]), TableHypothesis([1] * 4), D)
-
-    def test_complement(self):
-        D = DiscreteDistribution.uniform(3)
-        c = TableHypothesis([1, -1, 1])
-        assert error_rate(complement(c), c, D) == pytest.approx(1.0)
 
     def test_empirical_error(self):
         S = Sample.from_pairs([(0, 1), (1, 1), (2, -1), (3, -1)])

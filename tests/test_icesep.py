@@ -72,6 +72,8 @@ class TestParams:
             IceSepParams.create(eta=0.05, kappa=0.5, w=8, d=4)
         with pytest.raises(ValueError, match="d < w"):
             IceSepParams.create(eta=0.05, kappa=0.7, w=8, d=8)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            small_params(0)
 
     def test_exact_key_fraction(self):
         p = small_params()
@@ -167,7 +169,7 @@ class TestLearner:
         D = inst.distribution()
         S_clean = draw_clean_sample(D, c, p.n, RngHandle(6))
         S_corr, ledger = strong_malicious_corrupt(
-            S_clean, p.eta, contradict_replaced, RngHandle(7), c=c, D=D
+            S_clean, p.eta, contradict_replaced, RngHandle(7), c=c
         )
         _, det = ice_malicious_learner(S_corr, inst, RngHandle(8))
         counters = BlockCounters.from_trial(ledger, c, p)
@@ -200,13 +202,13 @@ class TestIdealizedNasty:
         S = draw_clean_sample(D, c, p.n, RngHandle(2))
         rate = p.kappa * p.eta
         S_corr, ledger = nasty_corrupt(
-            S, rate, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c, D=D
+            S, rate, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c
         )
         assert not ledger.flagged
         survivors = S_corr.take(ice_filter_keep(S_corr))
         assert np.all(survivors.points >= p.key_size)
         key_mask = S.points < p.key_size
-        blk = p.block_of(S.points[key_mask])
+        blk = p.layout.block_of(S.points[key_mask])
         odd = int(np.sum(np.bincount(blk, minlength=p.w) % 2 == 1))
         assert len(survivors) == int((~key_mask).sum()) + odd
 
@@ -216,7 +218,7 @@ class TestIdealizedNasty:
         D = inst.distribution()
         S = draw_clean_sample(D, c, inst.params.n, RngHandle(2))
         _, ledger = nasty_corrupt(
-            S, 0.07, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c, D=D
+            S, 0.07, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c
         )
         value_intro = ledger.introduced.points >= inst.params.key_size
         pts = ledger.introduced.points[value_intro]
@@ -229,7 +231,7 @@ class TestIdealizedNasty:
         D = inst.distribution()
         S = draw_clean_sample(D, c, inst.params.n, RngHandle(2))
         _, ledger = nasty_corrupt(
-            S, 0.005, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c, D=D
+            S, 0.005, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c
         )
         assert ledger.flagged and ledger.flag_reason == "budget exhausted"
 
@@ -246,9 +248,9 @@ class TestCoupling:
         c = self._concept()
         D = DiscreteDistribution.uniform(self.DOMAIN)
         S = draw_clean_sample(D, c, 60, RngHandle(1))
-        noop = lambda S_inner, z, c_, D_, rng: StrategyResult.empty()
+        noop = lambda S_inner, z, c_, rng: StrategyResult.empty()
         strong = nasty_via_strong_malicious(noop, filler_point=3)
-        out, ledger = strong_malicious_corrupt(S, 0.3, strong, RngHandle(2), c=c, D=D)
+        out, ledger = strong_malicious_corrupt(S, 0.3, strong, RngHandle(2), c=c)
         half = ledger.drawn_budget // 2
         # Surplus over the untouched inner sample: exactly `half` pairs at
         # the filler point.
@@ -269,13 +271,13 @@ class TestCoupling:
         D = DiscreteDistribution.uniform(self.DOMAIN)
         S = draw_clean_sample(D, c, 40, RngHandle(3))
 
-        def greedy(S_inner, z, c_, D_, rng):
+        def greedy(S_inner, z, c_, rng):
             # Ignores its budget: asks for one corruption per inner example.
             n = len(S_inner)
             return StrategyResult(np.arange(n), Sample(np.zeros(n), np.ones(n)))
 
         strong = nasty_via_strong_malicious(greedy)
-        out, ledger = strong_malicious_corrupt(S, 0.4, strong, RngHandle(4), c=c, D=D)
+        out, ledger = strong_malicious_corrupt(S, 0.4, strong, RngHandle(4), c=c)
         assert ledger.flagged and "non-malleable" in ledger.flag_reason
         assert ledger.budget <= 2 * (ledger.drawn_budget // 2)
 
@@ -285,7 +287,7 @@ class TestCoupling:
         c = self._concept()
         D = DiscreteDistribution.uniform(self.DOMAIN)
 
-        def inner(S_inner, z, c_, D_, rng):
+        def inner(S_inner, z, c_, rng):
             g = rng.generator()
             k = int(g.integers(0, z + 1)) if z else 0
             idx = g.choice(len(S_inner), size=k, replace=False) if k else np.empty(0, int)
@@ -296,13 +298,13 @@ class TestCoupling:
         for t in range(20):
             r = RngHandle(50 + t)
             S = draw_clean_sample(D, c, 50, r.split(0))
-            out, ledger = strong_malicious_corrupt(S, 0.3, strong, r.split(1), c=c, D=D)
+            out, ledger = strong_malicious_corrupt(S, 0.3, strong, r.split(1), c=c)
             Z = ledger.coin_set
             half = len(Z) // 2
             mask = np.ones(50, dtype=bool)
             mask[Z[: 2 * half]] = False
             S_inner = S.take(np.flatnonzero(mask))
-            res = inner(S_inner, half, c, D, r.split(1, 1, 0))
+            res = inner(S_inner, half, c, r.split(1, 1, 0))
             S_nasty = S_inner.replace_at(res.positions, res.introduced.points, res.introduced.labels)
             # Filter outputs agree exactly.
             assert ice_filter(out).multiset() == ice_filter(S_nasty).multiset()

@@ -150,7 +150,7 @@ def _majority_learner(n):
     def train(points, labels, keys):
         return [TableHypothesis.constant(1 if s >= 0 else -1, 2) for s in labels.sum(axis=1)]
 
-    return Learner(n=n, train=train, name="majority")
+    return Learner(n=n, train=train)
 
 
 class TestLearner:
@@ -178,7 +178,7 @@ def _recording_learner(n, domain=6):
             hyps.append(h)
         return hyps
 
-    return Learner(n=n, train=train, name="recording")
+    return Learner(n=n, train=train)
 
 
 def _reference_groups(A, S_big, k, rng):
@@ -296,6 +296,12 @@ class TestBadAmplify:
         A = _majority_learner(2)
         with pytest.raises(ValueError, match="n_test"):
             bad_amplify(A, 2, 1, Sample.from_pairs([(0, 1)] * 4), RngHandle(0))
+
+    def test_zero_groups_rejected(self):
+        # The sample size n·k + n_test matches, so only k itself is wrong.
+        A = _majority_learner(2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            bad_amplify(A, 0, 4, Sample.from_pairs([(0, 1)] * 4), RngHandle(0))
 
     def test_selects_lowest_holdout_error(self):
         # Learner output is determined by its group content; the all-agreeing

@@ -54,7 +54,7 @@ class TestMalicious:
     def test_online_protocol_prefix_only(self):
         seen = []
 
-        def strategy(i, prefix, D, c, rng):
+        def strategy(i, prefix, c, rng):
             seen.append((i, len(prefix)))
             return 0, -1
 
@@ -64,12 +64,12 @@ class TestMalicious:
         assert len(seen) == ledger.budget == ledger.drawn_budget
 
     def test_ledger_reapply_matches_output(self):
-        strategy = lambda i, prefix, D, c, rng: (int(rng.generator().integers(0, 4)), 1)
+        strategy = lambda i, prefix, c, rng: (int(rng.generator().integers(0, 4)), 1)
         S, ledger = malicious_corrupt(D4, C4, 60, 0.3, strategy, RngHandle(3))
         assert ledger.reapply().multiset() == S.multiset()
 
     def test_deterministic(self):
-        strategy = lambda i, prefix, D, c, rng: (0, -1)
+        strategy = lambda i, prefix, c, rng: (0, -1)
         a, _ = malicious_corrupt(D4, C4, 30, 0.4, strategy, RngHandle(9))
         b, _ = malicious_corrupt(D4, C4, 30, 0.4, strategy, RngHandle(9))
         assert a.multiset() == b.multiset()
@@ -79,7 +79,7 @@ class TestStrongMalicious:
     def test_writing_outside_coin_set_raises(self):
         S = clean()
 
-        def bad(S_clean, Z, c, D, rng):
+        def bad(S_clean, Z, c, rng):
             outside = next(i for i in range(len(S_clean)) if i not in set(Z.tolist()))
             return StrategyResult(np.array([outside]), Sample([0], [1]))
 
@@ -96,7 +96,7 @@ class TestStrongMalicious:
         first = z - n if wrong == "negative" else n
         later = n + 5 if wrong == "negative" else -1
 
-        def bad(S_clean, Z, c, D, rng):
+        def bad(S_clean, Z, c, rng):
             assert z in Z
             return StrategyResult(np.array([z, first, later]), Sample([0, 0, 0], [1, 1, 1]))
 
@@ -123,7 +123,7 @@ class TestStrongMalicious:
     def test_contradict_replaced_strategy(self):
         S = clean(100)
         out, ledger = strong_malicious_corrupt(
-            S, 0.2, contradict_replaced, RngHandle(6), c=C4, D=D4
+            S, 0.2, contradict_replaced, RngHandle(6), c=C4
         )
         # Every introduced example contradicts some clean example.
         clean_ms = S.multiset()
@@ -135,7 +135,7 @@ class TestNasty:
     def test_budget_exceeded_raises(self):
         S = clean(10)
 
-        def greedy(S_clean, z, c, D, rng):
+        def greedy(S_clean, z, c, rng):
             return StrategyResult(np.arange(z + 1), Sample(np.zeros(z + 1), np.ones(z + 1)))
 
         with pytest.raises(ValueError, match="budget"):
@@ -258,7 +258,7 @@ class TestLedger:
     @pytest.mark.parametrize("n_introduced", [1, 3])
     def test_strategy_length_mismatch_rejected(self, n_introduced):
         # Two positions (floor(0.2 * 10)) but a different number of examples.
-        def lopsided(S_clean, k, c, D, rng):
+        def lopsided(S_clean, k, c, rng):
             return StrategyResult(np.arange(k), clean(n_introduced))
 
         with pytest.raises(ValueError, match="arity"):

@@ -69,6 +69,11 @@ class TestSepParams:
                 w=8, d=4, u=2, n=1000,
             )
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_size_validated(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            small_params(n)
+
     def test_from_ratio_constructs(self):
         p = SepParams.from_ratio(1.5, w=10, d=4, u=2, n=2000)
         assert 0 < p.eta_N < p.eta_M < 0.5
@@ -80,7 +85,7 @@ class TestSepParams:
 
     def test_block_of(self):
         p = small_params()
-        assert p.block_of(np.array([0, 1, 2, 15])).tolist() == [0, 0, 1, 7]
+        assert p.layout.block_of(np.array([0, 1, 2, 15])).tolist() == [0, 0, 1, 7]
 
 
 class TestKeyValueLayout:
@@ -243,7 +248,7 @@ class TestNastyStrategy:
         c = inst.concept(p_idx, 0)
         D = inst.distribution()
         S = draw_clean_sample(D, c, inst.params.n, RngHandle(1))
-        out, ledger = nasty_corrupt(S, 0.25, sep_nasty_strategy(inst), RngHandle(2), c=c, D=D)
+        out, ledger = nasty_corrupt(S, 0.25, sep_nasty_strategy(inst), RngHandle(2), c=c)
         assert not ledger.flagged
         key = out.points < inst.params.key_size
         assert np.all(out.labels[key] == 1)
@@ -256,7 +261,7 @@ class TestNastyStrategy:
         c = inst.concept(p_idx, 0)
         D = inst.distribution()
         S = draw_clean_sample(D, c, inst.params.n, RngHandle(1))
-        _, ledger = nasty_corrupt(S, 0.001, sep_nasty_strategy(inst), RngHandle(2), c=c, D=D)
+        _, ledger = nasty_corrupt(S, 0.001, sep_nasty_strategy(inst), RngHandle(2), c=c)
         assert ledger.flagged and ledger.flag_reason == "budget exhausted"
         assert ledger.budget <= ledger.drawn_budget
 
@@ -270,11 +275,11 @@ class TestKeyErasureStrategy:
         # Rate chosen so the coin set comfortably exceeds one block's chunk
         # of ceil(D) = 238 positions at this small scale.
         out, ledger = strong_malicious_corrupt(
-            S, 0.2, sep_key_erasure_strategy(inst), RngHandle(4), c=c, D=D
+            S, 0.2, sep_key_erasure_strategy(inst), RngHandle(4), c=c
         )
         assert ledger.budget > 0
         p = inst.params
-        blocks = p.block_of(ledger.introduced.points)
+        blocks = p.layout.block_of(ledger.introduced.points)
         for b, lab in zip(blocks, ledger.introduced.labels):
             assert int(lab) == -int(c.codeword.bits[b])
         # All introduced points live on the key side.
@@ -307,7 +312,7 @@ class TestLearner:
         D = inst.distribution()
         S = draw_clean_sample(D, c, inst.params.n, RngHandle(5))
         S_corr, ledger = strong_malicious_corrupt(
-            S, 0.2, sep_key_erasure_strategy(inst), RngHandle(6), c=c, D=D
+            S, 0.2, sep_key_erasure_strategy(inst), RngHandle(6), c=c
         )
         assert ledger.budget > 0  # the attack actually fired
         h, det = sep_malicious_learner(S_corr, inst)
@@ -326,7 +331,7 @@ class TestLearner:
             c = inst.concept(p_idx, q)
             S = draw_clean_sample(D, c, inst.params.n, RngHandle(noise_seed))
             S_corr, _ = strong_malicious_corrupt(
-                S, 0.2, sep_key_erasure_strategy(inst), RngHandle(noise_seed + 1), c=c, D=D
+                S, 0.2, sep_key_erasure_strategy(inst), RngHandle(noise_seed + 1), c=c
             )
             h, det = sep_malicious_learner(S_corr, inst)
             labels = [(p, s) for p in det["candidates"] for s in range(seeds)]
