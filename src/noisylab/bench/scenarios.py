@@ -5,7 +5,9 @@ its per-trial records, aggregate statistics, and boolean verdicts;
 :func:`run_scenario` wraps them in a :class:`TrialReport`. A scenario
 declares its parameters once, as the defaults it is registered with: a config
 may set only those, and each given value is cast to its default's type and
-must equal its cast (``200.0`` may set an int, ``200.7`` may not).
+must equal its cast (``200.0`` may set an int, ``200.7`` may not). A size
+parameter is registered as ``_Size(default, low)`` and may not be set below
+``low``, so a degenerate size is an error rather than a vacuous pass.
 Statistical verdicts use 99% two-sided binomial confidence intervals and
 chi-square tests at significance 1e-3 unless a scenario documents otherwise;
 both significance knobs are parameters.
@@ -22,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -88,14 +90,24 @@ __all__ = ["ExperimentConfig", "run_scenario", "scenario_names"]
 # What a scenario returns: records, aggregate, verdicts.
 Outcome = tuple[list[dict], dict, dict[str, bool]]
 
-_SCENARIOS: dict[str, tuple[Callable[..., Outcome], dict]] = {}
+_SCENARIOS: dict[str, tuple[Callable[..., Outcome], dict, dict[str, int]]] = {}
 
 
-def _register(name: str, **defaults):
-    """Register a scenario under ``name``; ``defaults`` are all its parameters."""
+class _Size(NamedTuple):
+    """An integer size parameter's default and the least value it accepts."""
+
+    default: int
+    low: int
+
+
+def _register(name: str, **declared):
+    """Register a scenario under ``name``; ``declared`` are all its parameters,
+    each a default or a :class:`_Size`."""
+    defaults = {k: v.default if isinstance(v, _Size) else v for k, v in declared.items()}
+    lows = {k: v.low for k, v in declared.items() if isinstance(v, _Size)}
 
     def deco(fn):
-        _SCENARIOS[name] = (fn, defaults)
+        _SCENARIOS[name] = (fn, defaults, lows)
         return fn
 
     return deco
@@ -154,7 +166,7 @@ class ExperimentConfig:
 def run_scenario(config: ExperimentConfig) -> TrialReport:
     """Execute the named scenario with trial-split RNG streams, every
     parameter the config leaves out at its default."""
-    fn, defaults = _SCENARIOS[config.scenario]
+    fn, defaults, lows = _SCENARIOS[config.scenario]
     params = dict(defaults)
     for key, value in config.params.items():
         # A value must equal its cast, so the echoed config describes the run.
@@ -166,6 +178,8 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
         except (TypeError, ValueError):
             noun = "an integer" if kind is int else "a number"
             raise ValueError(f"param {key!r} must be {noun}, got {value!r}") from None
+        if key in lows and params[key] < lows[key]:
+            raise ValueError(f"{key} must be >= {lows[key]}, got {value!r}")
     records, aggregate, verdicts = fn(config.trials, RngHandle(config.seed), **params)
     echo = {key: getattr(config, key) for key in ("scenario", "params", "trials", "seed")}
     return TrialReport(config.scenario, echo, records, aggregate, verdicts)
@@ -230,7 +244,7 @@ def two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
-@_register("ice-filter-unit", max_len=6, domain_points=3)
+@_register("ice-filter-unit", max_len=_Size(6, 1), domain_points=_Size(3, 1))
 def _scenario_ice_filter_unit(
     trials: int, rng: RngHandle, max_len: int, domain_points: int
 ) -> Outcome:
@@ -312,7 +326,7 @@ def _scenario_ice_filter_unit(
 # --------------------------------------------------------------------------
 
 
-@_register("nasty-budget-law", n=100, eta=0.2, significance=1e-3)
+@_register("nasty-budget-law", n=_Size(100, 1), eta=0.2, significance=1e-3)
 def _scenario_nasty_budget_law(
     trials: int, rng: RngHandle, n: int, eta: float, significance: float
 ) -> Outcome:
@@ -334,7 +348,7 @@ def _scenario_nasty_budget_law(
 # --------------------------------------------------------------------------
 
 
-@_register("amplify-concentration", eps=0.2, k=64, eta=0.2, n_group=1)
+@_register("amplify-concentration", eps=0.2, k=_Size(64, 1), eta=0.2, n_group=_Size(1, 1))
 def _scenario_amplify_concentration(
     trials: int, rng: RngHandle, eps: float, k: int, eta: float, n_group: int
 ) -> Outcome:
@@ -381,7 +395,9 @@ def _scenario_amplify_concentration(
 # --------------------------------------------------------------------------
 
 
-@_register("badamplify", eps=0.3, eta=0.25, n=60, k=10, n_test=40)
+@_register(
+    "badamplify", eps=0.3, eta=0.25, n=_Size(60, 1), k=_Size(10, 1), n_test=_Size(40, 1)
+)
 def badamplify_counterexample(
     trials: int, rng: RngHandle, eps: float, eta: float, n: int, k: int, n_test: int
 ) -> Outcome:
@@ -511,7 +527,8 @@ def badamplify_counterexample(
 
 @_register(
     "codes-suite",
-    codes=50, w=12, rho=0.5, max_erasures=3, bitflip_codes=20, low_weight_codes=20,
+    codes=_Size(50, 1), w=_Size(12, 1), rho=0.5, max_erasures=_Size(3, 0),
+    bitflip_codes=_Size(20, 1), low_weight_codes=_Size(20, 1),
 )
 def _scenario_codes_suite(
     trials: int, rng: RngHandle, codes: int, w: int, rho: float,
@@ -602,7 +619,10 @@ def _scenario_codes_suite(
 
 
 # The SepParams.create arguments both separation scenarios take.
-_SEP_DEFAULTS = dict(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=24, d=12, u=8, n=50000)
+_SEP_DEFAULTS = dict(
+    eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15,
+    w=_Size(24, 1), d=_Size(12, 0), u=_Size(8, 0), n=_Size(50000, 1),
+)
 
 
 @_register("sep-learner", **_SEP_DEFAULTS)
@@ -673,7 +693,10 @@ def _scenario_sep_learner(trials: int, rng: RngHandle, **sep) -> Outcome:
 # --------------------------------------------------------------------------
 
 
-@_register("sep-adversary", **_SEP_DEFAULTS, significance=1e-3, sim_trials=2000, sim_n=500)
+@_register(
+    "sep-adversary", **_SEP_DEFAULTS,
+    significance=1e-3, sim_trials=_Size(2000, 1), sim_n=_Size(500, 1),
+)
 def _scenario_sep_adversary(
     trials: int, rng: RngHandle, significance: float, sim_trials: int, sim_n: int, **sep
 ) -> Outcome:
@@ -768,7 +791,7 @@ def _scenario_sep_adversary(
 # --------------------------------------------------------------------------
 
 
-@_register("round-lemma", kappa=0.6, w=200)
+@_register("round-lemma", kappa=0.6, w=_Size(200, 1))
 def _scenario_round_lemma(trials: int, rng: RngHandle, kappa: float, w: int) -> Outcome:
     budget = (1 - kappa) * w
     bound = 0.5 * (1 - kappa / 2) * w
@@ -800,7 +823,7 @@ def _scenario_round_lemma(trials: int, rng: RngHandle, kappa: float, w: int) -> 
 # --------------------------------------------------------------------------
 
 
-@_register("ice-coupling", domain=20, n=40, eta=0.3, filler_point=0)
+@_register("ice-coupling", domain=_Size(20, 1), n=_Size(40, 1), eta=0.3, filler_point=0)
 def _scenario_ice_coupling(
     trials: int, rng: RngHandle, domain: int, n: int, eta: float, filler_point: int
 ) -> Outcome:
@@ -878,7 +901,10 @@ def _scenario_ice_coupling(
 # --------------------------------------------------------------------------
 
 
-@_register("ice-learner", eta=0.05, kappa=0.7, w=20, d=10, n=20000, L=1024)
+@_register(
+    "ice-learner", eta=0.05, kappa=0.7,
+    w=_Size(20, 2), d=_Size(10, 1), n=_Size(20000, 1), L=_Size(1024, 1),
+)
 def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
     ip = IceSepParams.create(**params)
     inst = IceInstance.generate(ip, rng.split(0))
@@ -944,7 +970,7 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
 # --------------------------------------------------------------------------
 
 
-@_register("reduction-demos", domain=16, eta=0.1, huber_eta=0.3, m=400)
+@_register("reduction-demos", domain=_Size(16, 1), eta=0.1, huber_eta=0.3, m=_Size(400, 1))
 def reduction_pipeline_demo(
     trials: int, rng: RngHandle, domain: int, eta: float, huber_eta: float, m: int
 ) -> Outcome:

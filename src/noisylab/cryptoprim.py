@@ -5,7 +5,8 @@ cryptographic primitive in the package:
 
 * The PRF output on point ``x`` is bit ``x mod 512`` of the keyed BLAKE2b
   stream block ``x // 512`` (counter mode), so bulk truth tables cost one hash
-  per 512 points.
+  per 512 points. A :class:`PrfDigestStore` keeps the raw stream of every key
+  it has hashed, so a key scored again is not hashed again.
 * The extractor is a Toeplitz universal hash ``T[i, j] = t[i + j]`` over
   GF(2). Seed ``q``'s defining bits ``t[0 .. w + m_out - 2]`` are bit ``k % 8``
   of byte ``k // 8`` of one BLAKE2b digest (personalization ``b"toeplitz"``,
@@ -33,7 +34,7 @@ from .codes import MAX_WORD_BITS, _as_mask, signs_to_mask
 __all__ = [
     "PrfKey",
     "prf_truth_table",
-    "prf_truth_tables",
+    "PrfDigestStore",
     "ExtractorSpec",
     "extract",
     "toeplitz_matrices",
@@ -75,7 +76,11 @@ class PrfKey:
     def key_bytes(self) -> bytes:
         """The mask in ``ceil(length / 8)`` little-endian bytes (position
         ``i`` is bit ``i % 8`` of byte ``i // 8``)."""
-        return self.mask.to_bytes(-(-self.length // 8), "little")
+        return _key_bytes(self.mask, self.length)
+
+
+def _key_bytes(mask: int, length: int) -> bytes:
+    return mask.to_bytes(-(-length // 8), "little")
 
 
 def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> bytes:
@@ -97,26 +102,46 @@ def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
     return 1 - 2 * bits.astype(np.int8)
 
 
-def prf_truth_tables(keys: Sequence[PrfKey], n_points: int) -> np.ndarray:
-    """±1 outputs at points ``0 .. n_points-1`` under each key, one row per key.
+class PrfDigestStore:
+    """PRF truth tables at points ``0 .. n_points-1`` for ``length``-bit keys,
+    each key hashed once: the raw digest stream of every mask asked for is
+    kept, and rows are unpacked from it on request.
 
-    Block ``b`` hashes the 8-byte little-endian counter ``b``; the joined
-    digests of all keys are unpacked in one call (one hash per key per 512
-    points).
+    Block ``b`` hashes the 8-byte little-endian counter ``b`` (one hash per
+    key per 512 points). The store grows only with the keys actually asked
+    for; its owner decides how long it lives.
     """
-    if n_points < 0:
-        raise ValueError("n_points must be >= 0")
-    n_blocks = -(-n_points // _PRF_BLOCK_BITS)
-    counters = [b.to_bytes(8, "little") for b in range(n_blocks)]
-    stream = b"".join(_prf_digests(key.key_bytes(), counters) for key in keys)
-    bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
-    bits = bits.reshape(len(keys), n_blocks * _PRF_BLOCK_BITS)[:, :n_points]
-    return _bits_to_signs(bits)
+
+    def __init__(self, length: int, n_points: int):
+        if length < 1:
+            raise ValueError("key must be nonempty")
+        if n_points < 0:
+            raise ValueError("n_points must be >= 0")
+        self.length = length
+        self.n_points = n_points
+        n_blocks = -(-n_points // _PRF_BLOCK_BITS)
+        self._counters = [b.to_bytes(8, "little") for b in range(n_blocks)]
+        self._digests: dict[int, bytes] = {}
+
+    def tables(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """±1 truth tables of the keys with packed ``masks``, one int8 row per
+        mask in the given order; a mask not seen before is hashed first."""
+        if isinstance(masks, np.ndarray):
+            masks = masks.tolist()
+        masks = [_as_mask(m, self.length, "key mask") for m in masks]
+        digests = self._digests
+        for m in masks:
+            if m not in digests:
+                digests[m] = _prf_digests(_key_bytes(m, self.length), self._counters)
+        stream = b"".join([digests[m] for m in masks])
+        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
+        bits = bits.reshape(len(masks), len(self._counters) * _PRF_BLOCK_BITS)
+        return _bits_to_signs(bits[:, : self.n_points])
 
 
 def prf_truth_table(key: PrfKey, n_points: int) -> np.ndarray:
     """±1 outputs at points ``0 .. n_points-1`` (one hash per 512 points)."""
-    return prf_truth_tables([key], n_points)[0]
+    return PrfDigestStore(key.length, n_points).tables([key.mask])[0]
 
 
 @dataclass(frozen=True)

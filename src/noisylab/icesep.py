@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .core import (
     Sample,
     TableHypothesis,
 )
-from .cryptoprim import PrfKey
+from .cryptoprim import PrfDigestStore, PrfKey
 from .learn import ice_filter, ice_filter_keep
 from .noise import CorruptionLedger, StrategyResult
 from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
@@ -163,6 +164,12 @@ class IceInstance:
         G = gen_random_linear_code(params.d / params.w, params.w, rng)
         return cls(params, G)
 
+    @cached_property
+    def prf_store(self) -> PrfDigestStore:
+        """Value-side PRF digests of the decoded keys scored so far, each
+        hashed once for the instance."""
+        return PrfDigestStore(self.params.d, self.params.value_size)
+
     def concept(self, key: PrfKey) -> KeyValueConcept:
         """Concept ``c_k``: codeword ``Enc(k)``, PRF key ``k``."""
         if key.length != self.params.d:
@@ -219,9 +226,8 @@ def ice_malicious_learner(
         return TableHypothesis.constant(1, params.domain_size), details
 
     key_bits = masks_to_signs(inst.G.codeword_masks[messages], params.w)
-    keys = [PrfKey(m, params.d) for m in messages]
-    idx = params.layout.best_candidate(S_prime, key_bits, keys)
-    best = inst.concept(keys[idx])
+    idx = params.layout.best_candidate(S_prime, key_bits, messages, inst.prf_store)
+    best = inst.concept(PrfKey(messages[idx], params.d))
     details["selected_key"] = best.key
     return best, details
 

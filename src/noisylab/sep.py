@@ -44,11 +44,11 @@ from .core import (
 )
 from .cryptoprim import (
     ExtractorSpec,
+    PrfDigestStore,
     PrfKey,
     extract,
     extract_all_seeds,
     prf_truth_table,
-    prf_truth_tables,
     toeplitz_matrices,
 )
 from .noise import StrategyResult
@@ -141,7 +141,11 @@ class KeyValueLayout:
         return table
 
     def best_candidate(
-        self, S: Sample, key_bits: np.ndarray, keys: Sequence[PrfKey]
+        self,
+        S: Sample,
+        key_bits: np.ndarray,
+        masks: Sequence[int] | np.ndarray,
+        store: PrfDigestStore,
     ) -> int:
         """Index of the candidate that mislabels the fewest examples of ``S``,
         the lowest index among ties: the choice of
@@ -149,15 +153,23 @@ class KeyValueLayout:
         tables, made without building them.
 
         Candidate ``i`` labels key block ``j`` by ``key_bits[i, j]`` and the
-        value side by the PRF under ``keys[i]``. With ``net`` the per-point
-        count of ``+1`` labels minus ``-1`` labels, a ±1 table ``h`` makes
-        ``(n - h·net)/2`` mistakes. Value-side tables are built
-        ``_SCORE_CHUNK`` candidates at a time, which bounds the memory used.
+        value side by the PRF under the packed key ``masks[i]``; its
+        value-side row comes from ``store``, a :class:`PrfDigestStore` over
+        the value side, so a key its owner has scored before is not hashed
+        again. With ``net`` the per-point count of ``+1`` labels minus ``-1``
+        labels, a ±1 table ``h`` makes ``(n - h·net)/2`` mistakes. Rows are
+        unpacked ``_SCORE_CHUNK`` candidates at a time, which bounds the
+        memory used.
         """
-        if not keys:
+        n_candidates = len(masks)
+        if n_candidates == 0:
             raise ValueError("empty candidate list")
-        if key_bits.shape != (len(keys), self.w):
-            raise ValueError(f"key_bits must have shape ({len(keys)}, {self.w})")
+        if store.n_points != self.value_size:
+            raise ValueError(
+                f"store covers {store.n_points} points, not the {self.value_size}-point value side"
+            )
+        if key_bits.shape != (n_candidates, self.w):
+            raise ValueError(f"key_bits must have shape ({n_candidates}, {self.w})")
         n = len(S)
         if n == 0:
             raise ValueError("empty test sample")
@@ -173,8 +185,8 @@ class KeyValueLayout:
         # The value-side products run in float64 (BLAS). They are exact: every
         # term and partial sum is an integer of magnitude at most n < 2^53.
         value_net = net[self.key_size :].astype(np.float64)
-        for start in range(0, len(keys), _SCORE_CHUNK):
-            tables = prf_truth_tables(keys[start : start + _SCORE_CHUNK], self.value_size)
+        for start in range(0, n_candidates, _SCORE_CHUNK):
+            tables = store.tables(masks[start : start + _SCORE_CHUNK])
             agree[start : start + len(tables)] += (tables @ value_net).astype(np.int64)
         mistakes = (n - agree) // 2
         return int(np.argmin(mistakes))
@@ -374,6 +386,12 @@ class SepInstance:
         """Every seed's Toeplitz row masks, built once for the instance."""
         return toeplitz_matrices(self.params.extractor_spec)
 
+    @cached_property
+    def prf_store(self) -> PrfDigestStore:
+        """Value-side PRF digests of the extracted keys scored so far, each
+        hashed once for the instance."""
+        return PrfDigestStore(self.params.m_out, self.params.value_size)
+
     def concept(self, p: int, q: int) -> KeyValueConcept:
         """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
         cw = self.low_weight[p]
@@ -474,10 +492,9 @@ def sep_malicious_learner(
     extracted = np.concatenate(
         [extract_all_seeds(m, spec, inst.extractor_matrices) for m in masks]
     )
-    keys = [PrfKey(m, params.m_out) for m in extracted.tolist()]
     # Candidate i is (candidate_ps[i // seeds], seed i % seeds).
     key_bits = np.repeat(masks_to_signs(masks, params.w), seeds, axis=0)
-    idx = params.layout.best_candidate(S, key_bits, keys)
+    idx = params.layout.best_candidate(S, key_bits, extracted, inst.prf_store)
     p, q = candidate_ps[idx // seeds], idx % seeds
     details["selected"] = (p, q)
     return inst.concept(p, q), details

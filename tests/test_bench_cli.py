@@ -14,7 +14,12 @@ from noisylab.bench import (
     render_text,
 )
 from noisylab.bench.cli import main
-from noisylab.bench.scenarios import binom_ci, chisquare_vs_binomial, two_sample_chi2
+from noisylab.bench.scenarios import (
+    _SCENARIOS,
+    binom_ci,
+    chisquare_vs_binomial,
+    two_sample_chi2,
+)
 from noisylab.learn import AmplifyParams
 
 
@@ -314,3 +319,35 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "nonzero codeword" in err[0]
     if "k0" in argv:
         assert "k must be >= 1" in err[0]
+
+
+# Every declared lower bound on a size parameter, as (scenario, param, bound).
+SIZE_BOUNDS = [
+    (name, param, low)
+    for name in scenario_names()
+    for param, low in sorted(_SCENARIOS[name][2].items())
+]
+
+
+def test_degenerate_sizes_are_bounded():
+    # Each of these once ran at 0 and passed vacuously (nasty-budget-law
+    # wrote a NaN p-value instead).
+    declared = {(name, param): low for name, param, low in SIZE_BOUNDS}
+    for case in (
+        ("amplify-concentration", "n_group"), ("ice-filter-unit", "domain_points"),
+        ("reduction-demos", "m"), ("round-lemma", "w"), ("ice-coupling", "n"),
+        ("nasty-budget-law", "n"),
+    ):
+        assert declared[case] == 1
+
+
+@pytest.mark.parametrize(
+    "scenario,param,low", SIZE_BOUNDS, ids=[f"{name}-{param}" for name, param, _ in SIZE_BOUNDS]
+)
+def test_cli_size_below_bound_is_one_error_line(scenario, param, low, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "trials": 2, "params": {param: low - 1}}))
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {param} must be >= {low}, got {low - 1}"]
+    assert not list(tmp_path.glob("*_aggregate.json"))

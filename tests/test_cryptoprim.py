@@ -9,14 +9,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from noisylab import cryptoprim
 from noisylab.codes import masks_to_signs
 from noisylab.cryptoprim import (
     ExtractorSpec,
+    PrfDigestStore,
     PrfKey,
     extract,
     extract_all_seeds,
     prf_truth_table,
-    prf_truth_tables,
     toeplitz_matrices,
 )
 
@@ -210,19 +211,67 @@ class TestExtract:
         assert extract(x, 5, self.SPEC) == extract(x, 5, self.SPEC)
 
 
-class TestBatched:
+class TestPrfDigestStore:
     @pytest.mark.parametrize("n_points", [0, 511, 512, 1200])
-    def test_prf_truth_tables_rows_match_single_key(self, n_points):
-        keys = [KEY_A, KEY_B, PrfKey.from_signs([-1] * 12), KEY_A]
-        tables = prf_truth_tables(keys, n_points)
-        assert tables.shape == (len(keys), n_points) and tables.dtype == np.int8
-        for key, row in zip(keys, tables):
-            assert np.array_equal(row, prf_truth_table(key, n_points))
-            assert row.tolist() == [spec_prf(key, x) for x in range(n_points)]
+    def test_rows_match_single_key(self, n_points):
+        gen = np.random.default_rng(n_points)
+        for length in (1, 8, 12, 33):
+            store = PrfDigestStore(length, n_points)
+            # Unordered, with repeats: each row is its own mask's table.
+            masks = gen.integers(0, 1 << length, size=6, dtype=np.uint64)
+            masks = np.concatenate([masks, masks[[3, 0, 3]]])
+            tables = store.tables(masks)
+            assert tables.shape == (len(masks), n_points) and tables.dtype == np.int8
+            for m, row in zip(masks.tolist(), tables):
+                key = PrfKey(m, length)
+                assert np.array_equal(row, prf_truth_table(key, n_points))
+            assert np.array_equal(store.tables(masks[::-1].tolist()), tables[::-1])
+        key = PrfKey.from_signs([-1] * 12)
+        row = PrfDigestStore(12, n_points).tables([key.mask])[0]
+        assert row.tolist() == [spec_prf(key, x) for x in range(n_points)]
 
-    def test_prf_truth_tables_no_keys(self):
-        assert prf_truth_tables([], 600).shape == (0, 600)
+    def test_no_masks(self):
+        assert PrfDigestStore(8, 600).tables([]).shape == (0, 600)
 
+    def test_seen_masks_are_not_hashed_again(self, monkeypatch):
+        hashed = []
+        digests = cryptoprim._prf_digests
+
+        def counting(key_bytes, counters):
+            hashed.append(key_bytes)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        store = PrfDigestStore(8, 1200)
+        first = store.tables([5, 9, 5, 200])
+        assert sorted(hashed) == [bytes([5]), bytes([9]), bytes([200])]
+        hashed.clear()
+        again = store.tables(np.array([200, 9, 5], dtype=np.uint64))
+        assert hashed == []
+        assert np.array_equal(again, first[[3, 1, 0]])
+        store.tables([5, 7])
+        assert hashed == [bytes([7])]
+
+    @pytest.mark.parametrize(
+        "mask", [-1, 256, 1 << 64, 1.5, 2.0, np.float64(3.0), "3", None],
+        ids=["negative", "too-wide", "too-wide-64", "fraction", "float", "np-float", "str", "none"],
+    )
+    def test_bad_mask_rejected(self, mask):
+        with pytest.raises(ValueError, match="key mask"):
+            PrfDigestStore(8, 600).tables([0, mask])
+
+    def test_float_array_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            PrfDigestStore(8, 600).tables(np.array([1.0, 2.0]))
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            PrfDigestStore(0, 600)
+        with pytest.raises(ValueError):
+            PrfDigestStore(8, -1)
+
+
+class TestBatched:
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: f"w{s.w}-u{s.u}-m{s.m_out}")
     def test_all_seeds_match_spec_oracle(self, spec):
         matrices = toeplitz_matrices(spec)

@@ -12,7 +12,7 @@ import pytest
 
 from noisylab.codes import Codeword, GeneratorMatrix, signs_to_mask
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
-from noisylab.cryptoprim import PrfKey, extract
+from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
 from noisylab.learn import select_best_hypothesis
 from noisylab.noise import nasty_corrupt, strong_malicious_corrupt
 from noisylab.sep import (
@@ -104,35 +104,48 @@ class TestKeyValueLayout:
 
 
 class TestBestCandidate:
-    """The batched scorer against select_best_hypothesis over the explicit
-    KeyValueConcepts of the same candidates."""
+    """The batched scorer, over key masks and a digest store, against
+    select_best_hypothesis over the explicit KeyValueConcepts of the same
+    candidates."""
 
     @staticmethod
-    def random_case(gen, n_candidates, n_examples):
+    def random_layout(gen):
         w = int(gen.integers(1, 6))
-        layout = KeyValueLayout.fit(
+        return KeyValueLayout.fit(
             w, int(gen.integers(1, 10)), Fraction(int(gen.integers(1, 4)), 5)
         )
-        key_bits = gen.choice((-1, 1), size=(n_candidates, w)).astype(np.int8)
-        keys = [
-            PrfKey.from_signs(gen.choice((-1, 1), size=int(gen.integers(1, 12))))
-            for _ in range(n_candidates)
-        ]
-        # Label the sample by a random candidate with some labels flipped,
-        # or else by coin flips, so the winner's index and the minimum count
-        # both vary.
-        t = int(gen.integers(0, n_candidates))
-        truth = KeyValueConcept(layout, Codeword(signs_to_mask(key_bits[t]), 0, w), keys[t])
+
+    @staticmethod
+    def random_sample(gen, layout, key_bits, masks, store, n_examples):
+        """Label points by a random candidate with some labels flipped, or else
+        by coin flips, so the winner's index and the minimum count both vary."""
+        t = int(gen.integers(0, len(masks)))
+        truth = KeyValueConcept(
+            layout, Codeword(signs_to_mask(key_bits[t]), 0, layout.w),
+            PrfKey(int(masks[t]), store.length),
+        )
         points = gen.integers(0, layout.domain_size, size=n_examples)
         flip_rate = float(gen.choice((0.2, 0.5)))
         flips = gen.choice((-1, 1), size=n_examples, p=(flip_rate, 1 - flip_rate))
-        return layout, key_bits, keys, Sample(points, truth.evaluate_many(points) * flips)
+        return Sample(points, truth.evaluate_many(points) * flips)
+
+    @classmethod
+    def random_case(cls, gen, n_candidates, n_examples):
+        """A layout, candidates with one key length, a fresh store and a
+        sample."""
+        layout = cls.random_layout(gen)
+        length = int(gen.integers(1, 12))
+        key_bits = gen.choice((-1, 1), size=(n_candidates, layout.w)).astype(np.int8)
+        masks = gen.integers(0, 1 << length, size=n_candidates)
+        store = PrfDigestStore(length, layout.value_size)
+        S = cls.random_sample(gen, layout, key_bits, masks, store, n_examples)
+        return layout, key_bits, masks, store, S
 
     @staticmethod
-    def oracle(layout, S, key_bits, keys):
+    def oracle(layout, S, key_bits, masks, length):
         hyps = [
-            KeyValueConcept(layout, Codeword(signs_to_mask(b), 0, layout.w), k)
-            for b, k in zip(key_bits, keys)
+            KeyValueConcept(layout, Codeword(signs_to_mask(b), 0, layout.w), PrfKey(int(m), length))
+            for b, m in zip(key_bits, masks)
         ]
         return select_best_hypothesis(hyps, S)[0]
 
@@ -140,50 +153,75 @@ class TestBestCandidate:
         gen = np.random.default_rng(11)
         chosen = set()
         for _ in range(60):
-            layout, key_bits, keys, S = self.random_case(
+            layout, key_bits, masks, store, S = self.random_case(
                 gen, int(gen.integers(1, 12)), int(gen.integers(1, 400))
             )
-            idx = layout.best_candidate(S, key_bits, keys)
-            assert idx == self.oracle(layout, S, key_bits, keys)
+            idx = layout.best_candidate(S, key_bits, masks, store)
+            assert idx == self.oracle(layout, S, key_bits, masks, store.length)
             chosen.add(idx)
         assert len(chosen) > 5
+
+    def test_one_store_serves_many_calls(self):
+        # One store across calls with fresh samples and overlapping candidate
+        # lists, as a learner's instance holds it across trials.
+        gen = np.random.default_rng(16)
+        layout = self.random_layout(gen)
+        length = 6
+        store = PrfDigestStore(length, layout.value_size)
+        pool = gen.integers(0, 1 << length, size=12)
+        for _ in range(15):
+            n_candidates = int(gen.integers(1, 2 * _SCORE_CHUNK + 3))
+            masks = gen.choice(pool, size=n_candidates)
+            key_bits = gen.choice((-1, 1), size=(n_candidates, layout.w)).astype(np.int8)
+            S = self.random_sample(gen, layout, key_bits, masks, store, int(gen.integers(1, 300)))
+            idx = layout.best_candidate(S, key_bits, masks, store)
+            assert idx == self.oracle(layout, S, key_bits, masks, length)
 
     def test_more_candidates_than_one_chunk(self):
         gen = np.random.default_rng(12)
         for n_candidates in (_SCORE_CHUNK + 1, 2 * _SCORE_CHUNK + 5):
             for _ in range(5):
-                layout, key_bits, keys, S = self.random_case(gen, n_candidates, 300)
-                idx = layout.best_candidate(S, key_bits, keys)
-                assert idx == self.oracle(layout, S, key_bits, keys)
+                layout, key_bits, masks, store, S = self.random_case(gen, n_candidates, 300)
+                idx = layout.best_candidate(S, key_bits, masks, store)
+                assert idx == self.oracle(layout, S, key_bits, masks, store.length)
 
     def test_tie_picks_lowest_index(self):
         gen = np.random.default_rng(13)
-        layout, key_bits, keys, S = self.random_case(gen, 2 * _SCORE_CHUNK + 5, 300)
-        best = self.oracle(layout, S, key_bits, keys)
+        layout, key_bits, masks, store, S = self.random_case(gen, 2 * _SCORE_CHUNK + 5, 300)
+        best = self.oracle(layout, S, key_bits, masks, store.length)
         # Copy the winner to position 3 and into the second chunk: the copies
         # tie with it for the fewest mistakes, and the first one wins.
         for i in (_SCORE_CHUNK + 8, 3):
             key_bits[i] = key_bits[best]
-            keys[i] = keys[best]
-        assert layout.best_candidate(S, key_bits, keys) == min(best, 3)
-        assert self.oracle(layout, S, key_bits, keys) == min(best, 3)
+            masks[i] = masks[best]
+        assert layout.best_candidate(S, key_bits, masks, store) == min(best, 3)
+        assert self.oracle(layout, S, key_bits, masks, store.length) == min(best, 3)
 
     def test_point_outside_domain_raises_index_error(self):
         gen = np.random.default_rng(14)
-        layout, key_bits, keys, S = self.random_case(gen, 4, 50)
+        layout, key_bits, masks, store, S = self.random_case(gen, 4, 50)
         outside = S.concat(Sample([layout.domain_size], [1]))
         with pytest.raises(IndexError):
-            self.oracle(layout, outside, key_bits, keys)
+            self.oracle(layout, outside, key_bits, masks, store.length)
         with pytest.raises(IndexError):
-            layout.best_candidate(outside, key_bits, keys)
+            layout.best_candidate(outside, key_bits, masks, store)
 
     def test_empty_sample_raises_value_error(self):
         gen = np.random.default_rng(15)
-        layout, key_bits, keys, _ = self.random_case(gen, 4, 50)
+        layout, key_bits, masks, store, _ = self.random_case(gen, 4, 50)
         with pytest.raises(ValueError):
-            self.oracle(layout, Sample.empty(), key_bits, keys)
+            self.oracle(layout, Sample.empty(), key_bits, masks, store.length)
         with pytest.raises(ValueError):
-            layout.best_candidate(Sample.empty(), key_bits, keys)
+            layout.best_candidate(Sample.empty(), key_bits, masks, store)
+
+    def test_store_must_cover_the_value_side(self):
+        gen = np.random.default_rng(17)
+        layout, key_bits, masks, store, S = self.random_case(gen, 4, 50)
+        short = PrfDigestStore(store.length, layout.value_size - 1)
+        with pytest.raises(ValueError, match="value side"):
+            layout.best_candidate(S, key_bits, masks, short)
+        with pytest.raises(ValueError, match="empty candidate list"):
+            layout.best_candidate(S, key_bits[:0], masks[:0], store)
 
 
 def test_budget_capped_plan_cut_off():
