@@ -82,7 +82,7 @@ def write_report(report: TrialReport, out_dir: str | Path) -> tuple[Path, Path]:
             writer.writerow({"schema_version": report.schema_version, **_jsonable(rec)})
 
     with json_path.open("w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     return csv_path, json_path
 

@@ -202,7 +202,10 @@ def binom_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple[flo
 
 def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: float = 5.0) -> float:
     """Goodness-of-fit p-value of observed draws against Bin(n, p), pooling
-    adjacent support bins until every expected count reaches the minimum."""
+    adjacent support bins until every expected count reaches the minimum.
+
+    Too few draws to leave two pooled bins is a :class:`ValueError`: the test
+    would have no degree of freedom."""
     from scipy import stats
 
     trials = values.size
@@ -223,6 +226,11 @@ def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: fl
             exp_pooled[-1] += acc_e
         else:
             obs_pooled, exp_pooled = [acc_o], [acc_e]
+    if len(exp_pooled) < 2:
+        raise ValueError(
+            f"{trials} trials pool Bin({n}, {p}) into fewer than 2 bins of expected "
+            f"count >= {min_expected}; the chi-square test needs 2"
+        )
     res = stats.chisquare(obs_pooled, exp_pooled, sum_check=False)
     return float(res.pvalue)
 
@@ -728,7 +736,7 @@ def _scenario_sep_adversary(
         rec = {"trial": t, "p": p, "exhausted": bool(ledger.flagged)}
         if not ledger.flagged:
             non_exhausted += 1
-            key_mask = S_corr.points < sp.key_size
+            key_mask = S_corr.points < sp.layout.key_size
             all_plus = bool(np.all(S_corr.labels[key_mask] == 1))
             all_plus_count += all_plus
             rec["key_all_plus"] = all_plus
@@ -755,12 +763,12 @@ def _scenario_sep_adversary(
             sim_skipped += 1
             continue
         vpts = r.split(2).generator().integers(
-            sp_sim.key_size, sp_sim.domain_size, size=sim_n, dtype=np.int64
+            sp_sim.layout.key_size, sp_sim.layout.domain_size, size=sim_n, dtype=np.int64
         )
         T_value = Sample(vpts, c_sim.evaluate_many(vpts))
         S_sim = sep_simulate_T_nasty(T_value, inst_sim, r.split(3))
         for S, cat, lab in ((S_real, cat_real, lab_real), (S_sim, cat_sim, lab_sim)):
-            key = S.points < sp_sim.key_size
+            key = S.points < sp_sim.layout.key_size
             cat[: sp.w] += sp_sim.layout.block_counts(S.points)
             cat[sp.w] += int((~key).sum())
             lab[0] += int((S.labels[~key] == 1).sum())
@@ -938,9 +946,9 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
         if not ledger.flagged:
             vulnerable += 1
             survivors = S_corr.take(ice_filter_keep(S_corr))
-            key_mask = S_clean.points < ip.key_size
+            key_mask = S_clean.points < ip.layout.key_size
             odd_blocks = int(np.sum(ip.layout.block_counts(S_clean.points) % 2 == 1))
-            no_key_survivors = bool(np.all(survivors.points >= ip.key_size))
+            no_key_survivors = bool(np.all(survivors.points >= ip.layout.key_size))
             expected = int((~key_mask).sum()) + odd_blocks
             pattern_ok = no_key_survivors and len(survivors) == expected
             post_ok += pattern_ok

@@ -121,16 +121,16 @@ def signs_to_mask(bits: Sequence[int] | np.ndarray) -> int:
 
 
 def mask_to_signs(mask: int, w: int) -> np.ndarray:
-    """Unpack a bitmask into a ±1 word of length ``w``."""
-    j = np.arange(w, dtype=np.uint64)
-    bits = (np.uint64(mask) >> j) & np.uint64(1)
-    return np.where(bits == 1, -1, 1).astype(np.int8)
+    """Unpack a bitmask into a ±1 word of length ``w``: the one-mask case of
+    :func:`masks_to_signs`."""
+    return masks_to_signs(mask, w)
 
 
-def masks_to_signs(masks: Sequence[int] | np.ndarray, w: int) -> np.ndarray:
-    """Unpack bitmasks into ±1 words of length ``w``, one row per mask."""
+def masks_to_signs(masks: int | Sequence[int] | np.ndarray, w: int) -> np.ndarray:
+    """Unpack bitmasks into ±1 words of length ``w``, one row per mask; a
+    single mask gives a single word."""
     j = np.arange(w, dtype=np.uint64)
-    bits = (np.asarray(masks, dtype=np.uint64)[:, None] >> j) & np.uint64(1)
+    bits = (np.asarray(masks, dtype=np.uint64)[..., None] >> j) & np.uint64(1)
     return np.where(bits == 1, -1, 1).astype(np.int8)
 
 

@@ -140,7 +140,8 @@ class PrfDigestStore:
 
 
 def prf_truth_table(key: PrfKey, n_points: int) -> np.ndarray:
-    """±1 outputs at points ``0 .. n_points-1`` (one hash per 512 points)."""
+    """±1 outputs at points ``0 .. n_points-1`` (one hash per 512 points):
+    the one-key reference for :class:`PrfDigestStore` rows."""
     return PrfDigestStore(key.length, n_points).tables([key.mask])[0]
 
 

@@ -32,7 +32,6 @@ from .codes import (
     bitflip_list_decode,
     encode,
     gen_random_linear_code,
-    masks_to_signs,
 )
 from .core import (
     DiscreteDistribution,
@@ -124,18 +123,6 @@ class IceSepParams:
         return self.layout.key_fraction
 
     @property
-    def key_size(self) -> int:
-        return self.layout.key_size
-
-    @property
-    def value_size(self) -> int:
-        return self.layout.value_size
-
-    @property
-    def domain_size(self) -> int:
-        return self.layout.domain_size
-
-    @property
     def R(self) -> float:
         """Expected examples per key block: (2*kappa_prime*eta/w) * n."""
         return float(self.key_fraction) * self.n / self.w
@@ -168,20 +155,20 @@ class IceInstance:
     def prf_store(self) -> PrfDigestStore:
         """Value-side PRF digests of the decoded keys scored so far, each
         hashed once for the instance."""
-        return PrfDigestStore(self.params.d, self.params.value_size)
+        return PrfDigestStore(self.params.d, self.params.layout.value_size)
 
     def concept(self, key: PrfKey) -> KeyValueConcept:
         """Concept ``c_k``: codeword ``Enc(k)``, PRF key ``k``."""
         if key.length != self.params.d:
             raise ValueError(f"key must have {self.params.d} bits")
-        return KeyValueConcept(self.params.layout, encode(self.G, key.mask), key)
+        return KeyValueConcept(self.params.layout, encode(self.G, key.mask), key, self.prf_store)
 
     def random_concept(self, rng: RngHandle) -> KeyValueConcept:
         bits = rng.generator().choice((-1, 1), size=self.params.d)
         return self.concept(PrfKey.from_signs(bits))
 
     def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution.uniform(self.params.domain_size)
+        return DiscreteDistribution.uniform(self.params.layout.domain_size)
 
 
 def round_vector(v: np.ndarray | Sequence[float], rng: RngHandle) -> np.ndarray:
@@ -206,7 +193,7 @@ def ice_malicious_learner(
     details: dict = {"flagged": False, "flag_reason": None, "n_filtered": len(S) - len(S_prime)}
     if len(S_prime) == 0:
         details.update(flagged=True, flag_reason="no examples survive the filter")
-        return TableHypothesis.constant(1, params.domain_size), details
+        return TableHypothesis.constant(1, params.layout.domain_size), details
 
     n_plus, n_minus = params.layout.label_counts(S_prime)
     v = (n_plus - n_minus) / (params.R * (1 - params.eta))
@@ -219,14 +206,15 @@ def ice_malicious_learner(
         )
     except DecodeFailure as exc:
         details.update(flagged=True, flag_reason=f"decode failure: {exc}")
-        return TableHypothesis.constant(1, params.domain_size), details
+        return TableHypothesis.constant(1, params.layout.domain_size), details
     details["n_candidates"] = len(messages)
     if not messages:
         details.update(flagged=True, flag_reason="empty decode list")
-        return TableHypothesis.constant(1, params.domain_size), details
+        return TableHypothesis.constant(1, params.layout.domain_size), details
 
-    key_bits = masks_to_signs(inst.G.codeword_masks[messages], params.w)
-    idx = params.layout.best_candidate(S_prime, key_bits, messages, inst.prf_store)
+    idx = params.layout.best_candidate(
+        S_prime, inst.G.codeword_masks[messages], messages, inst.prf_store
+    )
     best = inst.concept(PrfKey(messages[idx], params.d))
     details["selected_key"] = best.key
     return best, details

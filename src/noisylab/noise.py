@@ -99,18 +99,25 @@ class CorruptionLedger:
     """
 
     corrupted_indices: np.ndarray
-    replaced: Sample
     introduced: Sample
-    budget: int
     drawn_budget: int
     clean: Sample
     coin_set: np.ndarray | None = None
     flagged: bool = False
     flag_reason: str | None = None
 
+    @property
+    def replaced(self) -> Sample:
+        """The clean examples the corruption overwrote."""
+        return self.clean.take(self.corrupted_indices)
+
+    @property
+    def budget(self) -> int:
+        return len(self.corrupted_indices)
+
     def validate(self) -> None:
         n = len(self.clean)
-        if not (len(self.corrupted_indices) == len(self.replaced) == len(self.introduced) == self.budget):
+        if len(self.introduced) != self.budget:
             raise ValueError("ledger arity mismatch")
         if not self.budget:
             return
@@ -131,9 +138,7 @@ def _apply_choices(S_clean: Sample, result: StrategyResult, drawn_budget: int,
     idx = result.positions
     ledger = CorruptionLedger(
         corrupted_indices=idx,
-        replaced=S_clean.take(idx),
         introduced=result.introduced,
-        budget=len(idx),
         drawn_budget=drawn_budget,
         clean=S_clean,
         coin_set=coin_set,

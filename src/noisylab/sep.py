@@ -48,7 +48,6 @@ from .cryptoprim import (
     PrfKey,
     extract,
     extract_all_seeds,
-    prf_truth_table,
     toeplitz_matrices,
 )
 from .noise import StrategyResult
@@ -128,22 +127,17 @@ class KeyValueLayout:
             self.block_counts(S.points, S.labels == -1),
         )
 
-    def table(self, key_bits: np.ndarray, prf_key: PrfKey) -> np.ndarray:
-        """Read-only concept table: block ``j`` labeled ``key_bits[j]``, the
-        value side by the PRF under ``prf_key``."""
-        table = np.concatenate(
-            [
-                np.repeat(key_bits.astype(np.int8), self.block_size),
-                prf_truth_table(prf_key, self.value_size),
-            ]
-        )
-        table.setflags(write=False)
-        return table
+    def check_store(self, store: PrfDigestStore) -> None:
+        """Reject a store that does not cover exactly the value side."""
+        if store.n_points != self.value_size:
+            raise ValueError(
+                f"store covers {store.n_points} points, not the {self.value_size}-point value side"
+            )
 
     def best_candidate(
         self,
         S: Sample,
-        key_bits: np.ndarray,
+        codewords: Sequence[int] | np.ndarray,
         masks: Sequence[int] | np.ndarray,
         store: PrfDigestStore,
     ) -> int:
@@ -152,24 +146,21 @@ class KeyValueLayout:
         :func:`~noisylab.learn.select_best_hypothesis` over the candidates'
         tables, made without building them.
 
-        Candidate ``i`` labels key block ``j`` by ``key_bits[i, j]`` and the
-        value side by the PRF under the packed key ``masks[i]``; its
-        value-side row comes from ``store``, a :class:`PrfDigestStore` over
-        the value side, so a key its owner has scored before is not hashed
-        again. With ``net`` the per-point count of ``+1`` labels minus ``-1``
-        labels, a ±1 table ``h`` makes ``(n - h·net)/2`` mistakes. Rows are
-        unpacked ``_SCORE_CHUNK`` candidates at a time, which bounds the
-        memory used.
+        Candidate ``i`` labels key block ``j`` by bit ``j`` of the packed
+        codeword ``codewords[i]`` and the value side by the PRF under the
+        packed key ``masks[i]``; its value-side row comes from ``store``, a
+        :class:`PrfDigestStore` over the value side, so a key its owner has
+        scored before is not hashed again. With ``net`` the per-point count
+        of ``+1`` labels minus ``-1`` labels, a ±1 table ``h`` makes
+        ``(n - h·net)/2`` mistakes. Rows are unpacked ``_SCORE_CHUNK``
+        candidates at a time, which bounds the memory used.
         """
         n_candidates = len(masks)
         if n_candidates == 0:
             raise ValueError("empty candidate list")
-        if store.n_points != self.value_size:
-            raise ValueError(
-                f"store covers {store.n_points} points, not the {self.value_size}-point value side"
-            )
-        if key_bits.shape != (n_candidates, self.w):
-            raise ValueError(f"key_bits must have shape ({n_candidates}, {self.w})")
+        if len(codewords) != n_candidates:
+            raise ValueError(f"{len(codewords)} codewords for {n_candidates} keys")
+        self.check_store(store)
         n = len(S)
         if n == 0:
             raise ValueError("empty test sample")
@@ -181,7 +172,7 @@ class KeyValueLayout:
         counts = np.bincount(2 * S.points + (S.labels == -1), minlength=2 * self.domain_size)
         net = counts[0::2] - counts[1::2]
         block_net = net[: self.key_size].reshape(self.w, self.block_size).sum(axis=1)
-        agree = key_bits.astype(np.int64) @ block_net
+        agree = masks_to_signs(codewords, self.w).astype(np.int64) @ block_net
         # The value-side products run in float64 (BLAS). They are exact: every
         # term and partial sum is an integer of magnitude at most n < 2^53.
         value_net = net[self.key_size :].astype(np.float64)
@@ -195,13 +186,22 @@ class KeyValueLayout:
 class KeyValueConcept(TableHypothesis):
     """A key/value concept, shared by both separations: key block ``j`` is
     labeled by bit ``j`` of ``codeword``, the value side by the PRF under
-    ``key``. Carries its full truth table."""
+    ``key``, read from ``store`` (a :class:`PrfDigestStore` over the value
+    side for keys of ``key``'s length). Carries its full truth table."""
 
-    def __init__(self, layout: KeyValueLayout, codeword: Codeword, key: PrfKey):
-        # layout.table is read-only ±1 by construction: no re-check.
+    def __init__(
+        self, layout: KeyValueLayout, codeword: Codeword, key: PrfKey, store: PrfDigestStore
+    ):
+        if store.length != key.length:
+            raise ValueError(f"store holds {store.length}-bit keys, not {key.length}-bit")
+        layout.check_store(store)
         self.codeword = codeword
         self.key = key
-        self.table = layout.table(codeword.bits, key)
+        # Read-only ±1 by construction: no re-check.
+        self.table = np.concatenate(
+            [np.repeat(codeword.bits, layout.block_size), store.tables([key.mask])[0]]
+        )
+        self.table.setflags(write=False)
         self.domain_size = layout.domain_size
 
 
@@ -338,18 +338,6 @@ class SepParams:
         return math.ceil(base ** (1 / 0.49))
 
     @property
-    def key_size(self) -> int:
-        return self.layout.key_size
-
-    @property
-    def value_size(self) -> int:
-        return self.layout.value_size
-
-    @property
-    def domain_size(self) -> int:
-        return self.layout.domain_size
-
-    @property
     def D(self) -> float:
         """Expected clean (uncorrupted) examples per key block."""
         return (1 - self.eta_M) * float(self.kappa) * self.n / self.w
@@ -390,16 +378,16 @@ class SepInstance:
     def prf_store(self) -> PrfDigestStore:
         """Value-side PRF digests of the extracted keys scored so far, each
         hashed once for the instance."""
-        return PrfDigestStore(self.params.m_out, self.params.value_size)
+        return PrfDigestStore(self.params.m_out, self.params.layout.value_size)
 
     def concept(self, p: int, q: int) -> KeyValueConcept:
         """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
         cw = self.low_weight[p]
         key = PrfKey(extract(cw.mask, q, self.params.extractor_spec), self.params.m_out)
-        return KeyValueConcept(self.params.layout, cw, key)
+        return KeyValueConcept(self.params.layout, cw, key, self.prf_store)
 
     def distribution(self) -> DiscreteDistribution:
-        return DiscreteDistribution.uniform(self.params.domain_size)
+        return DiscreteDistribution.uniform(self.params.layout.domain_size)
 
 
 def sep_nasty_strategy(inst: SepInstance):
@@ -474,7 +462,7 @@ def sep_malicious_learner(
         messages = erasure_list_decode(inst.G, ReceivedWord(z), cap=params.code.L)
     except DecodeFailure as exc:
         details.update(flagged=True, flag_reason=f"decode failure: {exc}")
-        return TableHypothesis.constant(1, params.domain_size), details
+        return TableHypothesis.constant(1, params.layout.domain_size), details
 
     # Distinct messages give distinct codewords (G has full rank): no duplicates.
     candidate_ps = sorted(
@@ -484,7 +472,7 @@ def sep_malicious_learner(
 
     if not candidate_ps:
         details.update(flagged=True, flag_reason="no low-weight candidate decoded")
-        return TableHypothesis.constant(1, params.domain_size), details
+        return TableHypothesis.constant(1, params.layout.domain_size), details
 
     spec = params.extractor_spec
     seeds = spec.seed_count()
@@ -493,8 +481,7 @@ def sep_malicious_learner(
         [extract_all_seeds(m, spec, inst.extractor_matrices) for m in masks]
     )
     # Candidate i is (candidate_ps[i // seeds], seed i % seeds).
-    key_bits = np.repeat(masks_to_signs(masks, params.w), seeds, axis=0)
-    idx = params.layout.best_candidate(S, key_bits, extracted, inst.prf_store)
+    idx = params.layout.best_candidate(S, np.repeat(masks, seeds), extracted, inst.prf_store)
     p, q = candidate_ps[idx // seeds], idx % seeds
     details["selected"] = (p, q)
     return inst.concept(p, q), details

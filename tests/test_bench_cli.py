@@ -56,8 +56,8 @@ class TestExperimentConfig:
 
 class TestRunScenario:
     def test_single_trial_single_record(self):
-        rep = run_scenario(ExperimentConfig(scenario="nasty-budget-law", trials=1, seed=0))
-        assert rep.scenario == "nasty-budget-law"
+        rep = run_scenario(ExperimentConfig(scenario="round-lemma", trials=1, seed=0))
+        assert rep.scenario == "round-lemma"
         assert len(rep.records) == 1
 
     def test_deterministic_reports(self, tmp_path):
@@ -131,6 +131,11 @@ class TestReports:
         text = render_text(json_path)
         assert "[PASS] ok" in text and "[FAIL] bad" in text
 
+    def test_nan_is_not_written(self, tmp_path):
+        rep = TrialReport(scenario="demo", config={}, aggregate={"p": float("nan")})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_report(rep, tmp_path)
+
 
 class TestStatsHelpers:
     def test_binom_ci_contains_truth(self):
@@ -145,6 +150,14 @@ class TestStatsHelpers:
         bad = gen.binomial(100, 0.3, size=2000)
         assert chisquare_vs_binomial(good, 100, 0.2) > 1e-3
         assert chisquare_vs_binomial(bad, 100, 0.2) < 1e-3
+
+    @pytest.mark.parametrize("trials", [1, 5, 10])
+    def test_chisquare_needs_two_pooled_bins(self, trials):
+        # At Bin(100, 0.2), ten draws or fewer pool into a single bin.
+        draws = np.full(trials, 20)
+        with pytest.raises(ValueError, match="fewer than 2 bins"):
+            chisquare_vs_binomial(draws, 100, 0.2)
+        assert 0 <= chisquare_vs_binomial(np.full(20, 20), 100, 0.2) <= 1
 
     def test_two_sample_chi2_drops_zero_rows(self):
         assert two_sample_chi2(np.array([5, 0, 7]), np.zeros(3, dtype=np.int64)) == 1.0
@@ -270,6 +283,7 @@ class TestCli:
         pytest.param("run sep-learner --config {sep_n0}", id="sep-learner-zero-n"),
         pytest.param("run ice-coupling --config {domain0}", id="ice-coupling-empty-domain"),
         pytest.param("run badamplify --config {k0}", id="badamplify-zero-k"),
+        pytest.param("run nasty-budget-law --trials 5", id="nasty-budget-law-few-trials"),
     ],
 )
 def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
@@ -319,6 +333,8 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "nonzero codeword" in err[0]
     if "k0" in argv:
         assert "k must be >= 1" in err[0]
+    if "nasty-budget-law" in argv:
+        assert "5 trials" in err[0] and "fewer than 2 bins" in err[0]
 
 
 # Every declared lower bound on a size parameter, as (scenario, param, bound).

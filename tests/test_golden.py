@@ -20,7 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # (scenario, params, trials, seed): acceptance seeds and parameters, small sizes.
 CASES = [
     ("ice-filter-unit", {"max_len": 6, "domain_points": 3}, 5, 0),
-    ("nasty-budget-law", {"n": 100, "eta": 0.2}, 5, 1),
+    ("nasty-budget-law", {"n": 100, "eta": 0.2}, 20, 1),
     ("amplify-concentration", {"eps": 0.2, "k": 64, "eta": 0.2}, 5, 2),
     ("badamplify", {"eps": 0.3, "eta": 0.25, "n": 60, "k": 10, "n_test": 40}, 5, 3),
     ("codes-suite", {"codes": 1, "w": 8, "rho": 0.5, "max_erasures": 3,

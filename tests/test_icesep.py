@@ -27,6 +27,7 @@ from noisylab.icesep import (
     nasty_via_strong_malicious,
     round_vector,
 )
+from noisylab import cryptoprim
 from noisylab.codes import ReceivedWord, bitflip_list_decode, encode
 from noisylab.cryptoprim import PrfKey
 from noisylab.learn import ice_filter, ice_filter_keep, select_best_hypothesis
@@ -52,14 +53,16 @@ class TestParams:
         assert p.kappa_prime == pytest.approx(0.6)
         assert p.key_fraction == Fraction(3, 25)
         assert p.block_size == 3
-        assert p.key_size == 24 and p.value_size == 176 and p.domain_size == 200
+        layout = p.layout
+        assert layout.key_size == 24 and layout.value_size == 176 and layout.domain_size == 200
         assert p.R == pytest.approx(Fraction(3, 25) * 4000 / 8)
 
     def test_reference_pack_derived_sizes(self):
         p = IceSepParams.create(eta=0.05, kappa=0.7, w=20, d=10)
         assert p.key_fraction == Fraction(3, 50)
         assert p.block_size == 6
-        assert p.key_size == 120 and p.value_size == 1880 and p.domain_size == 2000
+        layout = p.layout
+        assert layout.key_size == 120 and layout.value_size == 1880 and layout.domain_size == 2000
         assert p.n == 20000  # ceil(50 w / eta)
         assert p.R == pytest.approx(60.0)
         assert p.tau == pytest.approx(0.025)
@@ -77,7 +80,7 @@ class TestParams:
 
     def test_exact_key_fraction(self):
         p = small_params()
-        assert Fraction(p.key_size, p.domain_size) == p.key_fraction
+        assert Fraction(p.layout.key_size, p.layout.domain_size) == p.key_fraction
 
 
 class TestRoundVector:
@@ -113,8 +116,8 @@ class TestConcept:
         inst = small_instance()
         c = inst.concept(PrfKey(0b1100, 4))
         p = inst.params
-        pts = np.arange(p.key_size, p.domain_size)
-        assert np.array_equal(c.evaluate_many(pts), prf_truth_table(c.key, p.value_size))
+        pts = np.arange(p.layout.key_size, p.layout.domain_size)
+        assert np.array_equal(c.evaluate_many(pts), prf_truth_table(c.key, p.layout.value_size))
 
     def test_key_length_validated(self):
         inst = small_instance()
@@ -138,6 +141,25 @@ class TestLearner:
             assert not det["flagged"]
             assert det["selected_key"] == c.key
             assert error_rate(h, c, inst.distribution()) == 0.0
+
+    def test_truth_and_winner_hashed_once(self, monkeypatch):
+        # The truth concept, the learner's scoring and its winner all read
+        # the instance store, so the truth key is hashed once.
+        hashed = []
+        digests = cryptoprim._prf_digests
+
+        def counting(key_bytes, counters):
+            hashed.append(key_bytes)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        inst = small_instance()
+        c = inst.random_concept(RngHandle(100))
+        S = draw_clean_sample(inst.distribution(), c, inst.params.n, RngHandle(0))
+        _, det = ice_malicious_learner(S, inst, RngHandle(200))
+        assert det["selected_key"] == c.key
+        assert hashed.count(c.key.key_bytes()) == 1
+        assert len(hashed) == len(set(hashed))
 
     def test_selection_matches_oracle(self):
         # Every decoded candidate built and scored explicitly, on a sample
@@ -184,7 +206,7 @@ class TestLearner:
         inst = small_instance()
         h, det = ice_malicious_learner(Sample.empty(), inst, RngHandle(0))
         assert det["flagged"]
-        assert h.domain_size == inst.params.domain_size
+        assert h.domain_size == inst.params.layout.domain_size
 
     def test_fully_contradictory_sample_flags(self):
         inst = small_instance()
@@ -206,8 +228,8 @@ class TestIdealizedNasty:
         )
         assert not ledger.flagged
         survivors = S_corr.take(ice_filter_keep(S_corr))
-        assert np.all(survivors.points >= p.key_size)
-        key_mask = S.points < p.key_size
+        assert np.all(survivors.points >= p.layout.key_size)
+        key_mask = S.points < p.layout.key_size
         blk = p.layout.block_of(S.points[key_mask])
         odd = int(np.sum(np.bincount(blk, minlength=p.w) % 2 == 1))
         assert len(survivors) == int((~key_mask).sum()) + odd
@@ -220,7 +242,7 @@ class TestIdealizedNasty:
         _, ledger = nasty_corrupt(
             S, 0.07, ice_idealized_nasty_strategy(inst), RngHandle(3), c=c
         )
-        value_intro = ledger.introduced.points >= inst.params.key_size
+        value_intro = ledger.introduced.points >= inst.params.layout.key_size
         pts = ledger.introduced.points[value_intro]
         labs = ledger.introduced.labels[value_intro]
         assert np.array_equal(labs, c.evaluate_many(pts))

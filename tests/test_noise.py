@@ -236,9 +236,7 @@ class TestLedger:
         S, idx = clean(10), np.array(indices, np.int64)
         return CorruptionLedger(
             corrupted_indices=idx,
-            replaced=S.take(np.clip(idx, 0, 9)),
             introduced=Sample(np.zeros(idx.size, np.int64), np.ones(idx.size, np.int8)),
-            budget=idx.size,
             drawn_budget=idx.size,
             clean=S,
         )

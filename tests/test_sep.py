@@ -10,7 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from noisylab.codes import Codeword, GeneratorMatrix, signs_to_mask
+from noisylab import cryptoprim
+from noisylab.codes import Codeword, GeneratorMatrix
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
 from noisylab.learn import select_best_hypothesis
@@ -46,7 +47,7 @@ class TestSepParams:
     def test_small_pack_derived_sizes(self):
         p = small_params()
         assert p.block_size == 2
-        assert p.key_size == 16 and p.value_size == 16 and p.domain_size == 32
+        assert p.layout.key_size == 16 and p.layout.value_size == 16 and p.layout.domain_size == 32
         assert p.D == pytest.approx(0.95 * 0.5 * 4000 / 8)
         assert p.Delta == pytest.approx(4000**0.51)
         assert p.kappa == Fraction(1, 2)
@@ -57,8 +58,8 @@ class TestSepParams:
             w=24, d=12, u=8, n=50000,
         )
         assert p.block_size == 171
-        assert p.key_size == 4104 and p.value_size == 4104
-        assert p.domain_size == 8208
+        assert p.layout.key_size == 4104 and p.layout.value_size == 4104
+        assert p.layout.domain_size == 8208
         assert p.D == pytest.approx(989.5833333333334)
 
     def test_kappa_lower_bound_enforced(self):
@@ -77,11 +78,11 @@ class TestSepParams:
     def test_from_ratio_constructs(self):
         p = SepParams.from_ratio(1.5, w=10, d=4, u=2, n=2000)
         assert 0 < p.eta_N < p.eta_M < 0.5
-        assert p.key_size + p.value_size == p.domain_size
+        assert p.layout.key_size + p.layout.value_size == p.layout.domain_size
 
     def test_exact_key_fraction(self):
         p = small_params()
-        assert Fraction(p.key_size, p.domain_size) == p.kappa
+        assert Fraction(p.layout.key_size, p.layout.domain_size) == p.kappa
 
     def test_block_of(self):
         p = small_params()
@@ -104,9 +105,9 @@ class TestKeyValueLayout:
 
 
 class TestBestCandidate:
-    """The batched scorer, over key masks and a digest store, against
-    select_best_hypothesis over the explicit KeyValueConcepts of the same
-    candidates."""
+    """The batched scorer, over packed codeword and key masks and a digest
+    store, against select_best_hypothesis over the explicit KeyValueConcepts
+    of the same candidates."""
 
     @staticmethod
     def random_layout(gen):
@@ -116,14 +117,20 @@ class TestBestCandidate:
         )
 
     @staticmethod
-    def random_sample(gen, layout, key_bits, masks, store, n_examples):
+    def concepts(layout, codewords, masks, length):
+        """The candidates as explicit concepts, read from a store of their own."""
+        store = PrfDigestStore(length, layout.value_size)
+        return [
+            KeyValueConcept(layout, Codeword(int(cw), 0, layout.w), PrfKey(int(m), length), store)
+            for cw, m in zip(codewords, masks)
+        ]
+
+    @classmethod
+    def random_sample(cls, gen, layout, codewords, masks, length, n_examples):
         """Label points by a random candidate with some labels flipped, or else
         by coin flips, so the winner's index and the minimum count both vary."""
         t = int(gen.integers(0, len(masks)))
-        truth = KeyValueConcept(
-            layout, Codeword(signs_to_mask(key_bits[t]), 0, layout.w),
-            PrfKey(int(masks[t]), store.length),
-        )
+        (truth,) = cls.concepts(layout, codewords[t : t + 1], masks[t : t + 1], length)
         points = gen.integers(0, layout.domain_size, size=n_examples)
         flip_rate = float(gen.choice((0.2, 0.5)))
         flips = gen.choice((-1, 1), size=n_examples, p=(flip_rate, 1 - flip_rate))
@@ -131,33 +138,29 @@ class TestBestCandidate:
 
     @classmethod
     def random_case(cls, gen, n_candidates, n_examples):
-        """A layout, candidates with one key length, a fresh store and a
-        sample."""
+        """A layout, packed codewords, keys of one length, a fresh store and
+        a sample."""
         layout = cls.random_layout(gen)
         length = int(gen.integers(1, 12))
-        key_bits = gen.choice((-1, 1), size=(n_candidates, layout.w)).astype(np.int8)
+        codewords = gen.integers(0, 1 << layout.w, size=n_candidates)
         masks = gen.integers(0, 1 << length, size=n_candidates)
         store = PrfDigestStore(length, layout.value_size)
-        S = cls.random_sample(gen, layout, key_bits, masks, store, n_examples)
-        return layout, key_bits, masks, store, S
+        S = cls.random_sample(gen, layout, codewords, masks, length, n_examples)
+        return layout, codewords, masks, store, S
 
-    @staticmethod
-    def oracle(layout, S, key_bits, masks, length):
-        hyps = [
-            KeyValueConcept(layout, Codeword(signs_to_mask(b), 0, layout.w), PrfKey(int(m), length))
-            for b, m in zip(key_bits, masks)
-        ]
-        return select_best_hypothesis(hyps, S)[0]
+    @classmethod
+    def oracle(cls, layout, S, codewords, masks, length):
+        return select_best_hypothesis(cls.concepts(layout, codewords, masks, length), S)[0]
 
     def test_matches_oracle_on_random_cases(self):
         gen = np.random.default_rng(11)
         chosen = set()
         for _ in range(60):
-            layout, key_bits, masks, store, S = self.random_case(
+            layout, codewords, masks, store, S = self.random_case(
                 gen, int(gen.integers(1, 12)), int(gen.integers(1, 400))
             )
-            idx = layout.best_candidate(S, key_bits, masks, store)
-            assert idx == self.oracle(layout, S, key_bits, masks, store.length)
+            idx = layout.best_candidate(S, codewords, masks, store)
+            assert idx == self.oracle(layout, S, codewords, masks, store.length)
             chosen.add(idx)
         assert len(chosen) > 5
 
@@ -172,56 +175,60 @@ class TestBestCandidate:
         for _ in range(15):
             n_candidates = int(gen.integers(1, 2 * _SCORE_CHUNK + 3))
             masks = gen.choice(pool, size=n_candidates)
-            key_bits = gen.choice((-1, 1), size=(n_candidates, layout.w)).astype(np.int8)
-            S = self.random_sample(gen, layout, key_bits, masks, store, int(gen.integers(1, 300)))
-            idx = layout.best_candidate(S, key_bits, masks, store)
-            assert idx == self.oracle(layout, S, key_bits, masks, length)
+            codewords = gen.integers(0, 1 << layout.w, size=n_candidates)
+            S = self.random_sample(
+                gen, layout, codewords, masks, length, int(gen.integers(1, 300))
+            )
+            idx = layout.best_candidate(S, codewords, masks, store)
+            assert idx == self.oracle(layout, S, codewords, masks, length)
 
     def test_more_candidates_than_one_chunk(self):
         gen = np.random.default_rng(12)
         for n_candidates in (_SCORE_CHUNK + 1, 2 * _SCORE_CHUNK + 5):
             for _ in range(5):
-                layout, key_bits, masks, store, S = self.random_case(gen, n_candidates, 300)
-                idx = layout.best_candidate(S, key_bits, masks, store)
-                assert idx == self.oracle(layout, S, key_bits, masks, store.length)
+                layout, codewords, masks, store, S = self.random_case(gen, n_candidates, 300)
+                idx = layout.best_candidate(S, codewords, masks, store)
+                assert idx == self.oracle(layout, S, codewords, masks, store.length)
 
     def test_tie_picks_lowest_index(self):
         gen = np.random.default_rng(13)
-        layout, key_bits, masks, store, S = self.random_case(gen, 2 * _SCORE_CHUNK + 5, 300)
-        best = self.oracle(layout, S, key_bits, masks, store.length)
+        layout, codewords, masks, store, S = self.random_case(gen, 2 * _SCORE_CHUNK + 5, 300)
+        best = self.oracle(layout, S, codewords, masks, store.length)
         # Copy the winner to position 3 and into the second chunk: the copies
         # tie with it for the fewest mistakes, and the first one wins.
         for i in (_SCORE_CHUNK + 8, 3):
-            key_bits[i] = key_bits[best]
+            codewords[i] = codewords[best]
             masks[i] = masks[best]
-        assert layout.best_candidate(S, key_bits, masks, store) == min(best, 3)
-        assert self.oracle(layout, S, key_bits, masks, store.length) == min(best, 3)
+        assert layout.best_candidate(S, codewords, masks, store) == min(best, 3)
+        assert self.oracle(layout, S, codewords, masks, store.length) == min(best, 3)
 
     def test_point_outside_domain_raises_index_error(self):
         gen = np.random.default_rng(14)
-        layout, key_bits, masks, store, S = self.random_case(gen, 4, 50)
+        layout, codewords, masks, store, S = self.random_case(gen, 4, 50)
         outside = S.concat(Sample([layout.domain_size], [1]))
         with pytest.raises(IndexError):
-            self.oracle(layout, outside, key_bits, masks, store.length)
+            self.oracle(layout, outside, codewords, masks, store.length)
         with pytest.raises(IndexError):
-            layout.best_candidate(outside, key_bits, masks, store)
+            layout.best_candidate(outside, codewords, masks, store)
 
     def test_empty_sample_raises_value_error(self):
         gen = np.random.default_rng(15)
-        layout, key_bits, masks, store, _ = self.random_case(gen, 4, 50)
+        layout, codewords, masks, store, _ = self.random_case(gen, 4, 50)
         with pytest.raises(ValueError):
-            self.oracle(layout, Sample.empty(), key_bits, masks, store.length)
+            self.oracle(layout, Sample.empty(), codewords, masks, store.length)
         with pytest.raises(ValueError):
-            layout.best_candidate(Sample.empty(), key_bits, masks, store)
+            layout.best_candidate(Sample.empty(), codewords, masks, store)
 
     def test_store_must_cover_the_value_side(self):
         gen = np.random.default_rng(17)
-        layout, key_bits, masks, store, S = self.random_case(gen, 4, 50)
+        layout, codewords, masks, store, S = self.random_case(gen, 4, 50)
         short = PrfDigestStore(store.length, layout.value_size - 1)
         with pytest.raises(ValueError, match="value side"):
-            layout.best_candidate(S, key_bits, masks, short)
+            layout.best_candidate(S, codewords, masks, short)
         with pytest.raises(ValueError, match="empty candidate list"):
-            layout.best_candidate(S, key_bits[:0], masks[:0], store)
+            layout.best_candidate(S, codewords[:0], masks[:0], store)
+        with pytest.raises(ValueError, match="3 codewords for 4 keys"):
+            layout.best_candidate(S, codewords[:3], masks, store)
 
 
 def test_budget_capped_plan_cut_off():
@@ -265,9 +272,39 @@ class TestSepConcept:
         inst = small_instance()
         c = inst.concept(0, 1)
         p = inst.params
-        table = prf_truth_table(c.key, p.value_size)
-        pts = np.arange(p.key_size, p.domain_size)
+        table = prf_truth_table(c.key, p.layout.value_size)
+        pts = np.arange(p.layout.key_size, p.layout.domain_size)
         assert np.array_equal(c.evaluate_many(pts), table)
+
+    def test_store_must_match_the_key_and_value_side(self):
+        inst = small_instance()
+        p = inst.params
+        c = inst.concept(1, 0)
+        for store, match in (
+            (PrfDigestStore(p.m_out + 1, p.layout.value_size), "bit"),
+            (PrfDigestStore(p.m_out, p.layout.value_size + 1), "value side"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                KeyValueConcept(p.layout, c.codeword, c.key, store)
+
+    def test_truth_and_winner_hashed_once(self, monkeypatch):
+        # The scenario's truth concept, the learner's scoring and its winner
+        # all read the instance store, so the truth key is hashed once.
+        hashed = []
+        digests = cryptoprim._prf_digests
+
+        def counting(key_bytes, counters):
+            hashed.append(key_bytes)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        inst = small_instance()
+        c = inst.concept(1, 2)
+        S = draw_clean_sample(inst.distribution(), c, inst.params.n, RngHandle(3))
+        _, det = sep_malicious_learner(S, inst)
+        assert det["selected"] == (1, 2)
+        assert hashed.count(c.key.key_bytes()) == 1
+        assert len(hashed) == len(set(hashed))
 
     def test_low_weight_index_zero_is_zero_codeword(self):
         inst = small_instance()
@@ -288,7 +325,7 @@ class TestNastyStrategy:
         S = draw_clean_sample(D, c, inst.params.n, RngHandle(1))
         out, ledger = nasty_corrupt(S, 0.25, sep_nasty_strategy(inst), RngHandle(2), c=c)
         assert not ledger.flagged
-        key = out.points < inst.params.key_size
+        key = out.points < inst.params.layout.key_size
         assert np.all(out.labels[key] == 1)
         # Points themselves are unchanged.
         assert np.array_equal(out.points, S.points)
@@ -321,7 +358,7 @@ class TestKeyErasureStrategy:
         for b, lab in zip(blocks, ledger.introduced.labels):
             assert int(lab) == -int(c.codeword.bits[b])
         # All introduced points live on the key side.
-        assert np.all(ledger.introduced.points < p.key_size)
+        assert np.all(ledger.introduced.points < p.layout.key_size)
 
 
 class TestLearner:
@@ -392,7 +429,7 @@ class TestLearner:
         S = draw_clean_sample(inst.distribution(), c, 10, RngHandle(7))
         h, det = sep_malicious_learner(S, inst)
         assert det["flagged"] and "decode failure" in det["flag_reason"]
-        assert h.domain_size == inst.params.domain_size
+        assert h.domain_size == inst.params.layout.domain_size
 
 
 class TestSimulate:
@@ -400,17 +437,17 @@ class TestSimulate:
         inst = small_instance(n=200)
         p = inst.params
         c = inst.concept(0, 0)
-        pts = RngHandle(8).generator().integers(p.key_size, p.domain_size, size=200)
+        pts = RngHandle(8).generator().integers(p.layout.key_size, p.layout.domain_size, size=200)
         T = Sample(pts, c.evaluate_many(pts))
         out = sep_simulate_T_nasty(T, inst, RngHandle(9))
-        key = out.points < p.key_size
+        key = out.points < p.layout.key_size
         assert np.all(out.labels[key] == 1)
         n_value = int((~key).sum())
         assert np.array_equal(out.points[~key], T.points[:n_value])
 
     def test_exhaustion_raises(self):
         inst = small_instance(n=200)
-        T = Sample([inst.params.key_size], [1])
+        T = Sample([inst.params.layout.key_size], [1])
         with pytest.raises(ValueError, match="value examples"):
             sep_simulate_T_nasty(T, inst, RngHandle(9))
 
@@ -418,9 +455,9 @@ class TestSimulate:
         inst = small_instance(n=4000)
         p = inst.params
         c = inst.concept(0, 0)
-        pts = RngHandle(8).generator().integers(p.key_size, p.domain_size, size=p.n)
+        pts = RngHandle(8).generator().integers(p.layout.key_size, p.layout.domain_size, size=p.n)
         T = Sample(pts, c.evaluate_many(pts))
         out = sep_simulate_T_nasty(T, inst, RngHandle(10))
-        frac = float((out.points < p.key_size).mean())
+        frac = float((out.points < p.layout.key_size).mean())
         # 4-sigma band around kappa = 0.5.
         assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / p.n)
