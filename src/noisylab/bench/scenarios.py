@@ -35,6 +35,7 @@ from ..codes import (
     erasure_list_decode_many,
     gen_random_linear_code,
     low_weight_codewords,
+    masks_to_signs,
 )
 from ..core import (
     DiscreteDistribution,
@@ -585,11 +586,9 @@ def _scenario_codes_suite(
         target = gen.choice((-1, 1), size=wb).astype(np.int8)
         radius = int(gen.integers(0, wb + 1))
         got = bitflip_list_decode(G, ReceivedWord(target), radius, cap=1 << kb)
-        oracle = [
-            msg_int
-            for msg_int in range(1 << kb)
-            if int((encode(G, msg_int).bits != target).sum()) <= radius
-        ]
+        # Every message's codeword by encode, unpacked in one call.
+        words = masks_to_signs([encode(G, msg_int).mask for msg_int in range(1 << kb)], wb)
+        oracle = np.flatnonzero((words != target).sum(axis=1) <= radius).tolist()
         if got != oracle:
             bitflip_ok = False
     records.append({"check": "bitflip-oracle", "ok": bitflip_ok})
@@ -600,12 +599,11 @@ def _scenario_codes_suite(
         G = gen_random_linear_code(rho, w, rng.split(2, ci))
         bound = int(rng.split(3, ci).generator().integers(0, w // 2 + 1))
         got = low_weight_codewords(G, bound)
-        oracle_list = []
-        for msg_int in range(1 << k):
-            cw = encode(G, msg_int)
-            if cw.weight <= bound:
-                oracle_list.append(cw)
-        oracle_list.sort(key=lambda cw: tuple(1 if b == -1 else 0 for b in cw.bits))
+        codewords = [encode(G, msg_int) for msg_int in range(1 << k)]
+        low = [cw for cw in codewords if cw.weight <= bound]
+        # Ordered by the words read as bit lists (-1 as 1), position 0 first.
+        ones = (masks_to_signs([cw.mask for cw in low], w) == -1).tolist()
+        oracle_list = [cw for _, cw in sorted(zip(ones, low), key=lambda pair: pair[0])]
         if got != oracle_list:
             low_ok = False
     records.append({"check": "low-weight", "ok": low_ok})

@@ -6,13 +6,16 @@ fraction, ``w`` equal blocks) and a value side. A concept is indexed by a
 under a rate-``d/w`` random linear code, and value-side points by the PRF
 under ``k``.
 
-The learner first removes contradictory pairs (:func:`ice_filter`), estimates
-each key bit by a normalized per-block count, randomly rounds the estimates
-to signs, list-decodes within bit-flip radius ``(1/2 - tau)w``, and
-hypothesis-tests the candidates. The idealized nasty adversary converts key
-blocks into contradictory pairs so they vanish under the filter; the coupling
-construction replays any nasty strategy through a strong-malicious adversary
-so that the filter output equals the nasty-corrupted sample.
+The learner reads the contradiction-filtered sample (:func:`ice_filter`)
+through each point's net label count: the filter keeps ``|net|`` copies of
+the majority label, so the counts give the filtered multiset without building
+it. It estimates each key bit by a normalized per-block net count, randomly
+rounds the estimates to signs, list-decodes within bit-flip radius
+``(1/2 - tau)w``, and hypothesis-tests the candidates on the same counts.
+The idealized nasty adversary converts key blocks into contradictory pairs
+so they vanish under the filter; the coupling construction replays any
+nasty strategy through a strong-malicious adversary so that the filter
+output equals the nasty-corrupted sample.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .core import (
     TableHypothesis,
 )
 from .cryptoprim import PrfDigestStore, PrfKey
-from .learn import ice_filter, ice_filter_keep
+from .learn import ice_filter_keep
 from .noise import CorruptionLedger, StrategyResult
 from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
 
@@ -185,18 +188,25 @@ def ice_malicious_learner(
 ) -> tuple[Hypothesis, dict]:
     """Filter contradictions, estimate key bits, round, decode, select.
 
-    Returns ``(hypothesis, details)``; an empty post-filter sample or a
-    failed/overfull decode is a flagged failure with a constant fallback.
+    The learner depends on ``S`` only through the contradiction-filtered
+    multiset, which it reads through per-point net label counts: the filter
+    keeps ``|net|`` copies of each point's majority label, so nothing is
+    sorted or rebuilt. Returns ``(hypothesis, details)``; an empty
+    post-filter sample or a failed/overfull decode is a flagged failure with
+    a constant fallback.
     """
     params = inst.params
-    S_prime = ice_filter(S)
-    details: dict = {"flagged": False, "flag_reason": None, "n_filtered": len(S) - len(S_prime)}
-    if len(S_prime) == 0:
+    layout = params.layout
+    plus, minus = layout.point_counts(S)
+    net = plus - minus
+    kept = int(np.abs(net).sum())
+    details: dict = {"flagged": False, "flag_reason": None, "n_filtered": len(S) - kept}
+    if kept == 0:
         details.update(flagged=True, flag_reason="no examples survive the filter")
-        return TableHypothesis.constant(1, params.layout.domain_size), details
+        return TableHypothesis.constant(1, layout.domain_size), details
 
-    n_plus, n_minus = params.layout.label_counts(S_prime)
-    v = (n_plus - n_minus) / (params.R * (1 - params.eta))
+    # A block's surviving +1 labels minus its surviving -1 labels is its net.
+    v = layout.block_sums(net) / (params.R * (1 - params.eta))
     z = round_vector(v, rng.split(0))
     details.update(v=v, z=z)
 
@@ -206,15 +216,13 @@ def ice_malicious_learner(
         )
     except DecodeFailure as exc:
         details.update(flagged=True, flag_reason=f"decode failure: {exc}")
-        return TableHypothesis.constant(1, params.layout.domain_size), details
+        return TableHypothesis.constant(1, layout.domain_size), details
     details["n_candidates"] = len(messages)
     if not messages:
         details.update(flagged=True, flag_reason="empty decode list")
-        return TableHypothesis.constant(1, params.layout.domain_size), details
+        return TableHypothesis.constant(1, layout.domain_size), details
 
-    idx = params.layout.best_candidate(
-        S_prime, inst.G.codeword_masks[messages], messages, inst.prf_store
-    )
+    idx = layout.best_candidate(net, inst.G.codeword_masks[messages], messages, inst.prf_store)
     best = inst.concept(PrfKey(messages[idx], params.d))
     details["selected_key"] = best.key
     return best, details

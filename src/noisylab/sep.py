@@ -46,7 +46,6 @@ from .cryptoprim import (
     ExtractorSpec,
     PrfDigestStore,
     PrfKey,
-    extract,
     extract_all_seeds,
     toeplitz_matrices,
 )
@@ -120,12 +119,20 @@ class KeyValueLayout:
             key &= where
         return np.bincount(self.block_of(points[key]), minlength=self.w)
 
-    def label_counts(self, S: Sample) -> tuple[np.ndarray, np.ndarray]:
-        """Per-block counts of ``+1`` and of ``-1`` labels in ``S``."""
-        return (
-            self.block_counts(S.points, S.labels == 1),
-            self.block_counts(S.points, S.labels == -1),
-        )
+    def point_counts(self, S: Sample) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point counts of ``+1`` and of ``-1`` labels in ``S``, one entry
+        per domain point; a point outside the domain is an ``IndexError``."""
+        top = int(S.points.max()) if len(S) else -1
+        if top >= self.domain_size:
+            raise IndexError(f"point {top} is outside the domain of size {self.domain_size}")
+        # One bincount over labeled indices 2x + [label = -1]: even slots
+        # count x's +1 labels, odd slots its -1 labels.
+        counts = np.bincount(2 * S.points + (S.labels == -1), minlength=2 * self.domain_size)
+        return counts[0::2], counts[1::2]
+
+    def block_sums(self, per_point: np.ndarray) -> np.ndarray:
+        """Key-block totals of a per-point array over the domain."""
+        return per_point[: self.key_size].reshape(self.w, self.block_size).sum(axis=1)
 
     def check_store(self, store: PrfDigestStore) -> None:
         """Reject a store that does not cover exactly the value side."""
@@ -136,51 +143,45 @@ class KeyValueLayout:
 
     def best_candidate(
         self,
-        S: Sample,
+        net: np.ndarray,
         codewords: Sequence[int] | np.ndarray,
         masks: Sequence[int] | np.ndarray,
         store: PrfDigestStore,
     ) -> int:
-        """Index of the candidate that mislabels the fewest examples of ``S``,
-        the lowest index among ties: the choice of
+        """Index of the candidate that agrees most with the per-point net
+        label count ``net``, the lowest index among ties.
+
+        ``net`` holds, for each domain point, its ``+1`` labels minus its
+        ``-1`` labels in a sample (the difference of :meth:`point_counts`).
+        A ±1 table ``h`` agrees with it by ``h·net`` and mislabels ``(n -
+        h·net)/2`` of the sample's ``n`` examples, so this is the choice of
         :func:`~noisylab.learn.select_best_hypothesis` over the candidates'
-        tables, made without building them.
+        tables on any sample with that net, made without building them. An
+        all-zero net ties every candidate and picks index 0.
 
         Candidate ``i`` labels key block ``j`` by bit ``j`` of the packed
         codeword ``codewords[i]`` and the value side by the PRF under the
         packed key ``masks[i]``; its value-side row comes from ``store``, a
         :class:`PrfDigestStore` over the value side, so a key its owner has
-        scored before is not hashed again. With ``net`` the per-point count
-        of ``+1`` labels minus ``-1`` labels, a ±1 table ``h`` makes
-        ``(n - h·net)/2`` mistakes. Rows are unpacked ``_SCORE_CHUNK``
-        candidates at a time, which bounds the memory used.
+        scored before is not hashed again. Rows are unpacked
+        ``_SCORE_CHUNK`` candidates at a time, which bounds the memory used.
         """
         n_candidates = len(masks)
         if n_candidates == 0:
             raise ValueError("empty candidate list")
         if len(codewords) != n_candidates:
             raise ValueError(f"{len(codewords)} codewords for {n_candidates} keys")
+        if len(net) != self.domain_size:
+            raise ValueError(f"net has {len(net)} entries, not one per {self.domain_size} points")
         self.check_store(store)
-        n = len(S)
-        if n == 0:
-            raise ValueError("empty test sample")
-        top = int(S.points.max())
-        if top >= self.domain_size:
-            raise IndexError(f"point {top} is outside the domain of size {self.domain_size}")
-        # One bincount over labeled indices 2x + [label = -1]: even slots
-        # count x's +1 labels, odd slots its -1 labels.
-        counts = np.bincount(2 * S.points + (S.labels == -1), minlength=2 * self.domain_size)
-        net = counts[0::2] - counts[1::2]
-        block_net = net[: self.key_size].reshape(self.w, self.block_size).sum(axis=1)
-        agree = masks_to_signs(codewords, self.w).astype(np.int64) @ block_net
+        agree = masks_to_signs(codewords, self.w).astype(np.int64) @ self.block_sums(net)
         # The value-side products run in float64 (BLAS). They are exact: every
         # term and partial sum is an integer of magnitude at most n < 2^53.
         value_net = net[self.key_size :].astype(np.float64)
         for start in range(0, n_candidates, _SCORE_CHUNK):
             tables = store.tables(masks[start : start + _SCORE_CHUNK])
             agree[start : start + len(tables)] += (tables @ value_net).astype(np.int64)
-        mistakes = (n - agree) // 2
-        return int(np.argmin(mistakes))
+        return int(np.argmax(agree))
 
 
 class KeyValueConcept(TableHypothesis):
@@ -383,7 +384,12 @@ class SepInstance:
     def concept(self, p: int, q: int) -> KeyValueConcept:
         """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
         cw = self.low_weight[p]
-        key = PrfKey(extract(cw.mask, q, self.params.extractor_spec), self.params.m_out)
+        spec = self.params.extractor_spec
+        if not 0 <= q < spec.seed_count():
+            raise ValueError(f"seed must be in [0, 2^{spec.u})")
+        # Entry q of every seed's output: the rows are already built, not rehashed.
+        mask = extract_all_seeds(cw.mask, spec, self.extractor_matrices)[q]
+        key = PrfKey(int(mask), self.params.m_out)
         return KeyValueConcept(self.params.layout, cw, key, self.prf_store)
 
     def distribution(self) -> DiscreteDistribution:
@@ -435,10 +441,12 @@ def sep_key_erasure_strategy(inst: SepInstance):
     return strategy
 
 
-def _key_bit_thresholds(S: Sample, params: SepParams) -> np.ndarray:
-    """Per-block key-bit estimates: +1 / -1 when one label count clears
-    ``D - Delta`` and the other stays below it, 0 (erasure) otherwise."""
-    s_plus, s_minus = params.layout.label_counts(S)
+def _key_bit_thresholds(
+    s_plus: np.ndarray, s_minus: np.ndarray, params: SepParams
+) -> np.ndarray:
+    """Per-block key-bit estimates from the per-block ``+1`` and ``-1`` label
+    counts: +1 / -1 when one count clears ``D - Delta`` and the other stays
+    below it, 0 (erasure) otherwise."""
     thr = params.D - params.Delta
     z = np.zeros(params.w, dtype=np.int8)
     z[(s_minus < thr) & (thr <= s_plus)] = 1
@@ -455,14 +463,16 @@ def sep_malicious_learner(
     candidate list the trial is flagged and a constant fallback returned.
     """
     params = inst.params
-    z = _key_bit_thresholds(S, params)
+    layout = params.layout
+    plus, minus = layout.point_counts(S)
+    z = _key_bit_thresholds(layout.block_sums(plus), layout.block_sums(minus), params)
     details: dict = {"z": z, "flagged": False, "flag_reason": None, "candidates": []}
 
     try:
         messages = erasure_list_decode(inst.G, ReceivedWord(z), cap=params.code.L)
     except DecodeFailure as exc:
         details.update(flagged=True, flag_reason=f"decode failure: {exc}")
-        return TableHypothesis.constant(1, params.layout.domain_size), details
+        return TableHypothesis.constant(1, layout.domain_size), details
 
     # Distinct messages give distinct codewords (G has full rank): no duplicates.
     candidate_ps = sorted(
@@ -472,7 +482,7 @@ def sep_malicious_learner(
 
     if not candidate_ps:
         details.update(flagged=True, flag_reason="no low-weight candidate decoded")
-        return TableHypothesis.constant(1, params.layout.domain_size), details
+        return TableHypothesis.constant(1, layout.domain_size), details
 
     spec = params.extractor_spec
     seeds = spec.seed_count()
@@ -481,7 +491,7 @@ def sep_malicious_learner(
         [extract_all_seeds(m, spec, inst.extractor_matrices) for m in masks]
     )
     # Candidate i is (candidate_ps[i // seeds], seed i % seeds).
-    idx = params.layout.best_candidate(S, np.repeat(masks, seeds), extracted, inst.prf_store)
+    idx = layout.best_candidate(plus - minus, np.repeat(masks, seeds), extracted, inst.prf_store)
     p, q = candidate_ps[idx // seeds], idx % seeds
     details["selected"] = (p, q)
     return inst.concept(p, q), details

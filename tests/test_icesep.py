@@ -202,6 +202,76 @@ class TestLearner:
         v_reconstructed = counters.v_estimate(p.R, p.eta, c.codeword.bits)
         assert np.allclose(det["v"], v_reconstructed)
 
+    @staticmethod
+    def with_contradictions(S, gen, domain_size):
+        """``S`` with contradictory pairs inserted in random order: about half
+        at points of ``S``, the rest at uniform points, some repeated."""
+        n_pairs = int(gen.integers(1, len(S) + 50))
+        n_old = n_pairs // 2 if len(S) else 0
+        at = np.concatenate([
+            gen.choice(S.points, size=n_old),
+            gen.integers(0, domain_size, size=n_pairs - n_old),
+        ])
+        points = np.concatenate([S.points, at, at])
+        labels = np.concatenate([S.labels, np.ones(n_pairs, np.int8), -np.ones(n_pairs, np.int8)])
+        order = gen.permutation(len(points))
+        return Sample(points[order], labels[order])
+
+    def test_output_depends_only_on_the_filtered_sample(self):
+        # The paper's ICE property: S and ice_filter(S) give the same run.
+        inst = small_instance()
+        p = inst.params
+        D = inst.distribution()
+        gen = np.random.default_rng(21)
+        flagged = decoded = 0
+        for trial in range(16):
+            c = inst.random_concept(RngHandle(500 + trial))
+            n = (0, 5, 300, p.n)[trial % 4]
+            S = draw_clean_sample(D, c, n, RngHandle(trial)) if n else Sample.empty()
+            flips = gen.choice((-1, 1), size=n, p=(0.15, 0.85))
+            S = Sample(S.points, S.labels * flips)
+            S = self.with_contradictions(S, gen, p.layout.domain_size)
+            h, det = ice_malicious_learner(S, inst, RngHandle(600 + trial))
+            h_f, det_f = ice_malicious_learner(ice_filter(S), inst, RngHandle(600 + trial))
+            assert det["flagged"] == det_f["flagged"]
+            assert det["flag_reason"] == det_f["flag_reason"]
+            assert det["n_filtered"] == len(S) - len(ice_filter(S))
+            assert det_f["n_filtered"] == 0
+            for key in ("z", "v"):
+                assert (key in det) == (key in det_f)
+                if key in det:
+                    assert np.array_equal(det[key], det_f[key])
+            assert det.get("selected_key") == det_f.get("selected_key")
+            assert np.array_equal(h.table, h_f.table)
+            flagged += det["flagged"]
+            decoded += "selected_key" in det
+        assert flagged and decoded
+
+    def test_learner_builds_no_filtered_sample(self, monkeypatch):
+        # The learner reads net counts; the filter itself never runs.
+        def refuse(S):
+            raise AssertionError("contradiction filter called")
+
+        import noisylab.icesep
+        import noisylab.learn
+
+        for module in (noisylab.learn, noisylab.icesep):
+            for name in ("ice_filter", "ice_filter_keep"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        inst = small_instance()
+        c = inst.random_concept(RngHandle(100))
+        S = draw_clean_sample(inst.distribution(), c, inst.params.n, RngHandle(0))
+        S = self.with_contradictions(S, np.random.default_rng(1), inst.params.layout.domain_size)
+        _, det = ice_malicious_learner(S, inst, RngHandle(200))
+        assert not det["flagged"] and det["selected_key"] == c.key
+
+    def test_point_outside_domain_raises_index_error(self):
+        inst = small_instance()
+        with pytest.raises(IndexError):
+            ice_malicious_learner(
+                Sample([0, inst.params.layout.domain_size], [1, 1]), inst, RngHandle(0)
+            )
+
     def test_empty_sample_flags(self):
         inst = small_instance()
         h, det = ice_malicious_learner(Sample.empty(), inst, RngHandle(0))

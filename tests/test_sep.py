@@ -93,11 +93,25 @@ class TestKeyValueLayout:
     def test_fit_and_counts(self):
         layout = KeyValueLayout.fit(8, 4, Fraction(1, 2))
         assert (layout.block_size, layout.key_size, layout.value_size) == (2, 16, 16)
-        S = Sample([0, 1, 1, 3, 15, 16, 31], [1, -1, -1, 1, -1, 1, 1])
-        n_plus, n_minus = layout.label_counts(S)
-        assert n_plus.tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
-        assert n_minus.tolist() == [2, 0, 0, 0, 0, 0, 0, 1]
-        assert layout.key_blocks(S.points).tolist() == [0, 0, 0, 1, 7, -1, -1]
+        S = Sample([0, 1, 1, 3, 15, 16, 31, 16], [1, -1, -1, 1, -1, 1, 1, -1])
+        plus, minus = layout.point_counts(S)
+        assert plus.shape == minus.shape == (layout.domain_size,)
+        assert np.flatnonzero(plus).tolist() == [0, 3, 16, 31]
+        assert minus[[1, 15, 16]].tolist() == [2, 1, 1] and minus.sum() == 4
+        assert layout.block_sums(plus).tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
+        assert layout.block_sums(minus).tolist() == [2, 0, 0, 0, 0, 0, 0, 1]
+        assert layout.key_blocks(S.points).tolist() == [0, 0, 0, 1, 7, -1, -1, -1]
+
+    def test_empty_sample_counts_nothing(self):
+        layout = KeyValueLayout.fit(8, 4, Fraction(1, 2))
+        plus, minus = layout.point_counts(Sample.empty())
+        assert plus.shape == minus.shape == (layout.domain_size,)
+        assert not plus.any() and not minus.any()
+
+    def test_point_outside_domain_raises_index_error(self):
+        layout = KeyValueLayout.fit(8, 4, Fraction(1, 2))
+        with pytest.raises(IndexError, match="outside the domain"):
+            layout.point_counts(Sample([3, layout.domain_size], [1, -1]))
 
     def test_non_integer_value_side_rejected(self):
         with pytest.raises(ValueError, match="integer value side"):
@@ -105,9 +119,9 @@ class TestKeyValueLayout:
 
 
 class TestBestCandidate:
-    """The batched scorer, over packed codeword and key masks and a digest
-    store, against select_best_hypothesis over the explicit KeyValueConcepts
-    of the same candidates."""
+    """The batched scorer, over a sample's per-point net label count, packed
+    codeword and key masks and a digest store, against select_best_hypothesis
+    over the explicit KeyValueConcepts of the same candidates on the sample."""
 
     @staticmethod
     def random_layout(gen):
@@ -152,6 +166,11 @@ class TestBestCandidate:
     def oracle(cls, layout, S, codewords, masks, length):
         return select_best_hypothesis(cls.concepts(layout, codewords, masks, length), S)[0]
 
+    @staticmethod
+    def net(layout, S):
+        plus, minus = layout.point_counts(S)
+        return plus - minus
+
     def test_matches_oracle_on_random_cases(self):
         gen = np.random.default_rng(11)
         chosen = set()
@@ -159,7 +178,7 @@ class TestBestCandidate:
             layout, codewords, masks, store, S = self.random_case(
                 gen, int(gen.integers(1, 12)), int(gen.integers(1, 400))
             )
-            idx = layout.best_candidate(S, codewords, masks, store)
+            idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
             assert idx == self.oracle(layout, S, codewords, masks, store.length)
             chosen.add(idx)
         assert len(chosen) > 5
@@ -179,7 +198,7 @@ class TestBestCandidate:
             S = self.random_sample(
                 gen, layout, codewords, masks, length, int(gen.integers(1, 300))
             )
-            idx = layout.best_candidate(S, codewords, masks, store)
+            idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
             assert idx == self.oracle(layout, S, codewords, masks, length)
 
     def test_more_candidates_than_one_chunk(self):
@@ -187,7 +206,7 @@ class TestBestCandidate:
         for n_candidates in (_SCORE_CHUNK + 1, 2 * _SCORE_CHUNK + 5):
             for _ in range(5):
                 layout, codewords, masks, store, S = self.random_case(gen, n_candidates, 300)
-                idx = layout.best_candidate(S, codewords, masks, store)
+                idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
                 assert idx == self.oracle(layout, S, codewords, masks, store.length)
 
     def test_tie_picks_lowest_index(self):
@@ -199,36 +218,34 @@ class TestBestCandidate:
         for i in (_SCORE_CHUNK + 8, 3):
             codewords[i] = codewords[best]
             masks[i] = masks[best]
-        assert layout.best_candidate(S, codewords, masks, store) == min(best, 3)
+        assert layout.best_candidate(self.net(layout, S), codewords, masks, store) == min(best, 3)
         assert self.oracle(layout, S, codewords, masks, store.length) == min(best, 3)
 
-    def test_point_outside_domain_raises_index_error(self):
-        gen = np.random.default_rng(14)
-        layout, codewords, masks, store, S = self.random_case(gen, 4, 50)
-        outside = S.concat(Sample([layout.domain_size], [1]))
-        with pytest.raises(IndexError):
-            self.oracle(layout, outside, codewords, masks, store.length)
-        with pytest.raises(IndexError):
-            layout.best_candidate(outside, codewords, masks, store)
-
-    def test_empty_sample_raises_value_error(self):
+    def test_zero_net_picks_index_zero(self):
+        # A sample of contradictory pairs only: every candidate makes half its
+        # examples' mistakes, and the oracle breaks the tie at index 0 too.
         gen = np.random.default_rng(15)
         layout, codewords, masks, store, _ = self.random_case(gen, 4, 50)
-        with pytest.raises(ValueError):
-            self.oracle(layout, Sample.empty(), codewords, masks, store.length)
-        with pytest.raises(ValueError):
-            layout.best_candidate(Sample.empty(), codewords, masks, store)
+        zero = np.zeros(layout.domain_size, dtype=np.int64)
+        assert layout.best_candidate(zero, codewords, masks, store) == 0
+        points = gen.integers(0, layout.domain_size, size=20)
+        pairs = Sample(np.repeat(points, 2), np.tile([1, -1], 20))
+        assert not self.net(layout, pairs).any()
+        assert self.oracle(layout, pairs, codewords, masks, store.length) == 0
 
     def test_store_must_cover_the_value_side(self):
         gen = np.random.default_rng(17)
         layout, codewords, masks, store, S = self.random_case(gen, 4, 50)
+        net = self.net(layout, S)
         short = PrfDigestStore(store.length, layout.value_size - 1)
         with pytest.raises(ValueError, match="value side"):
-            layout.best_candidate(S, codewords, masks, short)
+            layout.best_candidate(net, codewords, masks, short)
         with pytest.raises(ValueError, match="empty candidate list"):
-            layout.best_candidate(S, codewords[:0], masks[:0], store)
+            layout.best_candidate(net, codewords[:0], masks[:0], store)
         with pytest.raises(ValueError, match="3 codewords for 4 keys"):
-            layout.best_candidate(S, codewords[:3], masks, store)
+            layout.best_candidate(net, codewords[:3], masks, store)
+        with pytest.raises(ValueError, match="one per"):
+            layout.best_candidate(net[:-1], codewords, masks, store)
 
 
 def test_budget_capped_plan_cut_off():
@@ -265,6 +282,20 @@ class TestSepConcept:
                 c = inst.concept(p_idx, q)
                 assert c.codeword == cw
                 assert c.key == PrfKey(extract(cw.mask, q, spec), inst.params.m_out)
+
+    def test_key_matches_extract_for_every_seed(self):
+        # The key is read from the instance's Toeplitz rows; extract hashes
+        # the seed's rows itself.
+        inst = small_instance()
+        spec = inst.params.extractor_spec
+        for p_idx, cw in enumerate(inst.low_weight):
+            for q in range(spec.seed_count()):
+                assert inst.concept(p_idx, q).key.mask == extract(cw.mask, q, spec)
+
+    @pytest.mark.parametrize("q", [-1, 4])
+    def test_seed_out_of_range_rejected(self, q):
+        with pytest.raises(ValueError, match="seed"):
+            small_instance().concept(1, q)
 
     def test_value_side_is_prf(self):
         from noisylab.cryptoprim import prf_truth_table
