@@ -943,12 +943,15 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
         rec = {"arm": "idealized", "trial": t, "vulnerable": not ledger.flagged}
         if not ledger.flagged:
             vulnerable += 1
-            survivors = S_corr.take(ice_filter_keep(S_corr))
+            # The filter keeps |net| copies of each point: the survivors are
+            # read from the net counts without building them.
+            plus, minus = ip.layout.point_counts(S_corr)
+            net = plus - minus
             key_mask = S_clean.points < ip.layout.key_size
             odd_blocks = int(np.sum(ip.layout.block_counts(S_clean.points) % 2 == 1))
-            no_key_survivors = bool(np.all(survivors.points >= ip.layout.key_size))
+            no_key_survivors = not net[: ip.layout.key_size].any()
             expected = int((~key_mask).sum()) + odd_blocks
-            pattern_ok = no_key_survivors and len(survivors) == expected
+            pattern_ok = no_key_survivors and int(np.abs(net).sum()) == expected
             post_ok += pattern_ok
             rec["survivor_pattern_ok"] = pattern_ok
         records.append(rec)

@@ -6,7 +6,9 @@ cryptographic primitive in the package:
 * The PRF output on point ``x`` is bit ``x mod 512`` of the keyed BLAKE2b
   stream block ``x // 512`` (counter mode), so bulk truth tables cost one hash
   per 512 points. A :class:`PrfDigestStore` keeps the raw stream of every key
-  it has hashed, so a key scored again is not hashed again.
+  it has hashed, so a key scored again is not hashed again. It hands out
+  packed rows (the raw stream bytes, point ``x`` at bit ``x % 8`` of byte
+  ``x // 8``); ±1 truth tables are their unpacked view.
 * The extractor is a Toeplitz universal hash ``T[i, j] = t[i + j]`` over
   GF(2). Seed ``q``'s defining bits ``t[0 .. w + m_out - 2]`` are bit ``k % 8``
   of byte ``k // 8`` of one BLAKE2b digest (personalization ``b"toeplitz"``,
@@ -105,7 +107,8 @@ def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
 class PrfDigestStore:
     """PRF truth tables at points ``0 .. n_points-1`` for ``length``-bit keys,
     each key hashed once: the raw digest stream of every mask asked for is
-    kept, and rows are unpacked from it on request.
+    kept. :meth:`packed` returns those streams as rows of bytes, and
+    :meth:`tables` is their unpacked ±1 view.
 
     Block ``b`` hashes the 8-byte little-endian counter ``b`` (one hash per
     key per 512 points). The store grows only with the keys actually asked
@@ -123,19 +126,43 @@ class PrfDigestStore:
         self._counters = [b.to_bytes(8, "little") for b in range(n_blocks)]
         self._digests: dict[int, bytes] = {}
 
-    def tables(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
-        """±1 truth tables of the keys with packed ``masks``, one int8 row per
-        mask in the given order; a mask not seen before is hashed first."""
-        if isinstance(masks, np.ndarray):
-            masks = masks.tolist()
-        masks = [_as_mask(m, self.length, "key mask") for m in masks]
+    def _mask_list(self, masks: Sequence[int] | np.ndarray) -> list[int]:
+        """``masks`` as Python ints, each an integer in ``[0, 2^length)``.
+
+        A flat integer (or bool, read as 0/1) array, or a sequence numpy reads
+        as one, is checked at once: its dtype, then its smallest and largest
+        entry. Anything else (floats, ints numpy cannot hold in int64 or
+        uint64, non-numbers) gets one :func:`~noisylab.codes._as_mask` check
+        per entry. Both raise :class:`ValueError` on a bad mask.
+        """
+        arr = np.asarray(masks)
+        if arr.ndim != 1 or arr.dtype.kind not in "biu":
+            items = masks.tolist() if isinstance(masks, np.ndarray) else masks
+            return [_as_mask(m, self.length, "key mask") for m in items]
+        masks = arr.tolist()
+        if masks and (min(masks) < 0 or max(masks) >> self.length):
+            raise ValueError(f"key mask must be in [0, 2^{self.length})")
+        return masks
+
+    def packed(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """Raw digest streams of the keys with packed ``masks``: one read-only
+        uint8 row of ``64 * n_blocks`` bytes per mask, in the given order.
+        Point ``x`` is bit ``x % 8`` (little-endian) of byte ``x // 8``, set
+        where the PRF outputs -1; bits past ``n_points`` pad the last block.
+        A mask not seen before is hashed first."""
+        masks = self._mask_list(masks)
         digests = self._digests
         for m in masks:
             if m not in digests:
                 digests[m] = _prf_digests(_key_bytes(m, self.length), self._counters)
         stream = b"".join([digests[m] for m in masks])
-        bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8), bitorder="little")
-        bits = bits.reshape(len(masks), len(self._counters) * _PRF_BLOCK_BITS)
+        row_bytes = len(self._counters) * _PRF_BLOCK_BITS // 8
+        return np.frombuffer(stream, dtype=np.uint8).reshape(len(masks), row_bytes)
+
+    def tables(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+        """±1 truth tables of the keys with packed ``masks``, one int8 row per
+        mask in the given order: the unpacked view of :meth:`packed`."""
+        bits = np.unpackbits(self.packed(masks), axis=1, bitorder="little")
         return _bits_to_signs(bits[:, : self.n_points])
 
 

@@ -63,10 +63,6 @@ __all__ = [
     "sep_simulate_T_nasty",
 ]
 
-# Candidates whose value-side tables are held at once while scoring.
-_SCORE_CHUNK = 16
-
-
 @dataclass(frozen=True)
 class KeyValueLayout:
     """Key/value split of the uniform domain ``{0, ..., domain_size - 1}``.
@@ -163,8 +159,16 @@ class KeyValueLayout:
         codeword ``codewords[i]`` and the value side by the PRF under the
         packed key ``masks[i]``; its value-side row comes from ``store``, a
         :class:`PrfDigestStore` over the value side, so a key its owner has
-        scored before is not hashed again. Rows are unpacked
-        ``_SCORE_CHUNK`` candidates at a time, which bounds the memory used.
+        scored before is not hashed again.
+
+        Every candidate is scored in one pass over the packed rows of
+        :meth:`PrfDigestStore.packed`. A set bit labels its point -1, so the
+        value-side agreement is ``Σ net - 2 · (net over set bits)``; the
+        second term is bit-sliced, ``((row >> b) & 1) @ net[b::8]`` for ``b``
+        in ``0 .. 7``. Every term and partial sum of these products is an
+        integer of magnitude at most ``Σ |value net|``, so they run exactly in
+        float32 when that is below ``2^24``, and in float64 otherwise (exact
+        below ``2^53``, far above any sample size).
         """
         n_candidates = len(masks)
         if n_candidates == 0:
@@ -175,12 +179,22 @@ class KeyValueLayout:
             raise ValueError(f"net has {len(net)} entries, not one per {self.domain_size} points")
         self.check_store(store)
         agree = masks_to_signs(codewords, self.w).astype(np.int64) @ self.block_sums(net)
-        # The value-side products run in float64 (BLAS). They are exact: every
-        # term and partial sum is an integer of magnitude at most n < 2^53.
-        value_net = net[self.key_size :].astype(np.float64)
-        for start in range(0, n_candidates, _SCORE_CHUNK):
-            tables = store.tables(masks[start : start + _SCORE_CHUNK])
-            agree[start : start + len(tables)] += (tables @ value_net).astype(np.int64)
+        rows = store.packed(masks)
+        value_net = net[self.key_size :]
+        exact = np.float32 if int(np.abs(value_net).sum()) < 1 << 24 else np.float64
+        # Point 8k + b is bit b of byte k: padded[b::8] lines up with bit b
+        # of every row byte.
+        padded = np.zeros(8 * rows.shape[1], dtype=exact)
+        padded[: self.value_size] = value_net
+        bits = np.empty(rows.shape, dtype=np.uint8)
+        plane = np.empty(rows.shape, dtype=exact)
+        set_sum = np.zeros(n_candidates, dtype=np.int64)
+        for b in range(8):
+            np.right_shift(rows, b, out=bits)
+            np.bitwise_and(bits, 1, out=bits)
+            plane[...] = bits
+            set_sum += (plane @ padded[b::8]).astype(np.int64)
+        agree += int(value_net.sum()) - 2 * set_sum
         return int(np.argmax(agree))
 
 

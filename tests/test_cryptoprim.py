@@ -230,8 +230,24 @@ class TestPrfDigestStore:
         row = PrfDigestStore(12, n_points).tables([key.mask])[0]
         assert row.tolist() == [spec_prf(key, x) for x in range(n_points)]
 
+    @pytest.mark.parametrize("n_points", [0, 511, 512, 1200])
+    def test_packed_rows_unpack_to_tables(self, n_points):
+        gen = np.random.default_rng(100 + n_points)
+        for length in (1, 8, 33, 64):
+            store = PrfDigestStore(length, n_points)
+            masks = gen.integers(0, 1 << min(length, 63), size=5, dtype=np.uint64)
+            packed = store.packed(masks)
+            n_blocks = -(-n_points // 512)
+            assert packed.shape == (5, 64 * n_blocks) and packed.dtype == np.uint8
+            bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :n_points]
+            tables = store.tables(masks)
+            assert np.array_equal(bits == 1, tables == -1)
+            for m, row in zip(masks.tolist(), tables):
+                assert np.array_equal(row, prf_truth_table(PrfKey(m, length), n_points))
+
     def test_no_masks(self):
         assert PrfDigestStore(8, 600).tables([]).shape == (0, 600)
+        assert PrfDigestStore(8, 600).packed([]).shape == (0, 128)
 
     def test_seen_masks_are_not_hashed_again(self, monkeypatch):
         hashed = []
@@ -242,27 +258,66 @@ class TestPrfDigestStore:
             return digests(key_bytes, counters)
 
         monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
-        store = PrfDigestStore(8, 1200)
-        first = store.tables([5, 9, 5, 200])
-        assert sorted(hashed) == [bytes([5]), bytes([9]), bytes([200])]
-        hashed.clear()
-        again = store.tables(np.array([200, 9, 5], dtype=np.uint64))
-        assert hashed == []
-        assert np.array_equal(again, first[[3, 1, 0]])
-        store.tables([5, 7])
-        assert hashed == [bytes([7])]
+        for method, other in (("tables", "packed"), ("packed", "tables")):
+            store = PrfDigestStore(8, 1200)
+            rows = getattr(store, method)
+            hashed.clear()
+            first = rows([5, 9, 5, 200])
+            assert sorted(hashed) == [bytes([5]), bytes([9]), bytes([200])]
+            hashed.clear()
+            again = rows(np.array([200, 9, 5], dtype=np.uint64))
+            assert hashed == []
+            assert np.array_equal(again, first[[3, 1, 0]])
+            # The other view reads the same digests.
+            getattr(store, other)([9, 200])
+            assert hashed == []
+            rows([5, 7])
+            assert hashed == [bytes([7])]
 
     @pytest.mark.parametrize(
         "mask", [-1, 256, 1 << 64, 1.5, 2.0, np.float64(3.0), "3", None],
         ids=["negative", "too-wide", "too-wide-64", "fraction", "float", "np-float", "str", "none"],
     )
     def test_bad_mask_rejected(self, mask):
-        with pytest.raises(ValueError, match="key mask"):
-            PrfDigestStore(8, 600).tables([0, mask])
+        store = PrfDigestStore(8, 600)
+        for rows in (store.packed, store.tables):
+            with pytest.raises(ValueError, match="key mask"):
+                rows([0, mask])
 
     def test_float_array_rejected(self):
-        with pytest.raises(ValueError, match="integer"):
-            PrfDigestStore(8, 600).tables(np.array([1.0, 2.0]))
+        store = PrfDigestStore(8, 600)
+        for rows in (store.packed, store.tables):
+            with pytest.raises(ValueError, match="integer"):
+                rows(np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize(
+        "masks", [np.array([-1, 3]), np.array([3, 256], dtype=np.uint16), np.array([[1, 2]])],
+        ids=["negative", "too-wide", "two-dimensional"],
+    )
+    def test_bad_int_array_rejected(self, masks):
+        store = PrfDigestStore(8, 600)
+        for rows in (store.packed, store.tables):
+            with pytest.raises(ValueError, match="key mask"):
+                rows(masks)
+
+    def test_bool_masks_read_as_zero_and_one(self):
+        # As _as_mask reads a Python bool: True is key 1, False key 0, in
+        # every form a mask list can take.
+        store = PrfDigestStore(8, 600)
+        want = store.tables([1, 0])
+        for masks in ([True, False], np.array([True, False]), [np.True_, np.False_]):
+            assert np.array_equal(store.tables(masks), want)
+
+    def test_wide_keys_checked_one_by_one(self):
+        # numpy reads a list holding 2^63 as float64, and one holding 2^64 as
+        # objects: such lists are checked one mask at a time.
+        store = PrfDigestStore(64, 600)
+        rows = store.tables([1 << 63, 0])
+        assert np.array_equal(rows[0], prf_truth_table(PrfKey(1 << 63, 64), 600))
+        wide = PrfDigestStore(70, 600)
+        assert wide.packed([1 << 69, 1]).shape == (2, 128)
+        with pytest.raises(ValueError, match="key mask"):
+            wide.packed([1 << 70])
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -304,6 +304,35 @@ class TestIdealizedNasty:
         odd = int(np.sum(np.bincount(blk, minlength=p.w) % 2 == 1))
         assert len(survivors) == int((~key_mask).sum()) + odd
 
+    def test_net_counts_give_the_survivors(self):
+        # The scenario's idealized arm reads the survivors from the net
+        # counts: the filter keeps |net| copies of each point, so it keeps
+        # sum |net| examples, and none on the key side exactly when the key
+        # side's net is all zero.
+        layout = small_params().layout
+        gen = np.random.default_rng(21)
+        seen = set()
+        for t in range(40):
+            points = gen.integers(0, layout.domain_size, size=int(gen.integers(0, 300)))
+            labels = gen.choice((-1, 1), size=points.size)
+            if t % 2:
+                # Key-side examples only in contradictory pairs.
+                value = points >= layout.key_size
+                key = gen.integers(0, layout.key_size, size=int(gen.integers(0, 20)))
+                points = np.concatenate([points[value], key, key])
+                labels = np.concatenate([labels[value], np.ones(key.size), -np.ones(key.size)])
+                order = gen.permutation(points.size)
+                points, labels = points[order], labels[order].astype(int)
+            S = Sample(points, labels)
+            survivors = S.take(ice_filter_keep(S))
+            plus, minus = layout.point_counts(S)
+            net = plus - minus
+            assert len(survivors) == int(np.abs(net).sum())
+            no_key = bool(np.all(survivors.points >= layout.key_size))
+            assert no_key == (not net[: layout.key_size].any())
+            seen.add(no_key)
+        assert seen == {True, False}
+
     def test_fresh_examples_correctly_labeled(self):
         inst = small_instance()
         c = inst.random_concept(RngHandle(1))

@@ -5,19 +5,19 @@ sizes block=2, key side 16, value side 16 (hand-computed from the exact
 kappa = 1/2 constraint).
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from noisylab import cryptoprim
-from noisylab.codes import Codeword, GeneratorMatrix
+from noisylab.codes import Codeword, GeneratorMatrix, masks_to_signs
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
 from noisylab.learn import select_best_hypothesis
 from noisylab.noise import nasty_corrupt, strong_malicious_corrupt
 from noisylab.sep import (
-    _SCORE_CHUNK,
     KeyValueConcept,
     KeyValueLayout,
     SepInstance,
@@ -175,8 +175,9 @@ class TestBestCandidate:
         gen = np.random.default_rng(11)
         chosen = set()
         for _ in range(60):
+            n_candidates = int(gen.choice((1, 17, int(gen.integers(2, 40)))))
             layout, codewords, masks, store, S = self.random_case(
-                gen, int(gen.integers(1, 12)), int(gen.integers(1, 400))
+                gen, n_candidates, int(gen.integers(1, 400))
             )
             idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
             assert idx == self.oracle(layout, S, codewords, masks, store.length)
@@ -192,7 +193,7 @@ class TestBestCandidate:
         store = PrfDigestStore(length, layout.value_size)
         pool = gen.integers(0, 1 << length, size=12)
         for _ in range(15):
-            n_candidates = int(gen.integers(1, 2 * _SCORE_CHUNK + 3))
+            n_candidates = int(gen.integers(1, 40))
             masks = gen.choice(pool, size=n_candidates)
             codewords = gen.integers(0, 1 << layout.w, size=n_candidates)
             S = self.random_sample(
@@ -201,25 +202,85 @@ class TestBestCandidate:
             idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
             assert idx == self.oracle(layout, S, codewords, masks, length)
 
-    def test_more_candidates_than_one_chunk(self):
-        gen = np.random.default_rng(12)
-        for n_candidates in (_SCORE_CHUNK + 1, 2 * _SCORE_CHUNK + 5):
-            for _ in range(5):
-                layout, codewords, masks, store, S = self.random_case(gen, n_candidates, 300)
-                idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
-                assert idx == self.oracle(layout, S, codewords, masks, store.length)
+    @pytest.mark.parametrize("n_candidates", [1, 17, 600])
+    def test_matches_oracle_at_candidate_count(self, n_candidates):
+        gen = np.random.default_rng(12 + n_candidates)
+        for _ in range(3):
+            layout, codewords, masks, store, S = self.random_case(gen, n_candidates, 300)
+            idx = layout.best_candidate(self.net(layout, S), codewords, masks, store)
+            assert idx == self.oracle(layout, S, codewords, masks, store.length)
 
     def test_tie_picks_lowest_index(self):
         gen = np.random.default_rng(13)
-        layout, codewords, masks, store, S = self.random_case(gen, 2 * _SCORE_CHUNK + 5, 300)
+        layout, codewords, masks, store, S = self.random_case(gen, 600, 300)
         best = self.oracle(layout, S, codewords, masks, store.length)
-        # Copy the winner to position 3 and into the second chunk: the copies
-        # tie with it for the fewest mistakes, and the first one wins.
-        for i in (_SCORE_CHUNK + 8, 3):
+        # Copy the winner to a high index and to index 3: the copies tie with
+        # it for the fewest mistakes, and the lowest index wins.
+        for i in (590, 3):
             codewords[i] = codewords[best]
             masks[i] = masks[best]
         assert layout.best_candidate(self.net(layout, S), codewords, masks, store) == min(best, 3)
         assert self.oracle(layout, S, codewords, masks, store.length) == min(best, 3)
+
+    @staticmethod
+    def int64_choice(layout, net, codewords, masks, store):
+        """The winner from explicit int64 tables: key blocks repeated from the
+        codeword signs, value side from the store's ±1 rows."""
+        key = np.repeat(masks_to_signs(codewords, layout.w), layout.block_size, axis=1)
+        tables = np.hstack([key, store.tables(masks)]).astype(np.int64)
+        return int(np.argmax(tables @ net))
+
+    @pytest.mark.parametrize(
+        "total", [(1 << 24) - 1, 1 << 24, (1 << 30) + 3], ids=["2^24-1", "2^24", "2^30"]
+    )
+    def test_exact_at_float32_boundary(self, total):
+        # Candidates 2 and 5 share a codeword and differ on the value side.
+        # Where their rows agree the net is large, with their label, so
+        # both beat every other candidate by far; where they differ, one
+        # point gives candidate 5 the win by 2. Above 2^24 float32 cannot
+        # tell their sums apart.
+        gen = np.random.default_rng(total % 1000)
+        layout = KeyValueLayout.fit(3, 9, Fraction(1, 5))
+        length = 10
+        store = PrfDigestStore(length, layout.value_size)
+        codewords = gen.integers(0, 1 << layout.w, size=60)
+        masks = gen.integers(0, 1 << length, size=60)
+        codewords[2] = codewords[5]
+        low, high = store.tables(masks[[2, 5]]).astype(np.int64)
+        same = np.flatnonzero(low == high)
+        value_net = np.zeros(layout.value_size, dtype=np.int64)
+        base, extra = divmod(total - 1, len(same))
+        value_net[same] = (base + (np.arange(len(same)) < extra)) * high[same]
+        split = np.flatnonzero(low != high)[0]
+        value_net[split] = high[split]
+        net = np.concatenate([gen.integers(-3, 4, size=layout.key_size), value_net])
+        assert int(np.abs(value_net).sum()) == total
+        assert self.int64_choice(layout, net, codewords, masks, store) == 5
+        assert layout.best_candidate(net, codewords, masks, store) == 5
+        # An exact tie: the winner copied to a higher index and to index 0.
+        for i in (50, 0):
+            codewords[i] = codewords[5]
+            masks[i] = masks[5]
+        assert self.int64_choice(layout, net, codewords, masks, store) == 0
+        assert layout.best_candidate(net, codewords, masks, store) == 0
+
+    def test_warm_call_memory_at_sep_learner_size(self):
+        # sep-learner's layout: 256 candidates over a 4,104-point value side.
+        layout = KeyValueLayout(24, 171, Fraction(1, 2))
+        assert layout.value_size == 4104
+        gen = np.random.default_rng(18)
+        store = PrfDigestStore(12, layout.value_size)
+        codewords = gen.integers(0, 1 << layout.w, size=256)
+        masks = gen.integers(0, 1 << 12, size=256, dtype=np.uint64)
+        net = gen.integers(-2, 3, size=layout.domain_size)
+        first = layout.best_candidate(net, codewords, masks, store)
+        tracemalloc.start()
+        try:
+            assert layout.best_candidate(net, codewords, masks, store) == first
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_zero_net_picks_index_zero(self):
         # A sample of contradictory pairs only: every candidate makes half its
