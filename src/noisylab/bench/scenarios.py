@@ -46,6 +46,7 @@ from ..core import (
     draw_clean_sample,
     error_rate,
     labeled_index,
+    philox_keys,
     philox_uniforms,
 )
 from ..icesep import (
@@ -59,6 +60,7 @@ from ..icesep import (
 from ..learn import (
     AmplifyParams,
     Learner,
+    _group_key_suffixes,
     amplify,
     bad_amplify,
     ice_filter,
@@ -403,6 +405,9 @@ def _scenario_amplify_concentration(
 # Holdout-selection counterexample
 # --------------------------------------------------------------------------
 
+# badamplify draws its base learner's coins for this many trials at a time.
+_COIN_CHUNK = 8
+
 
 @_register(
     "badamplify", eps=0.3, eta=0.25, n=_Size(60, 1), k=_Size(10, 1), n_test=_Size(40, 1)
@@ -430,6 +435,14 @@ def badamplify_counterexample(
     ``amp = AmplifyParams.auto(0.1, 0.01)``: enough groups for amplification's
     guarantee, mixture error at most ``eps + amp.eps_additional`` with
     probability at least ``1 - amp.delta``, which its verdict checks.
+
+    The base learner's coins are drawn ahead, for ``_COIN_CHUNK`` trials and
+    both arms at a time, in one Philox pass. That rests on the group-stream
+    contract of :func:`~noisylab.learn.amplify` and
+    :func:`~noisylab.learn.bad_amplify`: an arm called with handle ``h``
+    trains group ``i`` with ``philox_keys(h.ids, row_i)``, row ``i`` of
+    ``learn._group_key_suffixes(k)``. ``train`` looks its coins up by the
+    keys it is handed, and a key not drawn ahead is an error.
     """
     if not 0.01 <= eta <= 0.49:
         raise ValueError("eta must be in [0.01, 0.49]")
@@ -455,30 +468,59 @@ def badamplify_counterexample(
         constant[b] = TableHypothesis.constant(b, M + 1)
         constant[b].exact_error = 0.0 if b == 1 else 1.0
 
+    # Trial t runs bad_amplify with handle rng.split(t, BAD_ARM) and amplify
+    # with rng.split(t, MIX_ARM); each arm's groups train with the keys below.
+    BAD_ARM, MIX_ARM = 2, 3
+    arm_groups = ((BAD_ARM, _group_key_suffixes(k)), (MIX_ARM, _group_key_suffixes(amp.k)))
+    coins: dict[bytes, list[bool]] = {}  # each train call's keys -> its coins
+
+    def draw_coins(chunk: range) -> None:
+        calls = [(t, arm, suffixes) for t in chunk for arm, suffixes in arm_groups]
+        rows = np.concatenate([
+            np.column_stack((np.full((len(suffixes), 2), (t, arm)), suffixes))
+            for t, arm, suffixes in calls
+        ])
+        keys = philox_keys(rng.ids, rows)
+        heads = (philox_uniforms(keys, 1)[:, 0] < 1 - eps).tolist()
+        start = 0
+        for *_, suffixes in calls:
+            stop = start + len(suffixes)
+            coins[keys[start:stop].tobytes()] = heads[start:stop]
+            start = stop
+
     records = []
     bad_count = 0
     amp_exceed = 0
     crosscheck = None
     for t in range(trials):
+        if t % _COIN_CHUNK == 0:
+            draw_coins(range(t, min(t + _COIN_CHUNK, trials)))
         r = rng.split(t)
         clean_pts = r.split(0).generator().integers(0, M, size=m_total, dtype=np.int64)
         S_clean = Sample(clean_pts, np.ones(m_total, dtype=np.int8))
-        appear = np.unique(clean_pts)
         in_appear = np.zeros(M + 1, dtype=bool)
-        in_appear[appear] = True
+        in_appear[clean_pts] = True
+        appear_frac = int(np.count_nonzero(in_appear)) / M
         in_appear[XL] = True
-        appear_frac = appear.size / M
 
         S_corr, _ = nasty_corrupt(S_clean, eta, adversary, r.split(1))
 
-        subset = {}
-        for b in (1, -1):
-            subset[b] = TableHypothesis(np.where(in_appear, b, -b).astype(np.int8))
-            subset[b].exact_error = 1.0 - appear_frac if b == 1 else appear_frac
+        signs = in_appear.view(np.int8) * 2 - 1
+        subset = {1: TableHypothesis(signs), -1: TableHypothesis(-signs)}
+        subset[1].exact_error = 1.0 - appear_frac
+        subset[-1].exact_error = appear_frac
 
         def train(points: np.ndarray, labels: np.ndarray, keys: np.ndarray) -> list[Hypothesis]:
+            try:
+                heads = coins.pop(keys.tobytes())
+            except KeyError:
+                raise RuntimeError(
+                    "badamplify drew no coins for these group keys: it draws them "
+                    "ahead as philox_keys(rng.ids, (trial, arm, *row)) for each row "
+                    "of learn._group_key_suffixes(k), which must be the keys "
+                    "_train_groups derives"
+                ) from None
             majority = np.where(labels.sum(axis=1) >= 0, 1, -1).tolist()
-            heads = (philox_uniforms(keys, 1)[:, 0] < 1 - eps).tolist()
             has_subset = (points >= M).any(axis=1).tolist()
             return [
                 constant[b] if h else subset[b] if s else constant[-b]
@@ -486,7 +528,7 @@ def badamplify_counterexample(
             ]
 
         A = Learner(n=n, train=train)
-        h_sel = bad_amplify(A, k, n_test, S_corr, r.split(2))
+        h_sel = bad_amplify(A, k, n_test, S_corr, r.split(BAD_ARM))
         bad_err = h_sel.exact_error
         if crosscheck is None:
             crosscheck = abs(bad_err - error_rate(h_sel, c, D))
@@ -495,7 +537,7 @@ def badamplify_counterexample(
 
         S_amp_clean = draw_clean_sample(D, c, n * amp.k, r.split(4))
         S_amp, _ = nasty_corrupt(S_amp_clean, eta, adversary, r.split(5))
-        mix = amplify(A, amp, S_amp, r.split(3))
+        mix = amplify(A, amp, S_amp, r.split(MIX_ARM))
         amp_err = float(np.mean([h.exact_error for h in mix.components]))
         over = amp_err > amp_threshold
         amp_exceed += over

@@ -144,6 +144,14 @@ def subsample_filter(S: Sample, n: int, rng: RngHandle) -> Sample:
     return S.take(perm)
 
 
+def _group_key_suffixes(k: int) -> np.ndarray:
+    """The ``(k, 3)`` id suffixes of the Philox keys ``_train_groups`` hands
+    ``train``: row ``i`` is ``(1, i, _TRAIN_ID)``, so group ``i`` of a call
+    with handle ``rng`` trains with ``philox_keys(rng.ids, row_i)``, the
+    randomness of ``A(group, rng.split(1, i))``."""
+    return np.column_stack((np.ones(k, np.int64), np.arange(k), np.full(k, _TRAIN_ID)))
+
+
 def _train_groups(
     A: Learner, S_big: Sample, k: int, rng: RngHandle
 ) -> tuple[list[Hypothesis], Sample]:
@@ -154,8 +162,7 @@ def _train_groups(
     n = A.n
     perm = rng.split(0).generator().permutation(len(S_big))
     groups = perm[: k * n]
-    suffixes = np.column_stack((np.arange(k), np.full(k, _TRAIN_ID)))
-    keys = philox_keys((*rng.ids, 1), suffixes)
+    keys = philox_keys(rng.ids, _group_key_suffixes(k))
     hyps = A.train(S_big.points[groups].reshape(k, n), S_big.labels[groups].reshape(k, n), keys)
     return hyps, S_big.take(perm[k * n :])
 

@@ -1,6 +1,7 @@
 """Bench plumbing: configs, determinism, report files, CLI subcommands."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from noisylab.bench.scenarios import (
     chisquare_vs_binomial,
     two_sample_chi2,
 )
+import noisylab.learn as learn
 from noisylab.learn import AmplifyParams
 
 
@@ -92,6 +94,39 @@ class TestRunScenario:
         # needs, not the holdout arm's k.
         rep = run_scenario(ExperimentConfig(scenario="badamplify", trials=2, seed=3))
         assert rep.aggregate["amplify_k"] == AmplifyParams.auto(0.1, 0.01).k
+
+    def test_badamplify_coins_need_the_group_keys(self, monkeypatch):
+        # badamplify draws its coins ahead from the group-key contract; when
+        # amplify derives one key differently, train must fail loudly rather
+        # than draw other coins.
+        derive = learn.philox_keys
+
+        def one_key_off(parent, suffixes):
+            keys = derive(parent, suffixes).copy()
+            keys[-1, 0] ^= np.uint64(1)
+            return keys
+
+        monkeypatch.setattr(learn, "philox_keys", one_key_off)
+        with pytest.raises(RuntimeError, match="_group_key_suffixes"):
+            run_scenario(ExperimentConfig(scenario="badamplify", trials=1, seed=3))
+
+    def test_badamplify_partial_coin_chunk(self, tmp_path):
+        # 17 trials end on a chunk of one. Trial t draws from rng.split(t)
+        # alone, so the first 5 trials write the golden 5-trial rows, and
+        # the first 9 (one chunk past the first) a 9-trial run's records.
+        params = {"eps": 0.3, "eta": 0.25, "n": 60, "k": 10, "n_test": 40}
+        runs = {
+            trials: run_scenario(
+                ExperimentConfig(scenario="badamplify", params=params, trials=trials, seed=3)
+            )
+            for trials in (9, 17)
+        }
+        assert runs[17].records[:9] == runs[9].records
+        assert any(r["bad_output"] for r in runs[17].records[9:])
+        csv_path, _ = write_report(runs[17], tmp_path)
+        golden = Path(__file__).parent / "golden" / "badamplify_trials.csv"
+        want = golden.read_text().splitlines()
+        assert csv_path.read_text().splitlines()[: len(want)] == want
 
     def test_param_cast_to_its_default_type(self):
         # A JSON float for an integer parameter runs the same scenario.

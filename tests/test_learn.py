@@ -20,11 +20,13 @@ from noisylab.core import (
     TableHypothesis,
     empirical_error,
     error_rate,
+    philox_keys,
     philox_uniforms,
 )
 from noisylab.learn import (
     AmplifyParams,
     Learner,
+    _group_key_suffixes,
     _stable_point_order,
     amplify,
     bad_amplify,
@@ -232,6 +234,26 @@ class TestAmplifyMatchesReferenceLoop:
                 draws = rng.split(1, i, 1).generator().random(6)
                 assert h.record[3] == np.where(draws < 0.5, 1, -1).tolist()
                 assert h.record[3] == A(self._sample(A.n, 3), rng.split(1, i)).record[3]
+
+    @pytest.mark.parametrize("rng", _AMPLIFY_HANDLES, ids=repr)
+    def test_groups_train_with_the_suffix_keys(self, rng):
+        # Both meta-learners hand train the keys of _group_key_suffixes rows
+        # under their handle: the contract that lets a caller draw a group's
+        # coins before the call.
+        handed = []
+        recording = _recording_learner(2)
+
+        def train(points, labels, keys):
+            handed.append(keys.copy())
+            return recording.train(points, labels, keys)
+
+        A, k = Learner(n=2, train=train), 5
+        amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 6), rng)
+        bad_amplify(A, k, 3, self._sample(A.n * k + 3, 7), rng)
+        want = philox_keys(rng.ids, _group_key_suffixes(k))
+        assert len(handed) == 2
+        for keys in handed:
+            assert keys.dtype == want.dtype and keys.tolist() == want.tolist()
 
     def test_groups_build_no_seed_sequence(self, monkeypatch):
         # The k groups' keys come from one batch derivation: the permutation's
