@@ -373,8 +373,9 @@ def _scenario_amplify_concentration(
 
     wrong = TableHypothesis.constant(-1, 2)
 
-    def train(points: np.ndarray, labels: np.ndarray, keys: np.ndarray) -> list[Hypothesis]:
-        heads = philox_uniforms(keys, 1)[:, 0] < 1 - eps
+    def train(points: np.ndarray, labels: np.ndarray, parent: tuple[int, ...],
+              suffixes: np.ndarray) -> list[Hypothesis]:
+        heads = philox_uniforms(philox_keys(parent, suffixes), 1)[:, 0] < 1 - eps
         return [c if h else wrong for h in heads]
 
     A = Learner(n=n_group, train=train)
@@ -440,9 +441,9 @@ def badamplify_counterexample(
     both arms at a time, in one Philox pass. That rests on the group-stream
     contract of :func:`~noisylab.learn.amplify` and
     :func:`~noisylab.learn.bad_amplify`: an arm called with handle ``h``
-    trains group ``i`` with ``philox_keys(h.ids, row_i)``, row ``i`` of
+    trains group ``i`` with the stream ``(*h.ids, *row_i)``, row ``i`` of
     ``learn._group_key_suffixes(k)``. ``train`` looks its coins up by the
-    keys it is handed, and a key not drawn ahead is an error.
+    parent ids it is handed, and streams not drawn ahead are an error.
     """
     if not 0.01 <= eta <= 0.49:
         raise ValueError("eta must be in [0.01, 0.49]")
@@ -469,10 +470,10 @@ def badamplify_counterexample(
         constant[b].exact_error = 0.0 if b == 1 else 1.0
 
     # Trial t runs bad_amplify with handle rng.split(t, BAD_ARM) and amplify
-    # with rng.split(t, MIX_ARM); each arm's groups train with the keys below.
+    # with rng.split(t, MIX_ARM); each arm's groups train with the rows below.
     BAD_ARM, MIX_ARM = 2, 3
     arm_groups = ((BAD_ARM, _group_key_suffixes(k)), (MIX_ARM, _group_key_suffixes(amp.k)))
-    coins: dict[bytes, list[bool]] = {}  # each train call's keys -> its coins
+    coins: dict[tuple[int, ...], tuple[np.ndarray, list[bool]]] = {}  # parent -> suffixes, coins
 
     def draw_coins(chunk: range) -> None:
         calls = [(t, arm, suffixes) for t in chunk for arm, suffixes in arm_groups]
@@ -480,12 +481,11 @@ def badamplify_counterexample(
             np.column_stack((np.full((len(suffixes), 2), (t, arm)), suffixes))
             for t, arm, suffixes in calls
         ])
-        keys = philox_keys(rng.ids, rows)
-        heads = (philox_uniforms(keys, 1)[:, 0] < 1 - eps).tolist()
+        heads = (philox_uniforms(philox_keys(rng.ids, rows), 1)[:, 0] < 1 - eps).tolist()
         start = 0
-        for *_, suffixes in calls:
+        for t, arm, suffixes in calls:
             stop = start + len(suffixes)
-            coins[keys[start:stop].tobytes()] = heads[start:stop]
+            coins[(*rng.ids, t, arm)] = suffixes, heads[start:stop]
             start = stop
 
     records = []
@@ -510,16 +510,16 @@ def badamplify_counterexample(
         subset[1].exact_error = 1.0 - appear_frac
         subset[-1].exact_error = appear_frac
 
-        def train(points: np.ndarray, labels: np.ndarray, keys: np.ndarray) -> list[Hypothesis]:
-            try:
-                heads = coins.pop(keys.tobytes())
-            except KeyError:
+        def train(points: np.ndarray, labels: np.ndarray, parent: tuple[int, ...],
+                  suffixes: np.ndarray) -> list[Hypothesis]:
+            drawn, heads = coins.pop(parent, (None, None))
+            if drawn is None or not np.array_equal(suffixes, drawn):
                 raise RuntimeError(
-                    "badamplify drew no coins for these group keys: it draws them "
-                    "ahead as philox_keys(rng.ids, (trial, arm, *row)) for each row "
-                    "of learn._group_key_suffixes(k), which must be the keys "
-                    "_train_groups derives"
-                ) from None
+                    "badamplify drew no coins for these group streams: it draws them "
+                    "ahead for the streams (*rng.ids, trial, arm, *row), one per row "
+                    "of learn._group_key_suffixes(k), which must be the streams "
+                    "_train_groups hands train"
+                )
             majority = np.where(labels.sum(axis=1) >= 0, 1, -1).tolist()
             has_subset = (points >= M).any(axis=1).tolist()
             return [

@@ -20,7 +20,6 @@ from .core import (
     RngHandle,
     Sample,
     empirical_error,
-    philox_keys,
 )
 
 __all__ = [
@@ -45,24 +44,24 @@ _TRAIN_ID = 1
 class Learner:
     """A base learner: trains one hypothesis per length-``n`` sample.
 
-    ``train(points, labels, keys)`` takes ``k`` samples as ``(k, n)`` point
-    and ±1 label arrays and the ``(k, 2)`` Philox keys of their randomness
-    (see :func:`~noisylab.core.philox_uniforms`), and returns ``k``
-    hypotheses, row ``i``'s a function of row ``i`` alone. Calling the learner
-    trains it on one sample: oversized samples are first reduced with
+    ``train(points, labels, parent, suffixes)`` takes ``k`` samples as
+    ``(k, n)`` point and ±1 label arrays and their randomness: row ``i`` trains
+    with the stream ``(*parent, *suffixes[i])``, whose Philox key is row ``i``
+    of :func:`~noisylab.core.philox_keys` ``(parent, suffixes)``. It returns
+    ``k`` hypotheses, row ``i``'s a function of row ``i`` alone. Calling the
+    learner trains it on one sample: oversized samples are first reduced with
     :func:`subsample_filter`; undersized samples are an error.
     """
 
     n: int
-    train: Callable[[np.ndarray, np.ndarray, np.ndarray], list[Hypothesis]]
+    train: Callable[[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray], list[Hypothesis]]
 
     def __call__(self, S: Sample, rng: RngHandle) -> Hypothesis:
         if len(S) > self.n:
             S = subsample_filter(S, self.n, rng.split(0))
         elif len(S) < self.n:
             raise ValueError(f"learner needs {self.n} examples, got {len(S)}")
-        keys = philox_keys(rng.ids, [[_TRAIN_ID]])
-        return self.train(S.points[None], S.labels[None], keys)[0]
+        return self.train(S.points[None], S.labels[None], rng.ids, np.array([[_TRAIN_ID]]))[0]
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,10 @@ def subsample_filter(S: Sample, n: int, rng: RngHandle) -> Sample:
 
 
 def _group_key_suffixes(k: int) -> np.ndarray:
-    """The ``(k, 3)`` id suffixes of the Philox keys ``_train_groups`` hands
-    ``train``: row ``i`` is ``(1, i, _TRAIN_ID)``, so group ``i`` of a call
-    with handle ``rng`` trains with ``philox_keys(rng.ids, row_i)``, the
-    randomness of ``A(group, rng.split(1, i))``."""
+    """The ``(k, 3)`` stream suffixes ``_train_groups`` hands ``train``: row
+    ``i`` is ``(1, i, _TRAIN_ID)``, so group ``i`` of a call with handle
+    ``rng`` trains with the stream ``(*rng.ids, *row_i)``, the randomness of
+    ``A(group, rng.split(1, i))``."""
     return np.column_stack((np.ones(k, np.int64), np.arange(k), np.full(k, _TRAIN_ID)))
 
 
@@ -161,9 +160,8 @@ def _train_groups(
     after the groups."""
     n = A.n
     perm = rng.split(0).generator().permutation(len(S_big))
-    groups = perm[: k * n]
-    keys = philox_keys(rng.ids, _group_key_suffixes(k))
-    hyps = A.train(S_big.points[groups].reshape(k, n), S_big.labels[groups].reshape(k, n), keys)
+    groups = perm[: k * n].reshape(k, n)
+    hyps = A.train(S_big.points[groups], S_big.labels[groups], rng.ids, _group_key_suffixes(k))
     return hyps, S_big.take(perm[k * n :])
 
 
@@ -193,6 +191,8 @@ def bad_amplify(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if n_test < 1:
+        raise ValueError("n_test must be >= 1")
     if len(S_big) != A.n * k + n_test:
         raise ValueError(
             f"need exactly n·k + n_test = {A.n * k + n_test} examples, got {len(S_big)}"

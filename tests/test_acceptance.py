@@ -1,22 +1,73 @@
 """Acceptance suite: eleven statistical/exact criteria, one test each.
 
-Each test runs its scenario with the reference parameter pack and fixed seed,
-prints a single PASS/FAIL line with the measured quantity and its tolerance,
-and asserts the verdict. All runs are deterministic given the seeds below.
+Each test runs its scenario with the reference parameter pack and fixed seed
+in ``RUNS``, prints a single PASS/FAIL line with the measured quantity and its
+tolerance, and asserts the verdict. All runs are deterministic given those
+seeds, so each run's written reports must also match, byte for byte, the
+SHA-256 pins in ``tests/golden/acceptance_sha256.json``.
+
+Regenerate the pins (only for a change that is meant to alter reports) with
+the golden fixtures: ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
+import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
-from noisylab.bench import ExperimentConfig, run_scenario
+from noisylab.bench import ExperimentConfig, run_scenario, write_report
+
+PINS = Path(__file__).parent / "golden" / "acceptance_sha256.json"
+
+# scenario -> (params, trials, seed): each criterion's reference run.
+RUNS = {
+    "ice-filter-unit": ({"max_len": 6, "domain_points": 3}, 1, 0),
+    "nasty-budget-law": ({"n": 100, "eta": 0.2}, 2000, 1),
+    "amplify-concentration": ({"eps": 0.2, "k": 64, "eta": 0.2}, 1000, 2),
+    "badamplify": ({"eps": 0.3, "eta": 0.25, "n": 60, "k": 10, "n_test": 40}, 2000, 3),
+    "codes-suite": (
+        {"codes": 50, "w": 12, "rho": 0.5, "max_erasures": 3,
+         "bitflip_codes": 20, "low_weight_codes": 20},
+        1,
+        4,
+    ),
+    "sep-learner": ({}, 200, 5),
+    "sep-adversary": ({"sim_trials": 2000, "sim_n": 500}, 200, 6),
+    "round-lemma": ({"kappa": 0.6, "w": 200}, 200, 7),
+    "ice-coupling": ({}, 500, 8),
+    "ice-learner": ({}, 200, 9),
+    "reduction-demos": ({"m": 400, "eta": 0.1}, 2000, 10),
+}
 
 
-def _run(scenario, params, trials, seed):
-    t0 = time.time()
+def _digests(scenario):
+    """The scenario's reference report and the SHA-256 of each written file."""
+    params, trials, seed = RUNS[scenario]
     rep = run_scenario(
         ExperimentConfig(scenario=scenario, params=params, trials=trials, seed=seed)
     )
+    with tempfile.TemporaryDirectory() as out_dir:
+        paths = write_report(rep, Path(out_dir))
+        return rep, {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def write_pins():
+    """Rerun every reference run and rewrite ``PINS``."""
+    pins = {}
+    for scenario in RUNS:
+        pins.update(_digests(scenario)[1])
+    PINS.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+
+
+def _run(scenario):
+    t0 = time.time()
+    rep, digests = _digests(scenario)
+    pins = json.loads(PINS.read_text())
+    for name, digest in digests.items():
+        assert digest == pins.get(name), f"{name} differs from its pin in {PINS.name}"
     return rep, time.time() - t0
 
 
@@ -29,7 +80,7 @@ def test_criterion_01_contradiction_filter_exhaustive():
     # Filter properties, exhaustive over all samples of length <= 6 on a
     # 3-point domain: idempotent, contradiction-free, even drop,
     # permutation-invariant, canonical multiset.
-    rep, dt = _run("ice-filter-unit", {"max_len": 6, "domain_points": 3}, 1, 0)
+    rep, dt = _run("ice-filter-unit")
     ok = all(rep.verdicts.values())
     _report(
         "criterion 1 (filter exhaustive)",
@@ -42,7 +93,7 @@ def test_criterion_01_contradiction_filter_exhaustive():
 
 def test_criterion_02_budget_law():
     # Realized budgets vs Bin(100, 0.2), 2000 trials, chi-square at 1e-3.
-    rep, dt = _run("nasty-budget-law", {"n": 100, "eta": 0.2}, 2000, 1)
+    rep, dt = _run("nasty-budget-law")
     p = rep.aggregate["chi2_pvalue"]
     ok = rep.verdicts["budget_law_binomial"]
     _report("criterion 2 (budget law)", ok, f"chi-square p = {p:.4f} > 1e-3", dt)
@@ -52,7 +103,7 @@ def test_criterion_02_budget_law():
 def test_criterion_03_amplify_concentration():
     # eps = 0.2 crafted learner, k = 64, 1000 trials: frequency of
     # sum error > eps*k + 3*sqrt(k ln 20) must be < 0.05.
-    rep, dt = _run("amplify-concentration", {"eps": 0.2, "k": 64, "eta": 0.2}, 1000, 2)
+    rep, dt = _run("amplify-concentration")
     freq = rep.aggregate["exceed_frequency"]
     ok = rep.verdicts["concentration"]
     _report(
@@ -72,12 +123,7 @@ def test_criterion_04_holdout_selection_counterexample():
     # AmplifyParams.auto(eps_additional=0.1, delta=0.01).k = 461 groups, with
     # the same base learner and adversary, has error above eps + 0.1 = 0.4 in
     # fewer than delta = 1% of trials.
-    rep, dt = _run(
-        "badamplify",
-        {"eps": 0.3, "eta": 0.25, "n": 60, "k": 10, "n_test": 40},
-        2000,
-        3,
-    )
+    rep, dt = _run("badamplify")
     bad = rep.aggregate["bad_output_frequency"]
     amp = rep.aggregate["amplify_exceed_frequency"]
     amp_k = rep.aggregate["amplify_k"]
@@ -108,13 +154,7 @@ def test_criterion_05_codes_suite():
     # Erasure round-trip exhaustive at w=12 over all <= tau*w erasure
     # patterns for 50 random codes; bit-flip decode vs brute force at
     # w <= 10; low-weight enumeration vs a second path.
-    rep, dt = _run(
-        "codes-suite",
-        {"codes": 50, "w": 12, "rho": 0.5, "max_erasures": 3,
-         "bitflip_codes": 20, "low_weight_codes": 20},
-        1,
-        4,
-    )
+    rep, dt = _run("codes-suite")
     ok = all(rep.verdicts.values())
     _report(
         "criterion 5 (codes suite)",
@@ -129,7 +169,7 @@ def test_criterion_06_separation_learner():
     # (w=24, d=12, u=8), key-erasure strong-malicious adversary at eta_M:
     # error <= 4*eta_M*1.25 + 0.05 in >= 95% of 200 trials; the decoded
     # key estimate is never wrong on determined coordinates.
-    rep, dt = _run("sep-learner", {}, 200, 5)
+    rep, dt = _run("sep-learner")
     rate = rep.aggregate["error_ok_rate"]
     zw = rep.aggregate["z_wrong_total"]
     ok = rep.verdicts["error_ok_rate"] and rep.verdicts["z_never_wrong"]
@@ -147,7 +187,7 @@ def test_criterion_07_separation_adversary():
     # Key side all-+1 on >= 99% of non-exhausted trials; key-point multiset
     # independent of the concept index (chi-square at 1e-3); the value-side
     # simulation matches the real corrupted sample (chi-square at 1e-3).
-    rep, dt = _run("sep-adversary", {"sim_trials": 2000, "sim_n": 500}, 200, 6)
+    rep, dt = _run("sep-adversary")
     ok = all(rep.verdicts.values())
     _report(
         "criterion 7 (separation adversary)",
@@ -164,7 +204,7 @@ def test_criterion_07_separation_adversary():
 def test_criterion_08_rounding_bound():
     # 200 random (v, u) pairs at kappa = 0.6, w = 200: Hamming distance of
     # the rounded vector from u stays <= (1/2)(1 - kappa/2)w in >= 99%.
-    rep, dt = _run("round-lemma", {"kappa": 0.6, "w": 200}, 200, 7)
+    rep, dt = _run("round-lemma")
     rate = rep.aggregate["hold_rate"]
     ok = rep.verdicts["rounding_bound"]
     _report(
@@ -180,7 +220,7 @@ def test_criterion_09_coupling_identity():
     # Replaying a nasty strategy through the strong-malicious adversary:
     # exact multiset identity (output = nasty output + floor(m/2)
     # contradictory pairs) on 100% of 500 randomized trials.
-    rep, dt = _run("ice-coupling", {}, 500, 8)
+    rep, dt = _run("ice-coupling")
     ok = rep.verdicts["coupling_exact"]
     _report(
         "criterion 9 (coupling identity)",
@@ -195,7 +235,7 @@ def test_criterion_10_filter_learner_end_to_end():
     # (w=20, d=10, eta=0.05, kappa=0.7): noiseless and low-noise recovery
     # >= 95% over 200 trials each; the idealized adversary leaves exactly
     # the predicted post-filter survivor pattern on every vulnerable trial.
-    rep, dt = _run("ice-learner", {}, 200, 9)
+    rep, dt = _run("ice-learner")
     ok = all(rep.verdicts.values())
     _report(
         "criterion 10 (filter learner end-to-end)",
@@ -213,7 +253,7 @@ def test_criterion_11_reduction_demos():
     # Huber-as-malicious exact marginal TV = 0 (tolerance 1e-12); fixed-rate
     # vs standard mean positional difference <= sqrt(m) + 1 at m = 400,
     # eta = 0.1 over 2000 trials.
-    rep, dt = _run("reduction-demos", {"m": 400, "eta": 0.1}, 2000, 10)
+    rep, dt = _run("reduction-demos")
     ok = all(rep.verdicts.values())
     _report(
         "criterion 11 (reduction demos)",

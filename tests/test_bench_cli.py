@@ -1,6 +1,7 @@
 """Bench plumbing: configs, determinism, report files, CLI subcommands."""
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from noisylab.bench.scenarios import (
     chisquare_vs_binomial,
     two_sample_chi2,
 )
+import noisylab.core as core
 import noisylab.learn as learn
 from noisylab.learn import AmplifyParams
 
@@ -96,19 +98,48 @@ class TestRunScenario:
         assert rep.aggregate["amplify_k"] == AmplifyParams.auto(0.1, 0.01).k
 
     def test_badamplify_coins_need_the_group_keys(self, monkeypatch):
-        # badamplify draws its coins ahead from the group-key contract; when
-        # amplify derives one key differently, train must fail loudly rather
-        # than draw other coins.
-        derive = learn.philox_keys
+        # badamplify draws its coins ahead from the group-stream contract;
+        # when amplify hands train one suffix row it did not draw, train must
+        # fail loudly rather than use other coins.
+        suffixes = learn._group_key_suffixes
 
-        def one_key_off(parent, suffixes):
-            keys = derive(parent, suffixes).copy()
-            keys[-1, 0] ^= np.uint64(1)
-            return keys
+        def one_row_shifted(k):
+            rows = suffixes(k)
+            rows[-1, 1] += 1
+            return rows
 
-        monkeypatch.setattr(learn, "philox_keys", one_key_off)
+        monkeypatch.setattr(learn, "_group_key_suffixes", one_row_shifted)
         with pytest.raises(RuntimeError, match="_group_key_suffixes"):
             run_scenario(ExperimentConfig(scenario="badamplify", trials=1, seed=3))
+
+    def test_badamplify_coins_need_the_parent_ids(self, monkeypatch):
+        # The same when the meta-learners train under a handle other than the
+        # one each arm is called with.
+        train_groups = learn._train_groups
+
+        def other_handle(A, S_big, k, rng):
+            return train_groups(A, S_big, k, rng.split(0))
+
+        monkeypatch.setattr(learn, "_train_groups", other_handle)
+        with pytest.raises(RuntimeError, match="_group_key_suffixes"):
+            run_scenario(ExperimentConfig(scenario="badamplify", trials=1, seed=3))
+
+    def test_badamplify_derives_each_group_key_once(self, monkeypatch):
+        # 9 trials draw their coins in two chunks (8 trials, then 1). Each
+        # group's Philox key is derived there, once, and nowhere else.
+        derive = core.philox_keys
+        rows = []
+
+        def counting(parent, suffixes):
+            rows.append(len(suffixes))
+            return derive(parent, suffixes)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("noisylab") and getattr(module, "philox_keys", None) is derive:
+                monkeypatch.setattr(module, "philox_keys", counting)
+        run_scenario(ExperimentConfig(scenario="badamplify", trials=9, seed=3))
+        assert len(rows) == 2
+        assert sum(rows) == 9 * (10 + AmplifyParams.auto(0.1, 0.01).k)
 
     def test_badamplify_partial_coin_chunk(self, tmp_path):
         # 17 trials end on a chunk of one. Trial t draws from rng.split(t)

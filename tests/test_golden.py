@@ -5,8 +5,9 @@ count and compares the written ``<scenario>_trials.csv`` and
 ``<scenario>_aggregate.json`` against the fixtures in ``tests/golden/``.
 A refactor that keeps behaviour keeps these files identical.
 
-Regenerate the fixtures (only for a change that is meant to alter reports):
-``PYTHONPATH=src python tests/test_golden.py``.
+Regenerate the fixtures, and the acceptance-size pins of
+``tests/test_acceptance.py`` (only for a change that is meant to alter
+reports): ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 from pathlib import Path
@@ -55,5 +56,8 @@ def test_every_scenario_has_a_case():
 
 
 if __name__ == "__main__":
+    from test_acceptance import write_pins
+
     for case in CASES:
         _write(case, GOLDEN)
+    write_pins()

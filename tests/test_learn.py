@@ -24,6 +24,7 @@ from noisylab.core import (
     philox_uniforms,
 )
 from noisylab.learn import (
+    _TRAIN_ID,
     AmplifyParams,
     Learner,
     _group_key_suffixes,
@@ -149,7 +150,7 @@ class TestSubsampleFilter:
 
 
 def _majority_learner(n):
-    def train(points, labels, keys):
+    def train(points, labels, parent, suffixes):
         return [TableHypothesis.constant(1 if s >= 0 else -1, 2) for s in labels.sum(axis=1)]
 
     return Learner(n=n, train=train)
@@ -171,7 +172,8 @@ def _recording_learner(n, domain=6):
     """A learner whose hypothesis records its group, its key and its draws;
     its random table makes holdout errors differ between groups."""
 
-    def train(points, labels, keys):
+    def train(points, labels, parent, suffixes):
+        keys = philox_keys(parent, suffixes)
         tables = np.where(philox_uniforms(keys, domain) < 0.5, 1, -1).astype(np.int8)
         hyps = []
         for p, l, key, table in zip(points, labels, keys, tables):
@@ -237,23 +239,26 @@ class TestAmplifyMatchesReferenceLoop:
 
     @pytest.mark.parametrize("rng", _AMPLIFY_HANDLES, ids=repr)
     def test_groups_train_with_the_suffix_keys(self, rng):
-        # Both meta-learners hand train the keys of _group_key_suffixes rows
-        # under their handle: the contract that lets a caller draw a group's
-        # coins before the call.
+        # Both meta-learners hand train their handle's ids and the
+        # _group_key_suffixes rows, and a call hands the one row (_TRAIN_ID,):
+        # the contract that lets a caller draw a group's coins before the call.
         handed = []
         recording = _recording_learner(2)
 
-        def train(points, labels, keys):
-            handed.append(keys.copy())
-            return recording.train(points, labels, keys)
+        def train(points, labels, parent, suffixes):
+            handed.append((parent, suffixes.copy()))
+            return recording.train(points, labels, parent, suffixes)
 
         A, k = Learner(n=2, train=train), 5
         amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 6), rng)
         bad_amplify(A, k, 3, self._sample(A.n * k + 3, 7), rng)
-        want = philox_keys(rng.ids, _group_key_suffixes(k))
-        assert len(handed) == 2
-        for keys in handed:
-            assert keys.dtype == want.dtype and keys.tolist() == want.tolist()
+        A(self._sample(A.n, 8), rng)
+        want = _group_key_suffixes(k)
+        assert len(handed) == 3
+        for parent, suffixes in handed[:2]:
+            assert parent == rng.ids
+            assert suffixes.dtype == want.dtype and suffixes.tolist() == want.tolist()
+        assert handed[2][0] == rng.ids and handed[2][1].tolist() == [[_TRAIN_ID]]
 
     def test_groups_build_no_seed_sequence(self, monkeypatch):
         # The k groups' keys come from one batch derivation: the permutation's
@@ -324,6 +329,14 @@ class TestBadAmplify:
         A = _majority_learner(2)
         with pytest.raises(ValueError, match="k must be >= 1"):
             bad_amplify(A, 0, 4, Sample.from_pairs([(0, 1)] * 4), RngHandle(0))
+
+    @pytest.mark.parametrize("n_test", [0, -1])
+    def test_empty_holdout_rejected(self, n_test):
+        # The sample size n·k + n_test matches, so only n_test itself is wrong.
+        A = _majority_learner(2)
+        S = Sample.from_pairs([(0, 1)] * (A.n * 2 + n_test))
+        with pytest.raises(ValueError, match="n_test must be >= 1"):
+            bad_amplify(A, 2, n_test, S, RngHandle(0))
 
     def test_selects_lowest_holdout_error(self):
         # Learner output is determined by its group content; the all-agreeing
