@@ -137,6 +137,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a directory path string, got {self.out!r}")
         if self.scenario not in _SCENARIOS:
             raise ValueError(
                 f"unknown scenario {self.scenario!r}; known: {scenario_names()}"
@@ -172,14 +174,15 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
     fn, defaults, lows = _SCENARIOS[config.scenario]
     params = dict(defaults)
     for key, value in config.params.items():
-        # A value must equal its cast, so the echoed config describes the run.
+        # A value must equal its cast, so the echoed config describes the run;
+        # a JSON boolean or infinity is no number.
         kind = type(defaults[key])
         try:
-            params[key] = kind(value)
-            if params[key] != value:
+            cast = params[key] = kind(value)
+            if isinstance(value, bool) or cast != value or abs(cast) == math.inf:
                 raise ValueError
-        except (TypeError, ValueError):
-            noun = "an integer" if kind is int else "a number"
+        except (TypeError, ValueError, OverflowError):
+            noun = "an integer" if kind is int else "a finite number"
             raise ValueError(f"param {key!r} must be {noun}, got {value!r}") from None
         if key in lows and params[key] < lows[key]:
             raise ValueError(f"{key} must be >= {lows[key]}, got {value!r}")
@@ -275,7 +278,7 @@ def _scenario_ice_filter_unit(
         pts = (pts_local + np.arange(N)[:, None] * domain_points).ravel()
         S = Sample(pts, labels.ravel())
         out = S.take(ice_filter_keep(S))
-        cell = out.points * 2 + (out.labels < 0)
+        cell = labeled_index(out.points, out.labels)
         counts = np.bincount(cell, minlength=N * n_types).reshape(N, domain_points, 2)
         surv = np.bincount(out.points // domain_points, minlength=N)
         return counts, out, surv
@@ -298,11 +301,9 @@ def _scenario_ice_filter_unit(
         counts, out, surv = batch_counts(digits)
 
         # Input net counts drive the canonical-form oracle.
-        pts_local = digits // 2
+        pts_in = digits // 2 + np.arange(N)[:, None] * domain_points
         labels_in = np.where(digits % 2 == 0, 1, -1)
-        cell_in = (
-            (pts_local + np.arange(N)[:, None] * domain_points) * 2 + (labels_in < 0)
-        ).ravel()
+        cell_in = labeled_index(pts_in, labels_in).ravel()
         counts_in = np.bincount(cell_in, minlength=N * n_types).reshape(N, domain_points, 2)
         net = counts_in[:, :, 0] - counts_in[:, :, 1]
         canonical = np.array_equal(counts[:, :, 0], np.maximum(net, 0)) and np.array_equal(

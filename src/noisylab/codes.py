@@ -191,18 +191,8 @@ class ReceivedWord:
             raise ValueError("symbols must be in {-1, 0(=erasure), +1}")
         self.symbols = _frozen(arr.astype(np.int8, copy=False), symbols)
 
-    @classmethod
-    def erase(cls, bits: Sequence[int] | np.ndarray, positions: Sequence[int]) -> "ReceivedWord":
-        arr = np.array(bits)
-        arr[list(positions)] = 0
-        return cls(arr)
-
     def __len__(self) -> int:
         return int(self.symbols.size)
-
-    @property
-    def erasures(self) -> np.ndarray:
-        return np.flatnonzero(self.symbols == 0)
 
 
 class GeneratorMatrix:

@@ -242,13 +242,6 @@ class Sample:
         raise AttributeError("Sample is immutable")
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "Sample":
-        if not pairs:
-            return cls.empty()
-        pts, labs = zip(*pairs)
-        return cls(np.array(pts, dtype=np.int64), np.array(labs, dtype=np.int8))
-
-    @classmethod
     def empty(cls) -> "Sample":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int8))
 
@@ -300,12 +293,6 @@ class Sample:
         labs[indices] = new_labs
         return Sample._trusted(pts, labs)
 
-    def concat(self, other: "Sample") -> "Sample":
-        return Sample._trusted(
-            np.concatenate([self.points, other.points]),
-            np.concatenate([self.labels, other.labels]),
-        )
-
 
 class DiscreteDistribution:
     """Explicit probability vector over a finite indexed domain."""
@@ -334,12 +321,6 @@ class DiscreteDistribution:
             raise ValueError(f"a uniform distribution needs size >= 1, got {size}")
         return cls(np.full(size, 1.0 / size))
 
-    @classmethod
-    def point_mass(cls, index: int, size: int) -> "DiscreteDistribution":
-        w = np.zeros(size)
-        w[index] = 1.0
-        return cls(w)
-
     def __len__(self) -> int:
         return int(self.weights.size)
 
@@ -358,9 +339,10 @@ class DiscreteDistribution:
         return gen.choice(w.size, size=n, p=w).astype(np.int64)
 
 
-def labeled_index(point: int, label: int) -> int:
-    """Index of a labeled example in the product space: 2*point + [label == -1]."""
-    return 2 * point + (1 if label < 0 else 0)
+def labeled_index(point: int | np.ndarray, label: int | np.ndarray) -> int | np.ndarray:
+    """Index of a labeled example in the product space, ``2*point + [label ==
+    -1]``; elementwise over arrays of points and ±1 labels."""
+    return 2 * point + (label < 0)
 
 
 class Hypothesis:

@@ -44,14 +44,12 @@ from .core import (
     TableHypothesis,
 )
 from .cryptoprim import PrfDigestStore, PrfKey
-from .learn import ice_filter_keep
-from .noise import CorruptionLedger, StrategyResult
+from .noise import StrategyResult
 from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
 
 __all__ = [
     "IceSepParams",
     "IceInstance",
-    "BlockCounters",
     "round_vector",
     "ice_malicious_learner",
     "ice_idealized_nasty_strategy",
@@ -129,10 +127,6 @@ class IceSepParams:
     def R(self) -> float:
         """Expected examples per key block: (2*kappa_prime*eta/w) * n."""
         return float(self.key_fraction) * self.n / self.w
-
-    @property
-    def Delta(self) -> float:
-        return self.n ** 0.51
 
     @property
     def decode_radius(self) -> int:
@@ -305,52 +299,3 @@ def nasty_via_strong_malicious(
         )
 
     return strategy
-
-
-@dataclass(frozen=True)
-class BlockCounters:
-    """Per-key-block corruption accounting for one trial.
-
-    For block ``i`` with true bit ``b_i``: ``alpha`` counts uncorrupted clean
-    examples, ``beta`` introduced examples with the correct label, ``gamma``
-    correct examples cancelled by the filter, ``delta`` incorrectly-labeled
-    survivors, and ``alpha_prime``/``beta_prime`` the post-filter survivors
-    of the alpha/beta populations. ``alpha_prime + beta_prime = alpha + beta
-    - gamma`` holds by construction.
-    """
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    gamma: np.ndarray
-    delta: np.ndarray
-    alpha_prime: np.ndarray
-    beta_prime: np.ndarray
-
-    @classmethod
-    def from_trial(
-        cls, ledger: CorruptionLedger, c: KeyValueConcept, params: IceSepParams
-    ) -> "BlockCounters":
-        S_corr = ledger.reapply()
-        n = len(S_corr)
-        survived = np.zeros(n, dtype=bool)
-        survived[ice_filter_keep(S_corr)] = True
-        corrupted = np.zeros(n, dtype=bool)
-        corrupted[ledger.corrupted_indices] = True
-        correct = S_corr.labels == c.evaluate_many(S_corr.points)
-
-        def count(mask: np.ndarray) -> np.ndarray:
-            return params.layout.block_counts(S_corr.points, mask)
-
-        alpha = count(~corrupted)
-        beta = count(corrupted & correct)
-        alpha_prime = count(~corrupted & survived)
-        beta_prime = count(corrupted & correct & survived)
-        delta = count(~correct & survived)
-        gamma = alpha + beta - alpha_prime - beta_prime
-        return cls(alpha, beta, gamma, delta, alpha_prime, beta_prime)
-
-    def v_estimate(self, R: float, eta: float, codeword_bits: np.ndarray) -> np.ndarray:
-        """Signed reconstruction ``b_i * (alpha'_i + beta'_i - delta_i) /
-        (R(1-eta))`` of the learner's per-block key-bit estimates."""
-        raw = (self.alpha_prime + self.beta_prime - self.delta) / (R * (1 - eta))
-        return codeword_bits.astype(np.float64) * raw

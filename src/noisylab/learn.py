@@ -87,29 +87,14 @@ class AmplifyParams:
         return cls(k=max(k, 1), eps_additional=eps_additional, delta=delta)
 
 
-def _stable_point_order(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.argsort(points, kind="stable")`` and the sorted points.
-
-    With every point in ``[0, INT64_MAX // n)``, the unique keys
-    ``points * n + i`` fit in int64 and one ``np.sort`` of them gives both,
-    several times faster than the stable argsort; otherwise that runs.
-    """
-    n = points.size
-    if n and points.min() >= 0 and points.max() < np.iinfo(np.int64).max // n:
-        key = np.sort(points * n + np.arange(n))
-        return key % n, key // n
-    order = np.argsort(points, kind="stable")
-    return order, points[order]
-
-
 def ice_filter_keep(S: Sample) -> np.ndarray:
     """Positions surviving contradictory-pair cancellation (see ice_filter)."""
     n = len(S)
     if n == 0:
         return np.empty(0, dtype=np.int64)
     # One stable sort groups equal points and keeps each group in sample order.
-    order, pts = _stable_point_order(S.points)
-    labs = S.labels[order]
+    order = np.argsort(S.points, kind="stable")
+    pts, labs = S.points[order], S.labels[order]
     new_group = np.r_[True, pts[1:] != pts[:-1]]
     starts = np.flatnonzero(new_group)
     group = np.cumsum(new_group) - 1

@@ -35,6 +35,7 @@ from .core import (
     LabeledExample,
     RngHandle,
     Sample,
+    draw_clean_sample,
 )
 
 __all__ = [
@@ -91,8 +92,8 @@ class StrategyResult:
 class CorruptionLedger:
     """Full record of one corruption pass.
 
-    ``corrupted_indices``, ``replaced`` and ``introduced`` are parallel:
-    position ``corrupted_indices[i]`` held ``replaced[i]`` and now holds
+    ``corrupted_indices`` and ``introduced`` are parallel: position
+    ``corrupted_indices[i]`` held ``clean[corrupted_indices[i]]`` and now holds
     ``introduced[i]``. ``budget`` is the realized corruption count;
     ``drawn_budget`` is the budget the process drew before the strategy chose
     how much of it to use (for strong malicious, the size of the coin set).
@@ -105,11 +106,6 @@ class CorruptionLedger:
     coin_set: np.ndarray | None = None
     flagged: bool = False
     flag_reason: str | None = None
-
-    @property
-    def replaced(self) -> Sample:
-        """The clean examples the corruption overwrote."""
-        return self.clean.take(self.corrupted_indices)
 
     @property
     def budget(self) -> int:
@@ -168,12 +164,9 @@ def malicious_corrupt(
     NoiseRate(eta)
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
-    clean_pts = D.sample_points(n, rng.split(1))
-    clean_labs = (
-        c.evaluate_many(clean_pts) if n else np.empty(0, dtype=np.int8)
-    )
-    out_pts = clean_pts.copy()
-    out_labs = clean_labs.copy()
+    clean = draw_clean_sample(D, c, n, rng.split(1))
+    out_pts = clean.points.copy()
+    out_labs = clean.labels.copy()
     heads = np.flatnonzero(coins)
     for j, i in enumerate(heads.tolist()):
         prefix = Sample(out_pts[:i], out_labs[:i])
@@ -181,7 +174,6 @@ def malicious_corrupt(
         ex = LabeledExample(int(point), int(label))
         out_pts[i] = ex.point
         out_labs[i] = ex.label
-    clean = Sample(clean_pts, clean_labs)
     result = StrategyResult(heads, Sample(out_pts[heads], out_labs[heads]))
     return _apply_choices(clean, result, drawn_budget=int(coins.sum()))
 
@@ -271,15 +263,15 @@ def huber_sample(
     NoiseRate(eta)
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
-    pts = D.sample_points(n, rng.split(1))
-    labs = c.evaluate_many(pts) if n else np.empty(0, dtype=np.int8)
+    S = draw_clean_sample(D, c, n, rng.split(1))
     n_out = int(coins.sum())
-    if n_out:
-        drawn = outliers.sample_points(n_out, rng.split(2))
-        pts = pts.copy()
-        labs = labs.copy()
-        pts[coins] = drawn // 2
-        labs[coins] = np.where(drawn % 2 == 1, -1, 1).astype(np.int8)
+    if not n_out:
+        return S
+    drawn = outliers.sample_points(n_out, rng.split(2))
+    pts = S.points.copy()
+    labs = S.labels.copy()
+    pts[coins] = drawn // 2
+    labs[coins] = np.where(drawn % 2 == 1, -1, 1).astype(np.int8)
     return Sample(pts, labs)
 
 

@@ -41,6 +41,7 @@ from .core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    labeled_index,
 )
 from .cryptoprim import (
     ExtractorSpec,
@@ -108,12 +109,9 @@ class KeyValueLayout:
         """Key-block index of each point, ``-1`` on the value side."""
         return np.where(points < self.key_size, self.block_of(points), -1)
 
-    def block_counts(self, points: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
-        """Key-side points per block, counting only ``where`` if given."""
-        key = points < self.key_size
-        if where is not None:
-            key &= where
-        return np.bincount(self.block_of(points[key]), minlength=self.w)
+    def block_counts(self, points: np.ndarray) -> np.ndarray:
+        """Key-side points per block."""
+        return np.bincount(self.block_of(points[points < self.key_size]), minlength=self.w)
 
     def point_counts(self, S: Sample) -> tuple[np.ndarray, np.ndarray]:
         """Per-point counts of ``+1`` and of ``-1`` labels in ``S``, one entry
@@ -121,9 +119,9 @@ class KeyValueLayout:
         top = int(S.points.max()) if len(S) else -1
         if top >= self.domain_size:
             raise IndexError(f"point {top} is outside the domain of size {self.domain_size}")
-        # One bincount over labeled indices 2x + [label = -1]: even slots
-        # count x's +1 labels, odd slots its -1 labels.
-        counts = np.bincount(2 * S.points + (S.labels == -1), minlength=2 * self.domain_size)
+        # One bincount over labeled indices: even slots count x's +1 labels,
+        # odd slots its -1 labels.
+        counts = np.bincount(labeled_index(S.points, S.labels), minlength=2 * self.domain_size)
         return counts[0::2], counts[1::2]
 
     def block_sums(self, per_point: np.ndarray) -> np.ndarray:

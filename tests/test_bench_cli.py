@@ -334,6 +334,9 @@ class TestCli:
         pytest.param("run round-lemma --config {kapa}", id="scenario-unknown-param"),
         pytest.param("run round-lemma --config {null}", id="scenario-param-type"),
         pytest.param("run round-lemma --config {frac}", id="scenario-param-fraction"),
+        pytest.param("run round-lemma --config {boolean}", id="scenario-param-bool"),
+        pytest.param("run round-lemma --config {huge}", id="scenario-param-int-infinity"),
+        pytest.param("run round-lemma --config {huge_float}", id="scenario-param-float-infinity"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
@@ -345,6 +348,7 @@ class TestCli:
         pytest.param("run round-lemma --config {trials_bool}", id="config-trials-bool"),
         pytest.param("run round-lemma --config {seed_str}", id="config-seed-str"),
         pytest.param("run round-lemma --config {seed_bool}", id="config-seed-bool"),
+        pytest.param("run round-lemma --config {out_int}", id="config-out-int"),
         pytest.param("run sep-adversary --config {weightless}", id="sep-adversary-no-codeword"),
         pytest.param("run sep-learner --config {sep_n0}", id="sep-learner-zero-n"),
         pytest.param("run ice-coupling --config {domain0}", id="ice-coupling-empty-domain"),
@@ -364,6 +368,15 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     kapa.write_text(json.dumps({"scenario": "round-lemma", "params": {"kapa": 0.9}}))
     null.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": None}}))
     frac.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": 200.7}}))
+    # Raw JSON params and the one error line each gives. JSON has no infinity
+    # literal, but 1e400 overflows to one.
+    raw = {
+        "boolean": ('{"w": true, "kappa": false}', "param 'w' must be an integer, got True"),
+        "huge": ('{"w": 1e400}', "param 'w' must be an integer, got inf"),
+        "huge_float": ('{"kappa": -1e400}', "param 'kappa' must be a finite number, got -inf"),
+    }
+    for name, (text, _) in raw.items():
+        (tmp_path / f"{name}.json").write_text(f'{{"scenario": "round-lemma", "params": {text}}}')
     # eta_N * w = 0.24: the only codeword of weight <= 0.24 is the zero word.
     weightless = tmp_path / "weightless.json"
     weightless.write_text(json.dumps({"scenario": "sep-adversary", "params": {
@@ -376,7 +389,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     listed.write_text("[1]")
     unnamed.write_text(json.dumps({"schema_version": 1, "n_records": 0}))
     fields = {"trials_str": ("trials", "5"), "trials_bool": ("trials", True),
-              "seed_str": ("seed", "x"), "seed_bool": ("seed", False)}
+              "seed_str": ("seed", "x"), "seed_bool": ("seed", False), "out_int": ("out", 5)}
     for name, (key, value) in fields.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"scenario": "round-lemma", key: value}))
     capsys.readouterr()
@@ -384,7 +397,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null, frac=frac, listed=listed,
         unnamed=unnamed, weightless=weightless, sep_n0=sep_n0, domain0=domain0, k0=k0,
         missing=tmp_path / "none",
-        **{name: tmp_path / f"{name}.json" for name in fields},
+        **{name: tmp_path / f"{name}.json" for name in (*fields, *raw)},
     ).split()
     assert main(args) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -395,6 +408,11 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "kapa" in err[0] and "kappa" in err[0]
     if "frac" in argv:
         assert "200.7" in err[0] and "integer" in err[0]
+    for name, (_, message) in raw.items():
+        if f"{{{name}}}" in argv:
+            assert err == [f"error: {message}"]
+    if "out_int" in argv:
+        assert "out" in err[0] and "5" in err[0]
     if "weightless" in argv:
         assert "nonzero codeword" in err[0]
     if "k0" in argv:

@@ -27,6 +27,8 @@ from noisylab.core import (
     philox_uniforms,
 )
 
+from helpers import erase, point_mass, sample_from_pairs
+
 
 class TestRngHandle:
     def test_same_seed_same_stream(self):
@@ -168,12 +170,12 @@ class TestPhiloxUniforms:
 class TestSample:
     def test_from_pairs_round_trip(self):
         pairs = [(3, 1), (5, -1), (3, -1)]
-        S = Sample.from_pairs(pairs)
+        S = sample_from_pairs(pairs)
         assert [tuple(ex) for ex in S] == pairs
         assert len(S) == 3
 
     def test_immutable(self):
-        S = Sample.from_pairs([(0, 1)])
+        S = sample_from_pairs([(0, 1)])
         with pytest.raises((ValueError, AttributeError)):
             S.points[0] = 5
 
@@ -182,7 +184,7 @@ class TestSample:
             Sample([0], [2])
 
     def test_take_and_replace(self):
-        S = Sample.from_pairs([(0, 1), (1, -1), (2, 1)])
+        S = sample_from_pairs([(0, 1), (1, -1), (2, 1)])
         assert S.take(np.array([2, 0])).multiset() == {(2, 1): 1, (0, 1): 1}
         S2 = S.replace_at(np.array([1]), np.array([9]), np.array([1], dtype=np.int8))
         assert S2[1] == LabeledExample(9, 1)
@@ -195,11 +197,6 @@ class TestSample:
         S = Sample(pts, labs)
         oracle = collections.Counter(zip(pts.tolist(), labs.tolist()))
         assert S.multiset() == dict(oracle)
-
-    def test_concat(self):
-        a = Sample.from_pairs([(0, 1)])
-        b = Sample.from_pairs([(1, -1)])
-        assert a.concat(b).multiset() == {(0, 1): 1, (1, -1): 1}
 
     def test_empty(self):
         assert len(Sample.empty()) == 0
@@ -220,7 +217,7 @@ class TestDiscreteDistribution:
     def test_uniform_and_point_mass(self):
         u = DiscreteDistribution.uniform(4)
         assert np.allclose(u.weights, 0.25)
-        p = DiscreteDistribution.point_mass(2, 4)
+        p = point_mass(2, 4)
         assert p.weight(2) == 1.0 and p.weight(0) == 0.0
 
     def test_sampling_deterministic_and_in_range(self):
@@ -230,7 +227,7 @@ class TestDiscreteDistribution:
         assert set(np.unique(pts)) <= {0, 2}  # zero-weight atom never drawn
 
     def test_point_mass_sampling(self):
-        D = DiscreteDistribution.point_mass(1, 3)
+        D = point_mass(1, 3)
         assert np.all(D.sample_points(50, RngHandle(0)) == 1)
 
 
@@ -271,7 +268,7 @@ class TestHypotheses:
             error_rate(TableHypothesis([1, 1]), TableHypothesis([1] * 4), D)
 
     def test_empirical_error(self):
-        S = Sample.from_pairs([(0, 1), (1, 1), (2, -1), (3, -1)])
+        S = sample_from_pairs([(0, 1), (1, 1), (2, -1), (3, -1)])
         h = TableHypothesis([1, -1, -1, -1])
         assert empirical_error(h, S) == pytest.approx(0.25)
         with pytest.raises(ValueError):
@@ -327,7 +324,7 @@ def _bad_inputs():
         "received-word-wrapping-int": lambda: ReceivedWord(np.array([255, 1])),
         "received-word-fraction": lambda: ReceivedWord(np.array([0.5, 1.0])),
         "received-word-int8-min": lambda: ReceivedWord(np.array([-128, 1], dtype=np.int8)),
-        "received-word-erase": lambda: ReceivedWord.erase(np.array([255, 1]), [1]),
+        "received-word-erase": lambda: erase(np.array([255, 1]), [1]),
         "signs-to-mask-fraction": lambda: signs_to_mask(np.array([1.9, -1.2])),
         "encode-fraction": lambda: encode(GeneratorMatrix([0b01, 0b10], 2), 1.7),
         "extract-fraction": lambda: extract(np.float64(1.5), 0, ExtractorSpec(4, 2, 2)),

@@ -19,7 +19,6 @@ from noisylab.core import (
     error_rate,
 )
 from noisylab.icesep import (
-    BlockCounters,
     IceInstance,
     IceSepParams,
     ice_idealized_nasty_strategy,
@@ -37,6 +36,8 @@ from noisylab.noise import (
     nasty_corrupt,
     strong_malicious_corrupt,
 )
+
+from helpers import BlockCounters, sample_from_pairs
 
 
 def small_params(n=4000):
@@ -280,7 +281,7 @@ class TestLearner:
 
     def test_fully_contradictory_sample_flags(self):
         inst = small_instance()
-        S = Sample.from_pairs([(0, 1), (0, -1), (5, 1), (5, -1)])
+        S = sample_from_pairs([(0, 1), (0, -1), (5, 1), (5, -1)])
         h, det = ice_malicious_learner(S, inst, RngHandle(0))
         assert det["flagged"] and "filter" in det["flag_reason"]
 
@@ -413,7 +414,7 @@ class TestCoupling:
             k = int(g.integers(0, z + 1)) if z else 0
             idx = g.choice(len(S_inner), size=k, replace=False) if k else np.empty(0, int)
             pairs = [(g.integers(0, self.DOMAIN), g.choice((-1, 1))) for _ in idx]
-            return StrategyResult(idx, Sample.from_pairs(pairs))
+            return StrategyResult(idx, sample_from_pairs(pairs))
 
         strong = nasty_via_strong_malicious(inner)
         for t in range(20):

@@ -28,7 +28,6 @@ from noisylab.learn import (
     AmplifyParams,
     Learner,
     _group_key_suffixes,
-    _stable_point_order,
     amplify,
     bad_amplify,
     bv_sample_size,
@@ -37,6 +36,8 @@ from noisylab.learn import (
     select_best_hypothesis,
     subsample_filter,
 )
+
+from helpers import sample_from_pairs
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -64,13 +65,13 @@ def _ice_oracle(pairs):
 class TestIceFilter:
     def test_hand_cases(self):
         # A single contradictory pair cancels entirely.
-        assert len(ice_filter(Sample.from_pairs([(0, 1), (0, -1)]))) == 0
+        assert len(ice_filter(sample_from_pairs([(0, 1), (0, -1)]))) == 0
         # Odd copy survives, earliest occurrence kept.
-        keep = ice_filter_keep(Sample.from_pairs([(0, 1), (0, -1), (0, 1)]))
+        keep = ice_filter_keep(sample_from_pairs([(0, 1), (0, -1), (0, 1)]))
         assert keep.tolist() == [0]
         # Mixed points.
         keep = ice_filter_keep(
-            Sample.from_pairs([(1, -1), (0, 1), (1, -1), (1, 1)])
+            sample_from_pairs([(1, -1), (0, 1), (1, -1), (1, 1)])
         )
         assert keep.tolist() == [0, 1]
         assert len(ice_filter(Sample.empty())) == 0
@@ -83,7 +84,7 @@ class TestIceFilter:
         )
     )
     def test_matches_oracle(self, pairs):
-        S = Sample.from_pairs(pairs) if pairs else Sample.empty()
+        S = sample_from_pairs(pairs) if pairs else Sample.empty()
         assert ice_filter_keep(S).tolist() == _ice_oracle(pairs)
 
     @settings(max_examples=200, deadline=None)
@@ -94,7 +95,7 @@ class TestIceFilter:
         )
     )
     def test_invariants(self, pairs):
-        S = Sample.from_pairs(pairs) if pairs else Sample.empty()
+        S = sample_from_pairs(pairs) if pairs else Sample.empty()
         out = ice_filter(S)
         # Idempotent.
         assert ice_filter(out).multiset() == out.multiset()
@@ -104,47 +105,29 @@ class TestIceFilter:
         # Even cardinality drop.
         assert (len(S) - len(out)) % 2 == 0
         # Output multiset invariant under input permutation.
-        rev = Sample.from_pairs(pairs[::-1]) if pairs else Sample.empty()
+        rev = sample_from_pairs(pairs[::-1]) if pairs else Sample.empty()
         assert ice_filter(rev).multiset() == ms
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_sort_key_path_matches_stable_argsort(self, data):
-        # The unique-key sort runs only for points in [0, INT64_MAX // n);
-        # draw points on both sides of that limit, near its negative and
-        # around zero, and require the stable argsort's positions either way.
-        n = data.draw(st.integers(1, 30))
-        limit = INT64_MAX // n
-        # At n = 1 the limit is INT64_MAX itself: clamp the ranges to int64.
-        point = st.one_of(
-            st.integers(-3, 6),
-            st.integers(limit - 2, min(limit + 1, INT64_MAX)),
-            st.integers(max(-limit - 2, -(2**63)), -limit + 1),
-            st.integers(-(2**63), INT64_MAX),
-        )
-        points = np.array(data.draw(st.lists(point, min_size=n, max_size=n)), np.int64)
-        order, pts = _stable_point_order(points)
-        expected = np.argsort(points, kind="stable")
-        assert order.tolist() == expected.tolist()
-        assert pts.tolist() == points[expected].tolist()
 
     @pytest.mark.parametrize("offset", [-1, 0], ids=["key-sort", "argsort"])
     def test_points_at_the_sort_key_limit(self, offset):
+        # Points just below and at INT64_MAX // n, past which a packed
+        # ``point * n + i`` sort key would overflow int64. The ids name the
+        # side of that limit; the filter sorts both with the stable argsort.
         labels = [1, -1, -1, 1, -1, 1, 1]
         top = INT64_MAX // len(labels) + offset
         pairs = list(zip([top, 0, top, top, 0, 0, top], labels))
-        assert ice_filter_keep(Sample.from_pairs(pairs)).tolist() == _ice_oracle(pairs)
+        assert ice_filter_keep(sample_from_pairs(pairs)).tolist() == _ice_oracle(pairs)
 
 
 class TestSubsampleFilter:
     def test_subset_and_size(self):
-        S = Sample.from_pairs([(i, 1) for i in range(20)])
+        S = sample_from_pairs([(i, 1) for i in range(20)])
         out = subsample_filter(S, 7, RngHandle(0))
         assert len(out) == 7 and set(out.points) <= set(range(20))
         assert len(set(out.points.tolist())) == 7  # without replacement
 
     def test_oversubscription_raises(self):
-        S = Sample.from_pairs([(0, 1)])
+        S = sample_from_pairs([(0, 1)])
         with pytest.raises(ValueError):
             subsample_filter(S, 2, RngHandle(0))
 
@@ -160,11 +143,11 @@ class TestLearner:
     def test_undersized_raises(self):
         A = _majority_learner(5)
         with pytest.raises(ValueError, match="needs 5"):
-            A(Sample.from_pairs([(0, 1)]), RngHandle(0))
+            A(sample_from_pairs([(0, 1)]), RngHandle(0))
 
     def test_oversized_subsampled(self):
         A = _majority_learner(3)
-        S = Sample.from_pairs([(0, 1)] * 10)
+        S = sample_from_pairs([(0, 1)] * 10)
         assert A(S, RngHandle(0)).evaluate(0) == 1
 
 
@@ -297,11 +280,11 @@ class TestAmplify:
     def test_size_mismatch_raises(self):
         A = _majority_learner(2)
         with pytest.raises(ValueError, match="n·k"):
-            amplify(A, AmplifyParams(k=3), Sample.from_pairs([(0, 1)] * 5), RngHandle(0))
+            amplify(A, AmplifyParams(k=3), sample_from_pairs([(0, 1)] * 5), RngHandle(0))
 
     def test_mixture_of_k_components(self):
         A = _majority_learner(2)
-        S = Sample.from_pairs([(0, 1)] * 6)
+        S = sample_from_pairs([(0, 1)] * 6)
         mix = amplify(A, AmplifyParams(k=3), S, RngHandle(0))
         assert isinstance(mix, MixtureHypothesis) and len(mix.components) == 3
 
@@ -310,7 +293,7 @@ class TestAmplify:
         # examples labeled -1, permutation decides the component errors, and
         # the mixture error must equal their mean exactly.
         A = _majority_learner(2)
-        S = Sample.from_pairs([(0, 1)] * 4 + [(0, -1)] * 4)
+        S = sample_from_pairs([(0, 1)] * 4 + [(0, -1)] * 4)
         mix = amplify(A, AmplifyParams(k=4), S, RngHandle(7))
         D = DiscreteDistribution.uniform(2)
         c = TableHypothesis([1, 1])
@@ -322,19 +305,19 @@ class TestBadAmplify:
     def test_size_mismatch_raises(self):
         A = _majority_learner(2)
         with pytest.raises(ValueError, match="n_test"):
-            bad_amplify(A, 2, 1, Sample.from_pairs([(0, 1)] * 4), RngHandle(0))
+            bad_amplify(A, 2, 1, sample_from_pairs([(0, 1)] * 4), RngHandle(0))
 
     def test_zero_groups_rejected(self):
         # The sample size n·k + n_test matches, so only k itself is wrong.
         A = _majority_learner(2)
         with pytest.raises(ValueError, match="k must be >= 1"):
-            bad_amplify(A, 0, 4, Sample.from_pairs([(0, 1)] * 4), RngHandle(0))
+            bad_amplify(A, 0, 4, sample_from_pairs([(0, 1)] * 4), RngHandle(0))
 
     @pytest.mark.parametrize("n_test", [0, -1])
     def test_empty_holdout_rejected(self, n_test):
         # The sample size n·k + n_test matches, so only n_test itself is wrong.
         A = _majority_learner(2)
-        S = Sample.from_pairs([(0, 1)] * (A.n * 2 + n_test))
+        S = sample_from_pairs([(0, 1)] * (A.n * 2 + n_test))
         with pytest.raises(ValueError, match="n_test must be >= 1"):
             bad_amplify(A, 2, n_test, S, RngHandle(0))
 
@@ -342,13 +325,13 @@ class TestBadAmplify:
         # Learner output is determined by its group content; the all-agreeing
         # holdout forces selection of a constant-(+1) hypothesis.
         A = _majority_learner(2)
-        S = Sample.from_pairs([(0, 1)] * 8 + [(0, 1)] * 4)  # holdout all +1
+        S = sample_from_pairs([(0, 1)] * 8 + [(0, 1)] * 4)  # holdout all +1
         h = bad_amplify(A, 4, 4, S, RngHandle(1))
         assert h.evaluate(0) == 1
 
     def test_deterministic(self):
         A = _majority_learner(2)
-        S = Sample.from_pairs([(0, 1)] * 6 + [(0, -1)] * 6)
+        S = sample_from_pairs([(0, 1)] * 6 + [(0, -1)] * 6)
         a = bad_amplify(A, 4, 4, S, RngHandle(2)).evaluate(0)
         b = bad_amplify(A, 4, 4, S, RngHandle(2)).evaluate(0)
         assert a == b
@@ -356,7 +339,7 @@ class TestBadAmplify:
 
 class TestSelectBest:
     def test_argmin_and_tie_break(self):
-        S = Sample.from_pairs([(0, 1), (1, -1)])
+        S = sample_from_pairs([(0, 1), (1, -1)])
         hyps = [
             TableHypothesis([-1, 1]),  # error 1.0
             TableHypothesis([1, -1]),  # error 0.0
@@ -367,7 +350,7 @@ class TestSelectBest:
 
     def test_empty_inputs_raise(self):
         with pytest.raises(ValueError):
-            select_best_hypothesis([], Sample.from_pairs([(0, 1)]))
+            select_best_hypothesis([], sample_from_pairs([(0, 1)]))
         with pytest.raises(ValueError):
             select_best_hypothesis([TableHypothesis([1])], Sample.empty())
 

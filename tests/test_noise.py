@@ -26,6 +26,8 @@ from noisylab.noise import (
     tv_distance,
 )
 
+from helpers import point_mass
+
 D4 = DiscreteDistribution.uniform(4)
 C4 = TableHypothesis([1, 1, -1, -1])
 
@@ -207,14 +209,14 @@ class TestFixedRate:
 
 class TestHuber:
     def test_eta_zero_clean(self):
-        outliers = DiscreteDistribution.point_mass(0, 8)
+        outliers = point_mass(0, 8)
         S = huber_sample(D4, C4, 0.0, outliers, 40, RngHandle(1))
         assert np.array_equal(S.labels, C4.evaluate_many(S.points))
 
     def test_outlier_point_mass(self):
         # Outlier mass on labeled index 5 = (point 2, label -1); eta close to
         # 1 makes nearly all examples that outlier.
-        outliers = DiscreteDistribution.point_mass(5, 8)
+        outliers = point_mass(5, 8)
         S = huber_sample(D4, C4, 0.99, outliers, 300, RngHandle(2))
         is_outlier = (S.points == 2) & (S.labels == -1)
         clean_ok = S.labels == C4.evaluate_many(S.points)

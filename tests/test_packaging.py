@@ -1,7 +1,9 @@
 """Packaging metadata: the distribution is named after the package it
 installs, both state the same version, every module exports only names it
-defines, and commands that compute no statistics never load scipy."""
+defines, the package reads every function and class it defines, and commands
+that compute no statistics never load scipy."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -14,6 +16,7 @@ import pytest
 import noisylab
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = Path(noisylab.__file__).resolve().parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 MODULES = sorted(
@@ -33,6 +36,38 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+# Defined in the package and read by name nowhere in it: the paper's
+# definitions that tests check and no scenario runs, then the references that
+# perfbench traces by name until its targets are retargeted.
+UNREAD_IN_THE_PACKAGE = {
+    "malicious_corrupt", "bv_sample_size", "from_ratio",
+    "select_best_hypothesis", "prf_truth_table", "extract",
+}
+
+
+def _is_scenario(node: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_register"
+        for d in node.decorator_list
+    )
+
+
+def test_every_definition_is_read_in_the_package():
+    # A function, class or method that only tests use belongs in the tests.
+    nodes = [n for p in sorted(PACKAGE.rglob("*.py")) for n in ast.walk(ast.parse(p.read_text()))]
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    read |= {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = {
+        n.name
+        for n in nodes
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (n.name.startswith("__") and n.name.endswith("__"))
+        and not _is_scenario(n)
+        and n.name not in read
+    }
+    assert unread == UNREAD_IN_THE_PACKAGE
 
 
 # Each snippet runs in a fresh interpreter, then reports whether scipy was
