@@ -12,9 +12,10 @@ Statistical verdicts use 99% two-sided binomial confidence intervals and
 chi-square tests at significance 1e-3 unless a scenario documents otherwise;
 both significance knobs are parameters.
 
-``scipy.stats`` is imported inside the three statistics helpers
-(``binom_ci``, ``chisquare_vs_binomial``, ``two_sample_chi2``), not here: it
-is most of the package's import time, and only a scenario's verdicts need it.
+``scipy.stats`` is imported inside the two chi-square helpers
+(``chisquare_vs_binomial``, ``two_sample_chi2``), not here: it is most of the
+package's import time, and only nasty-budget-law and sep-adversary need it.
+``binom_ci`` is a closed form and loads no scipy.
 """
 
 from __future__ import annotations
@@ -196,14 +197,25 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
 # --------------------------------------------------------------------------
 
 
-def binom_ci(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Two-sided Wilson confidence interval for a binomial proportion."""
-    from scipy import stats
+# ndtri(0.995), the two-sided 99% normal quantile, as scipy computes it;
+# statistics.NormalDist().inv_cdf(0.995) is one ulp off.
+_Z99 = np.float64(2.5758293035489004)
 
-    ci = stats.binomtest(successes, trials).proportion_ci(
-        confidence_level=confidence, method="wilson"
-    )
-    return float(ci.low), float(ci.high)
+
+def binom_ci(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 99% Wilson confidence interval for a binomial proportion.
+
+    The closed form of Newcombe (1998) in the operation order and types of
+    scipy's ``binomtest(successes, trials).proportion_ci(0.99, "wilson")``,
+    so both give the same floats, without loading ``scipy.stats``."""
+    z = _Z99
+    p = successes / trials
+    denom = 2 * (trials + z**2)
+    center = (2 * trials * p + z**2) / denom
+    delta = z / denom * math.sqrt(4 * trials * p * (1 - p) + z**2)
+    low = 0.0 if successes == 0 else center - delta
+    high = 1.0 if successes == trials else center + delta
+    return float(low), float(high)
 
 
 def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: float = 5.0) -> float:
@@ -258,6 +270,11 @@ def two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 
 
+# ice-filter-unit enumerates all samples of one length at once, one row each;
+# the reference 6^6 rows need about 80 MB, this many about 160 MB.
+_FILTER_UNIT_ROWS = 1 << 16
+
+
 @_register("ice-filter-unit", max_len=_Size(6, 1), domain_points=_Size(3, 1))
 def _scenario_ice_filter_unit(
     trials: int, rng: RngHandle, max_len: int, domain_points: int
@@ -266,6 +283,13 @@ def _scenario_ice_filter_unit(
     small domain: idempotence, contradiction-freeness, even cardinality drop,
     permutation invariance, and agreement with the net-count oracle."""
     n_types = 2 * domain_points
+    # The exponent is capped first (n_types**64 is over the limit), so a huge
+    # max_len costs nothing to reject.
+    if n_types ** min(max_len, 64) > _FILTER_UNIT_ROWS:
+        raise ValueError(
+            f"(2*domain_points)^max_len = {n_types}^{max_len} samples of the longest "
+            f"length exceed the limit of {_FILTER_UNIT_ROWS} rows"
+        )
     records = []
 
     def batch_counts(digits: np.ndarray) -> tuple[np.ndarray, Sample, np.ndarray]:
@@ -367,6 +391,8 @@ def _scenario_amplify_concentration(
     """A crafted base learner with error exactly 1 w.p. eps (0 otherwise)
     trained on nasty-corrupted groups; the summed group errors must stay
     under eps*k + 3*sqrt(k*ln 20) in at least 95% of trials."""
+    if eps < 0 or eps >= 1:
+        raise ValueError("eps must be in [0, 1)")
     threshold = eps * k + 3 * math.sqrt(k * math.log(20))
 
     D = DiscreteDistribution.uniform(2)
@@ -842,6 +868,8 @@ def _scenario_sep_adversary(
 
 @_register("round-lemma", kappa=0.6, w=_Size(200, 1))
 def _scenario_round_lemma(trials: int, rng: RngHandle, kappa: float, w: int) -> Outcome:
+    if not 0 < kappa < 1:
+        raise ValueError("kappa must be in (0, 1)")
     budget = (1 - kappa) * w
     bound = 0.5 * (1 - kappa / 2) * w
     records = []

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from noisylab.bench import (
     ExperimentConfig,
@@ -18,6 +19,7 @@ from noisylab.bench import (
 from noisylab.bench.cli import main
 from noisylab.bench.scenarios import (
     _SCENARIOS,
+    _Z99,
     binom_ci,
     chisquare_vs_binomial,
     two_sample_chi2,
@@ -25,6 +27,7 @@ from noisylab.bench.scenarios import (
 import noisylab.core as core
 import noisylab.learn as learn
 from noisylab.learn import AmplifyParams
+from test_acceptance import RUNS
 
 
 class TestExperimentConfig:
@@ -210,6 +213,23 @@ class TestStatsHelpers:
         lo, hi = binom_ci(0, 100)
         assert lo == 0.0 and hi < 0.1
 
+    def test_z99_is_ndtri(self):
+        z = special.ndtri(0.995)
+        assert _Z99 == z and type(_Z99) is type(z)
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [range(1, 201), sorted({trials for _, trials, _ in RUNS.values()})],
+        ids=["n-up-to-200", "acceptance-trials"],
+    )
+    def test_binom_ci_is_scipy_wilson(self, sizes):
+        # The hypothesised proportion enters binomtest's p-value, not its
+        # interval; at the observed rate the p-value takes a shortcut.
+        for n in sizes:
+            for k in range(n + 1):
+                ci = stats.binomtest(k, n, k / n).proportion_ci(0.99, method="wilson")
+                assert binom_ci(k, n) == (ci.low, ci.high), (k, n)
+
     def test_chisquare_detects_mismatch(self):
         gen = np.random.default_rng(0)
         good = gen.binomial(100, 0.2, size=2000)
@@ -337,6 +357,10 @@ class TestCli:
         pytest.param("run round-lemma --config {boolean}", id="scenario-param-bool"),
         pytest.param("run round-lemma --config {huge}", id="scenario-param-int-infinity"),
         pytest.param("run round-lemma --config {huge_float}", id="scenario-param-float-infinity"),
+        pytest.param("run round-lemma --config {kappa5}", id="round-lemma-kappa-range"),
+        pytest.param("run round-lemma --config {kappa_huge}", id="round-lemma-kappa-huge"),
+        pytest.param("run amplify-concentration --config {eps_neg}", id="amplify-eps-range"),
+        pytest.param("run ice-filter-unit --config {rows}", id="ice-filter-unit-row-limit"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
@@ -368,15 +392,24 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     kapa.write_text(json.dumps({"scenario": "round-lemma", "params": {"kapa": 0.9}}))
     null.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": None}}))
     frac.write_text(json.dumps({"scenario": "round-lemma", "params": {"w": 200.7}}))
-    # Raw JSON params and the one error line each gives. JSON has no infinity
-    # literal, but 1e400 overflows to one.
+    # Raw JSON params, their scenario and the one error line each gives. JSON
+    # has no infinity literal, but 1e400 overflows to one.
     raw = {
-        "boolean": ('{"w": true, "kappa": false}', "param 'w' must be an integer, got True"),
-        "huge": ('{"w": 1e400}', "param 'w' must be an integer, got inf"),
-        "huge_float": ('{"kappa": -1e400}', "param 'kappa' must be a finite number, got -inf"),
+        "boolean": ("round-lemma", '{"w": true, "kappa": false}',
+                    "param 'w' must be an integer, got True"),
+        "huge": ("round-lemma", '{"w": 1e400}', "param 'w' must be an integer, got inf"),
+        "huge_float": ("round-lemma", '{"kappa": -1e400}',
+                       "param 'kappa' must be a finite number, got -inf"),
+        "kappa5": ("round-lemma", '{"kappa": 5}', "kappa must be in (0, 1)"),
+        "kappa_huge": ("round-lemma", '{"kappa": 1e308}', "kappa must be in (0, 1)"),
+        "eps_neg": ("amplify-concentration", '{"eps": -1}', "eps must be in [0, 1)"),
+        # 6^40 rows: rejected before anything is allocated.
+        "rows": ("ice-filter-unit", '{"max_len": 40}',
+                 "(2*domain_points)^max_len = 6^40 samples of the longest length "
+                 "exceed the limit of 65536 rows"),
     }
-    for name, (text, _) in raw.items():
-        (tmp_path / f"{name}.json").write_text(f'{{"scenario": "round-lemma", "params": {text}}}')
+    for name, (scenario, text, _) in raw.items():
+        (tmp_path / f"{name}.json").write_text(f'{{"scenario": "{scenario}", "params": {text}}}')
     # eta_N * w = 0.24: the only codeword of weight <= 0.24 is the zero word.
     weightless = tmp_path / "weightless.json"
     weightless.write_text(json.dumps({"scenario": "sep-adversary", "params": {
@@ -408,7 +441,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "kapa" in err[0] and "kappa" in err[0]
     if "frac" in argv:
         assert "200.7" in err[0] and "integer" in err[0]
-    for name, (_, message) in raw.items():
+    for name, (_, _, message) in raw.items():
         if f"{{{name}}}" in argv:
             assert err == [f"error: {message}"]
     if "out_int" in argv:

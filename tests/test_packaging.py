@@ -1,7 +1,7 @@
 """Packaging metadata: the distribution is named after the package it
 installs, both state the same version, every module exports only names it
 defines, the package reads every function and class it defines, and commands
-that compute no statistics never load scipy."""
+and scenarios that run no chi-square test never load scipy."""
 
 import ast
 import importlib
@@ -71,8 +71,8 @@ def test_every_definition_is_read_in_the_package():
 
 
 # Each snippet runs in a fresh interpreter, then reports whether scipy was
-# imported. scipy.stats is most of the package's import time; only a
-# scenario's verdict statistics need it.
+# imported. scipy.stats is most of the package's import time; only the
+# chi-square tests of nasty-budget-law and sep-adversary need it.
 NO_SCIPY_SNIPPETS = {
     "import": "import noisylab.bench",
     "list-scenarios": "from noisylab.bench.cli import main; main(['list-scenarios'])",
@@ -84,6 +84,19 @@ NO_SCIPY_SNIPPETS = {
         "from noisylab.bench.cli import main; "
         f"main(['report', 'render', {str(GOLDEN / 'round-lemma_aggregate.json')!r}])"
     ),
+    # Their binomial intervals are closed-form Wilson intervals.
+    **{
+        name: (
+            "from noisylab.bench import ExperimentConfig, run_scenario; "
+            f"run_scenario(ExperimentConfig({name!r}, params={params!r}, trials=3))"
+        )
+        for name, params in [
+            ("badamplify", {}),
+            ("sep-learner", {"n": 2000}),
+            ("amplify-concentration", {}),
+            ("round-lemma", {}),
+        ]
+    },
 }
 
 
