@@ -130,10 +130,13 @@ def _cmd_codes(args: argparse.Namespace) -> int:
         try:
             text = gen_random_linear_code(args.rho, args.w, RngHandle(args.seed)).to_text()
             if args.out:
-                args.out.write_text(text + "\n")
+                args.out.write_text(text)
         except (OSError, ValueError) as exc:
             return _error(exc)
-        print(f"code written to {args.out}" if args.out else text)
+        if args.out:
+            print(f"code written to {args.out}")
+        else:
+            print(text, end="")
         return 0
     try:
         G = GeneratorMatrix.from_text(args.code.read_text())

@@ -327,8 +327,11 @@ def erasure_list_decode_many(
     word's right-hand side is the parity of ``word & combo``. Inconsistency
     beats the cap: :class:`DecodeFailure` is raised when ``2^f > cap``, or
     ``f`` is above the ``2^24`` listing limit, and at least one word is
-    consistent; when none is, ``solutions`` has no columns.
+    consistent; when none is, ``solutions`` has no columns. A ``cap`` below 1
+    is a :class:`ValueError`.
     """
+    if cap < 1:
+        raise ValueError(f"list cap must be >= 1, got {cap}")
     w, k = G.w, G.rows
     full = (1 << w) - 1
     erased = _as_mask(erased_mask, w, "erasure mask")
@@ -410,7 +413,8 @@ def erasure_list_decode(
     The one-word case of :func:`erasure_list_decode_many`: the full affine
     solution space as sorted message integers. An inconsistent word gives
     ``[]``, even when its solution space would exceed ``cap``; a consistent
-    one raises :class:`DecodeFailure` if its solutions exceed ``cap``.
+    one raises :class:`DecodeFailure` if its solutions exceed ``cap``. A
+    ``cap`` below 1 is a :class:`ValueError`.
     """
     if len(r) != G.w:
         raise ValueError(f"received word length {len(r)} != code length {G.w}")
@@ -427,10 +431,15 @@ def bitflip_list_decode(
     as sorted message integers.
 
     Exact by enumeration of all ``2^rows`` codewords (packed-bit kernel).
-    Raises :class:`DecodeFailure` when the list exceeds ``cap``.
+    Raises :class:`DecodeFailure` when the list exceeds ``cap``, and
+    :class:`ValueError` on a negative ``radius`` or a ``cap`` below 1.
     """
     if len(r) != G.w:
         raise ValueError(f"received word length {len(r)} != code length {G.w}")
+    if radius < 0:
+        raise ValueError(f"decoding radius must be >= 0, got {radius}")
+    if cap < 1:
+        raise ValueError(f"list cap must be >= 1, got {cap}")
     if (r.symbols == 0).any():
         raise ValueError("bit-flip decoding takes a fully-determined ±1 word")
     target = signs_to_mask(r.symbols)

@@ -355,9 +355,6 @@ class Hypothesis:
 
     domain_size: int | None = None
 
-    def evaluate(self, point: int, query_rng: RngHandle | None = None) -> int:
-        return int(self.evaluate_many(np.asarray([point], dtype=np.int64), query_rng)[0])
-
     def evaluate_many(
         self, points: np.ndarray, query_rng: RngHandle | None = None
     ) -> np.ndarray:

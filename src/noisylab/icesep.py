@@ -225,33 +225,41 @@ def ice_malicious_learner(
 def ice_idealized_nasty_strategy(inst: IceInstance) -> Callable:
     """Nasty strategy converting key blocks into self-cancelling pairs.
 
-    Per key block (sample order within a block): with ``h = floor(|S_j|/2)``,
-    the first ``h`` positions become contradictions of the last ``h``
-    positions; when ``|S_j|`` is odd the middle position becomes a fresh
-    correctly-labeled uniform value-side example. After the filter, even
-    blocks contribute nothing and odd blocks exactly one value example.
-    Budget exhaustion stops the plan and flags the trial.
+    Per key block of ``s`` examples (sample order within a block), the first
+    ``ceil(s/2)`` positions are rewritten: the first ``floor(s/2)`` of them
+    with contradictions of the last ``floor(s/2)`` positions and, when ``s`` is
+    odd, the middle one with a fresh correctly-labeled uniform value-side
+    example, drawn per odd block in block order. After the filter, even
+    blocks contribute nothing and odd blocks exactly one value example. The
+    plan runs block by block; budget exhaustion cuts it and flags the trial.
     """
     layout = inst.params.layout
 
     def strategy(S_clean: Sample, z: int, c: KeyValueConcept, rng: RngHandle) -> StrategyResult:
         gen = rng.generator()
-        blocks = layout.key_blocks(S_clean.points)
-
-        def block_plans():
-            for j in range(layout.w):
-                positions = np.flatnonzero(blocks == j)
-                offset = positions.size - positions.size // 2
-                partners = positions[offset:]
-                pts = S_clean.points[partners]
-                labs = -S_clean.labels[partners]
-                if positions.size % 2 == 1:
-                    x = int(gen.integers(layout.key_size, layout.domain_size))
-                    pts = np.append(pts, x)
-                    labs = np.append(labs, c.evaluate(x))
-                yield positions[:offset], Sample(pts, labs)
-
-        return budget_capped_plan(block_plans(), z)
+        positions, counts = layout.block_positions(S_clean.points)
+        head = counts - counts // 2
+        # Rank of each grouped position within its block: the first head[j]
+        # of block j are rewritten, the rest are their partners.
+        rank = np.arange(positions.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rewritten = rank < np.repeat(head, counts)
+        partners = positions[~rewritten]
+        # An odd block's fresh example ends its slice of the plan; every other
+        # slot takes the next partner's contradiction.
+        fresh = np.zeros(int(head.sum()), dtype=bool)
+        odd = np.flatnonzero(counts % 2)
+        fresh[np.cumsum(head)[odd] - 1] = True
+        x = np.array(
+            [gen.integers(layout.key_size, layout.domain_size) for _ in range(odd.size)],
+            dtype=np.int64,
+        )
+        points = np.empty(fresh.size, dtype=np.int64)
+        labels = np.empty(fresh.size, dtype=np.int8)
+        points[~fresh] = S_clean.points[partners]
+        labels[~fresh] = -S_clean.labels[partners]
+        points[fresh] = x
+        labels[fresh] = c.evaluate_many(x)
+        return budget_capped_plan(positions[rewritten], Sample(points, labels), z)
 
     return strategy
 

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,13 +105,24 @@ class KeyValueLayout:
         """Key-block index of each point (caller restricts to the key side)."""
         return points // self.block_size
 
-    def key_blocks(self, points: np.ndarray) -> np.ndarray:
-        """Key-block index of each point, ``-1`` on the value side."""
-        return np.where(points < self.key_size, self.block_of(points), -1)
-
     def block_counts(self, points: np.ndarray) -> np.ndarray:
         """Key-side points per block."""
         return np.bincount(self.block_of(points[points < self.key_size]), minlength=self.w)
+
+    def block_positions(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The sample positions of the key-side points grouped by block, and
+        the count per block.
+
+        ``positions`` lists block 0's positions, then block 1's, and so on,
+        each block's in sample order; ``counts[j]`` (as :meth:`block_counts`
+        gives it) is the length of block ``j``'s run. One stable argsort over
+        the key-side positions does the grouping.
+        """
+        key = np.flatnonzero(points < self.key_size)
+        # In the narrowest dtype that holds every block index, the stable
+        # sort is numpy's radix sort (uint8 for up to 256 blocks).
+        blocks = self.block_of(points[key]).astype(np.min_scalar_type(self.w - 1))
+        return key[np.argsort(blocks, kind="stable")], np.bincount(blocks, minlength=self.w)
 
     def point_counts(self, S: Sample) -> tuple[np.ndarray, np.ndarray]:
         """Per-point counts of ``+1`` and of ``-1`` labels in ``S``, one entry
@@ -218,32 +229,21 @@ class KeyValueConcept(TableHypothesis):
         self.domain_size = layout.domain_size
 
 
-def budget_capped_plan(plans: Iterable[tuple[np.ndarray, Sample]], z: int) -> StrategyResult:
-    """Concatenate ``plans``, each ``(positions, examples written there)``, in
-    order, stopping at the budget ``z``.
+def budget_capped_plan(positions: np.ndarray, introduced: Sample, z: int) -> StrategyResult:
+    """The plan ``(positions, examples written there)`` cut to the budget
+    ``z``.
 
-    A plan item beyond the budget cuts the result there and flags the trial as
-    budget exhausted.
+    A plan longer than ``z`` keeps its first ``z`` entries and flags the trial
+    as budget exhausted. A strategy lists its plan block by block, so the cut
+    falls where a block-by-block plan would run out.
     """
-    positions = [np.empty(0, dtype=np.int64)]
-    points = [np.empty(0, dtype=np.int64)]
-    labels = [np.empty(0, dtype=np.int8)]
-    used = 0
-    flagged = False
-    for pos, new in plans:
-        if used + len(pos) > z:
-            pos, new, flagged = pos[: z - used], new.take(slice(0, z - used)), True
-        positions.append(pos)
-        points.append(new.points)
-        labels.append(new.labels)
-        used += len(pos)
-        if flagged:
-            break
+    if len(positions) <= z:
+        return StrategyResult(positions, introduced)
     return StrategyResult(
-        np.concatenate(positions),
-        Sample(np.concatenate(points), np.concatenate(labels)),
-        flagged=flagged,
-        flag_reason="budget exhausted" if flagged else None,
+        positions[:z],
+        introduced.take(slice(0, z)),
+        flagged=True,
+        flag_reason="budget exhausted",
     )
 
 
@@ -411,20 +411,18 @@ class SepInstance:
 def sep_nasty_strategy(inst: SepInstance):
     """Nasty strategy flipping every example in a ``-1`` key block to ``+1``.
 
-    Blocks are processed in index order (sample order within a block); if the
-    drawn budget runs out mid-plan the trial is flagged as exhausted.
+    The plan lists the positions of every ``-1`` block, in block order and in
+    sample order within a block, each relabelled ``+1``; if the drawn budget
+    runs out mid-plan the trial is flagged as exhausted.
     """
     layout = inst.params.layout
 
     def strategy(S_clean: Sample, z: int, c: KeyValueConcept, rng) -> StrategyResult:
-        blocks = layout.key_blocks(S_clean.points)
-
-        def block_plans():
-            for j in np.flatnonzero(c.codeword.bits == -1):
-                pos = np.flatnonzero(blocks == j)
-                yield pos, Sample(S_clean.points[pos], np.ones(len(pos), dtype=np.int8))
-
-        return budget_capped_plan(block_plans(), z)
+        positions, counts = layout.block_positions(S_clean.points)
+        flip = positions[np.repeat(c.codeword.bits == -1, counts)]
+        return budget_capped_plan(
+            flip, Sample(S_clean.points[flip], np.ones(flip.size, dtype=np.int8)), z
+        )
 
     return strategy
 

@@ -1,22 +1,24 @@
-"""Test-only fixture builders and the ICE trial's per-block accounting.
+"""Test-only fixture builders, the ICE trial's per-block accounting, and
+block-by-block references for the separation adversaries.
 
-Nothing in the package calls these: they build test inputs, or recount a
-trial independently of the learner they check.
+Nothing in the package calls these: they build test inputs, recount a trial
+independently of the learner they check, or plan an attack one key block at
+a time to check the package's array forms against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from noisylab.codes import ReceivedWord
-from noisylab.core import DiscreteDistribution, Sample
+from noisylab.core import DiscreteDistribution, Hypothesis, RngHandle, Sample
 from noisylab.icesep import IceSepParams
 from noisylab.learn import ice_filter_keep
-from noisylab.noise import CorruptionLedger
-from noisylab.sep import KeyValueConcept
+from noisylab.noise import CorruptionLedger, StrategyResult
+from noisylab.sep import KeyValueConcept, KeyValueLayout
 
 
 def sample_from_pairs(pairs: Sequence[tuple[int, int]]) -> Sample:
@@ -30,6 +32,11 @@ def point_mass(index: int, size: int) -> DiscreteDistribution:
     w = np.zeros(size)
     w[index] = 1.0
     return DiscreteDistribution(w)
+
+
+def evaluate(h: Hypothesis, point: int) -> int:
+    """The label ``h`` gives one point."""
+    return int(h.evaluate_many(np.asarray([point], dtype=np.int64))[0])
 
 
 def erase(bits: Sequence[int] | np.ndarray, positions: Sequence[int]) -> ReceivedWord:
@@ -85,3 +92,75 @@ class BlockCounters:
         (R(1-eta))`` of the learner's per-block key-bit estimates."""
         raw = (self.alpha_prime + self.beta_prime - self.delta) / (R * (1 - eta))
         return codeword_bits.astype(np.float64) * raw
+
+
+def budget_capped_plans(plans: Iterable[tuple[np.ndarray, Sample]], z: int) -> StrategyResult:
+    """Concatenate ``plans``, each ``(positions, examples written there)``, in
+    order, stopping at the budget ``z``: a plan item beyond the budget cuts the
+    result there and flags the trial as budget exhausted."""
+    positions = [np.empty(0, dtype=np.int64)]
+    points = [np.empty(0, dtype=np.int64)]
+    labels = [np.empty(0, dtype=np.int8)]
+    used = 0
+    flagged = False
+    for pos, new in plans:
+        if used + len(pos) > z:
+            pos, new, flagged = pos[: z - used], new.take(slice(0, z - used)), True
+        positions.append(pos)
+        points.append(new.points)
+        labels.append(new.labels)
+        used += len(pos)
+        if flagged:
+            break
+    return StrategyResult(
+        np.concatenate(positions),
+        Sample(np.concatenate(points), np.concatenate(labels)),
+        flagged=flagged,
+        flag_reason="budget exhausted" if flagged else None,
+    )
+
+
+def _key_blocks(layout: KeyValueLayout, points: np.ndarray) -> np.ndarray:
+    """Key-block index of each point, ``-1`` on the value side."""
+    return np.where(points < layout.key_size, layout.block_of(points), -1)
+
+
+def sep_nasty_block_plans(layout: KeyValueLayout) -> Callable:
+    """The separation's key-flipping adversary, one ``-1`` block at a time."""
+
+    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, rng) -> StrategyResult:
+        blocks = _key_blocks(layout, S_clean.points)
+
+        def block_plans():
+            for j in np.flatnonzero(c.codeword.bits == -1):
+                pos = np.flatnonzero(blocks == j)
+                yield pos, Sample(S_clean.points[pos], np.ones(len(pos), dtype=np.int8))
+
+        return budget_capped_plans(block_plans(), z)
+
+    return strategy
+
+
+def ice_idealized_block_plans(layout: KeyValueLayout) -> Callable:
+    """The ICE pair-cancelling adversary, one key block at a time."""
+
+    def strategy(S_clean: Sample, z: int, c: KeyValueConcept, rng: RngHandle) -> StrategyResult:
+        gen = rng.generator()
+        blocks = _key_blocks(layout, S_clean.points)
+
+        def block_plans():
+            for j in range(layout.w):
+                positions = np.flatnonzero(blocks == j)
+                offset = positions.size - positions.size // 2
+                partners = positions[offset:]
+                pts = S_clean.points[partners]
+                labs = -S_clean.labels[partners]
+                if positions.size % 2 == 1:
+                    x = int(gen.integers(layout.key_size, layout.domain_size))
+                    pts = np.append(pts, x)
+                    labs = np.append(labs, evaluate(c, x))
+                yield positions[:offset], Sample(pts, labs)
+
+        return budget_capped_plans(block_plans(), z)
+
+    return strategy

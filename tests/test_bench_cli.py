@@ -301,6 +301,18 @@ class TestCli:
         expected = "".join("+" if b == 1 else "-" for b in mask_to_signs(6, G.rows))
         assert expected in out
 
+    def test_codes_gen_writes_exactly_the_code_text(self, tmp_path, capsys):
+        from noisylab.codes import GeneratorMatrix
+
+        code_path = tmp_path / "code.txt"
+        gen = ["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3"]
+        main([*gen, "--out", str(code_path)])
+        text = code_path.read_text()
+        assert GeneratorMatrix.from_text(text).to_text() == text
+        capsys.readouterr()
+        main(gen)
+        assert capsys.readouterr().out == text
+
     def test_codes_decode_inconsistent_erasure_word(self, tmp_path, capsys):
         code_path = tmp_path / "code.txt"
         code_path.write_text("w=3 rows=1\n7\n")  # repetition code {+++, ---}
@@ -348,6 +360,9 @@ class TestCli:
         pytest.param("codes decode --code {code} --word +++", id="word-length"),
         pytest.param("codes decode --code {code} --word +x++++++", id="word-symbol"),
         pytest.param("codes decode --code {code} --word ???????? --cap 4", id="list-cap"),
+        pytest.param("codes decode --code {code} --word ++++++++ --radius -1",
+                     id="decode-negative-radius"),
+        pytest.param("codes decode --code {code} --word ???????? --cap 0", id="decode-zero-cap"),
         pytest.param("run round-lemma --config {typo}", id="config-unknown-key"),
         pytest.param("run no-such-scenario", id="unknown-scenario"),
         pytest.param("run sep-learner --config {param}", id="scenario-param"),
@@ -452,6 +467,10 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "k must be >= 1" in err[0]
     if "nasty-budget-law" in argv:
         assert "5 trials" in err[0] and "fewer than 2 bins" in err[0]
+    if "--radius -1" in argv:
+        assert err == ["error: decoding radius must be >= 0, got -1"]
+    if "--cap 0" in argv:
+        assert err == ["error: list cap must be >= 1, got 0"]
 
 
 # Every declared lower bound on a size parameter, as (scenario, param, bound).

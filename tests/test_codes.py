@@ -337,6 +337,19 @@ class TestBitflipDecode:
         with pytest.raises(DecodeFailure):
             bitflip_list_decode(G, ReceivedWord(np.ones(8, dtype=np.int8)), 8, cap=2)
 
+    def test_negative_radius_and_small_cap_rejected(self):
+        # Before these checks, radius -1 listed nothing and cap 0 raised
+        # DecodeFailure; an inconsistent erasure word hid cap 0 entirely.
+        G = GeneratorMatrix([0b0011, 0b1100], 4)
+        word = ReceivedWord([1, 1, 1, 1])
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            bitflip_list_decode(G, word, -1)
+        for cap in (0, -5):
+            with pytest.raises(ValueError, match="list cap must be >= 1"):
+                bitflip_list_decode(G, word, 1, cap=cap)
+            with pytest.raises(ValueError, match="list cap must be >= 1"):
+                erasure_list_decode(G, ReceivedWord([1, -1, 0, 0]), cap=cap)
+
 
 class TestLowWeight:
     def test_against_brute_force(self):

@@ -27,7 +27,7 @@ from noisylab.core import (
     philox_uniforms,
 )
 
-from helpers import erase, point_mass, sample_from_pairs
+from helpers import erase, evaluate, point_mass, sample_from_pairs
 
 
 class TestRngHandle:
@@ -239,7 +239,7 @@ def test_labeled_index_round_trip(point, label):
 class TestHypotheses:
     def test_table_evaluate(self):
         h = TableHypothesis([1, -1, 1])
-        assert h.evaluate(1) == -1
+        assert evaluate(h, 1) == -1
         assert np.array_equal(h.evaluate_many(np.array([0, 2])), [1, 1])
 
     def test_error_rate_hand_oracle(self):

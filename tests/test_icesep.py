@@ -37,7 +37,7 @@ from noisylab.noise import (
     strong_malicious_corrupt,
 )
 
-from helpers import BlockCounters, sample_from_pairs
+from helpers import BlockCounters, evaluate, sample_from_pairs
 
 
 def small_params(n=4000):
@@ -109,7 +109,7 @@ class TestConcept:
         assert c.key == PrfKey(0b0110, 4) and c.codeword == encode(inst.G, 0b0110)
         for j in range(p.w):
             for off in range(p.block_size):
-                assert c.evaluate(j * p.block_size + off) == c.codeword.bits[j]
+                assert evaluate(c, j * p.block_size + off) == c.codeword.bits[j]
 
     def test_value_side_is_prf(self):
         from noisylab.cryptoprim import prf_truth_table

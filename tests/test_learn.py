@@ -37,7 +37,7 @@ from noisylab.learn import (
     subsample_filter,
 )
 
-from helpers import sample_from_pairs
+from helpers import evaluate, sample_from_pairs
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -148,7 +148,7 @@ class TestLearner:
     def test_oversized_subsampled(self):
         A = _majority_learner(3)
         S = sample_from_pairs([(0, 1)] * 10)
-        assert A(S, RngHandle(0)).evaluate(0) == 1
+        assert evaluate(A(S, RngHandle(0)), 0) == 1
 
 
 def _recording_learner(n, domain=6):
@@ -327,13 +327,13 @@ class TestBadAmplify:
         A = _majority_learner(2)
         S = sample_from_pairs([(0, 1)] * 8 + [(0, 1)] * 4)  # holdout all +1
         h = bad_amplify(A, 4, 4, S, RngHandle(1))
-        assert h.evaluate(0) == 1
+        assert evaluate(h, 0) == 1
 
     def test_deterministic(self):
         A = _majority_learner(2)
         S = sample_from_pairs([(0, 1)] * 6 + [(0, -1)] * 6)
-        a = bad_amplify(A, 4, 4, S, RngHandle(2)).evaluate(0)
-        b = bad_amplify(A, 4, 4, S, RngHandle(2)).evaluate(0)
+        a = evaluate(bad_amplify(A, 4, 4, S, RngHandle(2)), 0)
+        b = evaluate(bad_amplify(A, 4, 4, S, RngHandle(2)), 0)
         assert a == b
 
 

@@ -15,6 +15,7 @@ from noisylab import cryptoprim
 from noisylab.codes import Codeword, GeneratorMatrix, masks_to_signs
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
+from noisylab.icesep import IceInstance, IceSepParams, ice_idealized_nasty_strategy
 from noisylab.learn import select_best_hypothesis
 from noisylab.noise import nasty_corrupt, strong_malicious_corrupt
 from noisylab.sep import (
@@ -28,6 +29,8 @@ from noisylab.sep import (
     sep_nasty_strategy,
     sep_simulate_T_nasty,
 )
+
+from helpers import evaluate, ice_idealized_block_plans, sep_nasty_block_plans
 
 
 def small_params(n=4000):
@@ -100,7 +103,9 @@ class TestKeyValueLayout:
         assert minus[[1, 15, 16]].tolist() == [2, 1, 1] and minus.sum() == 4
         assert layout.block_sums(plus).tolist() == [1, 1, 0, 0, 0, 0, 0, 0]
         assert layout.block_sums(minus).tolist() == [2, 0, 0, 0, 0, 0, 0, 1]
-        assert layout.key_blocks(S.points).tolist() == [0, 0, 0, 1, 7, -1, -1, -1]
+        positions, counts = layout.block_positions(S.points[::-1])
+        assert positions.tolist() == [5, 6, 7, 4, 3]
+        assert counts.tolist() == [3, 1, 0, 0, 0, 0, 0, 1]
 
     def test_empty_sample_counts_nothing(self):
         layout = KeyValueLayout.fit(8, 4, Fraction(1, 2))
@@ -310,17 +315,79 @@ class TestBestCandidate:
 
 
 def test_budget_capped_plan_cut_off():
-    plans = [(np.array([0, 1]), Sample([5, 6], [1, 1])), (np.array([2]), Sample([7], [-1]))]
-    full = budget_capped_plan(plans, 3)
+    positions, introduced = np.array([0, 1, 2]), Sample([5, 6, 7], [1, 1, -1])
+    full = budget_capped_plan(positions, introduced, 3)
     assert full.positions.tolist() == [0, 1, 2] and not full.flagged
-    assert full.introduced == Sample([5, 6, 7], [1, 1, -1])
-    cut = budget_capped_plan(plans, 2)
-    assert cut.positions.tolist() == plans[0][0].tolist()
-    assert cut.introduced == plans[0][1]
+    assert full.introduced == introduced and full.flag_reason is None
+    cut = budget_capped_plan(positions, introduced, 2)
+    assert cut.positions.tolist() == [0, 1] and cut.introduced == Sample([5, 6], [1, 1])
     assert cut.flagged and cut.flag_reason == "budget exhausted"
-    mid = budget_capped_plan(plans, 1)
+    mid = budget_capped_plan(positions, introduced, 1)
     assert mid.positions.tolist() == [0] and mid.introduced == Sample([5], [1])
     assert mid.flagged and mid.flag_reason == "budget exhausted"
+
+
+@pytest.mark.parametrize("attack", ["sep", "ice"])
+def test_key_block_attacks_match_block_by_block_reference(attack):
+    # The array forms against the block-by-block loops, cut at every block
+    # boundary, one past and one short of it, at 0, and at or past the plan's
+    # end, on samples small enough to leave blocks empty.
+    if attack == "sep":
+        inst = small_instance()
+        strategy, reference = sep_nasty_strategy(inst), sep_nasty_block_plans(inst.params.layout)
+        key_length = inst.params.m_out
+    else:
+        inst = IceInstance.generate(IceSepParams.create(eta=0.1, kappa=0.7, w=8, d=4), RngHandle(0))
+        strategy = ice_idealized_nasty_strategy(inst)
+        reference = ice_idealized_block_plans(inst.params.layout)
+        key_length = inst.params.d
+    layout = inst.params.layout
+    all_minus = (1 << layout.w) - 1
+    gen = np.random.default_rng(24)
+    seen = set()
+    for t in range(60):
+        mask = (0, all_minus)[t] if t < 2 else int(gen.integers(0, all_minus + 1))
+        key = PrfKey(int(gen.integers(0, 1 << key_length)), key_length)
+        c = KeyValueConcept(layout, Codeword(mask, 0, layout.w), key, inst.prf_store)
+        top = layout.key_size if t % 3 == 0 else layout.domain_size
+        points = gen.integers(0, top, size=int(gen.integers(0, 60)))
+        S = Sample(points, gen.choice((-1, 1), size=points.size))
+        counts = layout.block_counts(S.points)
+        # Each block's share of the plan, in plan order.
+        if attack == "sep":
+            blocks = np.flatnonzero(c.codeword.bits == -1)
+            shares = counts[blocks]
+        else:
+            blocks = np.arange(layout.w)
+            shares = counts - counts // 2
+        ends = np.cumsum(shares)
+        total = int(ends[-1]) if ends.size else 0
+        seen.update(name for name, case in (
+            ("all +1", mask == 0), ("all -1", mask == all_minus),
+            ("empty block", (shares == 0).any()),
+        ) if case)
+        for z in sorted({0, total, total + 3, *ends.tolist(), *(ends + 1).tolist(),
+                         *(ends - 1).clip(0).tolist()}):
+            got, want = strategy(S, z, c, RngHandle(t)), reference(S, z, c, RngHandle(t))
+            assert got.positions.dtype == np.int64
+            assert np.array_equal(got.positions, want.positions), (t, z)
+            assert got.introduced == want.introduced, (t, z)
+            assert (got.flagged, got.flag_reason) == (want.flagged, want.flag_reason), (t, z)
+            inside = int(np.searchsorted(ends, z, side="right"))
+            if z == 0:
+                seen.add("z = 0")
+            elif z >= total:
+                seen.add("whole plan")
+            elif z in ends:
+                seen.add("block boundary")
+            elif counts[blocks[inside]] % 2:
+                seen.add("inside an odd block")
+            else:
+                seen.add("inside an even block")
+    assert seen == {
+        "z = 0", "whole plan", "block boundary", "inside an odd block",
+        "inside an even block", "all +1", "all -1", "empty block",
+    }
 
 
 class TestSepConcept:
@@ -330,7 +397,7 @@ class TestSepConcept:
         p = inst.params
         for j in range(p.w):
             for off in range(p.block_size):
-                assert c.evaluate(j * p.block_size + off) == c.codeword.bits[j]
+                assert evaluate(c, j * p.block_size + off) == c.codeword.bits[j]
 
     def test_key_is_extracted_from_the_codeword(self):
         # c_{p,q} carries W_p and the packed key Ext(W_p, q); W_p's message is
