@@ -127,6 +127,8 @@ def _parse_word(text: str) -> np.ndarray:
 
 def _cmd_codes(args: argparse.Namespace) -> int:
     if args.codes_command == "gen":
+        if args.seed < 0:
+            return _error(f"seed must be >= 0, got {args.seed}")
         try:
             text = gen_random_linear_code(args.rho, args.w, RngHandle(args.seed)).to_text()
             if args.out:

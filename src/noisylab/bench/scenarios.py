@@ -138,6 +138,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ValueError("trial count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a directory path string, got {self.out!r}")
         if self.scenario not in _SCENARIOS:
@@ -603,6 +605,11 @@ def badamplify_counterexample(
 # --------------------------------------------------------------------------
 
 
+# codes-suite sorts the punctured codewords of at most this many (pattern,
+# message) pairs at once, and always at least one pattern.
+_ERASURE_BLOCK_ENTRIES = 1 << 16
+
+
 @_register(
     "codes-suite",
     codes=_Size(50, 1), w=_Size(12, 1), rho=0.5, max_erasures=_Size(3, 0),
@@ -616,32 +623,48 @@ def _scenario_codes_suite(
 
     # Erasure round trips: for every pattern, group messages by their
     # punctured codeword (the oracle path) and check that the decoded sets
-    # equal the groups exactly, one decode per distinct word.
+    # equal the groups exactly, one decode per distinct word. One stable sort
+    # per block of patterns groups them all: row p of ``order`` lists the
+    # messages by punctured word, ascending within a word, and a pattern whose
+    # groups are not all of one size (cosets of a linear code are) counts its
+    # words and fails without a decode.
     k = round(rho * w)
-    patterns = [
-        p
-        for size in range(max_erasures + 1)
-        for p in itertools.combinations(range(w), size)
-    ]
+    erased = np.array(
+        [
+            sum(1 << j for j in p)
+            for size in range(max_erasures + 1)
+            for p in itertools.combinations(range(w), size)
+        ],
+        dtype=np.uint64,
+    )
+    visible = erased ^ np.uint64((1 << w) - 1)
+    per_block = max(1, _ERASURE_BLOCK_ENTRIES >> k)
+    messages = np.arange(1 << k)
     roundtrip_ok = True
     decodes = 0
     for ci in range(codes):
         G = gen_random_linear_code(rho, w, rng.split(0, ci))
-        cw_masks = G.codeword_masks
-        for pattern in patterns:
-            pat_mask = sum(1 << j for j in pattern)
-            punctured = cw_masks & np.uint64(((1 << w) - 1) ^ pat_mask)
-            words, group_of = np.unique(punctured, return_inverse=True)
-            decodes += words.size
-            sizes = np.bincount(group_of)
-            if (sizes != sizes[0]).any():  # cosets of a linear code are equal
-                roundtrip_ok = False
-                continue
-            # Row g: the messages of group g in ascending order.
-            groups = np.argsort(group_of, kind="stable").reshape(words.size, sizes[0])
-            consistent, decoded = erasure_list_decode_many(G, pat_mask, words, cap=1 << k)
-            if not (consistent.all() and np.array_equal(decoded, groups)):
-                roundtrip_ok = False
+        for start in range(0, erased.size, per_block):
+            punctured = G.codeword_masks & visible[start : start + per_block, None]
+            order = np.argsort(punctured, axis=1, kind="stable")
+            ordered = np.take_along_axis(punctured, order, axis=1)
+            first = np.ones(ordered.shape, dtype=bool)  # first message of its word
+            first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+            n_words = first.sum(axis=1)
+            decodes += int(n_words.sum())
+            group_size = messages.size // n_words
+            equal = (group_size * n_words == messages.size) & (
+                first == (messages % group_size[:, None] == 0)
+            ).all(axis=1)
+            roundtrip_ok &= bool(equal.all())
+            for p in np.flatnonzero(equal).tolist():
+                s = int(group_size[p])
+                consistent, decoded = erasure_list_decode_many(
+                    G, int(erased[start + p]), ordered[p, ::s], cap=1 << k
+                )
+                # Row g of the reshape: the messages of word g in ascending order.
+                if not (consistent.all() and np.array_equal(decoded, order[p].reshape(-1, s))):
+                    roundtrip_ok = False
     records.append({"check": "erasure-roundtrip", "decodes": decodes, "ok": roundtrip_ok})
 
     # Bit-flip decoding against a naive double-loop oracle.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -250,16 +251,37 @@ class GeneratorMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "GeneratorMatrix":
+        """Parse the :meth:`to_text` form: a header of ``w=`` and ``rows=``,
+        each once and in decimal digits, then one row per line in hex digits
+        of either case. Any other key, or a sign, prefix or underscore that
+        ``int`` would take, is a :class:`ValueError`."""
         lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        try:
-            header = dict(part.split("=") for part in lines[0].split())
-            w, rows = int(header["w"]), int(header["rows"])
-            masks = [int(ln, 16) for ln in lines[1:]]
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"malformed serialized code: {exc!r}") from exc
-        if len(masks) != rows:
+        if not lines:
+            raise ValueError("malformed serialized code: no header line")
+        header: dict[str, int] = {}
+        for part in lines[0].split():
+            key, _, value = part.partition("=")
+            if key not in ("w", "rows"):
+                raise ValueError(
+                    f"malformed serialized code: unknown header key {key!r} "
+                    "(expected w and rows)"
+                )
+            if key in header:
+                raise ValueError(f"malformed serialized code: header key {key!r} repeated")
+            if not re.fullmatch("[0-9]+", value):
+                raise ValueError(
+                    f"malformed serialized code: header {key}={value!r} is not decimal digits"
+                )
+            header[key] = int(value)
+        missing = [key for key in ("w", "rows") if key not in header]
+        if missing:
+            raise ValueError(f"malformed serialized code: header lacks {missing}")
+        for ln in lines[1:]:
+            if not re.fullmatch("[0-9a-fA-F]+", ln):
+                raise ValueError(f"malformed serialized code: row {ln!r} is not hex digits")
+        if len(lines) - 1 != header["rows"]:
             raise ValueError("row count mismatch in serialized code")
-        return cls(masks, w)
+        return cls([int(ln, 16) for ln in lines[1:]], header["w"])
 
 
 def _gf2_rank(rows: list[int]) -> int:

@@ -1,19 +1,22 @@
-"""Test-only fixture builders, the ICE trial's per-block accounting, and
-block-by-block references for the separation adversaries.
+"""Test-only fixture builders, the ICE trial's per-block accounting,
+block-by-block references for the separation adversaries, and a
+pattern-by-pattern reference for codes-suite's erasure check.
 
 Nothing in the package calls these: they build test inputs, recount a trial
-independently of the learner they check, or plan an attack one key block at
-a time to check the package's array forms against.
+independently of the learner they check, or plan an attack one key block (or
+check one erasure pattern) at a time to check the package's array forms
+against.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from noisylab.codes import ReceivedWord
+from noisylab.codes import GeneratorMatrix, ReceivedWord, erasure_list_decode_many
 from noisylab.core import DiscreteDistribution, Hypothesis, RngHandle, Sample
 from noisylab.icesep import IceSepParams
 from noisylab.learn import ice_filter_keep
@@ -164,3 +167,29 @@ def ice_idealized_block_plans(layout: KeyValueLayout) -> Callable:
         return budget_capped_plans(block_plans(), z)
 
     return strategy
+
+
+def erasure_roundtrip_reference(G: GeneratorMatrix, max_erasures: int) -> tuple[int, bool]:
+    """codes-suite's erasure check on one code, one pattern at a time:
+    ``(decodes, ok)``. For every pattern of at most ``max_erasures`` erased
+    positions, group the messages by punctured codeword; a pattern whose
+    groups differ in size fails undecoded, and otherwise each distinct word
+    must decode to exactly its group."""
+    w, k = G.w, G.rows
+    ok, decodes = True, 0
+    for size in range(max_erasures + 1):
+        for pattern in itertools.combinations(range(w), size):
+            pat_mask = sum(1 << j for j in pattern)
+            punctured = G.codeword_masks & np.uint64(((1 << w) - 1) ^ pat_mask)
+            words, group_of = np.unique(punctured, return_inverse=True)
+            decodes += words.size
+            sizes = np.bincount(group_of)
+            if (sizes != sizes[0]).any():
+                ok = False
+                continue
+            # Row g: the messages of group g in ascending order.
+            groups = np.argsort(group_of, kind="stable").reshape(words.size, sizes[0])
+            consistent, decoded = erasure_list_decode_many(G, pat_mask, words, cap=1 << k)
+            if not (consistent.all() and np.array_equal(decoded, groups)):
+                ok = False
+    return decodes, ok

@@ -1,6 +1,7 @@
 """Bench plumbing: configs, determinism, report files, CLI subcommands."""
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from noisylab.bench import (
     write_report,
     render_text,
 )
+from noisylab.bench import scenarios
 from noisylab.bench.cli import main
 from noisylab.bench.scenarios import (
     _SCENARIOS,
@@ -24,9 +26,11 @@ from noisylab.bench.scenarios import (
     chisquare_vs_binomial,
     two_sample_chi2,
 )
+from noisylab.codes import gen_random_linear_code
 import noisylab.core as core
 import noisylab.learn as learn
 from noisylab.learn import AmplifyParams
+from helpers import erasure_roundtrip_reference
 from test_acceptance import RUNS
 
 
@@ -93,6 +97,87 @@ class TestRunScenario:
             "round-lemma", "ice-coupling", "ice-learner", "reduction-demos",
         ):
             assert expected in names
+
+    @pytest.mark.parametrize(
+        "w,max_erasures,patterns,blocks",
+        [(12, 0, 1, 1), (12, 3, 299, 1), (16, 3, 697, 3)],
+        ids=["no-erasures", "benchmark-size", "three-blocks"],
+    )
+    def test_codes_suite_erasure_check_matches_per_pattern_reference(
+        self, w, max_erasures, patterns, blocks
+    ):
+        # At w = 16 the 697 patterns of 256 messages each fill blocks of 256,
+        # 256 and 185 patterns, so a block cut that drops or repeats a pattern
+        # changes the decode count.
+        assert patterns == sum(math.comb(w, size) for size in range(max_erasures + 1))
+        per_block = scenarios._ERASURE_BLOCK_ENTRIES >> (w // 2)
+        assert -(-patterns // per_block) == blocks
+        params = {"codes": 3, "w": w, "rho": 0.5, "max_erasures": max_erasures,
+                  "bitflip_codes": 1, "low_weight_codes": 1}
+        rep = run_scenario(ExperimentConfig("codes-suite", params, seed=5))
+        expected = [
+            erasure_roundtrip_reference(
+                gen_random_linear_code(0.5, w, core.RngHandle(5).split(0, ci)), max_erasures
+            )
+            for ci in range(3)
+        ]
+        assert rep.aggregate["erasure_decodes"] == sum(decodes for decodes, _ in expected)
+        assert rep.verdicts["erasure_roundtrip"] == all(ok for _, ok in expected)
+        assert rep.verdicts["erasure_roundtrip"]
+
+    @pytest.mark.parametrize("fault", ["drop-solution", "swap-rows"])
+    def test_codes_suite_erasure_oracle_catches_one_wrong_decode(self, fault, monkeypatch):
+        # The decoder as the scenario sees it gets one pattern wrong: the
+        # first with two words of two solutions or more. Erasing 5 of 8
+        # positions of a rate-1/2 code leaves at most 3 visible, so such
+        # patterns exist.
+        decode = scenarios.erasure_list_decode_many
+        faulted = []
+
+        def faulty(G, erased, words, cap):
+            consistent, solutions = decode(G, erased, words, cap)
+            if not faulted and min(solutions.shape) >= 2:
+                faulted.append(erased)
+                solutions = solutions.copy()
+                if fault == "drop-solution":  # row 0 lists its first solution twice
+                    solutions[0, -1] = solutions[0, 0]
+                else:
+                    solutions[[0, 1]] = solutions[[1, 0]]
+            return consistent, solutions
+
+        params = {"codes": 1, "w": 8, "rho": 0.5, "max_erasures": 5,
+                  "bitflip_codes": 1, "low_weight_codes": 1}
+        cfg = ExperimentConfig("codes-suite", params, seed=5)
+        assert all(run_scenario(cfg).verdicts.values())
+        monkeypatch.setattr(scenarios, "erasure_list_decode_many", faulty)
+        verdicts = run_scenario(cfg).verdicts
+        assert len(faulted) == 1
+        assert verdicts == {
+            "erasure_roundtrip": False, "bitflip_oracle": True, "low_weight_oracle": True,
+        }
+
+    def test_codes_suite_unequal_groups_count_their_words_and_fail(self, monkeypatch):
+        # A table that is no linear code: message 1 takes message 0's word,
+        # so with nothing erased that word has two messages and the others
+        # one. Such a pattern counts its words and fails without a decode.
+        gen = scenarios.gen_random_linear_code
+        codes = []
+
+        def nonlinear(rho, w, rng):
+            G = gen(rho, w, rng)
+            table = G.codeword_masks.copy()
+            table[1] = table[0]
+            G.__dict__["codeword_masks"] = table  # the cached_property's slot
+            codes.append(G)
+            return G
+
+        monkeypatch.setattr(scenarios, "gen_random_linear_code", nonlinear)
+        params = {"codes": 2, "w": 12, "rho": 0.5, "max_erasures": 2,
+                  "bitflip_codes": 1, "low_weight_codes": 1}
+        rep = run_scenario(ExperimentConfig("codes-suite", params, seed=5))
+        expected = [erasure_roundtrip_reference(G, 2) for G in codes[:2]]
+        assert rep.aggregate["erasure_decodes"] == sum(decodes for decodes, _ in expected)
+        assert not rep.verdicts["erasure_roundtrip"]
 
     def test_badamplify_mixture_uses_guarantee_group_count(self):
         # The mixture arm must run the group count its verdict's guarantee
@@ -357,6 +442,14 @@ class TestCli:
     [
         pytest.param("codes decode --code {bad} --word ++++++++", id="code-unparsable"),
         pytest.param("codes decode --code {missing} --word +", id="code-missing"),
+        pytest.param("codes decode --code {extra_key} --word ++++++++", id="code-unknown-key"),
+        pytest.param("codes decode --code {repeated_key} --word ++++++++",
+                     id="code-repeated-key"),
+        pytest.param("codes decode --code {signed_w} --word ++++++++", id="code-signed-header"),
+        pytest.param("codes decode --code {prefixed_row} --word ++++++++", id="code-row-prefix"),
+        pytest.param("codes decode --code {underscored_row} --word ++++++++",
+                     id="code-row-underscore"),
+        pytest.param("codes decode --code {signed_row} --word ++++++++", id="code-row-sign"),
         pytest.param("codes decode --code {code} --word +++", id="word-length"),
         pytest.param("codes decode --code {code} --word +x++++++", id="word-symbol"),
         pytest.param("codes decode --code {code} --word ???????? --cap 4", id="list-cap"),
@@ -379,6 +472,8 @@ class TestCli:
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
+        pytest.param("codes gen --rho 0.5 --w 12 --seed -3", id="codes-gen-negative-seed"),
+        pytest.param("run round-lemma --seed -1", id="run-negative-seed"),
         pytest.param("report render {missing}", id="report-missing"),
         pytest.param("report render {bad}", id="report-malformed"),
         pytest.param("report render {listed}", id="report-not-object"),
@@ -387,6 +482,7 @@ class TestCli:
         pytest.param("run round-lemma --config {trials_bool}", id="config-trials-bool"),
         pytest.param("run round-lemma --config {seed_str}", id="config-seed-str"),
         pytest.param("run round-lemma --config {seed_bool}", id="config-seed-bool"),
+        pytest.param("run round-lemma --config {seed_neg}", id="config-negative-seed"),
         pytest.param("run round-lemma --config {out_int}", id="config-out-int"),
         pytest.param("run sep-adversary --config {weightless}", id="sep-adversary-no-codeword"),
         pytest.param("run sep-learner --config {sep_n0}", id="sep-learner-zero-n"),
@@ -402,6 +498,19 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     )
     main(["codes", "gen", "--rho", "0.5", "--w", "8", "--seed", "3", "--out", str(code)])
     bad.write_text("w=8 rows=1\nzz\n")
+    # Code texts that int() would read but to_text never writes, and the
+    # message each gives after "malformed serialized code: ".
+    code_texts = {
+        "extra_key": ("w=8 rows=1 extra=1\n0f\n",
+                      "unknown header key 'extra' (expected w and rows)"),
+        "repeated_key": ("w=8 rows=1 rows=1\n0f\n", "header key 'rows' repeated"),
+        "signed_w": ("w=+8 rows=1\n0f\n", "header w='+8' is not decimal digits"),
+        "prefixed_row": ("w=8 rows=1\n0x5\n", "row '0x5' is not hex digits"),
+        "underscored_row": ("w=8 rows=1\n5_5\n", "row '5_5' is not hex digits"),
+        "signed_row": ("w=8 rows=1\n+5\n", "row '+5' is not hex digits"),
+    }
+    for name, (text, _) in code_texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
     typo.write_text(json.dumps({"scenario": "round-lemma", "trails": 5}))
     param.write_text(json.dumps({"scenario": "sep-learner", "params": {"w": 7}}))
     kapa.write_text(json.dumps({"scenario": "round-lemma", "params": {"kapa": 0.9}}))
@@ -437,7 +546,8 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     listed.write_text("[1]")
     unnamed.write_text(json.dumps({"schema_version": 1, "n_records": 0}))
     fields = {"trials_str": ("trials", "5"), "trials_bool": ("trials", True),
-              "seed_str": ("seed", "x"), "seed_bool": ("seed", False), "out_int": ("out", 5)}
+              "seed_str": ("seed", "x"), "seed_bool": ("seed", False), "seed_neg": ("seed", -1),
+              "out_int": ("out", 5)}
     for name, (key, value) in fields.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"scenario": "round-lemma", key: value}))
     capsys.readouterr()
@@ -446,6 +556,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         unnamed=unnamed, weightless=weightless, sep_n0=sep_n0, domain0=domain0, k0=k0,
         missing=tmp_path / "none",
         **{name: tmp_path / f"{name}.json" for name in (*fields, *raw)},
+        **{name: tmp_path / f"{name}.txt" for name in code_texts},
     ).split()
     assert main(args) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -471,6 +582,13 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert err == ["error: decoding radius must be >= 0, got -1"]
     if "--cap 0" in argv:
         assert err == ["error: list cap must be >= 1, got 0"]
+    for name, (_, message) in code_texts.items():
+        if f"{{{name}}}" in argv:
+            assert err == [f"error: malformed serialized code: {message}"]
+    if "--seed -3" in argv:
+        assert err == ["error: seed must be >= 0, got -3"]
+    if "--seed -1" in argv or "seed_neg" in argv:
+        assert err == ["error: seed must be >= 0, got -1"]
 
 
 # Every declared lower bound on a size parameter, as (scenario, param, bound).

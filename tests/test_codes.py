@@ -83,6 +83,9 @@ class TestGeneratorMatrix:
         G = gen_random_linear_code(0.5, 12, RngHandle(1))
         G2 = GeneratorMatrix.from_text(G.to_text())
         assert G2.w == G.w and G2.row_masks == G.row_masks
+        # Hex digits of either case, header keys in either order.
+        G3 = GeneratorMatrix.from_text("rows=2 w=8\n0F\na5\n")
+        assert G3.w == 8 and G3.row_masks == (0x0F, 0xA5)
 
     def test_codeword_masks_match_encode(self):
         G = gen_random_linear_code(0.5, 8, RngHandle(2))
