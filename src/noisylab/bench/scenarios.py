@@ -5,9 +5,12 @@ its per-trial records, aggregate statistics, and boolean verdicts;
 :func:`run_scenario` wraps them in a :class:`TrialReport`. A scenario
 declares its parameters once, as the defaults it is registered with: a config
 may set only those, and each given value is cast to its default's type and
-must equal its cast (``200.0`` may set an int, ``200.7`` may not). A size
-parameter is registered as ``_Size(default, low)`` and may not be set below
-``low``, so a degenerate size is an error rather than a vacuous pass.
+must equal its cast (``200.0`` may set an int, ``200.7`` may not). Every
+parameter is registered as ``(default, interval)``, the interval written as in
+mathematics (``"(0, 1)"``, ``"[1, inf)"``); :func:`run_scenario` rejects a
+value outside it before the scenario starts, so a degenerate size or a rate
+outside the paper's range is one error, not a hang or a vacuous pass. A
+constraint that links two parameters is checked where they meet.
 Statistical verdicts use 99% two-sided binomial confidence intervals and
 chi-square tests at significance 1e-3 unless a scenario documents otherwise;
 both significance knobs are parameters.
@@ -25,11 +28,13 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
+from .._kernels import MAX_TABLE_ROWS
 from ..codes import (
+    MAX_WORD_BITS,
     ReceivedWord,
     bitflip_list_decode,
     encode,
@@ -50,6 +55,7 @@ from ..core import (
     philox_keys,
     philox_uniforms,
 )
+from ..cryptoprim import MAX_SEED_BITS
 from ..icesep import (
     IceInstance,
     IceSepParams,
@@ -94,24 +100,26 @@ __all__ = ["ExperimentConfig", "run_scenario", "scenario_names"]
 # What a scenario returns: records, aggregate, verdicts.
 Outcome = tuple[list[dict], dict, dict[str, bool]]
 
-_SCENARIOS: dict[str, tuple[Callable[..., Outcome], dict, dict[str, int]]] = {}
+_SCENARIOS: dict[str, tuple[Callable[..., Outcome], dict, dict[str, str]]] = {}
 
 
-class _Size(NamedTuple):
-    """An integer size parameter's default and the least value it accepts."""
+def _within(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``: ``[`` and ``]`` close an end,
+    ``(`` and ``)`` open it, and an ``inf`` end leaves that side unbounded."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (low <= value if interval[0] == "[" else low < value) and (
+        value <= high if interval[-1] == "]" else value < high
+    )
 
-    default: int
-    low: int
 
-
-def _register(name: str, **declared):
+def _register(name: str, **declared: tuple[int | float, str]):
     """Register a scenario under ``name``; ``declared`` are all its parameters,
-    each a default or a :class:`_Size`."""
-    defaults = {k: v.default if isinstance(v, _Size) else v for k, v in declared.items()}
-    lows = {k: v.low for k, v in declared.items() if isinstance(v, _Size)}
+    each a ``(default, interval)`` pair whose default lies in the interval."""
+    defaults = {key: default for key, (default, _) in declared.items()}
+    intervals = {key: interval for key, (_, interval) in declared.items()}
 
     def deco(fn):
-        _SCENARIOS[name] = (fn, defaults, lows)
+        _SCENARIOS[name] = (fn, defaults, intervals)
         return fn
 
     return deco
@@ -174,7 +182,7 @@ class ExperimentConfig:
 def run_scenario(config: ExperimentConfig) -> TrialReport:
     """Execute the named scenario with trial-split RNG streams, every
     parameter the config leaves out at its default."""
-    fn, defaults, lows = _SCENARIOS[config.scenario]
+    fn, defaults, intervals = _SCENARIOS[config.scenario]
     params = dict(defaults)
     for key, value in config.params.items():
         # A value must equal its cast, so the echoed config describes the run;
@@ -187,8 +195,8 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
         except (TypeError, ValueError, OverflowError):
             noun = "an integer" if kind is int else "a finite number"
             raise ValueError(f"param {key!r} must be {noun}, got {value!r}") from None
-        if key in lows and params[key] < lows[key]:
-            raise ValueError(f"{key} must be >= {lows[key]}, got {value!r}")
+        if not _within(params[key], intervals[key]):
+            raise ValueError(f"{key} must be in {intervals[key]}, got {value!r}")
     records, aggregate, verdicts = fn(config.trials, RngHandle(config.seed), **params)
     echo = {key: getattr(config, key) for key in ("scenario", "params", "trials", "seed")}
     return TrialReport(config.scenario, echo, records, aggregate, verdicts)
@@ -277,7 +285,7 @@ def two_sample_chi2(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
 _FILTER_UNIT_ROWS = 1 << 16
 
 
-@_register("ice-filter-unit", max_len=_Size(6, 1), domain_points=_Size(3, 1))
+@_register("ice-filter-unit", max_len=(6, "[1, inf)"), domain_points=(3, "[1, inf)"))
 def _scenario_ice_filter_unit(
     trials: int, rng: RngHandle, max_len: int, domain_points: int
 ) -> Outcome:
@@ -364,7 +372,9 @@ def _scenario_ice_filter_unit(
 # --------------------------------------------------------------------------
 
 
-@_register("nasty-budget-law", n=_Size(100, 1), eta=0.2, significance=1e-3)
+@_register(
+    "nasty-budget-law", n=(100, "[1, inf)"), eta=(0.2, "(0, 1)"), significance=(1e-3, "(0, 1)")
+)
 def _scenario_nasty_budget_law(
     trials: int, rng: RngHandle, n: int, eta: float, significance: float
 ) -> Outcome:
@@ -386,15 +396,16 @@ def _scenario_nasty_budget_law(
 # --------------------------------------------------------------------------
 
 
-@_register("amplify-concentration", eps=0.2, k=_Size(64, 1), eta=0.2, n_group=_Size(1, 1))
+@_register(
+    "amplify-concentration",
+    eps=(0.2, "[0, 1)"), k=(64, "[1, inf)"), eta=(0.2, "[0, 1)"), n_group=(1, "[1, inf)"),
+)
 def _scenario_amplify_concentration(
     trials: int, rng: RngHandle, eps: float, k: int, eta: float, n_group: int
 ) -> Outcome:
     """A crafted base learner with error exactly 1 w.p. eps (0 otherwise)
     trained on nasty-corrupted groups; the summed group errors must stay
     under eps*k + 3*sqrt(k*ln 20) in at least 95% of trials."""
-    if eps < 0 or eps >= 1:
-        raise ValueError("eps must be in [0, 1)")
     threshold = eps * k + 3 * math.sqrt(k * math.log(20))
 
     D = DiscreteDistribution.uniform(2)
@@ -440,7 +451,8 @@ _COIN_CHUNK = 8
 
 
 @_register(
-    "badamplify", eps=0.3, eta=0.25, n=_Size(60, 1), k=_Size(10, 1), n_test=_Size(40, 1)
+    "badamplify", eps=(0.3, "[0, 1)"), eta=(0.25, "[0.01, 0.49]"),
+    n=(60, "[1, inf)"), k=(10, "[1, inf)"), n_test=(40, "[1, inf)"),
 )
 def badamplify_counterexample(
     trials: int, rng: RngHandle, eps: float, eta: float, n: int, k: int, n_test: int
@@ -474,10 +486,6 @@ def badamplify_counterexample(
     ``learn._group_key_suffixes(k)``. ``train`` looks its coins up by the
     parent ids it is handed, and streams not drawn ahead are an error.
     """
-    if not 0.01 <= eta <= 0.49:
-        raise ValueError("eta must be in [0.01, 0.49]")
-    if eps < 0 or eps >= 1:
-        raise ValueError("eps must be in [0, 1)")
     amp = AmplifyParams.auto(eps_additional=0.1, delta=0.01)
     amp_threshold = eps + amp.eps_additional
     m_total = n * k + n_test
@@ -612,13 +620,19 @@ _ERASURE_BLOCK_ENTRIES = 1 << 16
 
 @_register(
     "codes-suite",
-    codes=_Size(50, 1), w=_Size(12, 1), rho=0.5, max_erasures=_Size(3, 0),
-    bitflip_codes=_Size(20, 1), low_weight_codes=_Size(20, 1),
+    codes=(50, "[1, inf)"), w=(12, f"[1, {MAX_WORD_BITS}]"), rho=(0.5, "(0, 1)"),
+    max_erasures=(3, "[0, inf)"), bitflip_codes=(20, "[1, inf)"), low_weight_codes=(20, "[1, inf)"),
 )
 def _scenario_codes_suite(
     trials: int, rng: RngHandle, codes: int, w: int, rho: float,
     max_erasures: int, bitflip_codes: int, low_weight_codes: int,
 ) -> Outcome:
+    k = round(rho * w)
+    if k > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"rho*w = {rho * w:g} exceeds {MAX_TABLE_ROWS} rows: the checks "
+            "enumerate all 2^(rho*w) messages"
+        )
     records = []
 
     # Erasure round trips: for every pattern, group messages by their
@@ -628,7 +642,6 @@ def _scenario_codes_suite(
     # messages by punctured word, ascending within a word, and a pattern whose
     # groups are not all of one size (cosets of a linear code are) counts its
     # words and fails without a decode.
-    k = round(rho * w)
     erased = np.array(
         [
             sum(1 << j for j in p)
@@ -716,10 +729,17 @@ def _scenario_codes_suite(
 # --------------------------------------------------------------------------
 
 
+# Largest value-side dimension d of either separation: the value side has at
+# least 2^d points, each with a truth-table entry, label counts and a PRF bit
+# per scored key. A one-trial sep-learner run at d = 20 peaks at about 335 MB,
+# and each step of d doubles the value side.
+_MAX_VALUE_BITS = 20
+
 # The SepParams.create arguments both separation scenarios take.
 _SEP_DEFAULTS = dict(
-    eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15,
-    w=_Size(24, 1), d=_Size(12, 0), u=_Size(8, 0), n=_Size(50000, 1),
+    eta_N=(0.25, "(0, 0.5)"), eta_M=(0.05, "(0, 0.5)"), kappa=(0.5, "(0, 1)"),
+    rho=(0.5, "(0, 1)"), tau=(0.15, "(0, 1)"), w=(24, f"[1, {MAX_WORD_BITS}]"),
+    d=(12, f"[0, {_MAX_VALUE_BITS}]"), u=(8, f"[0, {MAX_SEED_BITS}]"), n=(50000, "[1, inf)"),
 )
 
 
@@ -793,7 +813,7 @@ def _scenario_sep_learner(trials: int, rng: RngHandle, **sep) -> Outcome:
 
 @_register(
     "sep-adversary", **_SEP_DEFAULTS,
-    significance=1e-3, sim_trials=_Size(2000, 1), sim_n=_Size(500, 1),
+    significance=(1e-3, "(0, 1)"), sim_trials=(2000, "[1, inf)"), sim_n=(500, "[1, inf)"),
 )
 def _scenario_sep_adversary(
     trials: int, rng: RngHandle, significance: float, sim_trials: int, sim_n: int, **sep
@@ -889,10 +909,8 @@ def _scenario_sep_adversary(
 # --------------------------------------------------------------------------
 
 
-@_register("round-lemma", kappa=0.6, w=_Size(200, 1))
+@_register("round-lemma", kappa=(0.6, "(0, 1)"), w=(200, "[1, inf)"))
 def _scenario_round_lemma(trials: int, rng: RngHandle, kappa: float, w: int) -> Outcome:
-    if not 0 < kappa < 1:
-        raise ValueError("kappa must be in (0, 1)")
     budget = (1 - kappa) * w
     bound = 0.5 * (1 - kappa / 2) * w
     records = []
@@ -923,10 +941,15 @@ def _scenario_round_lemma(trials: int, rng: RngHandle, kappa: float, w: int) -> 
 # --------------------------------------------------------------------------
 
 
-@_register("ice-coupling", domain=_Size(20, 1), n=_Size(40, 1), eta=0.3, filler_point=0)
+@_register(
+    "ice-coupling", domain=(20, "[1, inf)"), n=(40, "[1, inf)"), eta=(0.3, "[0, 1)"),
+    filler_point=(0, "[0, inf)"),
+)
 def _scenario_ice_coupling(
     trials: int, rng: RngHandle, domain: int, n: int, eta: float, filler_point: int
 ) -> Outcome:
+    if filler_point >= domain:
+        raise ValueError(f"filler_point must be < domain = {domain}, got {filler_point}")
 
     def inner(S: Sample, z: int, c, srng: RngHandle) -> StrategyResult:
         g = srng.generator()
@@ -1002,8 +1025,9 @@ def _scenario_ice_coupling(
 
 
 @_register(
-    "ice-learner", eta=0.05, kappa=0.7,
-    w=_Size(20, 2), d=_Size(10, 1), n=_Size(20000, 1), L=_Size(1024, 1),
+    "ice-learner", eta=(0.05, "(0, 0.1]"), kappa=(0.7, "(0.5, 1)"),
+    w=(20, f"[2, {MAX_WORD_BITS}]"), d=(10, f"[1, {_MAX_VALUE_BITS}]"),
+    n=(20000, "[1, inf)"), L=(1024, "[1, inf)"),
 )
 def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
     ip = IceSepParams.create(**params)
@@ -1073,7 +1097,11 @@ def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
 # --------------------------------------------------------------------------
 
 
-@_register("reduction-demos", domain=_Size(16, 1), eta=0.1, huber_eta=0.3, m=_Size(400, 1))
+# The exact marginal comparison enumerates the domain: at most 64 points.
+@_register(
+    "reduction-demos", domain=(16, "[1, 64]"), eta=(0.1, "[0, 1)"), huber_eta=(0.3, "[0, 1]"),
+    m=(400, "[1, inf)"),
+)
 def reduction_pipeline_demo(
     trials: int, rng: RngHandle, domain: int, eta: float, huber_eta: float, m: int
 ) -> Outcome:
@@ -1089,9 +1117,6 @@ def reduction_pipeline_demo(
     budget exceeds the fixed count; the measured mean positional difference
     is compared against sqrt(m) + 1.
     """
-    if domain > 64:
-        raise ValueError("exact marginal comparison needs a domain of <= 64 points")
-
     gen = rng.split(0).generator()
     table = gen.choice((-1, 1), size=domain).astype(np.int8)
     c = TableHypothesis(table)

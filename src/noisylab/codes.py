@@ -82,6 +82,10 @@ class CodeParams:
     eta_N: float
     L: int = 64
 
+    def __post_init__(self) -> None:
+        if not 0 < self.tau < 1:
+            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
+
     @classmethod
     def derive(cls, eta_N: float, eta_M: float, L: int = 64) -> "CodeParams":
         """Auto-derive (rho, tau, lam) from the two noise rates.

@@ -79,16 +79,12 @@ class IceSepParams:
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta <= 0.1:
-            raise ValueError("eta must be in (0, 0.1]")
-        if not 0.5 < self.kappa < 1:
-            raise ValueError("kappa must be in (1/2, 1)")
+        key_fraction = self._key_fraction_exact(self.eta, self.kappa)
         if self.d >= self.w:
             raise ValueError("need d < w for a rate < 1 code")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        layout = KeyValueLayout(self.w, self.block_size, self._key_fraction_exact(self.eta, self.kappa))
-        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "layout", KeyValueLayout(self.w, self.block_size, key_fraction))
 
     @classmethod
     def create(
@@ -107,6 +103,12 @@ class IceSepParams:
 
     @staticmethod
     def _key_fraction_exact(eta: float, kappa: float) -> Fraction:
+        """The key side's exact mass ``2*kappa_prime*eta``, after checking
+        the rates: ``eta`` in (0, 0.1] and ``kappa`` in (1/2, 1)."""
+        if not 0 < eta <= 0.1:
+            raise ValueError("eta must be in (0, 0.1]")
+        if not 0.5 < kappa < 1:
+            raise ValueError("kappa must be in (1/2, 1)")
         kappa_prime = (Fraction(str(kappa)) + Fraction(1, 2)) / 2
         return 2 * kappa_prime * Fraction(str(eta))
 

@@ -92,7 +92,10 @@ class KeyValueLayout:
     @classmethod
     def fit(cls, w: int, d: int, key_fraction: Fraction) -> "KeyValueLayout":
         """Smallest per-block size giving an exact ``key_fraction`` with an
-        integer value side of at least ``2^d`` points."""
+        integer value side of at least ``2^d`` points; ``key_fraction`` must
+        lie in (0, 1)."""
+        if not 0 < key_fraction < 1:
+            raise ValueError(f"key fraction must be in (0, 1), got {key_fraction}")
         ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
         b = max(1, math.ceil((1 << d) / (ratio * w)))
         while True:
@@ -274,19 +277,23 @@ class SepParams:
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta_N < 1 or not 0 < self.eta_M < 1:
-            raise ValueError("noise rates must be in (0, 1)")
+        self._check_rates(self.eta_N, self.eta_M, self.kappa, self.code.tau)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        lower = self.eta_M / ((1 - self.eta_M) * self.code.tau)
-        if not lower < self.kappa < 1:
-            raise ValueError(
-                f"need eta_M/((1-eta_M)*tau) = {lower} < kappa < 1, got {self.kappa}"
-            )
         object.__setattr__(self, "layout", KeyValueLayout(self.w, self.block_size, self.kappa))
         rows = self.code.rho * self.w
         if abs(rows - round(rows)) > 1e-9:
             raise ValueError("rho*w must be an integer")
+
+    @staticmethod
+    def _check_rates(eta_N: float, eta_M: float, kappa: Fraction, tau: float) -> None:
+        """Reject noise rates outside (0, 1) and a ``kappa`` outside
+        ``(eta_M/((1-eta_M)*tau), 1)``; ``tau`` is in (0, 1) already."""
+        if not 0 < eta_N < 1 or not 0 < eta_M < 1:
+            raise ValueError("noise rates must be in (0, 1)")
+        lower = eta_M / ((1 - eta_M) * tau)
+        if not lower < kappa < 1:
+            raise ValueError(f"need eta_M/((1-eta_M)*tau) = {lower} < kappa < 1, got {kappa}")
 
     @classmethod
     def create(
@@ -306,6 +313,7 @@ class SepParams:
         kap = kappa if isinstance(kappa, Fraction) else Fraction(str(kappa))
         lam = 0.5 * (rho + binary_entropy(eta_N) - 1)
         code = CodeParams(rho=rho, tau=tau, lam=lam, eta_N=eta_N, L=L)
+        cls._check_rates(eta_N, eta_M, kap, tau)
         b = KeyValueLayout.fit(w, d, kap).block_size
         if n is None:
             n = cls._auto_n(w, eta_M, kap)

@@ -1,7 +1,10 @@
 """Bench plumbing: configs, determinism, report files, CLI subcommands."""
 
+import importlib.util
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -32,6 +35,7 @@ import noisylab.learn as learn
 from noisylab.learn import AmplifyParams
 from helpers import erasure_roundtrip_reference
 from test_acceptance import RUNS
+from test_golden import CASES as GOLDEN_CASES
 
 
 class TestExperimentConfig:
@@ -469,6 +473,15 @@ class TestCli:
         pytest.param("run round-lemma --config {kappa_huge}", id="round-lemma-kappa-huge"),
         pytest.param("run amplify-concentration --config {eps_neg}", id="amplify-eps-range"),
         pytest.param("run ice-filter-unit --config {rows}", id="ice-filter-unit-row-limit"),
+        pytest.param("run nasty-budget-law --config {sig_neg}", id="nasty-budget-law-significance"),
+        pytest.param("run sep-adversary --config {sig2}", id="sep-adversary-significance"),
+        pytest.param("run sep-learner --config {tau_neg}", id="sep-learner-negative-tau"),
+        pytest.param("run sep-learner --config {tau5}", id="sep-learner-tau-above-one"),
+        pytest.param("run sep-learner --config {d40}", id="sep-learner-value-side-size"),
+        pytest.param("run codes-suite --config {w63}", id="codes-suite-table-rows-w63"),
+        pytest.param("run codes-suite --config {w64}", id="codes-suite-table-rows-w64"),
+        pytest.param("run codes-suite --config {w70}", id="codes-suite-word-length"),
+        pytest.param("run ice-coupling --config {filler_far}", id="ice-coupling-filler-outside"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
@@ -524,9 +537,28 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         "huge": ("round-lemma", '{"w": 1e400}', "param 'w' must be an integer, got inf"),
         "huge_float": ("round-lemma", '{"kappa": -1e400}',
                        "param 'kappa' must be a finite number, got -inf"),
-        "kappa5": ("round-lemma", '{"kappa": 5}', "kappa must be in (0, 1)"),
-        "kappa_huge": ("round-lemma", '{"kappa": 1e308}', "kappa must be in (0, 1)"),
-        "eps_neg": ("amplify-concentration", '{"eps": -1}', "eps must be in [0, 1)"),
+        "kappa5": ("round-lemma", '{"kappa": 5}', "kappa must be in (0, 1), got 5"),
+        "kappa_huge": ("round-lemma", '{"kappa": 1e308}', "kappa must be in (0, 1), got 1e+308"),
+        "eps_neg": ("amplify-concentration", '{"eps": -1}', "eps must be in [0, 1), got -1"),
+        "k0": ("badamplify", '{"k": 0}', "k must be in [1, inf), got 0"),
+        "sep_n0": ("sep-learner", '{"n": 0}', "n must be in [1, inf), got 0"),
+        "domain0": ("ice-coupling", '{"domain": 0}', "domain must be in [1, inf), got 0"),
+        # Probed values that once passed vacuously, or (d and w) tried to
+        # allocate 16 TiB or 32 GiB, or overflowed.
+        "sig_neg": ("nasty-budget-law", '{"significance": -1}',
+                    "significance must be in (0, 1), got -1"),
+        "sig2": ("sep-adversary", '{"significance": 2}', "significance must be in (0, 1), got 2"),
+        "tau_neg": ("sep-learner", '{"tau": -1}', "tau must be in (0, 1), got -1"),
+        "tau5": ("sep-learner", '{"tau": 5}', "tau must be in (0, 1), got 5"),
+        "d40": ("sep-learner", '{"d": 40}', "d must be in [0, 20], got 40"),
+        "w63": ("codes-suite", '{"w": 63}', "rho*w = 31.5 exceeds 24 rows: the checks "
+                "enumerate all 2^(rho*w) messages"),
+        "w64": ("codes-suite", '{"w": 64}', "rho*w = 32 exceeds 24 rows: the checks "
+                "enumerate all 2^(rho*w) messages"),
+        "w70": ("codes-suite", '{"w": 70}', "w must be in [1, 64], got 70"),
+        # The filler point must lie in the domain: 20 is one past its end.
+        "filler_far": ("ice-coupling", '{"filler_point": 20}',
+                       "filler_point must be < domain = 20, got 20"),
         # 6^40 rows: rejected before anything is allocated.
         "rows": ("ice-filter-unit", '{"max_len": 40}',
                  "(2*domain_points)^max_len = 6^40 samples of the longest length "
@@ -538,10 +570,6 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     weightless = tmp_path / "weightless.json"
     weightless.write_text(json.dumps({"scenario": "sep-adversary", "params": {
         "eta_N": 0.01, "eta_M": 0.005, "n": 500, "sim_trials": 2, "sim_n": 50}}))
-    sep_n0, domain0, k0 = (tmp_path / f"{name}.json" for name in ("sep_n0", "domain0", "k0"))
-    sep_n0.write_text(json.dumps({"scenario": "sep-learner", "params": {"n": 0}}))
-    domain0.write_text(json.dumps({"scenario": "ice-coupling", "params": {"domain": 0}}))
-    k0.write_text(json.dumps({"scenario": "badamplify", "params": {"k": 0}}))
     listed, unnamed = tmp_path / "listed.json", tmp_path / "unnamed.json"
     listed.write_text("[1]")
     unnamed.write_text(json.dumps({"schema_version": 1, "n_records": 0}))
@@ -553,8 +581,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     capsys.readouterr()
     args = argv.format(
         code=code, bad=bad, typo=typo, param=param, kapa=kapa, null=null, frac=frac, listed=listed,
-        unnamed=unnamed, weightless=weightless, sep_n0=sep_n0, domain0=domain0, k0=k0,
-        missing=tmp_path / "none",
+        unnamed=unnamed, weightless=weightless, missing=tmp_path / "none",
         **{name: tmp_path / f"{name}.json" for name in (*fields, *raw)},
         **{name: tmp_path / f"{name}.txt" for name in code_texts},
     ).split()
@@ -574,9 +601,7 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert "out" in err[0] and "5" in err[0]
     if "weightless" in argv:
         assert "nonzero codeword" in err[0]
-    if "k0" in argv:
-        assert "k must be >= 1" in err[0]
-    if "nasty-budget-law" in argv:
+    if "nasty-budget-law --trials 5" in argv:
         assert "5 trials" in err[0] and "fewer than 2 bins" in err[0]
     if "--radius -1" in argv:
         assert err == ["error: decoding radius must be >= 0, got -1"]
@@ -591,33 +616,192 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         assert err == ["error: seed must be >= 0, got -1"]
 
 
-# Every declared lower bound on a size parameter, as (scenario, param, bound).
-SIZE_BOUNDS = [
-    (name, param, low)
+def _ends(interval: str, kind: type) -> tuple[tuple, tuple]:
+    """The ``(value, closed)`` ends of an interval text, read apart from the
+    program's own parser; an ``inf`` end has value ``None``."""
+    low, high = (text.strip() for text in interval[1:-1].split(","))
+
+    def read(text):
+        return None if text.lstrip("-") == "inf" else kind(text)
+
+    return (read(low), interval[0] == "["), (read(high), interval[-1] == "]")
+
+
+def _inside(value, interval: str) -> bool:
+    (low, low_closed), (high, high_closed) = _ends(interval, type(value))
+    return (low is None or (low <= value if low_closed else low < value)) and (
+        high is None or (value <= high if high_closed else value < high)
+    )
+
+
+def _past(end, closed: bool, step: int):
+    """The value just past an interval end, ``step`` -1 below it and +1 above
+    it: the end itself when it is open, else one integer or one float ulp
+    beyond it."""
+    if not closed:
+        return end
+    return end + step if isinstance(end, int) else math.nextafter(end, step * math.inf)
+
+
+# Every declared parameter, as (scenario, param, default, interval).
+DECLARED = [
+    (name, param, default, _SCENARIOS[name][2][param])
     for name in scenario_names()
-    for param, low in sorted(_SCENARIOS[name][2].items())
+    for param, default in sorted(_SCENARIOS[name][1].items())
 ]
+
+
+def _finite_ends(side: int, step: int) -> list[tuple]:
+    """Every finite lower (side 0, step -1) or upper (side 1, step +1) end of
+    a declared interval, as (scenario, param, interval, the value just past
+    that end)."""
+    ends = []
+    for name, param, default, interval in DECLARED:
+        end, closed = _ends(interval, type(default))[side]
+        if end is not None:
+            ends.append((name, param, interval, _past(end, closed, step)))
+    return ends
+
+
+LOWER_ENDS, UPPER_ENDS = _finite_ends(0, -1), _finite_ends(1, 1)
+
+
+def test_every_parameter_declares_an_interval_holding_its_default():
+    for name in scenario_names():
+        assert sorted(_SCENARIOS[name][1]) == sorted(_SCENARIOS[name][2]), name
+    for name, param, default, interval in DECLARED:
+        assert type(default) in (int, float), (name, param)
+        assert interval[0] in "[(" and interval[-1] in "])", (name, param, interval)
+        assert _inside(default, interval), (name, param, default, interval)
+
+
+def test_closed_ends_are_inside_and_open_ends_outside():
+    # A just-past value is rejected either way; the end itself tells a
+    # closed bracket from an open one.
+    for name, param, default, interval in DECLARED:
+        for end, closed in _ends(interval, type(default)):
+            if end is not None:
+                assert scenarios._within(end, interval) == closed, (name, param, interval)
+
+
+def _workloads():
+    """perfbench's workload table, loaded without writing bytecode there."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.WORKLOADS
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.modules.pop(spec.name, None)
+
+
+def test_every_shipped_size_lies_in_its_interval():
+    # The configs, acceptance runs, golden fixtures and benchmark workloads.
+    root = Path(__file__).resolve().parents[1]
+    configs = [json.loads(p.read_text()) for p in sorted((root / "configs").glob("*.json"))]
+    runs = [
+        *((c["scenario"], c["params"]) for c in configs),
+        *((name, params) for name, (params, _, _) in RUNS.items()),
+        *((name, params) for name, params, _, _ in GOLDEN_CASES),
+        *((w.scenario, w.params) for w in _workloads().values()),
+    ]
+    assert configs
+    for name, params in runs:
+        for param, value in params.items():
+            assert _inside(value, _SCENARIOS[name][2][param]), (name, param, value)
 
 
 def test_degenerate_sizes_are_bounded():
     # Each of these once ran at 0 and passed vacuously (nasty-budget-law
     # wrote a NaN p-value instead).
-    declared = {(name, param): low for name, param, low in SIZE_BOUNDS}
-    for case in (
+    for name, param in (
         ("amplify-concentration", "n_group"), ("ice-filter-unit", "domain_points"),
         ("reduction-demos", "m"), ("round-lemma", "w"), ("ice-coupling", "n"),
         ("nasty-budget-law", "n"),
     ):
-        assert declared[case] == 1
+        assert _SCENARIOS[name][2][param] == "[1, inf)"
+
+
+def _rejected_before_the_run(scenario, param, interval, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": scenario, "trials": 2, "params": {param: value}}))
+    assert main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: {param} must be in {interval}, got {value!r}"]
+    assert not list(tmp_path.glob("*_aggregate.json"))
+
+
+# Named for sizes, it covers the lower end of every declared interval, rates
+# included.
+@pytest.mark.parametrize(
+    "scenario,param,interval,value", LOWER_ENDS,
+    ids=[f"{name}-{param}" for name, param, _, _ in LOWER_ENDS],
+)
+def test_cli_size_below_bound_is_one_error_line(
+    scenario, param, interval, value, tmp_path, capsys
+):
+    _rejected_before_the_run(scenario, param, interval, value, tmp_path, capsys)
 
 
 @pytest.mark.parametrize(
-    "scenario,param,low", SIZE_BOUNDS, ids=[f"{name}-{param}" for name, param, _ in SIZE_BOUNDS]
+    "scenario,param,interval,value", UPPER_ENDS,
+    ids=[f"{name}-{param}" for name, param, _, _ in UPPER_ENDS],
 )
-def test_cli_size_below_bound_is_one_error_line(scenario, param, low, tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"scenario": scenario, "trials": 2, "params": {param: low - 1}}))
-    assert main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"error: {param} must be >= {low}, got {low - 1}"]
-    assert not list(tmp_path.glob("*_aggregate.json"))
+def test_cli_value_above_bound_is_one_error_line(
+    scenario, param, interval, value, tmp_path, capsys
+):
+    _rejected_before_the_run(scenario, param, interval, value, tmp_path, capsys)
+
+
+# Calls that once hung in KeyValueLayout.fit's search for a block size (a key
+# fraction of 1 or more) or, for CodeParams, took a negative tau. Each must
+# raise ValueError.
+FORMER_HANGS = {
+    "ice-learner-eta": "run_scenario(ExperimentConfig('ice-learner', {'eta': 3}, trials=2))",
+    "sep-learner-kappa": "run_scenario(ExperimentConfig('sep-learner', {'kappa': 2}, trials=2))",
+    "sep-adversary-kappa": (
+        "run_scenario(ExperimentConfig('sep-adversary', {'kappa': 2}, trials=2))"
+    ),
+    "fit-0": "KeyValueLayout.fit(24, 12, Fraction(0))",
+    "fit-1": "KeyValueLayout.fit(24, 12, Fraction(1))",
+    "fit-3/2": "KeyValueLayout.fit(24, 12, Fraction(3, 2))",
+    "ice-create": "IceSepParams.create(eta=3, kappa=0.7, w=20, d=10)",
+    "sep-create": (
+        "SepParams.create(eta_N=0.25, eta_M=0.05, kappa=2, rho=0.5, tau=0.15, w=24, d=12, u=8)"
+    ),
+    "code-params": "CodeParams(rho=0.5, tau=-1, lam=0.1, eta_N=0.25)",
+}
+
+
+def test_former_hangs_raise_in_a_subprocess_under_a_timeout():
+    # A fresh interpreter with a timeout, so a regression fails the suite
+    # instead of hanging it.
+    script = "\n".join([
+        "from fractions import Fraction",
+        "from noisylab.bench import ExperimentConfig, run_scenario",
+        "from noisylab.codes import CodeParams",
+        "from noisylab.icesep import IceSepParams",
+        "from noisylab.sep import KeyValueLayout, SepParams",
+        f"for name, call in {FORMER_HANGS!r}.items():",
+        "    try:",
+        "        eval(call)",
+        "    except ValueError:",
+        "        print(name, 'ValueError', flush=True)",
+        "    else:",
+        "        print(name, 'returned', flush=True)",
+    ])
+    src = str(Path(scenarios.__file__).resolve().parents[2])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout
+    assert out.splitlines() == [f"{name} ValueError" for name in FORMER_HANGS]
