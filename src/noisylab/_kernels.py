@@ -1,7 +1,7 @@
 """Packed-bit GF(2) kernels: the inner loop of code enumeration and list decoding.
 
 - ``codeword_table(row_masks)``: expand the 2^k GF(2) row-span of ``k`` bitmask
-  rows into a table indexed by message integer.
+  rows into a table indexed by message integer, for one matrix or a stack.
 - ``hamming_scan(table, target, mask)``: popcount of ``(table ^ target) & mask``
   per entry (Hamming distances on the unmasked positions).
 
@@ -23,16 +23,17 @@ def codeword_table(row_masks: np.ndarray) -> np.ndarray:
     """All 2^k XOR combinations of ``k`` uint64 row bitmasks.
 
     Entry ``m`` is the XOR of the rows selected by the set bits of ``m``
-    (bit ``i`` of the index selects row ``i``). Entry 0 is 0.
+    (bit ``i`` of the index selects row ``i``). Entry 0 is 0. The rows are
+    the last axis: a ``(n, k)`` stack of matrices gives a ``(n, 2^k)`` table.
     """
     rows = np.asarray(row_masks, dtype=np.uint64)
-    k = len(rows)
+    k = rows.shape[-1]
     if k > MAX_TABLE_ROWS:
         raise ValueError(f"refusing to expand 2^{k} codewords (k > {MAX_TABLE_ROWS})")
-    table = np.zeros(1 << k, dtype=np.uint64)
+    table = np.zeros(rows.shape[:-1] + (1 << k,), dtype=np.uint64)
     size = 1
     for i in range(k):
-        table[size : 2 * size] = table[:size] ^ rows[i]
+        table[..., size : 2 * size] = table[..., :size] ^ rows[..., i, None]
         size *= 2
     return table
 

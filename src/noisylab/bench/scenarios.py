@@ -616,6 +616,12 @@ def badamplify_counterexample(
 # codes-suite sorts the punctured codewords of at most this many (pattern,
 # message) pairs at once, and always at least one pattern.
 _ERASURE_BLOCK_ENTRIES = 1 << 16
+# It hands the decoder at most this many words per call, which bounds the
+# decoder's (words, reduced rows) and (words, solutions) temporaries.
+_ERASURE_CHUNK_WORDS = 1 << 10
+# It refuses more erasure patterns than this per code: their list is built in
+# Python, one pattern at a time, before any check runs.
+_ERASURE_PATTERNS = 1 << 16
 
 
 @_register(
@@ -633,6 +639,13 @@ def _scenario_codes_suite(
             f"rho*w = {rho * w:g} exceeds {MAX_TABLE_ROWS} rows: the checks "
             "enumerate all 2^(rho*w) messages"
         )
+    sizes = range(min(max_erasures, w) + 1)
+    n_patterns = sum(math.comb(w, size) for size in sizes)
+    if n_patterns > _ERASURE_PATTERNS:
+        raise ValueError(
+            f"{n_patterns} erasure patterns of at most {max_erasures} of {w} positions "
+            f"exceed the limit of {_ERASURE_PATTERNS}"
+        )
     records = []
 
     # Erasure round trips: for every pattern, group messages by their
@@ -641,13 +654,12 @@ def _scenario_codes_suite(
     # per block of patterns groups them all: row p of ``order`` lists the
     # messages by punctured word, ascending within a word, and a pattern whose
     # groups are not all of one size (cosets of a linear code are) counts its
-    # words and fails without a decode.
+    # words and fails without a decode. The words of every pattern whose
+    # groups have size s = 2^f are decoded together, each under its own
+    # pattern, a chunk of words per call; row g of a chunk's groups lists the
+    # messages of its word g in ascending order.
     erased = np.array(
-        [
-            sum(1 << j for j in p)
-            for size in range(max_erasures + 1)
-            for p in itertools.combinations(range(w), size)
-        ],
+        [sum(1 << j for j in p) for size in sizes for p in itertools.combinations(range(w), size)],
         dtype=np.uint64,
     )
     visible = erased ^ np.uint64((1 << w) - 1)
@@ -670,14 +682,18 @@ def _scenario_codes_suite(
                 first == (messages % group_size[:, None] == 0)
             ).all(axis=1)
             roundtrip_ok &= bool(equal.all())
-            for p in np.flatnonzero(equal).tolist():
-                s = int(group_size[p])
-                consistent, decoded = erasure_list_decode_many(
-                    G, int(erased[start + p]), ordered[p, ::s], cap=1 << k
-                )
-                # Row g of the reshape: the messages of word g in ascending order.
-                if not (consistent.all() and np.array_equal(decoded, order[p].reshape(-1, s))):
-                    roundtrip_ok = False
+            for s in sorted(set(group_size[equal].tolist())):
+                ps = np.flatnonzero(equal & (group_size == s))
+                words = ordered[ps, ::s].ravel()
+                masks = np.repeat(erased[start + ps], messages.size // s)
+                groups = order[ps].reshape(-1, s)
+                for lo in range(0, words.size, _ERASURE_CHUNK_WORDS):
+                    chunk = slice(lo, lo + _ERASURE_CHUNK_WORDS)
+                    consistent, decoded = erasure_list_decode_many(
+                        G, masks[chunk], words[chunk], cap=1 << k
+                    )
+                    if not (consistent.all() and np.array_equal(decoded, groups[chunk])):
+                        roundtrip_ok = False
     records.append({"check": "erasure-roundtrip", "decodes": decodes, "ok": roundtrip_ok})
 
     # Bit-flip decoding against a naive double-loop oracle.

@@ -12,9 +12,12 @@ packed-bit kernels. Both decoders return sorted message integers (bit ``i``
 is message position ``i``, as in :attr:`GeneratorMatrix.codeword_masks`), and
 :func:`encode` takes one; a :class:`Codeword` is packed the same way, with its
 ±1 form derived on demand.
-The erasure decoder works on batches: :func:`erasure_list_decode_many` runs
-one elimination for every packed word that shares an erasure pattern, and
-:func:`erasure_list_decode` is its one-word case for a :class:`ReceivedWord`.
+The erasure decoder works on batches: :func:`erasure_list_decode_many` takes
+one erasure pattern shared by every packed word, or one pattern per word, and
+runs one elimination per distinct pattern; visited in column-lexicographic
+order, each pattern resumes from the saved state of the longest column prefix
+it shares with the one before. :func:`erasure_list_decode` is its one-word
+case for a :class:`ReceivedWord`.
 """
 
 from __future__ import annotations
@@ -334,78 +337,144 @@ def encode(G: GeneratorMatrix, message: int) -> Codeword:
     return Codeword(cmask, msg, G.w)
 
 
+def _mask_array(values: Sequence[int] | np.ndarray, bits: int, what: str) -> np.ndarray:
+    """``values`` as a one-dimensional uint64 array of masks in ``[0, 2^bits)``.
+
+    A numpy array must have an integer dtype; any other sequence is checked
+    entry by entry as by :func:`_as_mask`. A breach is a :class:`ValueError`.
+    """
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{what}s must be integers")
+        arr = values
+    else:  # Python ints on both sides of 2^63 would make a float array
+        arr = np.array([_as_mask(m, bits, what) for m in values], dtype=object)
+    if arr.ndim != 1:
+        raise ValueError(f"{what}s must be one-dimensional")
+    if arr.size and (arr.min() < 0 or arr.max() > (1 << bits) - 1):
+        raise ValueError(f"{what} out of range for code length {bits}")
+    return arr.astype(np.uint64)
+
+
 def erasure_list_decode_many(
-    G: GeneratorMatrix, erased_mask: int, word_masks: Sequence[int] | np.ndarray, cap: int = 64
+    G: GeneratorMatrix,
+    erased_masks: int | Sequence[int] | np.ndarray,
+    word_masks: Sequence[int] | np.ndarray,
+    cap: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Erasure-list-decode a batch of packed words that share one erasure pattern.
+    """Erasure-list-decode a batch of packed words, each under its erasure pattern.
 
-    ``erased_mask`` packs the erased positions; each entry of ``word_masks``
-    packs a word's ``-1`` positions (its bits on erased positions are
-    ignored). Returns ``(consistent, solutions)``: ``consistent[i]`` says
-    whether some message agrees with word ``i`` on every visible position,
-    and row ``i`` of the uint64 array ``solutions`` is then the full affine
-    solution space, ``2^f`` sorted message integers, where ``f`` is the
-    number of free message positions of the punctured code. Rows of
-    inconsistent words carry no meaning.
+    ``erased_masks`` packs the erased positions: one int shared by every
+    word, or one mask per word. Each entry of ``word_masks`` packs a word's
+    ``-1`` positions (its bits on erased positions are ignored). Returns
+    ``(consistent, solutions)``: ``consistent[i]`` says whether some message
+    agrees with word ``i`` on every visible position, and row ``i`` of the
+    uint64 array ``solutions`` is then the full affine solution space, ``2^f``
+    sorted message integers, where ``f`` is the number of free message
+    positions of the punctured code. Rows of inconsistent words carry no
+    meaning. Every pattern of a batch must leave the same ``f``, else
+    :class:`ValueError`.
 
-    One Gaussian elimination on the visible columns serves every word: each
-    reduced row remembers which visible positions were XORed into it, so a
-    word's right-hand side is the parity of ``word & combo``. Inconsistency
-    beats the cap: :class:`DecodeFailure` is raised when ``2^f > cap``, or
-    ``f`` is above the ``2^24`` listing limit, and at least one word is
-    consistent; when none is, ``solutions`` has no columns. A ``cap`` below 1
-    is a :class:`ValueError`.
+    One Gaussian elimination on the visible columns serves every word of a
+    pattern: each reduced row remembers which visible positions were XORed
+    into it, so a word's right-hand side is the parity of ``word & combo``.
+    Inconsistency beats the cap: :class:`DecodeFailure` is raised when
+    ``2^f > cap``, or ``f`` is above the ``2^24`` listing limit, and at least
+    one word is consistent; when none is, ``solutions`` has no columns. A
+    ``cap`` below 1 is a :class:`ValueError`.
     """
     if cap < 1:
         raise ValueError(f"list cap must be >= 1, got {cap}")
     w, k = G.w, G.rows
-    full = (1 << w) - 1
-    erased = _as_mask(erased_mask, w, "erasure mask")
-    if isinstance(word_masks, np.ndarray):
-        if word_masks.size and word_masks.dtype.kind not in "iu":
-            raise ValueError("word masks must be integers")
-        words = word_masks
-    else:  # Python ints on both sides of 2^63 would make a float array
-        words = np.array([_as_mask(m, w, "word mask") for m in word_masks], dtype=object)
-    if words.ndim != 1:
-        raise ValueError("word masks must be one-dimensional")
-    if words.size and (words.min() < 0 or words.max() > full):
-        raise ValueError(f"word mask out of range for code length {w}")
-    words = words.astype(np.uint64)
+    words = _mask_array(word_masks, w, "word mask")
+    if isinstance(erased_masks, (np.ndarray, Sequence)):
+        erased = _mask_array(erased_masks, w, "erasure mask")
+        if erased.size != words.size:
+            raise ValueError(f"{erased.size} erasure masks for {words.size} word masks")
+        # The distinct masks, by a stable sort: np.unique's quicksort would
+        # page in about 0.4 MB more of numpy's sort code.
+        perm = np.argsort(erased, kind="stable")
+        by_value = erased[perm]
+        first = np.ones(by_value.size, dtype=bool)
+        first[1:] = by_value[1:] != by_value[:-1]
+        values = by_value[first].tolist()
+        # Column-lexicographic order: by bit 0, then bit 1, and so on.
+        visit = sorted(range(len(values)), key=lambda u: f"{values[u]:0{w}b}"[::-1])
+        patterns = [values[u] for u in visit]
+        rank = np.empty(len(visit), dtype=np.intp)
+        rank[visit] = np.arange(len(visit))
+        which = np.empty_like(perm)  # each word's pattern, as an index into patterns
+        which[perm] = rank[np.cumsum(first) - 1]
+    else:  # one pattern: its table row broadcasts over the words
+        patterns, which = [_as_mask(erased_masks, w, "erasure mask")], slice(None)
 
     # Reduced row echelon form over the k unknowns, one equation per visible
     # position j (coefficients column_masks[j], right-hand side word bit j).
     # pivots[p] = (coefficients, combo): the row whose leading unknown is p,
     # and the visible positions whose equations were summed into it.
-    pivots: dict[int, tuple[int, int]] = {}
-    zero_combos: list[int] = []
+    # In column-lexicographic order, each pattern resumes from the state after
+    # the columns it shares with the one before (the lowest bit where the two
+    # differ); a state is saved only at a column some pattern resumes from.
+    resume = [0] + [((a ^ b) & -(a ^ b)).bit_length() - 1 for a, b in zip(patterns, patterns[1:])]
+    wanted = set(resume)
+    saved: dict[int, tuple[dict[int, tuple[int, int]], list[int]]] = {0: ({}, [])}
+    # Per pattern: its pivot unknowns, its reduced rows' combos (pivot rows
+    # first, then all-zero rows) and its null-space basis.
+    pivot_rows: list[list[int]] = []
+    combo_rows: list[list[int]] = []
+    null_rows: list[list[int]] = []
     cols = G.column_masks
-    for j in range(w):
-        if (erased >> j) & 1:
-            continue
-        coef, combo = cols[j], 1 << j
-        for p, (pcoef, pcombo) in pivots.items():
-            if (coef >> p) & 1:
-                coef ^= pcoef
-                combo ^= pcombo
-        if not coef:  # 0 = parity(word & combo): a consistency check
-            zero_combos.append(combo)
-            continue
-        lead = (coef & -coef).bit_length() - 1
-        for p, (pcoef, pcombo) in pivots.items():
-            if (pcoef >> lead) & 1:
-                pivots[p] = (pcoef ^ coef, pcombo ^ combo)
-        pivots[lead] = (coef, combo)
+    for pattern, start in zip(patterns, resume):
+        pivots, zero_combos = dict(saved[start][0]), list(saved[start][1])
+        for j in range(start, w):
+            if j > start and j in wanted:
+                saved[j] = (dict(pivots), list(zero_combos))
+            if (pattern >> j) & 1:
+                continue
+            coef, combo = cols[j], 1 << j
+            for p, (pcoef, pcombo) in pivots.items():
+                if (coef >> p) & 1:
+                    coef ^= pcoef
+                    combo ^= pcombo
+            if not coef:  # 0 = parity(word & combo): a consistency check
+                zero_combos.append(combo)
+                continue
+            lead = (coef & -coef).bit_length() - 1
+            for p, (pcoef, pcombo) in pivots.items():
+                if (pcoef >> lead) & 1:
+                    pivots[p] = (pcoef ^ coef, pcombo ^ combo)
+            pivots[lead] = (coef, combo)
+        pivot_rows.append(list(pivots))
+        combo_rows.append([combo for _, combo in pivots.values()] + zero_combos)
+        # Each row's leading unknown is its lowest set bit, so every pivot row
+        # that contains free column c has its pivot below c, and c is the
+        # highest bit of c's null vector. With the free columns ascending the
+        # span table is sorted, and XOR with a particular solution (0 on every
+        # free column) keeps each row sorted.
+        null_rows.append([
+            (1 << c) | sum(1 << p for p, (pcoef, _) in pivots.items() if (pcoef >> c) & 1)
+            for c in range(k)
+            if c not in pivots
+        ])
 
-    # One parity per (word, reduced row): pivot rows give the particular
-    # solution with every free unknown 0; all-zero rows must have parity 0.
-    pivot_cols = list(pivots)
-    combos = np.array([pivots[p][1] for p in pivot_cols] + zero_combos, dtype=np.uint64)
-    parities = (np.bitwise_count(words[:, None] & combos) & 1).astype(np.uint64)
-    consistent = ~parities[:, len(pivot_cols):].any(axis=1)
+    ranks = {len(row) for row in pivot_rows}
+    if len(ranks) > 1:
+        raise ValueError(
+            "erasure masks of one batch must leave one number of free message "
+            f"positions, got {sorted(k - r for r in ranks)}"
+        )
+    n, r = len(patterns), max(ranks, default=k)
+    f = k - r
+    # One parity per (word, reduced row of its pattern): pivot rows give the
+    # particular solution with every free unknown 0; all-zero rows must have
+    # parity 0, and padding with combo 0 adds rows of parity 0.
+    width = max(map(len, combo_rows), default=r)
+    combos = np.array(
+        [row + [0] * (width - len(row)) for row in combo_rows], dtype=np.uint64
+    ).reshape(n, width)
+    parities = np.bitwise_count(words[:, None] & combos[which]) & 1
+    consistent = ~parities[:, r:].any(axis=1)
 
-    free_cols = [c for c in range(k) if c not in pivots]
-    f = len(free_cols)
     if 1 << f > cap or f > _kernels.MAX_TABLE_ROWS:
         if consistent.any():
             limit = (
@@ -415,20 +484,10 @@ def erasure_list_decode_many(
             )
             raise DecodeFailure(f"solution space 2^{f} exceeds {limit}")
         return consistent, np.zeros((words.size, 0), dtype=np.uint64)
-    particular = (
-        parities[:, : len(pivot_cols)] << np.array(pivot_cols, dtype=np.uint64)
-    ).sum(axis=1, dtype=np.uint64)
-    # Each row's leading unknown is its lowest set bit, so every pivot row
-    # that contains free column c has its pivot below c, and c is the highest
-    # bit of c's null vector. With the free columns ascending the span table
-    # is sorted, and XOR with a particular solution (0 on every free column)
-    # keeps each row sorted.
-    null_basis = [
-        (1 << c) | sum(1 << p for p, (pcoef, _) in pivots.items() if (pcoef >> c) & 1)
-        for c in free_cols
-    ]
-    null_space = _kernels.codeword_table(np.array(null_basis, dtype=np.uint64))
-    return consistent, particular[:, None] ^ null_space
+    shifts = np.array(pivot_rows, dtype=np.uint64).reshape(n, r)
+    particular = (parities[:, :r].astype(np.uint64) << shifts[which]).sum(axis=1, dtype=np.uint64)
+    null_space = _kernels.codeword_table(np.array(null_rows, dtype=np.uint64).reshape(n, f))
+    return consistent, particular[:, None] ^ null_space[which]
 
 
 def erasure_list_decode(

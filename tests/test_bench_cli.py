@@ -1,6 +1,7 @@
 """Bench plumbing: configs, determinism, report files, CLI subcommands."""
 
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -159,6 +160,38 @@ class TestRunScenario:
         assert verdicts == {
             "erasure_roundtrip": False, "bitflip_oracle": True, "low_weight_oracle": True,
         }
+
+    @pytest.mark.parametrize(
+        "w,max_erasures", [(16, 3), (12, 3)], ids=["three-blocks", "benchmark-size"]
+    )
+    def test_codes_suite_decodes_every_pattern_word_once(self, w, max_erasures, monkeypatch):
+        # The decoder is handed each (pattern, distinct punctured word) pair of
+        # every pattern exactly once, in calls of at most one chunk of words,
+        # and the words it is handed sum to erasure_decodes. A chunk cut that
+        # drops or repeats a pattern leaves the verdict True; only this shows it.
+        decode = scenarios.erasure_list_decode_many
+        handed, calls = [], []
+
+        def counting(G, erased, words, cap):
+            calls.append(len(words))
+            handed.extend(zip(np.broadcast_to(erased, len(words)).tolist(), words.tolist()))
+            return decode(G, erased, words, cap)
+
+        monkeypatch.setattr(scenarios, "erasure_list_decode_many", counting)
+        params = {"codes": 1, "w": w, "rho": 0.5, "max_erasures": max_erasures,
+                  "bitflip_codes": 1, "low_weight_codes": 1}
+        rep = run_scenario(ExperimentConfig("codes-suite", params, seed=5))
+        assert rep.verdicts["erasure_roundtrip"]
+        assert sum(calls) == len(handed) == rep.aggregate["erasure_decodes"]
+        assert max(calls) <= scenarios._ERASURE_CHUNK_WORDS < sum(calls) / 4  # several chunks
+        G = gen_random_linear_code(0.5, w, core.RngHandle(5).split(0, 0))
+        expected = set()
+        for size in range(max_erasures + 1):
+            for pattern in itertools.combinations(range(w), size):
+                mask = sum(1 << j for j in pattern)
+                words = np.unique(G.codeword_masks & np.uint64(((1 << w) - 1) ^ mask))
+                expected.update((mask, word) for word in words.tolist())
+        assert len(set(handed)) == len(handed) and set(handed) == expected
 
     def test_codes_suite_unequal_groups_count_their_words_and_fail(self, monkeypatch):
         # A table that is no linear code: message 1 takes message 0's word,
@@ -481,6 +514,7 @@ class TestCli:
         pytest.param("run codes-suite --config {w63}", id="codes-suite-table-rows-w63"),
         pytest.param("run codes-suite --config {w64}", id="codes-suite-table-rows-w64"),
         pytest.param("run codes-suite --config {w70}", id="codes-suite-word-length"),
+        pytest.param("run codes-suite --config {patterns}", id="codes-suite-pattern-limit"),
         pytest.param("run ice-coupling --config {filler_far}", id="ice-coupling-filler-outside"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
@@ -556,6 +590,10 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         "w64": ("codes-suite", '{"w": 64}', "rho*w = 32 exceeds 24 rows: the checks "
                 "enumerate all 2^(rho*w) messages"),
         "w70": ("codes-suite", '{"w": 70}', "w must be in [1, 64], got 70"),
+        # 2^30 erasure patterns: rejected before the pattern list is built.
+        "patterns": ("codes-suite", '{"w": 30, "max_erasures": 30}',
+                     "1073741824 erasure patterns of at most 30 of 30 positions "
+                     "exceed the limit of 65536"),
         # The filler point must lie in the domain: 20 is one past its end.
         "filler_far": ("ice-coupling", '{"filler_point": 20}',
                        "filler_point must be < domain = 20, got 20"),
@@ -774,6 +812,10 @@ FORMER_HANGS = {
         "SepParams.create(eta_N=0.25, eta_M=0.05, kappa=2, rho=0.5, tau=0.15, w=24, d=12, u=8)"
     ),
     "code-params": "CodeParams(rho=0.5, tau=-1, lam=0.1, eta_N=0.25)",
+    "codes-suite-patterns": (
+        "run_scenario(ExperimentConfig('codes-suite', {'w': 30, 'max_erasures': 30, "
+        "'codes': 1, 'bitflip_codes': 1, 'low_weight_codes': 1}))"
+    ),
 }
 
 

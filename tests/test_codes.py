@@ -211,11 +211,21 @@ class TestErasureDecode:
             erasure_list_decode(G, ReceivedWord([1, 1, 0, 0]), cap=1)
 
 
+def _solution_count(G, erased):
+    """2^f by brute force: the messages whose codeword is 0 on every visible
+    position."""
+    visible = np.uint64(((1 << G.w) - 1) ^ erased)
+    return int(((G.codeword_masks & visible) == 0).sum())
+
+
 @st.composite
 def _erasure_batches(draw):
-    """A full-rank code, an erasure mask, a cap and a batch of packed words:
+    """A full-rank code, erasure masks, a cap and a batch of packed words:
     codewords with random bits flipped, consistent when the flips miss the
-    visible positions or form a punctured codeword."""
+    visible positions or form a punctured codeword. The masks are one int
+    shared by every word, or one mask per word (a list or a uint64 array),
+    drawn in any order and with repeats from a pool of patterns that all
+    leave the same number of free message positions."""
     w = draw(st.integers(1, 10))
     k = draw(st.integers(1, w))
     rows = draw(st.lists(st.integers(1, (1 << w) - 1), min_size=k, max_size=k))
@@ -224,7 +234,8 @@ def _erasure_batches(draw):
     except ValueError:
         assume(False)
     full = (1 << w) - 1
-    erased = draw(st.one_of(st.just(0), st.just(full), st.integers(0, full)))
+    some_mask = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    per_word = draw(st.booleans())
     cw = G.codeword_masks
     words = [
         int(cw[m]) ^ flips
@@ -232,10 +243,20 @@ def _erasure_batches(draw):
             st.lists(
                 st.tuples(st.integers(0, (1 << k) - 1), st.integers(0, full)),
                 min_size=1,
-                max_size=draw(st.sampled_from([1, 8])),
+                max_size=16 if per_word else draw(st.sampled_from([1, 8])),
             )
         )
     ]
+    if not per_word:
+        return G, draw(some_mask), words, draw(st.one_of(st.just(1), st.integers(1, 1 << k)))
+    # The pool: the drawn patterns that leave the most common solution count,
+    # each given to at least one word when there are enough words.
+    by_count: dict[int, list[int]] = {}
+    for m in draw(st.lists(some_mask, min_size=1, max_size=8, unique=True)):
+        by_count.setdefault(_solution_count(G, m), []).append(m)
+    pool = max(by_count.values(), key=len)
+    masks = draw(st.permutations([pool[i % len(pool)] for i in range(len(words))]))
+    erased = masks if draw(st.booleans()) else np.array(masks, dtype=np.uint64)
     cap = draw(st.one_of(st.just(1), st.integers(1, 1 << k)))
     return G, erased, words, cap
 
@@ -244,12 +265,16 @@ def _erasure_batches(draw):
 @given(_erasure_batches())
 def test_erasure_list_decode_many_against_brute_force(batch):
     G, erased, words, cap = batch
-    visible = np.uint64(((1 << G.w) - 1) ^ erased)
+    masks = [erased] * len(words) if isinstance(erased, int) else [int(m) for m in erased]
     cw = G.codeword_masks
     # Brute force: the messages whose codeword agrees with the word on every
-    # visible position. Every consistent word has 2^f of them.
-    oracle = [np.flatnonzero(((cw ^ np.uint64(word)) & visible) == 0) for word in words]
-    n_solutions = int(((cw & visible) == 0).sum())
+    # visible position of its pattern. Every consistent word has 2^f of them.
+    oracle = [
+        np.flatnonzero(((cw ^ np.uint64(word)) & np.uint64(((1 << G.w) - 1) ^ mask)) == 0)
+        for word, mask in zip(words, masks)
+    ]
+    n_solutions = _solution_count(G, masks[0])
+    assert {_solution_count(G, mask) for mask in masks} == {n_solutions}
     expect_consistent = [o.size > 0 for o in oracle]
     if n_solutions > cap and any(expect_consistent):
         with pytest.raises(DecodeFailure):
@@ -311,6 +336,46 @@ class TestErasureDecodeMany:
         consistent, solutions = erasure_list_decode_many(self.G, 0b1100, [], cap=4)
         assert consistent.shape == (0,) and solutions.shape == (0, 2)
         assert solutions.dtype == np.uint64
+        consistent, solutions = erasure_list_decode_many(self.G, [], [], cap=4)
+        assert consistent.shape == (0,) and solutions.shape[0] == 0
+
+    def test_per_word_masks_match_one_call_per_mask(self):
+        # Patterns 0b0001 and 0b0100 each leave f = 0 here, in either order.
+        masks = [0b0100, 0b0001, 0b0100, 0b0000]
+        words = [0b0011, 0b1110, 0b0001, 0b1111]
+        consistent, solutions = erasure_list_decode_many(self.G, masks, words, cap=1)
+        for mask, word, ok, row in zip(masks, words, consistent, solutions):
+            one_ok, one_row = erasure_list_decode_many(self.G, mask, [word], cap=1)
+            assert ok == one_ok[0] and row.tolist() == one_row[0].tolist()
+        assert consistent.tolist() == [True, True, False, True]
+
+    def test_mixed_free_counts_rejected(self):
+        # Erasing positions 2 and 3 frees message bit 1; erasing nothing frees none.
+        with pytest.raises(ValueError, match=r"one number of free message positions, got \[0, 1\]"):
+            erasure_list_decode_many(self.G, [0, 0b1100], [0, 0], cap=4)
+
+    @pytest.mark.parametrize("masks", [[0, 0], np.zeros(3, dtype=np.uint64), []])
+    def test_mask_count_must_match_words(self, masks):
+        with pytest.raises(ValueError, match="erasure masks for 1 word masks"):
+            erasure_list_decode_many(self.G, masks, [0])
+
+    @pytest.mark.parametrize(
+        "masks,message",
+        [
+            ([0, 1 << 4], "erasure mask must be in"),
+            ([-1, 0], "erasure mask must be in"),
+            (np.array([0, 1 << 4]), "erasure mask out of range"),
+            (np.array([-1, 0]), "erasure mask out of range"),
+            ([0, 1.0], "erasure mask must be an integer"),
+            (np.array([0.0, 1.0]), "erasure masks must be integers"),
+            (np.zeros((2, 1), dtype=np.uint64), "erasure masks must be one-dimensional"),
+        ],
+        ids=["list-high", "list-negative", "array-high", "array-negative", "list-float",
+             "array-float", "array-2d"],
+    )
+    def test_mask_array_entries_checked(self, masks, message):
+        with pytest.raises(ValueError, match=message):
+            erasure_list_decode_many(self.G, masks, [0, 0])
 
 
 class TestBitflipDecode:

@@ -26,6 +26,15 @@ def test_codeword_table_matches_oracle():
         assert np.array_equal(_kernels.codeword_table(rows), _oracle_table(rows))
 
 
+def test_codeword_table_of_a_stack_is_each_matrix_table():
+    rows = np.random.default_rng(2).integers(0, 1 << 16, size=(3, 4), dtype=np.uint64)
+    table = _kernels.codeword_table(rows)
+    assert table.shape == (3, 16)
+    for got, matrix in zip(table, rows):
+        assert np.array_equal(got, _oracle_table(matrix))
+    assert _kernels.codeword_table(np.zeros((2, 0), dtype=np.uint64)).tolist() == [[0], [0]]
+
+
 def test_hamming_scan_matches_popcount_oracle():
     gen = np.random.default_rng(1)
     rows = gen.integers(0, 1 << 20, size=8, dtype=np.uint64)
