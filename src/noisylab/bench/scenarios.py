@@ -35,9 +35,10 @@ import numpy as np
 from .._kernels import MAX_TABLE_ROWS
 from ..codes import (
     MAX_WORD_BITS,
+    Codeword,
+    GeneratorMatrix,
     ReceivedWord,
     bitflip_list_decode,
-    encode,
     erasure_list_decode_many,
     gen_random_linear_code,
     low_weight_codewords,
@@ -624,6 +625,16 @@ _ERASURE_CHUNK_WORDS = 1 << 10
 _ERASURE_PATTERNS = 1 << 16
 
 
+def _xor_codewords(G: GeneratorMatrix) -> np.ndarray:
+    """Every message's codeword mask, indexed by message int: the XOR of the
+    rows its set bits select, in one pass over the message bits. The oracles
+    build it apart from the code's own codeword table."""
+    rows = np.array(G.row_masks, dtype=np.uint64)
+    place = np.arange(rows.size, dtype=np.uint64)
+    bits = (np.arange(1 << rows.size, dtype=np.uint64)[:, None] >> place) & np.uint64(1)
+    return np.bitwise_xor.reduce(bits * rows, axis=1)
+
+
 @_register(
     "codes-suite",
     codes=(50, "[1, inf)"), w=(12, f"[1, {MAX_WORD_BITS}]"), rho=(0.5, "(0, 1)"),
@@ -707,8 +718,7 @@ def _scenario_codes_suite(
         target = gen.choice((-1, 1), size=wb).astype(np.int8)
         radius = int(gen.integers(0, wb + 1))
         got = bitflip_list_decode(G, ReceivedWord(target), radius, cap=1 << kb)
-        # Every message's codeword by encode, unpacked in one call.
-        words = masks_to_signs([encode(G, msg_int).mask for msg_int in range(1 << kb)], wb)
+        words = masks_to_signs(_xor_codewords(G), wb)
         oracle = np.flatnonzero((words != target).sum(axis=1) <= radius).tolist()
         if got != oracle:
             bitflip_ok = False
@@ -720,8 +730,11 @@ def _scenario_codes_suite(
         G = gen_random_linear_code(rho, w, rng.split(2, ci))
         bound = int(rng.split(3, ci).generator().integers(0, w // 2 + 1))
         got = low_weight_codewords(G, bound)
-        codewords = [encode(G, msg_int) for msg_int in range(1 << k)]
-        low = [cw for cw in codewords if cw.weight <= bound]
+        codewords = _xor_codewords(G)
+        low = [
+            Codeword(int(codewords[m]), m, w)
+            for m in np.flatnonzero(np.bitwise_count(codewords) <= bound).tolist()
+        ]
         # Ordered by the words read as bit lists (-1 as 1), position 0 first.
         ones = (masks_to_signs([cw.mask for cw in low], w) == -1).tolist()
         oracle_list = [cw for _, cw in sorted(zip(ones, low), key=lambda pair: pair[0])]

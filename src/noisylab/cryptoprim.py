@@ -5,10 +5,11 @@ cryptographic primitive in the package:
 
 * The PRF output on point ``x`` is bit ``x mod 512`` of the keyed BLAKE2b
   stream block ``x // 512`` (counter mode), so bulk truth tables cost one hash
-  per 512 points. A :class:`PrfDigestStore` keeps the raw stream of every key
-  it has hashed, so a key scored again is not hashed again. It hands out
-  packed rows (the raw stream bytes, point ``x`` at bit ``x % 8`` of byte
-  ``x // 8``); ±1 truth tables are their unpacked view.
+  per 512 points. A :class:`PrfDigestStore` keeps, for every key it has
+  hashed, the leading blocks of its raw stream asked for so far, and hashes a
+  (key, block) pair at most once. It hands out packed rows, whole or cut to
+  their first blocks (the raw stream bytes, point ``x`` at bit ``x % 8`` of
+  byte ``x // 8``); ±1 truth tables are the unpacked view of whole rows.
 * The extractor is a Toeplitz universal hash ``T[i, j] = t[i + j]`` over
   GF(2). Seed ``q``'s defining bits ``t[0 .. w + m_out - 2]`` are bit ``k % 8``
   of byte ``k // 8`` of one BLAKE2b digest (personalization ``b"toeplitz"``,
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 _PRF_BLOCK_BITS = 512  # one 64-byte BLAKE2b digest per counter block
+_PRF_BLOCK_BYTES = _PRF_BLOCK_BITS // 8
 MAX_SEED_BITS = 16
 
 
@@ -106,13 +108,16 @@ def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
 
 class PrfDigestStore:
     """PRF truth tables at points ``0 .. n_points-1`` for ``length``-bit keys,
-    each key hashed once: the raw digest stream of every mask asked for is
-    kept. :meth:`packed` returns those streams as rows of bytes, and
-    :meth:`tables` is their unpacked ±1 view.
+    each (key, block) pair hashed at most once: for every mask asked for, the
+    store keeps the leading digest blocks hashed so far and extends them when
+    a caller asks for more. :meth:`packed` returns those streams as rows of
+    bytes, whole or cut to their first blocks, and :meth:`tables` is the
+    unpacked ±1 view of whole rows.
 
     Block ``b`` hashes the 8-byte little-endian counter ``b`` (one hash per
-    key per 512 points). The store grows only with the keys actually asked
-    for; its owner decides how long it lives.
+    key per 512 points); a row has ``n_blocks`` of them. The store grows only
+    with the keys and blocks actually asked for; its owner decides how long
+    it lives.
     """
 
     def __init__(self, length: int, n_points: int):
@@ -122,8 +127,8 @@ class PrfDigestStore:
             raise ValueError("n_points must be >= 0")
         self.length = length
         self.n_points = n_points
-        n_blocks = -(-n_points // _PRF_BLOCK_BITS)
-        self._counters = [b.to_bytes(8, "little") for b in range(n_blocks)]
+        self.n_blocks = -(-n_points // _PRF_BLOCK_BITS)
+        self._counters = [b.to_bytes(8, "little") for b in range(self.n_blocks)]
         self._digests: dict[int, bytes] = {}
 
     def _mask_list(self, masks: Sequence[int] | np.ndarray) -> list[int]:
@@ -144,19 +149,28 @@ class PrfDigestStore:
             raise ValueError(f"key mask must be in [0, 2^{self.length})")
         return masks
 
-    def packed(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
+    def packed(self, masks: Sequence[int] | np.ndarray, blocks: int | None = None) -> np.ndarray:
         """Raw digest streams of the keys with packed ``masks``: one read-only
-        uint8 row of ``64 * n_blocks`` bytes per mask, in the given order.
-        Point ``x`` is bit ``x % 8`` (little-endian) of byte ``x // 8``, set
-        where the PRF outputs -1; bits past ``n_points`` pad the last block.
-        A mask not seen before is hashed first."""
+        uint8 row of ``64 * blocks`` bytes per mask, in the given order, the
+        first ``blocks`` of the ``n_blocks`` stream blocks (every block by
+        default). Point ``x`` is bit ``x % 8`` (little-endian) of byte ``x //
+        8``, set where the PRF outputs -1; bits past ``n_points`` pad the last
+        block. Blocks of a mask not hashed before are hashed first; ``blocks``
+        outside ``[0, n_blocks]`` is a :class:`ValueError`."""
+        if blocks is None:
+            blocks = self.n_blocks
+        elif not (isinstance(blocks, (int, np.integer)) and 0 <= blocks <= self.n_blocks):
+            raise ValueError(f"blocks must be an integer in [0, {self.n_blocks}], got {blocks!r}")
         masks = self._mask_list(masks)
+        row_bytes = blocks * _PRF_BLOCK_BYTES
         digests = self._digests
         for m in masks:
-            if m not in digests:
-                digests[m] = _prf_digests(_key_bytes(m, self.length), self._counters)
-        stream = b"".join([digests[m] for m in masks])
-        row_bytes = len(self._counters) * _PRF_BLOCK_BITS // 8
+            have = digests.setdefault(m, b"")
+            if len(have) < row_bytes:
+                counters = self._counters[len(have) // _PRF_BLOCK_BYTES : blocks]
+                digests[m] = have + _prf_digests(_key_bytes(m, self.length), counters)
+        # A whole-stream slice is the stored bytes object itself, not a copy.
+        stream = b"".join([digests[m][:row_bytes] for m in masks])
         return np.frombuffer(stream, dtype=np.uint8).reshape(len(masks), row_bytes)
 
     def tables(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:

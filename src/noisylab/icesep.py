@@ -152,8 +152,8 @@ class IceInstance:
 
     @cached_property
     def prf_store(self) -> PrfDigestStore:
-        """Value-side PRF digests of the decoded keys scored so far, each
-        hashed once for the instance."""
+        """Value-side PRF digest blocks of the decoded keys scored so far,
+        each hashed once for the instance."""
         return PrfDigestStore(self.params.d, self.params.layout.value_size)
 
     def concept(self, key: PrfKey) -> KeyValueConcept:

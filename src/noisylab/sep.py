@@ -29,6 +29,7 @@ from .codes import (
     DecodeFailure,
     GeneratorMatrix,
     ReceivedWord,
+    _mask_array,
     binary_entropy,
     erasure_list_decode,
     gen_random_linear_code,
@@ -44,6 +45,7 @@ from .core import (
     labeled_index,
 )
 from .cryptoprim import (
+    _PRF_BLOCK_BITS,
     ExtractorSpec,
     PrfDigestStore,
     PrfKey,
@@ -168,19 +170,32 @@ class KeyValueLayout:
         all-zero net ties every candidate and picks index 0.
 
         Candidate ``i`` labels key block ``j`` by bit ``j`` of the packed
-        codeword ``codewords[i]`` and the value side by the PRF under the
-        packed key ``masks[i]``; its value-side row comes from ``store``, a
-        :class:`PrfDigestStore` over the value side, so a key its owner has
-        scored before is not hashed again.
+        codeword ``codewords[i]`` (an integer in ``[0, 2^w)``, else a
+        :class:`ValueError`) and the value side by the PRF under the packed
+        key ``masks[i]``; its value-side row comes from ``store``, a
+        :class:`PrfDigestStore` over the value side, so a key block its owner
+        has scored before is not hashed again.
 
-        Every candidate is scored in one pass over the packed rows of
-        :meth:`PrfDigestStore.packed`. A set bit labels its point -1, so the
-        value-side agreement is ``Σ net - 2 · (net over set bits)``; the
-        second term is bit-sliced, ``((row >> b) & 1) @ net[b::8]`` for ``b``
-        in ``0 .. 7``. Every term and partial sum of these products is an
-        integer of magnitude at most ``Σ |value net|``, so they run exactly in
-        float32 when that is below ``2^24``, and in float64 otherwise (exact
-        below ``2^53``, far above any sample size).
+        The test is exact and hashes the later value blocks only for
+        candidates that can still win. Every candidate is first scored on its
+        key blocks and value block 0 (the first 512 value points), and the
+        leader of that partial score is scored on every block, giving ``S``.
+        On each later point ``x`` a table agrees with the net by at most
+        ``|net[x]|``, so a candidate's partial score plus ``Σ |value net|``
+        over the later blocks bounds its full score. A candidate whose bound
+        is below ``S`` can neither win nor tie; the others, among them every
+        candidate that wins or ties, are scored on every block, and the
+        lowest index among their maximum is returned. With one value block
+        the partial score is the full score.
+
+        Scores are read from the packed rows of :meth:`PrfDigestStore.packed`.
+        A set bit labels its point -1, so a row's value-side agreement is
+        ``Σ net - 2 · (net over set bits)``; the second term is bit-sliced,
+        ``((row >> b) & 1) @ net[b::8]`` for ``b`` in ``0 .. 7``. Every term
+        and partial sum of these products is an integer of magnitude at most
+        ``Σ |value net|``, so they run exactly in float32 when that is below
+        ``2^24``, and in float64 otherwise (exact below ``2^53``, far above
+        any sample size).
         """
         n_candidates = len(masks)
         if n_candidates == 0:
@@ -190,24 +205,45 @@ class KeyValueLayout:
         if len(net) != self.domain_size:
             raise ValueError(f"net has {len(net)} entries, not one per {self.domain_size} points")
         self.check_store(store)
-        agree = masks_to_signs(codewords, self.w).astype(np.int64) @ self.block_sums(net)
-        rows = store.packed(masks)
+        codewords = _mask_array(codewords, self.w, "codeword mask")
+        key_agree = masks_to_signs(codewords, self.w).astype(np.int64) @ self.block_sums(net)
         value_net = net[self.key_size :]
         exact = np.float32 if int(np.abs(value_net).sum()) < 1 << 24 else np.float64
-        # Point 8k + b is bit b of byte k: padded[b::8] lines up with bit b
-        # of every row byte.
-        padded = np.zeros(8 * rows.shape[1], dtype=exact)
+        # Zero past the value side, to the end of the last block.
+        padded = np.zeros(_PRF_BLOCK_BITS * store.n_blocks, dtype=exact)
         padded[: self.value_size] = value_net
-        bits = np.empty(rows.shape, dtype=np.uint8)
-        plane = np.empty(rows.shape, dtype=exact)
-        set_sum = np.zeros(n_candidates, dtype=np.int64)
-        for b in range(8):
-            np.right_shift(rows, b, out=bits)
-            np.bitwise_and(bits, 1, out=bits)
-            plane[...] = bits
-            set_sum += (plane @ padded[b::8]).astype(np.int64)
-        agree += int(value_net.sum()) - 2 * set_sum
-        return int(np.argmax(agree))
+        partial = key_agree + _agreement(store.packed(masks, min(1, store.n_blocks)), padded)
+        leader = int(np.argmax(partial))
+        if store.n_blocks <= 1:
+            return leader
+        # Row bytes past the first block cover the points from 512 on.
+        tail = padded[_PRF_BLOCK_BITS:]
+        later = slice(_PRF_BLOCK_BITS // 8, None)
+        best = partial[leader] + _agreement(store.packed([masks[leader]])[:, later], tail)[0]
+        bound = partial + int(np.abs(value_net[_PRF_BLOCK_BITS:]).sum())
+        survivors = np.flatnonzero(bound >= best)
+        rows = store.packed([masks[i] for i in survivors.tolist()])[:, later]
+        return int(survivors[np.argmax(partial[survivors] + _agreement(rows, tail))])
+
+
+def _agreement(rows: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """``h·net`` of each packed row ``h`` over the points it covers, as int64.
+
+    Point ``8k + b`` is bit ``b`` of byte ``k``, set where ``h`` is -1, and
+    has net ``net[8k + b]`` (zero past the value side). ``net`` is integral
+    in the float dtype the products run in; its entries past the row's
+    points are ignored.
+    """
+    net = net[: 8 * rows.shape[1]]
+    bits = np.empty(rows.shape, dtype=np.uint8)
+    plane = np.empty(rows.shape, dtype=net.dtype)
+    set_sum = np.zeros(len(rows), dtype=np.int64)
+    for b in range(8):
+        np.right_shift(rows, b, out=bits)
+        np.bitwise_and(bits, 1, out=bits)
+        plane[...] = bits
+        set_sum += (plane @ net[b::8]).astype(np.int64)
+    return int(net.sum(dtype=np.float64)) - 2 * set_sum
 
 
 class KeyValueConcept(TableHypothesis):
@@ -397,8 +433,8 @@ class SepInstance:
 
     @cached_property
     def prf_store(self) -> PrfDigestStore:
-        """Value-side PRF digests of the extracted keys scored so far, each
-        hashed once for the instance."""
+        """Value-side PRF digest blocks of the extracted keys scored so far,
+        each hashed once for the instance."""
         return PrfDigestStore(self.params.m_out, self.params.layout.value_size)
 
     def concept(self, p: int, q: int) -> KeyValueConcept:

@@ -274,6 +274,46 @@ class TestPrfDigestStore:
             rows([5, 7])
             assert hashed == [bytes([7])]
 
+    @pytest.mark.parametrize("whole_first", [False, True], ids=["leading-first", "whole-first"])
+    def test_leading_blocks_are_a_prefix(self, whole_first):
+        masks = [5, 9, 5, 4000]
+        store = PrfDigestStore(12, 1200)
+        assert store.n_blocks == 3
+        if whole_first:
+            whole = store.packed(masks)
+        leading = {b: store.packed(masks, b) for b in (1, 0, 2, np.int64(3))}
+        if not whole_first:
+            whole = store.packed(masks)
+        assert np.array_equal(whole, PrfDigestStore(12, 1200).packed(masks))
+        for b, rows in leading.items():
+            assert rows.shape == (4, 64 * b) and rows.dtype == np.uint8
+            assert np.array_equal(rows, whole[:, : 64 * b])
+
+    def test_each_block_hashed_once(self, monkeypatch):
+        handed: dict[bytes, list[bytes]] = {}
+        digests = cryptoprim._prf_digests
+
+        def counting(key_bytes, counters):
+            handed.setdefault(key_bytes, []).extend(counters)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        store = PrfDigestStore(8, 1200)
+        masks = [5, 9, 5, 200]
+        store.packed(masks, 1)
+        store.packed(masks)
+        store.tables(masks)
+        every_block = [b.to_bytes(8, "little") for b in range(store.n_blocks)]
+        assert handed == {bytes([m]): every_block for m in (5, 9, 200)}
+
+    @pytest.mark.parametrize(
+        "blocks", [-1, 4, 1.0, np.float64(2.0), "1"],
+        ids=["negative", "past-the-row", "float", "np-float", "str"],
+    )
+    def test_bad_block_count_rejected(self, blocks):
+        with pytest.raises(ValueError, match="blocks"):
+            PrfDigestStore(8, 1200).packed([1], blocks)
+
     @pytest.mark.parametrize(
         "mask", [-1, 256, 1 << 64, 1.5, 2.0, np.float64(3.0), "3", None],
         ids=["negative", "too-wide", "too-wide-64", "fraction", "float", "np-float", "str", "none"],

@@ -313,6 +313,112 @@ class TestBestCandidate:
         with pytest.raises(ValueError, match="one per"):
             layout.best_candidate(net[:-1], codewords, masks, store)
 
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "array"])
+    @pytest.mark.parametrize("bad", ["too-wide", "fraction", "negative"])
+    def test_codeword_out_of_range_rejected(self, bad, form):
+        layout = KeyValueLayout.fit(3, 4, Fraction(1, 5))
+        store = PrfDigestStore(8, layout.value_size)
+        net = np.ones(layout.domain_size, dtype=np.int64)
+        codeword = {"too-wide": 1 << layout.w, "fraction": 0.5, "negative": -1}[bad]
+        with pytest.raises(ValueError, match="codeword mask"):
+            layout.best_candidate(net, form([codeword, 0]), [1, 2], store)
+
+    # Layouts whose value side spans 3, 4 and 9 PRF blocks.
+    MULTI_BLOCK = [(3, 10, Fraction(2, 5)), (4, 11, Fraction(1, 5)), (5, 12, Fraction(1, 5))]
+
+    @classmethod
+    def multi_block_case(cls, shape, n_candidates=40, length=10):
+        """A layout from MULTI_BLOCK, random packed codewords and keys of one
+        length, a fresh store, the store's ±1 value rows and a generator."""
+        layout = KeyValueLayout.fit(*shape)
+        gen = np.random.default_rng(layout.value_size)
+        store = PrfDigestStore(length, layout.value_size)
+        assert store.n_blocks == {1026: 3, 2048: 4, 4100: 9}[layout.value_size]
+        codewords = gen.integers(0, 1 << layout.w, size=n_candidates)
+        masks = gen.integers(0, 1 << length, size=n_candidates)
+        rows = PrfDigestStore(length, layout.value_size).tables(masks).astype(np.int64)
+        return layout, codewords, masks, store, rows, gen
+
+    @staticmethod
+    def hashed_blocks(monkeypatch):
+        """A list that collects the counters handed to ``_prf_digests``."""
+        handed = []
+        digests = cryptoprim._prf_digests
+
+        def counting(key_bytes, counters):
+            handed.extend(counters)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        return handed
+
+    @pytest.mark.parametrize("shape", MULTI_BLOCK, ids=["3-blocks", "4-blocks", "9-blocks"])
+    def test_net_zero_on_first_block_prunes_nothing(self, shape, monkeypatch):
+        # With no net on the key side or value block 0, every partial score
+        # is 0 and every bound reaches the leader's score: every key is
+        # hashed in full, and the choice is still the exhaustive one.
+        layout, codewords, masks, store, _, gen = self.multi_block_case(shape)
+        net = gen.integers(-3, 4, size=layout.domain_size)
+        net[: layout.key_size + 512] = 0
+        handed = self.hashed_blocks(monkeypatch)
+        idx = layout.best_candidate(net, codewords, masks, store)
+        assert len(handed) == len(set(masks.tolist())) * store.n_blocks
+        assert idx == self.int64_choice(layout, net, codewords, masks, store)
+
+    @pytest.mark.parametrize("shape", MULTI_BLOCK, ids=["3-blocks", "4-blocks", "9-blocks"])
+    def test_first_block_leader_can_lose(self, shape):
+        # The decoy's labels carry value block 0 and the truth's every later
+        # block: the decoy leads on the key side plus block 0, the truth wins.
+        layout, codewords, masks, store, rows, _ = self.multi_block_case(shape)
+        decoy, truth = 3, 31
+        codewords[decoy] = codewords[truth]
+        value_net = np.concatenate([2 * rows[decoy, :512], 3 * rows[truth, 512:]])
+        net = np.concatenate([np.zeros(layout.key_size, dtype=np.int64), value_net])
+        assert int(np.argmax(rows[:, :512] @ value_net[:512])) == decoy
+        assert self.int64_choice(layout, net, codewords, masks, store) == truth
+        assert layout.best_candidate(net, codewords, masks, store) == truth
+
+    @pytest.mark.parametrize("favour", [False, True], ids=["bound-at-best", "favour-each"])
+    @pytest.mark.parametrize("shape", MULTI_BLOCK, ids=["3-blocks", "4-blocks", "9-blocks"])
+    def test_exact_tie_picks_lowest_index(self, shape, favour):
+        # Candidates 9 and 14 share a codeword. Where their rows agree the net
+        # carries their label; where they differ it is zero, so they tie
+        # exactly and each one's bound is its score. With ``favour``, one
+        # later point favours each instead: still a tie, decided past block 0.
+        layout, codewords, masks, store, rows, gen = self.multi_block_case(shape)
+        a, b = 9, 14
+        codewords[b] = codewords[a]
+        value_net = np.where(rows[a] == rows[b], 2 * rows[a], 0)
+        if favour:
+            differ = np.flatnonzero(rows[a] != rows[b])
+            later = differ[differ >= 512]
+            value_net[later[0]], value_net[later[-1]] = rows[a, later[0]], rows[b, later[-1]]
+        net = np.concatenate([gen.integers(-2, 3, size=layout.key_size), value_net])
+        assert int(rows[a] @ value_net) == int(rows[b] @ value_net)
+        assert self.int64_choice(layout, net, codewords, masks, store) == a
+        assert layout.best_candidate(net, codewords, masks, store) == a
+        # B copied to index 2: the copy ties with both and is the lowest.
+        codewords[2], masks[2] = codewords[b], masks[b]
+        assert self.int64_choice(layout, net, codewords, masks, store) == 2
+        assert layout.best_candidate(net, codewords, masks, store) == 2
+
+    def test_hashes_later_blocks_only_for_contenders(self, monkeypatch):
+        # sep-learner's layout and candidate count, a sample labeled by one
+        # candidate with a clean value side: block 0 rules out the rest, so
+        # the call hashes far fewer than the 256 * 9 blocks of every row.
+        layout = KeyValueLayout(24, 171, Fraction(1, 2))
+        assert layout.value_size == 4104
+        gen = np.random.default_rng(19)
+        codewords = gen.integers(0, 1 << layout.w, size=256)
+        masks = gen.integers(0, 1 << 12, size=256)
+        (truth,) = self.concepts(layout, codewords[100:101], masks[100:101], 12)
+        points = gen.integers(0, layout.domain_size, size=20_000)
+        S = Sample(points, truth.evaluate_many(points))
+        store = PrfDigestStore(12, layout.value_size)
+        handed = self.hashed_blocks(monkeypatch)
+        assert layout.best_candidate(self.net(layout, S), codewords, masks, store) == 100
+        assert len(handed) < 2 * 256
+
 
 def test_budget_capped_plan_cut_off():
     positions, introduced = np.array([0, 1, 2]), Sample([5, 6, 7], [1, 1, -1])
