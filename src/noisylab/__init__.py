@@ -1,7 +1,8 @@
 """Learning under adversarial example noise: models, reductions, separations.
 
 Modules:
-  core       — samples, distributions, hypotheses, seeded RNG handles
+  core       — samples, distributions, ±1 truth-table hypotheses and their
+               uniform mixtures, seeded RNG handles
   noise      — corruption processes (online/strong/budgeted/fixed-rate/Huber)
   learn      — learners, contradiction filter, amplification, selection
   codes      — binary linear codes with erasure and bit-flip list decoding
@@ -13,7 +14,6 @@ Modules:
 
 from .core import (
     DiscreteDistribution,
-    Hypothesis,
     LabeledExample,
     MixtureHypothesis,
     RngHandle,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteDistribution",
-    "Hypothesis",
     "LabeledExample",
     "MixtureHypothesis",
     "RngHandle",

@@ -46,7 +46,6 @@ from ..codes import (
 )
 from ..core import (
     DiscreteDistribution,
-    Hypothesis,
     RngHandle,
     Sample,
     TableHypothesis,
@@ -415,7 +414,7 @@ def _scenario_amplify_concentration(
     wrong = TableHypothesis.constant(-1, 2)
 
     def train(points: np.ndarray, labels: np.ndarray, parent: tuple[int, ...],
-              suffixes: np.ndarray) -> list[Hypothesis]:
+              suffixes: np.ndarray) -> list[TableHypothesis]:
         heads = philox_uniforms(philox_keys(parent, suffixes), 1)[:, 0] < 1 - eps
         return [c if h else wrong for h in heads]
 
@@ -549,7 +548,7 @@ def badamplify_counterexample(
         subset[-1].exact_error = appear_frac
 
         def train(points: np.ndarray, labels: np.ndarray, parent: tuple[int, ...],
-                  suffixes: np.ndarray) -> list[Hypothesis]:
+                  suffixes: np.ndarray) -> list[TableHypothesis]:
             drawn, heads = coins.pop(parent, (None, None))
             if drawn is None or not np.array_equal(suffixes, drawn):
                 raise RuntimeError(

@@ -225,10 +225,6 @@ class GeneratorMatrix:
     def rows(self) -> int:
         return len(self.row_masks)
 
-    @property
-    def rate(self) -> float:
-        return self.rows / self.w
-
     @cached_property
     def codeword_masks(self) -> np.ndarray:
         """All ``2^rows`` codeword bitmasks, indexed by message integer

@@ -4,6 +4,10 @@ Conventions used throughout the package:
 
 - Domains are finite index ranges ``{0, ..., size-1}``.
 - Labels are signs in ``{-1, +1}``.
+- A hypothesis is a ±1 truth table (:class:`TableHypothesis`). Success
+  amplification outputs a :class:`MixtureHypothesis`, a uniform mixture of
+  tables whose error :func:`error_rate` takes exactly as the mean of its
+  components' errors.
 - Every randomized operation takes an explicit :class:`RngHandle`; identical
   handles yield identical results, and distinct stream ids yield independent
   streams (counter-based Philox generators keyed through ``SeedSequence``).
@@ -28,7 +32,6 @@ __all__ = [
     "RngHandle",
     "philox_keys",
     "philox_uniforms",
-    "Hypothesis",
     "TableHypothesis",
     "MixtureHypothesis",
     "labeled_index",
@@ -345,36 +348,15 @@ def labeled_index(point: int | np.ndarray, label: int | np.ndarray) -> int | np.
     return 2 * point + (label < 0)
 
 
-class Hypothesis:
-    """Evaluable ±1 function on domain points, possibly a uniform mixture.
-
-    Deterministic hypotheses implement :meth:`evaluate_many`; mixtures
-    additionally average their components exactly via
-    :meth:`disagreement_prob`.
-    """
-
-    domain_size: int | None = None
-
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
-        raise NotImplementedError
-
-    def disagreement_prob(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        """Exact per-example probability that the hypothesis disagrees with ``labels``."""
-        return (self.evaluate_many(points) != labels).astype(np.float64)
-
-
-class TableHypothesis(Hypothesis):
-    """Deterministic hypothesis given by an explicit ±1 truth table."""
+class TableHypothesis:
+    """A deterministic hypothesis: an explicit ±1 truth table over the domain
+    ``{0, ..., domain_size - 1}``."""
 
     def __init__(self, table: Sequence[int] | np.ndarray):
         self.table = _frozen(_as_sign_array(table), table)
         self.domain_size = int(self.table.size)
 
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
+    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         return self.table[points]
 
     @classmethod
@@ -382,65 +364,48 @@ class TableHypothesis(Hypothesis):
         return cls(np.full(domain_size, label, dtype=np.int8))
 
 
-class MixtureHypothesis(Hypothesis):
-    """Uniform mixture of hypotheses.
+class MixtureHypothesis:
+    """Uniform mixture of truth tables: what success amplification outputs.
 
-    Error metrics treat the mixture exactly (mean over components). For
-    simulation, :meth:`evaluate_many` draws one component per query from the
-    supplied ``query_rng`` — deterministic and repeatable for a fixed handle.
+    :func:`error_rate` averages its components exactly (no sampling).
     """
 
-    def __init__(self, components: Sequence[Hypothesis]):
+    def __init__(self, components: Sequence[TableHypothesis]):
         if not components:
             raise ValueError("mixture needs at least one component")
         self.components = list(components)
-        sizes = {h.domain_size for h in self.components if h.domain_size is not None}
-        self.domain_size = sizes.pop() if len(sizes) == 1 else None
-
-    def evaluate_many(
-        self, points: np.ndarray, query_rng: RngHandle | None = None
-    ) -> np.ndarray:
-        if query_rng is None:
-            raise ValueError("mixture evaluation needs a query_rng (simulation mode)")
-        gen = query_rng.generator()
-        picks = gen.integers(0, len(self.components), size=points.size)
-        out = np.empty(points.size, dtype=np.int8)
-        for i, h in enumerate(self.components):
-            sel = picks == i
-            if sel.any():
-                out[sel] = h.evaluate_many(points[sel])
-        return out
-
-    def disagreement_prob(self, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-        acc = np.zeros(points.size, dtype=np.float64)
-        for h in self.components:
-            acc += h.disagreement_prob(points, labels)
-        return acc / len(self.components)
 
 
-def _check_domain(h: Hypothesis, size: int, role: str) -> None:
-    if h.domain_size is not None and h.domain_size < size:
+def _check_domain(h: TableHypothesis, size: int, role: str) -> None:
+    if h.domain_size < size:
         raise ValueError(f"{role} covers {h.domain_size} points but the domain has {size}")
 
 
-def error_rate(h: Hypothesis, c: Hypothesis, D: DiscreteDistribution) -> float:
+def error_rate(
+    h: TableHypothesis | MixtureHypothesis, c: TableHypothesis, D: DiscreteDistribution
+) -> float:
     """Exact error ``Σ_x D(x)·Pr[h(x) ≠ c(x)]`` over the finite domain.
 
-    ``c`` must be deterministic; randomized ``h`` is averaged exactly over its
-    mixture components (no sampling).
+    ``c`` must be deterministic; a mixture ``h`` is averaged exactly over its
+    components (no sampling).
     """
     size = len(D)
-    _check_domain(h, size, "hypothesis")
-    _check_domain(c, size, "concept")
+    components = h.components if isinstance(h, MixtureHypothesis) else [h]
+    for g in components:
+        _check_domain(g, size, "hypothesis")
     if isinstance(c, MixtureHypothesis):
         raise ValueError("the target concept must be deterministic")
-    pts = np.arange(size, dtype=np.int64)
-    truth = c.evaluate_many(pts)
-    return float(np.dot(D.weights, h.disagreement_prob(pts, truth)))
+    _check_domain(c, size, "concept")
+    truth = c.table[:size]
+    x = np.zeros(size)
+    for g in components:
+        x += g.table[:size] != truth
+    x /= len(components)
+    return float(np.dot(D.weights, x))
 
 
 def draw_clean_sample(
-    D: DiscreteDistribution, c: Hypothesis, n: int, rng: RngHandle
+    D: DiscreteDistribution, c: TableHypothesis, n: int, rng: RngHandle
 ) -> Sample:
     """``n`` i.i.d. examples ``(x, c(x))`` with ``x ~ D``."""
     if n < 0:
@@ -451,11 +416,8 @@ def draw_clean_sample(
     return Sample(pts, c.evaluate_many(pts))
 
 
-def empirical_error(h: Hypothesis, S: Sample) -> float:
-    """Fraction of examples in ``S`` that ``h`` mislabels.
-
-    Mixtures use the exact per-point mixture disagreement probability.
-    """
+def empirical_error(h: TableHypothesis, S: Sample) -> float:
+    """Fraction of examples in ``S`` that ``h`` mislabels."""
     if len(S) == 0:
         raise ValueError("empirical error of an empty sample is undefined")
-    return float(h.disagreement_prob(S.points, S.labels).mean())
+    return float((h.table[S.points] != S.labels).astype(np.float64).mean())

@@ -1,6 +1,6 @@
 """Contradiction-filter separation: concepts, learner, adversaries, coupling.
 
-The domain again splits into a key side (an exact ``2*kappa_prime*eta``
+The domain again splits into a key side (an exact ``(kappa + 1/2)*eta``
 fraction, ``w`` equal blocks) and a value side. A concept is indexed by a
 ``d``-bit PRF key ``k``: block ``j`` is labeled by bit ``j`` of ``Enc(k)``
 under a rate-``d/w`` random linear code, and value-side points by the PRF
@@ -36,13 +36,7 @@ from .codes import (
     encode,
     gen_random_linear_code,
 )
-from .core import (
-    DiscreteDistribution,
-    Hypothesis,
-    RngHandle,
-    Sample,
-    TableHypothesis,
-)
+from .core import DiscreteDistribution, RngHandle, Sample, TableHypothesis
 from .cryptoprim import PrfDigestStore, PrfKey
 from .noise import StrategyResult
 from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
@@ -62,9 +56,9 @@ class IceSepParams:
     """Parameter pack for the contradiction-filter separation.
 
     ``eta`` is the corruption rate, ``kappa`` the separation constant in
-    (1/2, 1); derived constants are ``kappa_prime = (kappa + 1/2)/2`` and
-    ``tau = (kappa - 1/2)/8``. The key side carries an exact
-    ``2*kappa_prime*eta`` fraction of the uniform domain; ``layout`` is
+    (1/2, 1), and ``tau = (kappa - 1/2)/8`` is derived. The key side carries
+    an exact ``(kappa + 1/2)*eta`` fraction of the uniform domain (the
+    paper's ``2*kappa'*eta``, with ``kappa' = (kappa + 1/2)/2``); ``layout`` is
     that key/value split, derived once from ``w``, ``block_size``, ``eta``
     and ``kappa``.
     """
@@ -103,18 +97,13 @@ class IceSepParams:
 
     @staticmethod
     def _key_fraction_exact(eta: float, kappa: float) -> Fraction:
-        """The key side's exact mass ``2*kappa_prime*eta``, after checking
+        """The key side's exact mass ``(kappa + 1/2)*eta``, after checking
         the rates: ``eta`` in (0, 0.1] and ``kappa`` in (1/2, 1)."""
         if not 0 < eta <= 0.1:
             raise ValueError("eta must be in (0, 0.1]")
         if not 0.5 < kappa < 1:
             raise ValueError("kappa must be in (1/2, 1)")
-        kappa_prime = (Fraction(str(kappa)) + Fraction(1, 2)) / 2
-        return 2 * kappa_prime * Fraction(str(eta))
-
-    @property
-    def kappa_prime(self) -> float:
-        return (self.kappa + 0.5) / 2
+        return (Fraction(str(kappa)) + Fraction(1, 2)) * Fraction(str(eta))
 
     @property
     def tau(self) -> float:
@@ -122,12 +111,12 @@ class IceSepParams:
 
     @property
     def key_fraction(self) -> Fraction:
-        """Exact key-side mass 2*kappa_prime*eta."""
+        """Exact key-side mass (kappa + 1/2)*eta."""
         return self.layout.key_fraction
 
     @property
     def R(self) -> float:
-        """Expected examples per key block: (2*kappa_prime*eta/w) * n."""
+        """Expected examples per key block: ((kappa + 1/2)*eta/w) * n."""
         return float(self.key_fraction) * self.n / self.w
 
     @property
@@ -181,7 +170,7 @@ def round_vector(v: np.ndarray | Sequence[float], rng: RngHandle) -> np.ndarray:
 
 def ice_malicious_learner(
     S: Sample, inst: IceInstance, rng: RngHandle
-) -> tuple[Hypothesis, dict]:
+) -> tuple[TableHypothesis, dict]:
     """Filter contradictions, estimate key bits, round, decode, select.
 
     The learner depends on ``S`` only through the contradiction-filtered

@@ -15,10 +15,10 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    Hypothesis,
     MixtureHypothesis,
     RngHandle,
     Sample,
+    TableHypothesis,
     empirical_error,
 )
 
@@ -54,9 +54,9 @@ class Learner:
     """
 
     n: int
-    train: Callable[[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray], list[Hypothesis]]
+    train: Callable[[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray], list[TableHypothesis]]
 
-    def __call__(self, S: Sample, rng: RngHandle) -> Hypothesis:
+    def __call__(self, S: Sample, rng: RngHandle) -> TableHypothesis:
         if len(S) > self.n:
             S = subsample_filter(S, self.n, rng.split(0))
         elif len(S) < self.n:
@@ -138,7 +138,7 @@ def _group_key_suffixes(k: int) -> np.ndarray:
 
 def _train_groups(
     A: Learner, S_big: Sample, k: int, rng: RngHandle
-) -> tuple[list[Hypothesis], Sample]:
+) -> tuple[list[TableHypothesis], Sample]:
     """Uniformly permute ``S_big`` and train ``A`` on each of its first ``k``
     runs of ``A.n`` examples, group ``i`` exactly as ``A(group, rng.split(1, i))``
     would, all ``k`` in one batch. Returns the hypotheses and the examples
@@ -167,7 +167,7 @@ def amplify(
 
 def bad_amplify(
     A: Learner, k: int, n_test: int, S_big: Sample, rng: RngHandle
-) -> Hypothesis:
+) -> TableHypothesis:
     """Holdout-selection amplification (the flawed variant).
 
     Permute and split as in :func:`amplify`, hold out ``n_test`` examples, and
@@ -190,8 +190,8 @@ def bad_amplify(
 
 
 def select_best_hypothesis(
-    hyps: list[Hypothesis], S_test: Sample
-) -> tuple[int, Hypothesis]:
+    hyps: list[TableHypothesis], S_test: Sample
+) -> tuple[int, TableHypothesis]:
     """Argmin of empirical test error; ties broken by lowest index."""
     if not hyps:
         raise ValueError("empty hypothesis list")

@@ -31,17 +31,16 @@ import numpy as np
 
 from .core import (
     DiscreteDistribution,
-    Hypothesis,
     LabeledExample,
     RngHandle,
     Sample,
+    TableHypothesis,
     draw_clean_sample,
 )
 
 __all__ = [
     "CorruptionLedger",
     "StrategyResult",
-    "NoiseRate",
     "malicious_corrupt",
     "strong_malicious_corrupt",
     "nasty_corrupt",
@@ -55,15 +54,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NoiseRate:
-    """A noise rate η in [0, 1)."""
-
-    eta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"noise rate must be in [0, 1), got {self.eta}")
+def _check_rate(eta: float) -> None:
+    """Reject a noise rate η outside [0, 1)."""
+    if not 0.0 <= eta < 1.0:
+        raise ValueError(f"noise rate must be in [0, 1), got {eta}")
 
 
 @dataclass
@@ -147,10 +141,10 @@ def _apply_choices(S_clean: Sample, result: StrategyResult, drawn_budget: int,
 
 def malicious_corrupt(
     D: DiscreteDistribution,
-    c: Hypothesis,
+    c: TableHypothesis,
     n: int,
     eta: float,
-    strategy: Callable[[int, Sample, Hypothesis, RngHandle], tuple[int, int]],
+    strategy: Callable[[int, Sample, TableHypothesis, RngHandle], tuple[int, int]],
     rng: RngHandle,
 ) -> tuple[Sample, CorruptionLedger]:
     """Online malicious corruption.
@@ -161,7 +155,7 @@ def malicious_corrupt(
     far (the online protocol is enforced by construction: it receives the
     prefix, never the full sample).
     """
-    NoiseRate(eta)
+    _check_rate(eta)
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
     clean = draw_clean_sample(D, c, n, rng.split(1))
@@ -183,7 +177,7 @@ def strong_malicious_corrupt(
     eta: float,
     strategy: Callable[..., StrategyResult],
     rng: RngHandle,
-    c: Hypothesis | None = None,
+    c: TableHypothesis | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Strong malicious corruption.
 
@@ -192,7 +186,7 @@ def strong_malicious_corrupt(
     of Z (unused positions keep their clean examples). Writing outside Z is
     an error.
     """
-    NoiseRate(eta)
+    _check_rate(eta)
     n = len(S_clean)
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
@@ -211,7 +205,7 @@ def nasty_corrupt(
     eta: float,
     strategy: Callable[..., StrategyResult],
     rng: RngHandle,
-    c: Hypothesis | None = None,
+    c: TableHypothesis | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Nasty corruption with the budget-first protocol.
 
@@ -220,7 +214,7 @@ def nasty_corrupt(
     sees the whole clean sample and ``z`` and returns at most ``z``
     replacements, applied in place.
     """
-    NoiseRate(eta)
+    _check_rate(eta)
     n = len(S_clean)
     gen = rng.split(0).generator()
     z = int((gen.random(n) < eta).sum())
@@ -235,10 +229,10 @@ def fixed_rate_nasty_corrupt(
     eta: float,
     strategy: Callable[..., StrategyResult],
     rng: RngHandle,
-    c: Hypothesis | None = None,
+    c: TableHypothesis | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Fixed-rate nasty corruption: exactly ⌊ηn⌋ positions replaced."""
-    NoiseRate(eta)
+    _check_rate(eta)
     n = len(S_clean)
     k = int(np.floor(eta * n))
     result = strategy(S_clean, k, c, rng.split(1))
@@ -249,7 +243,7 @@ def fixed_rate_nasty_corrupt(
 
 def huber_sample(
     D: DiscreteDistribution,
-    c: Hypothesis,
+    c: TableHypothesis,
     eta: float,
     outliers: DiscreteDistribution,
     n: int,
@@ -260,7 +254,7 @@ def huber_sample(
     ``outliers`` is a distribution over the labeled-example index space
     (see :func:`noisylab.core.labeled_index`).
     """
-    NoiseRate(eta)
+    _check_rate(eta)
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
     S = draw_clean_sample(D, c, n, rng.split(1))

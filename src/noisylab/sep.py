@@ -38,7 +38,6 @@ from .codes import (
 )
 from .core import (
     DiscreteDistribution,
-    Hypothesis,
     RngHandle,
     Sample,
     TableHypothesis,
@@ -510,7 +509,7 @@ def _key_bit_thresholds(
 
 def sep_malicious_learner(
     S: Sample, inst: SepInstance, rng: RngHandle | None = None
-) -> tuple[Hypothesis, dict]:
+) -> tuple[TableHypothesis, dict]:
     """Threshold key bits, erasure-list-decode, hypothesis-test candidates.
 
     Returns ``(hypothesis, details)``; on decode failure or an empty

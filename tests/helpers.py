@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from noisylab.codes import GeneratorMatrix, ReceivedWord, erasure_list_decode_many
-from noisylab.core import DiscreteDistribution, Hypothesis, RngHandle, Sample
+from noisylab.core import DiscreteDistribution, RngHandle, Sample, TableHypothesis
 from noisylab.icesep import IceSepParams
 from noisylab.learn import ice_filter_keep
 from noisylab.noise import CorruptionLedger, StrategyResult
@@ -37,7 +37,7 @@ def point_mass(index: int, size: int) -> DiscreteDistribution:
     return DiscreteDistribution(w)
 
 
-def evaluate(h: Hypothesis, point: int) -> int:
+def evaluate(h: TableHypothesis, point: int) -> int:
     """The label ``h`` gives one point."""
     return int(h.evaluate_many(np.asarray([point], dtype=np.int64))[0])
 

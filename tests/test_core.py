@@ -264,8 +264,10 @@ class TestHypotheses:
 
     def test_domain_size_check(self):
         D = DiscreteDistribution.uniform(4)
-        with pytest.raises(ValueError):
-            error_rate(TableHypothesis([1, 1]), TableHypothesis([1] * 4), D)
+        short = TableHypothesis([1, 1])
+        for h in (short, MixtureHypothesis([short, TableHypothesis([1] * 4)])):
+            with pytest.raises(ValueError, match="hypothesis covers 2 points but the domain has 4"):
+                error_rate(h, TableHypothesis([1] * 4), D)
 
     def test_empirical_error(self):
         S = sample_from_pairs([(0, 1), (1, 1), (2, -1), (3, -1)])
@@ -273,11 +275,6 @@ class TestHypotheses:
         assert empirical_error(h, S) == pytest.approx(0.25)
         with pytest.raises(ValueError):
             empirical_error(h, Sample.empty())
-
-    def test_mixture_evaluate_many_needs_rng(self):
-        mix = MixtureHypothesis([TableHypothesis([1]), TableHypothesis([-1])])
-        out = mix.evaluate_many(np.zeros(100, dtype=np.int64), RngHandle(0))
-        assert set(np.unique(out)) == {-1, 1}
 
 
 class TestDrawCleanSample:

@@ -51,7 +51,6 @@ def small_instance(n=4000, seed=0):
 class TestParams:
     def test_small_pack_derived_sizes(self):
         p = small_params()
-        assert p.kappa_prime == pytest.approx(0.6)
         assert p.key_fraction == Fraction(3, 25)
         assert p.block_size == 3
         layout = p.layout

@@ -13,7 +13,6 @@ from noisylab.core import (
 )
 from noisylab.noise import (
     CorruptionLedger,
-    NoiseRate,
     StrategyResult,
     contradict_replaced,
     fixed_rate_nasty_corrupt,
@@ -36,12 +35,24 @@ def clean(n=50, seed=0):
     return draw_clean_sample(D4, C4, n, RngHandle(seed))
 
 
-def test_noise_rate_validation():
-    NoiseRate(0.0)
-    with pytest.raises(ValueError):
-        NoiseRate(1.0)
-    with pytest.raises(ValueError):
-        NoiseRate(-0.1)
+# Each corruptor called at a given rate η on a short clean sample.
+CORRUPTORS = {
+    "malicious": lambda eta: malicious_corrupt(
+        D4, C4, 10, eta, lambda i, prefix, c, rng: (0, 1), RngHandle(0)
+    ),
+    "strong-malicious": lambda eta: strong_malicious_corrupt(clean(10), eta, noop, RngHandle(0)),
+    "nasty": lambda eta: nasty_corrupt(clean(10), eta, noop, RngHandle(0)),
+    "fixed-rate-nasty": lambda eta: fixed_rate_nasty_corrupt(clean(10), eta, noop, RngHandle(0)),
+    "huber": lambda eta: huber_sample(D4, C4, eta, point_mass(0, 8), 10, RngHandle(0)),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTORS.values(), ids=CORRUPTORS)
+def test_noise_rate_validation(corrupt):
+    corrupt(0.0)
+    for eta in (1.0, -0.1):
+        with pytest.raises(ValueError, match="noise rate must be in"):
+            corrupt(eta)
 
 
 class TestMalicious:

@@ -56,16 +56,22 @@ def _is_scenario(node: ast.AST) -> bool:
 
 def test_every_definition_is_read_in_the_package():
     # A function, class or method that only tests use belongs in the tests.
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     nodes = [n for p in sorted(PACKAGE.rglob("*.py")) for n in ast.walk(ast.parse(p.read_text()))]
-    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    read |= {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    read = attrs | {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    # A method or property is read as ``x.name``: a local variable of the same
+    # name is not a read of it.
+    methods = {
+        id(m) for n in nodes if isinstance(n, ast.ClassDef) for m in n.body if isinstance(m, functions)
+    }
     unread = {
         n.name
         for n in nodes
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        if isinstance(n, (*functions, ast.ClassDef))
         and not (n.name.startswith("__") and n.name.endswith("__"))
         and not _is_scenario(n)
-        and n.name not in read
+        and n.name not in (attrs if id(n) in methods else read)
     }
     assert unread == UNREAD_IN_THE_PACKAGE
 
