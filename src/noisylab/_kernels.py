@@ -2,8 +2,8 @@
 
 - ``codeword_table(row_masks)``: expand the 2^k GF(2) row-span of ``k`` bitmask
   rows into a table indexed by message integer, for one matrix or a stack.
-- ``hamming_scan(table, target, mask)``: popcount of ``(table ^ target) & mask``
-  per entry (Hamming distances on the unmasked positions).
+- ``hamming_scan(table, target)``: popcount of ``table ^ target`` per entry
+  (Hamming distances).
 
 Both operate on codewords packed into single ``uint64`` words (word length
 <= 64 bits).
@@ -38,8 +38,7 @@ def codeword_table(row_masks: np.ndarray) -> np.ndarray:
     return table
 
 
-def hamming_scan(table: np.ndarray, target: int, mask: int) -> np.ndarray:
-    """Per-entry popcount of ``(table ^ target) & mask``."""
+def hamming_scan(table: np.ndarray, target: int) -> np.ndarray:
+    """Per-entry popcount of ``table ^ target``."""
     table = np.asarray(table, dtype=np.uint64)
-    xored = (table ^ np.uint64(target)) & np.uint64(mask)
-    return np.bitwise_count(xored).astype(np.int64)
+    return np.bitwise_count(table ^ np.uint64(target)).astype(np.int64)

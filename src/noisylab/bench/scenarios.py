@@ -763,7 +763,7 @@ def _scenario_codes_suite(
 # and each step of d doubles the value side.
 _MAX_VALUE_BITS = 20
 
-# The SepParams.create arguments both separation scenarios take.
+# The SepParams arguments both separation scenarios take.
 _SEP_DEFAULTS = dict(
     eta_N=(0.25, "(0, 0.5)"), eta_M=(0.05, "(0, 0.5)"), kappa=(0.5, "(0, 1)"),
     rho=(0.5, "(0, 1)"), tau=(0.15, "(0, 1)"), w=(24, f"[1, {MAX_WORD_BITS}]"),
@@ -771,14 +771,19 @@ _SEP_DEFAULTS = dict(
 )
 
 
+# Multiplicative slack on sep-learner's two asymptotic bounds (error and
+# erased key bits) at desk scale.
+_SLACK = 1.25
+
+
 @_register("sep-learner", **_SEP_DEFAULTS)
 def _scenario_sep_learner(trials: int, rng: RngHandle, **sep) -> Outcome:
-    sp = SepParams.create(**sep)
+    sp = SepParams(**sep)
     inst = SepInstance.generate(sp, rng.split(0))
     D = inst.distribution()
     strategy = sep_key_erasure_strategy(inst)
-    err_bound = 4 * sp.eta_M * sp.slack + 0.05
-    q_bound = sp.slack * sp.eta_M / (float(sp.kappa) * (1 - sp.eta_M)) * sp.w
+    err_bound = 4 * sp.eta_M * _SLACK + 0.05
+    q_bound = _SLACK * sp.eta_M / (float(sp.kappa) * (1 - sp.eta_M)) * sp.w
 
     records = []
     ok_count = 0
@@ -846,7 +851,7 @@ def _scenario_sep_learner(trials: int, rng: RngHandle, **sep) -> Outcome:
 def _scenario_sep_adversary(
     trials: int, rng: RngHandle, significance: float, sim_trials: int, sim_n: int, **sep
 ) -> Outcome:
-    sp = SepParams.create(**sep)
+    sp = SepParams(**sep)
     inst = SepInstance.generate(sp, rng.split(0))
     D = inst.distribution()
     strategy = sep_nasty_strategy(inst)
@@ -883,7 +888,7 @@ def _scenario_sep_adversary(
     independence_p = two_sample_chi2(block_counts[p_a], block_counts[p_b])
 
     # Distribution match of the simulation against the real corrupted sample.
-    sp_sim = SepParams.create(**{**sep, "n": sim_n})
+    sp_sim = SepParams(**{**sep, "n": sim_n})
     inst_sim = SepInstance(sp_sim, inst.G)
     c_sim = inst_sim.concept(p_a, 0)
     D_sim = inst_sim.distribution()
@@ -1058,7 +1063,7 @@ def _scenario_ice_coupling(
     n=(20000, "[1, inf)"), L=(1024, "[1, inf)"),
 )
 def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
-    ip = IceSepParams.create(**params)
+    ip = IceSepParams(**params)
     inst = IceInstance.generate(ip, rng.split(0))
     D = inst.distribution()
     idealized = ice_idealized_nasty_strategy(inst)

@@ -37,7 +37,6 @@ from .core import RngHandle, _frozen
 __all__ = [
     "DecodeFailure",
     "binary_entropy",
-    "CodeParams",
     "Codeword",
     "ReceivedWord",
     "GeneratorMatrix",
@@ -68,53 +67,6 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-
-
-@dataclass(frozen=True)
-class CodeParams:
-    """Rate/list-decoding parameter pack.
-
-    ``rho`` is the rate, ``tau`` the tolerated erasure fraction, ``lam`` the
-    low-weight subcode exponent, ``eta_N`` the weight-bound fraction, and
-    ``L`` the decoded-list cap.
-    """
-
-    rho: float
-    tau: float
-    lam: float
-    eta_N: float
-    L: int = 64
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tau < 1:
-            raise ValueError(f"tau must be in (0, 1), got {self.tau}")
-
-    @classmethod
-    def derive(cls, eta_N: float, eta_M: float, L: int = 64) -> "CodeParams":
-        """Auto-derive (rho, tau, lam) from the two noise rates.
-
-        Requires ``0 < eta_N < eta_M < 1 - 1/(1 + H(eta_N)) < 0.5``. The
-        constants are::
-
-            rho = 1 - 0.999·H(eta_N) - 0.001·eta_M/(1-eta_M)
-            xi  = 0.001·H(eta_N) - 0.001·eta_M/(1-eta_M)
-            tau = 1 - rho - xi = 0.998·H(eta_N) + 0.002·eta_M/(1-eta_M)
-            lam = (rho + H(eta_N) - 1)/2
-        """
-        H = binary_entropy(eta_N)
-        upper = 1 - 1 / (1 + H)
-        if not (0 < eta_N < eta_M < upper < 0.5):
-            raise ValueError(
-                f"need 0 < eta_N < eta_M < 1 - 1/(1+H(eta_N)) < 0.5; "
-                f"got eta_N={eta_N}, eta_M={eta_M}, bound={upper}"
-            )
-        ratio = eta_M / (1 - eta_M)
-        rho = 1 - 0.999 * H - 0.001 * ratio
-        xi = 0.001 * H - 0.001 * ratio
-        tau = 1 - rho - xi
-        lam = 0.5 * (rho + H - 1)
-        assert abs(tau - (0.998 * H + 0.002 * ratio)) < 1e-12
-        return cls(rho=rho, tau=tau, lam=lam, eta_N=eta_N, L=L)
 
 
 def signs_to_mask(bits: Sequence[int] | np.ndarray) -> int:
@@ -523,9 +475,7 @@ def bitflip_list_decode(
         raise ValueError(f"list cap must be >= 1, got {cap}")
     if (r.symbols == 0).any():
         raise ValueError("bit-flip decoding takes a fully-determined ±1 word")
-    target = signs_to_mask(r.symbols)
-    full = (1 << G.w) - 1
-    dists = _kernels.hamming_scan(G.codeword_masks, target, full)
+    dists = _kernels.hamming_scan(G.codeword_masks, signs_to_mask(r.symbols))
     hits = np.flatnonzero(dists <= radius)
     if hits.size > cap:
         raise DecodeFailure(f"list size {hits.size} exceeds the cap {cap}")
@@ -538,8 +488,7 @@ def low_weight_codewords(G: GeneratorMatrix, weight_bound: float) -> list[Codewo
     Lexicographic order reads positions 0..w-1 with +1 before -1, so index
     ``p`` in the returned list selects the p-th lightest-ordered codeword.
     """
-    full = (1 << G.w) - 1
-    weights = _kernels.hamming_scan(G.codeword_masks, 0, full)
+    weights = _kernels.hamming_scan(G.codeword_masks, 0)
     hits = np.flatnonzero(weights <= weight_bound)
     masks = G.codeword_masks[hits]
     # np.lexsort's last key is the primary one: position 0, then 1, ...

@@ -410,6 +410,7 @@ def draw_clean_sample(
     """``n`` i.i.d. examples ``(x, c(x))`` with ``x ~ D``."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    _check_domain(c, len(D), "concept")
     pts = D.sample_points(n, rng)
     if n == 0:
         return Sample.empty()
@@ -420,4 +421,10 @@ def empirical_error(h: TableHypothesis, S: Sample) -> float:
     """Fraction of examples in ``S`` that ``h`` mislabels."""
     if len(S) == 0:
         raise ValueError("empirical error of an empty sample is undefined")
-    return float((h.table[S.points] != S.labels).astype(np.float64).mean())
+    try:
+        predicted = h.table[S.points]
+    except IndexError:  # points are >= 0, so one lies past the table
+        raise ValueError(
+            f"point {int(S.points.max())} is outside the hypothesis's {h.domain_size}-point table"
+        ) from None
+    return float((predicted != S.labels).astype(np.float64).mean())

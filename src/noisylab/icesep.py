@@ -55,55 +55,37 @@ __all__ = [
 class IceSepParams:
     """Parameter pack for the contradiction-filter separation.
 
-    ``eta`` is the corruption rate, ``kappa`` the separation constant in
-    (1/2, 1), and ``tau = (kappa - 1/2)/8`` is derived. The key side carries
-    an exact ``(kappa + 1/2)*eta`` fraction of the uniform domain (the
-    paper's ``2*kappa'*eta``, with ``kappa' = (kappa + 1/2)/2``); ``layout`` is
-    that key/value split, derived once from ``w``, ``block_size``, ``eta``
-    and ``kappa``.
+    The fields are the independent inputs: ``eta`` the corruption rate in
+    (0, 0.1], ``kappa`` the separation constant in (1/2, 1), ``w`` the block
+    count, ``d < w`` the key length, ``n`` the sample size (``ceil(50*w/eta)``
+    when omitted) and ``L`` the decoded-list cap; ``tau = (kappa - 1/2)/8`` is
+    derived. The key side carries an exact ``(kappa + 1/2)*eta`` fraction of
+    the uniform domain (the paper's ``2*kappa'*eta``, with ``kappa' = (kappa
+    + 1/2)/2``); ``layout`` is that key/value split with the smallest fitting
+    block size, derived once.
     """
 
     eta: float
     kappa: float
     w: int
     d: int
-    n: int
-    block_size: int
+    n: int | None = None
     L: int = 64
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        key_fraction = self._key_fraction_exact(self.eta, self.kappa)
+        if not 0 < self.eta <= 0.1:
+            raise ValueError("eta must be in (0, 0.1]")
+        if not 0.5 < self.kappa < 1:
+            raise ValueError("kappa must be in (1/2, 1)")
         if self.d >= self.w:
             raise ValueError("need d < w for a rate < 1 code")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "layout", KeyValueLayout(self.w, self.block_size, key_fraction))
-
-    @classmethod
-    def create(
-        cls,
-        eta: float,
-        kappa: float,
-        w: int,
-        d: int,
-        n: int | None = None,
-        L: int = 64,
-    ) -> "IceSepParams":
-        b = KeyValueLayout.fit(w, d, cls._key_fraction_exact(eta, kappa)).block_size
-        if n is None:
-            n = math.ceil(50 * w / eta)
-        return cls(eta=eta, kappa=kappa, w=w, d=d, n=n, block_size=b, L=L)
-
-    @staticmethod
-    def _key_fraction_exact(eta: float, kappa: float) -> Fraction:
-        """The key side's exact mass ``(kappa + 1/2)*eta``, after checking
-        the rates: ``eta`` in (0, 0.1] and ``kappa`` in (1/2, 1)."""
-        if not 0 < eta <= 0.1:
-            raise ValueError("eta must be in (0, 0.1]")
-        if not 0.5 < kappa < 1:
-            raise ValueError("kappa must be in (1/2, 1)")
-        return (Fraction(str(kappa)) + Fraction(1, 2)) * Fraction(str(eta))
+        n = math.ceil(50 * self.w / self.eta) if self.n is None else self.n
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        key_fraction = (Fraction(str(self.kappa)) + Fraction(1, 2)) * Fraction(str(self.eta))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "layout", KeyValueLayout.fit(self.w, self.d, key_fraction))
 
     @property
     def tau(self) -> float:

@@ -24,7 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .codes import (
-    CodeParams,
     Codeword,
     DecodeFailure,
     GeneratorMatrix,
@@ -289,109 +288,86 @@ def budget_capped_plan(positions: np.ndarray, introduced: Sample, z: int) -> Str
 class SepParams:
     """Parameter pack for the key/value separation experiment.
 
-    ``eta_N``/``eta_M`` are the two noise rates, ``kappa`` the exact key-side
-    mass, ``w`` the block (codeword) count, ``d`` the value-side dimension
-    exponent, ``u`` the extractor seed length, ``m_out`` the extracted key
-    length, ``n`` the sample size, and ``slack`` the multiplicative slack
-    applied to every asymptotic inequality at desk scale. ``layout`` is the
-    key/value split of the domain, derived from ``w``, ``block_size`` and
-    ``kappa``.
+    The fields are the independent inputs: ``eta_N``/``eta_M`` the two noise
+    rates, ``kappa`` the exact key-side mass (a float is read through its
+    decimal string), ``rho`` the code rate and ``tau`` the tolerated erasure
+    fraction, ``w`` the block (codeword) count, ``d`` the value-side dimension
+    exponent, ``u`` the extractor seed length, ``n`` the sample size and ``L``
+    the decoded-list cap. Everything else is derived once: ``n`` when omitted
+    (so that the threshold slack ``Delta = n^0.51`` is at most ``D/4``),
+    ``layout``, the key/value split of the domain with the smallest fitting
+    block size, and ``extractor_spec``, which extracts ``max(1, w // 2)`` key
+    bits.
     """
 
     eta_N: float
     eta_M: float
     kappa: Fraction
-    code: CodeParams
+    rho: float
+    tau: float
     w: int
     d: int
     u: int
-    n: int
-    block_size: int
-    m_out: int
-    slack: float = 1.25
+    n: int | None = None
+    L: int = 64
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
+    extractor_spec: ExtractorSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._check_rates(self.eta_N, self.eta_M, self.kappa, self.code.tau)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "layout", KeyValueLayout(self.w, self.block_size, self.kappa))
-        rows = self.code.rho * self.w
-        if abs(rows - round(rows)) > 1e-9:
-            raise ValueError("rho*w must be an integer")
-
-    @staticmethod
-    def _check_rates(eta_N: float, eta_M: float, kappa: Fraction, tau: float) -> None:
-        """Reject noise rates outside (0, 1) and a ``kappa`` outside
-        ``(eta_M/((1-eta_M)*tau), 1)``; ``tau`` is in (0, 1) already."""
+        eta_N, eta_M, tau = self.eta_N, self.eta_M, self.tau
+        if not 0 < tau < 1:
+            raise ValueError(f"tau must be in (0, 1), got {tau}")
         if not 0 < eta_N < 1 or not 0 < eta_M < 1:
             raise ValueError("noise rates must be in (0, 1)")
+        kappa = self.kappa if isinstance(self.kappa, Fraction) else Fraction(str(self.kappa))
         lower = eta_M / ((1 - eta_M) * tau)
         if not lower < kappa < 1:
             raise ValueError(f"need eta_M/((1-eta_M)*tau) = {lower} < kappa < 1, got {kappa}")
-
-    @classmethod
-    def create(
-        cls,
-        eta_N: float,
-        eta_M: float,
-        kappa: float | Fraction,
-        rho: float,
-        tau: float,
-        w: int,
-        d: int,
-        u: int,
-        n: int | None = None,
-        L: int = 64,
-    ) -> "SepParams":
-        """Explicit-rate construction (desk-scale parameter packs)."""
-        kap = kappa if isinstance(kappa, Fraction) else Fraction(str(kappa))
-        lam = 0.5 * (rho + binary_entropy(eta_N) - 1)
-        code = CodeParams(rho=rho, tau=tau, lam=lam, eta_N=eta_N, L=L)
-        cls._check_rates(eta_N, eta_M, kap, tau)
-        b = KeyValueLayout.fit(w, d, kap).block_size
+        n = self.n
         if n is None:
-            n = cls._auto_n(w, eta_M, kap)
-        return cls(
-            eta_N=eta_N, eta_M=eta_M, kappa=kap, code=code,
-            w=w, d=d, u=u, n=n, block_size=b, m_out=max(1, w // 2),
+            n = math.ceil((4 * self.w / ((1 - eta_M) * float(kappa))) ** (1 / 0.49))
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        rows = self.rho * self.w
+        if abs(rows - round(rows)) > 1e-9:
+            raise ValueError("rho*w must be an integer")
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "layout", KeyValueLayout.fit(self.w, self.d, kappa))
+        object.__setattr__(
+            self, "extractor_spec", ExtractorSpec(w=self.w, u=self.u, m_out=max(1, self.w // 2))
         )
 
     @classmethod
     def from_ratio(
         cls, r: float, w: int, d: int, u: int, n: int | None = None, L: int = 64,
     ) -> "SepParams":
-        """Rate pack derived from the ratio ``r > 1``:
-        ``eta_N = 2^(-8r)``, ``eta_M = H(eta_N)/(H(eta_N)+2)``, code constants
-        auto-derived, and ``kappa`` placed just above its lower bound."""
+        """Rate pack derived from the ratio ``r > 1``: ``eta_N = 2^(-8r)``,
+        ``eta_M = H(eta_N)/(H(eta_N)+2)`` (which must satisfy ``0 < eta_N <
+        eta_M < 1 - 1/(1+H(eta_N)) < 0.5``), ``rho = 1 - 0.999·H(eta_N) -
+        0.001·eta_M/(1-eta_M)`` snapped down to whole rows at this ``w``,
+        ``tau = 0.998·H(eta_N) + 0.002·eta_M/(1-eta_M)``, and ``kappa`` just
+        above its lower bound."""
         if r <= 1:
             raise ValueError("ratio must be > 1")
         eta_N = 2.0 ** (-8 * r)
         H = binary_entropy(eta_N)
         eta_M = H / (H + 2)
-        code = CodeParams.derive(eta_N, eta_M, L=L)
-        # Snap the rate down to an integer number of rows at this finite w
-        # (the derived rate is asymptotic; rounding down never exceeds it).
-        rows = max(1, math.floor(code.rho * w))
-        rho_w = rows / w
-        code = CodeParams(
-            rho=rho_w, tau=code.tau, lam=0.5 * (rho_w + H - 1), eta_N=eta_N, L=L
-        )
-        kappa_f = 0.998 * eta_M / ((1 - eta_M) * code.tau) + 0.002
-        kap = Fraction(kappa_f).limit_denominator(10_000)
-        b = KeyValueLayout.fit(w, d, kap).block_size
-        if n is None:
-            n = cls._auto_n(w, eta_M, kap)
-        return cls(
-            eta_N=eta_N, eta_M=eta_M, kappa=kap, code=code,
-            w=w, d=d, u=u, n=n, block_size=b, m_out=max(1, w // 2),
-        )
-
-    @staticmethod
-    def _auto_n(w: int, eta_M: float, kappa: Fraction) -> int:
-        # Size n so the threshold slack Delta = n^0.51 is at most D/4.
-        base = 4 * w / ((1 - eta_M) * float(kappa))
-        return math.ceil(base ** (1 / 0.49))
+        upper = 1 - 1 / (1 + H)
+        if not (0 < eta_N < eta_M < upper < 0.5):
+            raise ValueError(
+                f"need 0 < eta_N < eta_M < 1 - 1/(1+H(eta_N)) < 0.5; "
+                f"got eta_N={eta_N}, eta_M={eta_M}, bound={upper}"
+            )
+        ratio = eta_M / (1 - eta_M)
+        rho = 1 - 0.999 * H - 0.001 * ratio
+        xi = 0.001 * H - 0.001 * ratio
+        tau = 1 - rho - xi
+        # The derived rate is asymptotic; rounding down to an integer number
+        # of rows at this finite w never exceeds it.
+        rows = max(1, math.floor(rho * w))
+        kappa = Fraction(0.998 * eta_M / ((1 - eta_M) * tau) + 0.002).limit_denominator(10_000)
+        return cls(eta_N, eta_M, kappa, rows / w, tau, w, d, u, n, L)
 
     @property
     def D(self) -> float:
@@ -402,10 +378,6 @@ class SepParams:
     def Delta(self) -> float:
         """Threshold slack n^0.51."""
         return self.n ** 0.51
-
-    @property
-    def extractor_spec(self) -> ExtractorSpec:
-        return ExtractorSpec(w=self.w, u=self.u, m_out=self.m_out)
 
 
 class SepInstance:
@@ -422,7 +394,7 @@ class SepInstance:
 
     @classmethod
     def generate(cls, params: SepParams, rng: RngHandle) -> "SepInstance":
-        G = gen_random_linear_code(params.code.rho, params.w, rng)
+        G = gen_random_linear_code(params.rho, params.w, rng)
         return cls(params, G)
 
     @cached_property
@@ -434,7 +406,7 @@ class SepInstance:
     def prf_store(self) -> PrfDigestStore:
         """Value-side PRF digest blocks of the extracted keys scored so far,
         each hashed once for the instance."""
-        return PrfDigestStore(self.params.m_out, self.params.layout.value_size)
+        return PrfDigestStore(self.params.extractor_spec.m_out, self.params.layout.value_size)
 
     def concept(self, p: int, q: int) -> KeyValueConcept:
         """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
@@ -444,7 +416,7 @@ class SepInstance:
             raise ValueError(f"seed must be in [0, 2^{spec.u})")
         # Entry q of every seed's output: the rows are already built, not rehashed.
         mask = extract_all_seeds(cw.mask, spec, self.extractor_matrices)[q]
-        key = PrfKey(int(mask), self.params.m_out)
+        key = PrfKey(int(mask), spec.m_out)
         return KeyValueConcept(self.params.layout, cw, key, self.prf_store)
 
     def distribution(self) -> DiscreteDistribution:
@@ -486,8 +458,8 @@ def sep_key_erasure_strategy(inst: SepInstance):
         gen = rng.generator()
         blocks = gen.choice(params.w, size=n_erase, replace=False)
         pts = np.empty((n_erase, chunk), dtype=np.int64)
-        for t, lo in enumerate((blocks * params.block_size).tolist()):
-            pts[t] = gen.integers(lo, lo + params.block_size, size=chunk)
+        for t, lo in enumerate((blocks * params.layout.block_size).tolist()):
+            pts[t] = gen.integers(lo, lo + params.layout.block_size, size=chunk)
         labs = np.repeat(-c.codeword.bits[blocks], chunk)
         return StrategyResult(Z[: n_erase * chunk], Sample(pts.ravel(), labs))
 
@@ -522,7 +494,7 @@ def sep_malicious_learner(
     details: dict = {"z": z, "flagged": False, "flag_reason": None, "candidates": []}
 
     try:
-        messages = erasure_list_decode(inst.G, ReceivedWord(z), cap=params.code.L)
+        messages = erasure_list_decode(inst.G, ReceivedWord(z), cap=params.L)
     except DecodeFailure as exc:
         details.update(flagged=True, flag_reason=f"decode failure: {exc}")
         return TableHypothesis.constant(1, layout.domain_size), details
@@ -573,8 +545,8 @@ def sep_simulate_T_nasty(
     pts = np.empty(n, dtype=np.int64)
     labs = np.empty(n, dtype=np.int8)
     key_idx = np.flatnonzero(is_key)
-    offsets = gen.integers(0, params.block_size, size=key_idx.size)
-    pts[key_idx] = block[key_idx] * params.block_size + offsets
+    offsets = gen.integers(0, params.layout.block_size, size=key_idx.size)
+    pts[key_idx] = block[key_idx] * params.layout.block_size + offsets
     labs[key_idx] = 1
     val_idx = np.flatnonzero(~is_key)
     pts[val_idx] = T_value.points[: val_idx.size]

@@ -796,8 +796,7 @@ def test_cli_value_above_bound_is_one_error_line(
 
 
 # Calls that once hung in KeyValueLayout.fit's search for a block size (a key
-# fraction of 1 or more) or, for CodeParams, took a negative tau. Each must
-# raise ValueError.
+# fraction of 1 or more) or took a negative tau. Each must raise ValueError.
 FORMER_HANGS = {
     "ice-learner-eta": "run_scenario(ExperimentConfig('ice-learner', {'eta': 3}, trials=2))",
     "sep-learner-kappa": "run_scenario(ExperimentConfig('sep-learner', {'kappa': 2}, trials=2))",
@@ -807,11 +806,13 @@ FORMER_HANGS = {
     "fit-0": "KeyValueLayout.fit(24, 12, Fraction(0))",
     "fit-1": "KeyValueLayout.fit(24, 12, Fraction(1))",
     "fit-3/2": "KeyValueLayout.fit(24, 12, Fraction(3, 2))",
-    "ice-create": "IceSepParams.create(eta=3, kappa=0.7, w=20, d=10)",
+    "ice-create": "IceSepParams(eta=3, kappa=0.7, w=20, d=10)",
     "sep-create": (
-        "SepParams.create(eta_N=0.25, eta_M=0.05, kappa=2, rho=0.5, tau=0.15, w=24, d=12, u=8)"
+        "SepParams(eta_N=0.25, eta_M=0.05, kappa=2, rho=0.5, tau=0.15, w=24, d=12, u=8)"
     ),
-    "code-params": "CodeParams(rho=0.5, tau=-1, lam=0.1, eta_N=0.25)",
+    "sep-tau": (
+        "SepParams(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=-1, w=24, d=12, u=8)"
+    ),
     "codes-suite-patterns": (
         "run_scenario(ExperimentConfig('codes-suite', {'w': 30, 'max_erasures': 30, "
         "'codes': 1, 'bitflip_codes': 1, 'low_weight_codes': 1}))"
@@ -825,7 +826,6 @@ def test_former_hangs_raise_in_a_subprocess_under_a_timeout():
     script = "\n".join([
         "from fractions import Fraction",
         "from noisylab.bench import ExperimentConfig, run_scenario",
-        "from noisylab.codes import CodeParams",
         "from noisylab.icesep import IceSepParams",
         "from noisylab.sep import KeyValueLayout, SepParams",
         f"for name, call in {FORMER_HANGS!r}.items():",

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from noisylab.codes import (
-    CodeParams,
     Codeword,
     DecodeFailure,
     GeneratorMatrix,
@@ -437,18 +436,3 @@ class TestLowWeight:
         got = low_weight_codewords(G, 3)
         assert got[0].weight == 0
 
-
-class TestCodeParams:
-    def test_derive_identities(self):
-        cp = CodeParams.derive(eta_N=0.01, eta_M=0.05)
-        H = binary_entropy(0.01)
-        ratio = 0.05 / 0.95
-        assert cp.rho == pytest.approx(1 - 0.999 * H - 0.001 * ratio)
-        assert cp.tau == pytest.approx(0.998 * H + 0.002 * ratio)
-        assert cp.lam == pytest.approx(0.5 * (cp.rho + H - 1))
-
-    def test_derive_bounds(self):
-        with pytest.raises(ValueError):
-            CodeParams.derive(eta_N=0.25, eta_M=0.2)  # eta_M < eta_N
-        with pytest.raises(ValueError):
-            CodeParams.derive(eta_N=0.25, eta_M=0.6)

@@ -276,6 +276,10 @@ class TestHypotheses:
         with pytest.raises(ValueError):
             empirical_error(h, Sample.empty())
 
+    def test_empirical_error_point_beyond_the_table(self):
+        with pytest.raises(ValueError, match="point 3 is outside the hypothesis's 2-point table"):
+            empirical_error(TableHypothesis([1, 1]), Sample([3], [1]))
+
 
 class TestDrawCleanSample:
     def test_labels_match_concept(self):
@@ -287,6 +291,11 @@ class TestDrawCleanSample:
     def test_zero_length(self):
         D = DiscreteDistribution.uniform(2)
         assert len(draw_clean_sample(D, TableHypothesis([1, 1]), 0, RngHandle(0))) == 0
+
+    def test_concept_smaller_than_the_domain(self):
+        D = DiscreteDistribution.uniform(4)
+        with pytest.raises(ValueError, match="concept covers 2 points but the domain has 4"):
+            draw_clean_sample(D, TableHypothesis([1, 1]), 50, RngHandle(0))
 
 
 

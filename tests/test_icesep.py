@@ -41,7 +41,7 @@ from helpers import BlockCounters, evaluate, sample_from_pairs
 
 
 def small_params(n=4000):
-    return IceSepParams.create(eta=0.1, kappa=0.7, w=8, d=4, n=n)
+    return IceSepParams(eta=0.1, kappa=0.7, w=8, d=4, n=n)
 
 
 def small_instance(n=4000, seed=0):
@@ -52,15 +52,15 @@ class TestParams:
     def test_small_pack_derived_sizes(self):
         p = small_params()
         assert p.key_fraction == Fraction(3, 25)
-        assert p.block_size == 3
+        assert p.layout.block_size == 3
         layout = p.layout
         assert layout.key_size == 24 and layout.value_size == 176 and layout.domain_size == 200
         assert p.R == pytest.approx(Fraction(3, 25) * 4000 / 8)
 
     def test_reference_pack_derived_sizes(self):
-        p = IceSepParams.create(eta=0.05, kappa=0.7, w=20, d=10)
+        p = IceSepParams(eta=0.05, kappa=0.7, w=20, d=10)
         assert p.key_fraction == Fraction(3, 50)
-        assert p.block_size == 6
+        assert p.layout.block_size == 6
         layout = p.layout
         assert layout.key_size == 120 and layout.value_size == 1880 and layout.domain_size == 2000
         assert p.n == 20000  # ceil(50 w / eta)
@@ -70,11 +70,11 @@ class TestParams:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="eta"):
-            IceSepParams.create(eta=0.2, kappa=0.7, w=8, d=4)
+            IceSepParams(eta=0.2, kappa=0.7, w=8, d=4)
         with pytest.raises(ValueError, match="kappa"):
-            IceSepParams.create(eta=0.05, kappa=0.5, w=8, d=4)
+            IceSepParams(eta=0.05, kappa=0.5, w=8, d=4)
         with pytest.raises(ValueError, match="d < w"):
-            IceSepParams.create(eta=0.05, kappa=0.7, w=8, d=8)
+            IceSepParams(eta=0.05, kappa=0.7, w=8, d=8)
         with pytest.raises(ValueError, match="n must be >= 1"):
             small_params(0)
 
@@ -107,8 +107,8 @@ class TestConcept:
         p = inst.params
         assert c.key == PrfKey(0b0110, 4) and c.codeword == encode(inst.G, 0b0110)
         for j in range(p.w):
-            for off in range(p.block_size):
-                assert evaluate(c, j * p.block_size + off) == c.codeword.bits[j]
+            for off in range(p.layout.block_size):
+                assert evaluate(c, j * p.layout.block_size + off) == c.codeword.bits[j]
 
     def test_value_side_is_prf(self):
         from noisylab.cryptoprim import prf_truth_table

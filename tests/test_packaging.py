@@ -1,7 +1,7 @@
 """Packaging metadata: the distribution is named after the package it
 installs, both state the same version, every module exports only names it
-defines, the package reads every function and class it defines, and commands
-and scenarios that run no chi-square test never load scipy."""
+defines, the package reads every function, class and class field it defines,
+and commands and scenarios that run no chi-square test never load scipy."""
 
 import ast
 import importlib
@@ -54,11 +54,19 @@ def _is_scenario(node: ast.AST) -> bool:
     )
 
 
+def _package_nodes() -> list[ast.AST]:
+    return [n for p in sorted(PACKAGE.rglob("*.py")) for n in ast.walk(ast.parse(p.read_text()))]
+
+
+def _attribute_loads(nodes: list[ast.AST]) -> set[str]:
+    return {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def test_every_definition_is_read_in_the_package():
     # A function, class or method that only tests use belongs in the tests.
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
-    nodes = [n for p in sorted(PACKAGE.rglob("*.py")) for n in ast.walk(ast.parse(p.read_text()))]
-    attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    nodes = _package_nodes()
+    attrs = _attribute_loads(nodes)
     read = attrs | {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     # A method or property is read as ``x.name``: a local variable of the same
     # name is not a read of it.
@@ -74,6 +82,30 @@ def test_every_definition_is_read_in_the_package():
         and n.name not in (attrs if id(n) in methods else read)
     }
     assert unread == UNREAD_IN_THE_PACKAGE
+
+
+def test_every_class_field_is_read_in_the_package():
+    # An annotated class field is read as ``x.name`` or ``getattr(x, "name")``;
+    # one that nothing reads is a setting that changes nothing.
+    nodes = _package_nodes()
+    read = _attribute_loads(nodes) | {
+        n.args[1].value
+        for n in nodes
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "getattr"
+        and len(n.args) > 1
+        and isinstance(n.args[1], ast.Constant)
+    }
+    unread = {
+        f"{c.name}.{f.target.id}"
+        for c in nodes
+        if isinstance(c, ast.ClassDef)
+        for f in c.body
+        if isinstance(f, ast.AnnAssign)
+        and isinstance(f.target, ast.Name)
+        and f.target.id not in read
+    }
+    assert not unread, f"class fields nothing in the package reads: {sorted(unread)}"
 
 
 # Each snippet runs in a fresh interpreter, then reports whether scipy was

@@ -5,6 +5,7 @@ sizes block=2, key side 16, value side 16 (hand-computed from the exact
 kappa = 1/2 constraint).
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from noisylab import cryptoprim
-from noisylab.codes import Codeword, GeneratorMatrix, masks_to_signs
+from noisylab.codes import Codeword, GeneratorMatrix, binary_entropy, masks_to_signs
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
 from noisylab.icesep import IceInstance, IceSepParams, ice_idealized_nasty_strategy
@@ -34,7 +35,7 @@ from helpers import evaluate, ice_idealized_block_plans, sep_nasty_block_plans
 
 
 def small_params(n=4000):
-    return SepParams.create(
+    return SepParams(
         eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=8, d=4, u=2, n=n
     )
 
@@ -49,18 +50,18 @@ def small_instance(n=4000):
 class TestSepParams:
     def test_small_pack_derived_sizes(self):
         p = small_params()
-        assert p.block_size == 2
+        assert p.layout.block_size == 2
         assert p.layout.key_size == 16 and p.layout.value_size == 16 and p.layout.domain_size == 32
         assert p.D == pytest.approx(0.95 * 0.5 * 4000 / 8)
         assert p.Delta == pytest.approx(4000**0.51)
         assert p.kappa == Fraction(1, 2)
 
     def test_reference_pack_derived_sizes(self):
-        p = SepParams.create(
+        p = SepParams(
             eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15,
             w=24, d=12, u=8, n=50000,
         )
-        assert p.block_size == 171
+        assert p.layout.block_size == 171
         assert p.layout.key_size == 4104 and p.layout.value_size == 4104
         assert p.layout.domain_size == 8208
         assert p.D == pytest.approx(989.5833333333334)
@@ -68,7 +69,7 @@ class TestSepParams:
     def test_kappa_lower_bound_enforced(self):
         # kappa must exceed eta_M / ((1 - eta_M) * tau) ~ 0.351.
         with pytest.raises(ValueError, match="kappa"):
-            SepParams.create(
+            SepParams(
                 eta_N=0.25, eta_M=0.05, kappa=0.3, rho=0.5, tau=0.15,
                 w=8, d=4, u=2, n=1000,
             )
@@ -82,6 +83,44 @@ class TestSepParams:
         p = SepParams.from_ratio(1.5, w=10, d=4, u=2, n=2000)
         assert 0 < p.eta_N < p.eta_M < 0.5
         assert p.layout.key_size + p.layout.value_size == p.layout.domain_size
+        assert (p.eta_N, p.eta_M) == (0.000244140625, 0.0016382442367162146)
+        assert p.kappa == Fraction(1505, 3001)
+        assert (p.rho, p.tau) == (0.9, 0.0032785831048350762)
+        assert p.layout.block_size == 301
+
+    def test_from_ratio_tau_identity(self):
+        # tau = 1 - rho - xi, before rho is snapped to whole rows.
+        p = SepParams.from_ratio(1.5, w=10, d=4, u=2, n=2000)
+        H = binary_entropy(p.eta_N)
+        assert abs(p.tau - (0.998 * H + 0.002 * p.eta_M / (1 - p.eta_M))) < 1e-12
+
+    def test_from_ratio_rejects_rates_that_round_together(self):
+        # From r of about 7.36 on, 1 + H(eta_N) rounds to 1 in float64, so the
+        # bound 1 - 1/(1 + H(eta_N)) on eta_M is 0.
+        with pytest.raises(ValueError, match="eta_N < eta_M < 1 - 1/"):
+            SepParams.from_ratio(8, w=10, d=4, u=2, n=2000)
+        with pytest.raises(ValueError, match="ratio must be > 1"):
+            SepParams.from_ratio(1, w=10, d=4, u=2)
+
+    def test_auto_sample_size(self):
+        p = SepParams(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=8, d=4, u=2)
+        assert p.n == math.ceil((4 * 8 / (0.95 * 0.5)) ** (1 / 0.49)) == 5390
+        assert p.Delta <= p.D / 4
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"tau": -1}, r"tau must be in \(0, 1\)"),
+            ({"tau": 1}, r"tau must be in \(0, 1\)"),
+            ({"eta_M": 0}, "noise rates"),
+            ({"eta_N": 1}, "noise rates"),
+            ({"rho": 0.3}, "rho\\*w must be an integer"),
+        ],
+    )
+    def test_rates_validated(self, change, message):
+        args = dict(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=8, d=4, u=2, n=100)
+        with pytest.raises(ValueError, match=message):
+            SepParams(**{**args, **change})
 
     def test_exact_key_fraction(self):
         p = small_params()
@@ -441,9 +480,9 @@ def test_key_block_attacks_match_block_by_block_reference(attack):
     if attack == "sep":
         inst = small_instance()
         strategy, reference = sep_nasty_strategy(inst), sep_nasty_block_plans(inst.params.layout)
-        key_length = inst.params.m_out
+        key_length = inst.params.extractor_spec.m_out
     else:
-        inst = IceInstance.generate(IceSepParams.create(eta=0.1, kappa=0.7, w=8, d=4), RngHandle(0))
+        inst = IceInstance.generate(IceSepParams(eta=0.1, kappa=0.7, w=8, d=4), RngHandle(0))
         strategy = ice_idealized_nasty_strategy(inst)
         reference = ice_idealized_block_plans(inst.params.layout)
         key_length = inst.params.d
@@ -502,8 +541,8 @@ class TestSepConcept:
         c = inst.concept(1, 0)  # first nonzero low-weight codeword
         p = inst.params
         for j in range(p.w):
-            for off in range(p.block_size):
-                assert evaluate(c, j * p.block_size + off) == c.codeword.bits[j]
+            for off in range(p.layout.block_size):
+                assert evaluate(c, j * p.layout.block_size + off) == c.codeword.bits[j]
 
     def test_key_is_extracted_from_the_codeword(self):
         # c_{p,q} carries W_p and the packed key Ext(W_p, q); W_p's message is
@@ -515,7 +554,7 @@ class TestSepConcept:
             for q in (0, spec.seed_count() - 1):
                 c = inst.concept(p_idx, q)
                 assert c.codeword == cw
-                assert c.key == PrfKey(extract(cw.mask, q, spec), inst.params.m_out)
+                assert c.key == PrfKey(extract(cw.mask, q, spec), spec.m_out)
 
     def test_key_matches_extract_for_every_seed(self):
         # The key is read from the instance's Toeplitz rows; extract hashes
@@ -546,8 +585,8 @@ class TestSepConcept:
         p = inst.params
         c = inst.concept(1, 0)
         for store, match in (
-            (PrfDigestStore(p.m_out + 1, p.layout.value_size), "bit"),
-            (PrfDigestStore(p.m_out, p.layout.value_size + 1), "value side"),
+            (PrfDigestStore(p.extractor_spec.m_out + 1, p.layout.value_size), "bit"),
+            (PrfDigestStore(p.extractor_spec.m_out, p.layout.value_size + 1), "value side"),
         ):
             with pytest.raises(ValueError, match=match):
                 KeyValueConcept(p.layout, c.codeword, c.key, store)
@@ -683,7 +722,7 @@ class TestLearner:
         # A sample far below the threshold leaves every bit erased; with a
         # list cap below the 2^d solution space, decoding fails -> flagged
         # constant fallback.
-        params = SepParams.create(
+        params = SepParams(
             eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15,
             w=8, d=4, u=2, n=4000, L=8,
         )
