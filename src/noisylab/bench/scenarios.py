@@ -10,7 +10,10 @@ parameter is registered as ``(default, interval)``, the interval written as in
 mathematics (``"(0, 1)"``, ``"[1, inf)"``); :func:`run_scenario` rejects a
 value outside it before the scenario starts, so a degenerate size or a rate
 outside the paper's range is one error, not a hang or a vacuous pass. A
-constraint that links two parameters is checked where they meet.
+parameter that sets a field of a parameter pack (``SepParams``,
+``IceSepParams``) takes its interval from that field, where the pack declares
+and checks it; only its default is written here. A constraint that links two
+parameters is checked where they meet.
 Statistical verdicts use 99% two-sided binomial confidence intervals and
 chi-square tests at significance 1e-3 unless a scenario documents otherwise;
 both significance knobs are parameters.
@@ -49,13 +52,13 @@ from ..core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    _within,
     draw_clean_sample,
     error_rate,
     labeled_index,
     philox_keys,
     philox_uniforms,
 )
-from ..cryptoprim import MAX_SEED_BITS
 from ..icesep import (
     IceInstance,
     IceSepParams,
@@ -103,15 +106,6 @@ Outcome = tuple[list[dict], dict, dict[str, bool]]
 _SCENARIOS: dict[str, tuple[Callable[..., Outcome], dict, dict[str, str]]] = {}
 
 
-def _within(value: float, interval: str) -> bool:
-    """Whether ``value`` lies in ``interval``: ``[`` and ``]`` close an end,
-    ``(`` and ``)`` open it, and an ``inf`` end leaves that side unbounded."""
-    low, high = map(float, interval[1:-1].split(","))
-    return (low <= value if interval[0] == "[" else low < value) and (
-        value <= high if interval[-1] == "]" else value < high
-    )
-
-
 def _register(name: str, **declared: tuple[int | float, str]):
     """Register a scenario under ``name``; ``declared`` are all its parameters,
     each a ``(default, interval)`` pair whose default lies in the interval."""
@@ -123,6 +117,13 @@ def _register(name: str, **declared: tuple[int | float, str]):
         return fn
 
     return deco
+
+
+def _pack_params(pack: type, **defaults: int | float) -> dict[str, tuple[int | float, str]]:
+    """The ``(default, interval)`` pairs of parameters that set fields of the
+    parameter pack ``pack``, each interval read from its field's metadata."""
+    declared = {f.name: f.metadata for f in fields(pack)}
+    return {key: (default, declared[key]["interval"]) for key, default in defaults.items()}
 
 
 def scenario_names() -> list[str]:
@@ -757,17 +758,9 @@ def _scenario_codes_suite(
 # --------------------------------------------------------------------------
 
 
-# Largest value-side dimension d of either separation: the value side has at
-# least 2^d points, each with a truth-table entry, label counts and a PRF bit
-# per scored key. A one-trial sep-learner run at d = 20 peaks at about 335 MB,
-# and each step of d doubles the value side.
-_MAX_VALUE_BITS = 20
-
 # The SepParams arguments both separation scenarios take.
-_SEP_DEFAULTS = dict(
-    eta_N=(0.25, "(0, 0.5)"), eta_M=(0.05, "(0, 0.5)"), kappa=(0.5, "(0, 1)"),
-    rho=(0.5, "(0, 1)"), tau=(0.15, "(0, 1)"), w=(24, f"[1, {MAX_WORD_BITS}]"),
-    d=(12, f"[0, {_MAX_VALUE_BITS}]"), u=(8, f"[0, {MAX_SEED_BITS}]"), n=(50000, "[1, inf)"),
+_SEP_DEFAULTS = _pack_params(
+    SepParams, eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=24, d=12, u=8, n=50000
 )
 
 
@@ -1058,9 +1051,8 @@ def _scenario_ice_coupling(
 
 
 @_register(
-    "ice-learner", eta=(0.05, "(0, 0.1]"), kappa=(0.7, "(0.5, 1)"),
-    w=(20, f"[2, {MAX_WORD_BITS}]"), d=(10, f"[1, {_MAX_VALUE_BITS}]"),
-    n=(20000, "[1, inf)"), L=(1024, "[1, inf)"),
+    "ice-learner",
+    **_pack_params(IceSepParams, eta=0.05, kappa=0.7, w=20, d=10, n=20000, L=1024),
 )
 def _scenario_ice_learner(trials: int, rng: RngHandle, **params) -> Outcome:
     ip = IceSepParams(**params)

@@ -20,7 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +41,26 @@ __all__ = [
 ]
 
 WEIGHT_TOLERANCE = 1e-12
+
+
+def _within(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in ``interval``, written as in mathematics
+    (``"(0, 1)"``, ``"[1, inf)"``): ``[`` and ``]`` close an end, ``(`` and
+    ``)`` open it, and an ``inf`` end leaves that side unbounded."""
+    low, high = map(float, interval[1:-1].split(","))
+    return (low <= value if interval[0] == "[" else low < value) and (
+        value <= high if interval[-1] == "]" else value < high
+    )
+
+
+def _check_intervals(pack: object) -> None:
+    """Reject the first field of the dataclass ``pack`` whose value lies
+    outside the ``"interval"`` in its metadata; a field without one, or a
+    ``None`` value (derived later), is not checked."""
+    for f in fields(pack):
+        value, interval = getattr(pack, f.name, None), f.metadata.get("interval")
+        if interval and value is not None and not _within(value, interval):
+            raise ValueError(f"{f.name} must be in {interval}, got {value!r}")
 
 
 @dataclass(frozen=True)

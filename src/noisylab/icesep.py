@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .codes import (
+    MAX_WORD_BITS,
     DecodeFailure,
     GeneratorMatrix,
     ReceivedWord,
@@ -36,10 +37,10 @@ from .codes import (
     encode,
     gen_random_linear_code,
 )
-from .core import DiscreteDistribution, RngHandle, Sample, TableHypothesis
+from .core import DiscreteDistribution, RngHandle, Sample, TableHypothesis, _check_intervals
 from .cryptoprim import PrfDigestStore, PrfKey
 from .noise import StrategyResult
-from .sep import KeyValueConcept, KeyValueLayout, budget_capped_plan
+from .sep import _MAX_VALUE_BITS, KeyValueConcept, KeyValueLayout, budget_capped_plan
 
 __all__ = [
     "IceSepParams",
@@ -55,37 +56,36 @@ __all__ = [
 class IceSepParams:
     """Parameter pack for the contradiction-filter separation.
 
-    The fields are the independent inputs: ``eta`` the corruption rate in
-    (0, 0.1], ``kappa`` the separation constant in (1/2, 1), ``w`` the block
-    count, ``d < w`` the key length, ``n`` the sample size (``ceil(50*w/eta)``
-    when omitted) and ``L`` the decoded-list cap; ``tau = (kappa - 1/2)/8`` is
-    derived. The key side carries an exact ``(kappa + 1/2)*eta`` fraction of
-    the uniform domain (the paper's ``2*kappa'*eta``, with ``kappa' = (kappa
-    + 1/2)/2``); ``layout`` is that key/value split with the smallest fitting
-    block size, derived once.
+    The fields are the independent inputs: ``eta`` the corruption rate,
+    ``kappa`` the separation constant, ``w`` the block count, ``d`` the key
+    length, ``n`` the sample size (``ceil(50*w/eta)`` when omitted) and ``L``
+    the decoded-list cap; ``tau = (kappa - 1/2)/8`` is derived. Each field
+    declares its interval in its metadata, the one range the scenario
+    registry also reads; a value outside it is a :class:`ValueError` naming
+    the field, and the one check that links fields, ``d < w`` (a rate < 1
+    code), follows. The key side carries an exact ``(kappa + 1/2)*eta``
+    fraction of the uniform domain (the paper's ``2*kappa'*eta``, with
+    ``kappa' = (kappa + 1/2)/2``); ``layout`` is that key/value split with the
+    smallest fitting block size, derived once.
     """
 
-    eta: float
-    kappa: float
-    w: int
-    d: int
-    n: int | None = None
-    L: int = 64
+    eta: float = field(metadata={"interval": "(0, 0.1]"})
+    kappa: float = field(metadata={"interval": "(0.5, 1)"})
+    w: int = field(metadata={"interval": f"[2, {MAX_WORD_BITS}]"})
+    d: int = field(metadata={"interval": f"[1, {_MAX_VALUE_BITS}]"})
+    n: int | None = field(default=None, metadata={"interval": "[1, inf)"})
+    L: int = field(default=64, metadata={"interval": "[1, inf)"})
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta <= 0.1:
-            raise ValueError("eta must be in (0, 0.1]")
-        if not 0.5 < self.kappa < 1:
-            raise ValueError("kappa must be in (1/2, 1)")
+        _check_intervals(self)
         if self.d >= self.w:
             raise ValueError("need d < w for a rate < 1 code")
-        n = math.ceil(50 * self.w / self.eta) if self.n is None else self.n
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
         key_fraction = (Fraction(str(self.kappa)) + Fraction(1, 2)) * Fraction(str(self.eta))
-        object.__setattr__(self, "n", n)
+        # The layout's domain limit bounds 1/eta, and so the derived n.
         object.__setattr__(self, "layout", KeyValueLayout.fit(self.w, self.d, key_fraction))
+        n = math.ceil(50 * self.w / self.eta) if self.n is None else self.n
+        object.__setattr__(self, "n", n)
 
     @property
     def tau(self) -> float:

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .codes import (
+    MAX_WORD_BITS,
     Codeword,
     DecodeFailure,
     GeneratorMatrix,
@@ -40,10 +41,12 @@ from .core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    _check_intervals,
     labeled_index,
 )
 from .cryptoprim import (
     _PRF_BLOCK_BITS,
+    MAX_SEED_BITS,
     ExtractorSpec,
     PrfDigestStore,
     PrfKey,
@@ -63,6 +66,20 @@ __all__ = [
     "sep_malicious_learner",
     "sep_simulate_T_nasty",
 ]
+
+# Largest value-side dimension d of either separation: the value side has at
+# least 2^d points, each with a truth-table entry, label counts and a PRF bit
+# per scored key. A one-trial sep-learner run at d = 20 peaks at about 335 MB,
+# and each step of d doubles the value side.
+_MAX_VALUE_BITS = 20
+
+# Largest domain a layout may span. Memory grows with the domain (a
+# truth-table entry and two label counts per point), and sep at d = 20 with
+# its default rates spans 2,097,168 points (the 335 MB above); this admits
+# that with about 2x to spare. A float key fraction with many digits would
+# otherwise ask for a block size, and a domain, of 10^11 points or more.
+_MAX_DOMAIN_POINTS = 1 << 22
+
 
 @dataclass(frozen=True)
 class KeyValueLayout:
@@ -93,16 +110,28 @@ class KeyValueLayout:
     def fit(cls, w: int, d: int, key_fraction: Fraction) -> "KeyValueLayout":
         """Smallest per-block size giving an exact ``key_fraction`` with an
         integer value side of at least ``2^d`` points; ``key_fraction`` must
-        lie in (0, 1)."""
+        lie in (0, 1), and a layout over more than ``_MAX_DOMAIN_POINTS``
+        points is a :class:`ValueError`, raised before anything is allocated.
+
+        With ``value_size / key_size = p/q`` in lowest terms, the value side
+        ``w*b*p/q`` is an integer exactly when the block size ``b`` is a
+        multiple of ``q // gcd(q, w*p)``; the value side grows with ``b``, so
+        the answer is the least such multiple at or above the smallest ``b``
+        whose value side reaches ``2^d``.
+        """
         if not 0 < key_fraction < 1:
             raise ValueError(f"key fraction must be in (0, 1), got {key_fraction}")
         ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
         b = max(1, math.ceil((1 << d) / (ratio * w)))
-        while True:
-            value = w * b * ratio
-            if value.denominator == 1 and value >= (1 << d):
-                return cls(w, b, key_fraction)
-            b += 1
+        step = ratio.denominator // math.gcd(ratio.denominator, w * ratio.numerator)
+        b = -(-b // step) * step
+        domain = int(w * b / key_fraction)
+        if domain > _MAX_DOMAIN_POINTS:
+            raise ValueError(
+                f"key fraction {key_fraction} needs block size {b}, a {domain}-point domain; "
+                f"the limit is {_MAX_DOMAIN_POINTS} points"
+            )
+        return cls(w, b, key_fraction)
 
     def block_of(self, points: np.ndarray) -> np.ndarray:
         """Key-block index of each point (caller restricts to the key side)."""
@@ -293,47 +322,46 @@ class SepParams:
     decimal string), ``rho`` the code rate and ``tau`` the tolerated erasure
     fraction, ``w`` the block (codeword) count, ``d`` the value-side dimension
     exponent, ``u`` the extractor seed length, ``n`` the sample size and ``L``
-    the decoded-list cap. Everything else is derived once: ``n`` when omitted
-    (so that the threshold slack ``Delta = n^0.51`` is at most ``D/4``),
-    ``layout``, the key/value split of the domain with the smallest fitting
-    block size, and ``extractor_spec``, which extracts ``max(1, w // 2)`` key
-    bits.
+    the decoded-list cap. Each field declares its interval in its metadata,
+    the one range the scenario registry also reads; a value outside it is a
+    :class:`ValueError` naming the field. The checks that link fields follow:
+    ``eta_M/((1-eta_M)*tau) < kappa`` and an integral ``rho*w``. Everything
+    else is derived once: ``layout``, the key/value split of the domain with
+    the smallest fitting block size, ``n`` when omitted (so that the threshold
+    slack ``Delta = n^0.51`` is at most ``D/4``), and ``extractor_spec``,
+    which extracts ``max(1, w // 2)`` key bits.
     """
 
-    eta_N: float
-    eta_M: float
-    kappa: Fraction
-    rho: float
-    tau: float
-    w: int
-    d: int
-    u: int
-    n: int | None = None
-    L: int = 64
+    eta_N: float = field(metadata={"interval": "(0, 0.5)"})
+    eta_M: float = field(metadata={"interval": "(0, 0.5)"})
+    kappa: Fraction = field(metadata={"interval": "(0, 1)"})
+    rho: float = field(metadata={"interval": "(0, 1)"})
+    tau: float = field(metadata={"interval": "(0, 1)"})
+    w: int = field(metadata={"interval": f"[1, {MAX_WORD_BITS}]"})
+    d: int = field(metadata={"interval": f"[0, {_MAX_VALUE_BITS}]"})
+    u: int = field(metadata={"interval": f"[0, {MAX_SEED_BITS}]"})
+    n: int | None = field(default=None, metadata={"interval": "[1, inf)"})
+    L: int = field(default=64, metadata={"interval": "[1, inf)"})
     layout: KeyValueLayout = field(init=False, repr=False, compare=False)
     extractor_spec: ExtractorSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        eta_N, eta_M, tau = self.eta_N, self.eta_M, self.tau
-        if not 0 < tau < 1:
-            raise ValueError(f"tau must be in (0, 1), got {tau}")
-        if not 0 < eta_N < 1 or not 0 < eta_M < 1:
-            raise ValueError("noise rates must be in (0, 1)")
+        _check_intervals(self)
+        eta_M = self.eta_M
         kappa = self.kappa if isinstance(self.kappa, Fraction) else Fraction(str(self.kappa))
-        lower = eta_M / ((1 - eta_M) * tau)
-        if not lower < kappa < 1:
-            raise ValueError(f"need eta_M/((1-eta_M)*tau) = {lower} < kappa < 1, got {kappa}")
-        n = self.n
-        if n is None:
-            n = math.ceil((4 * self.w / ((1 - eta_M) * float(kappa))) ** (1 / 0.49))
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
+        lower = eta_M / ((1 - eta_M) * self.tau)
+        if not lower < kappa:
+            raise ValueError(f"need eta_M/((1-eta_M)*tau) = {lower} < kappa, got {kappa}")
         rows = self.rho * self.w
         if abs(rows - round(rows)) > 1e-9:
             raise ValueError("rho*w must be an integer")
+        # The layout's domain limit bounds 1/kappa, and so the derived n.
+        object.__setattr__(self, "layout", KeyValueLayout.fit(self.w, self.d, kappa))
+        n = self.n
+        if n is None:
+            n = math.ceil((4 * self.w / ((1 - eta_M) * float(kappa))) ** (1 / 0.49))
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "layout", KeyValueLayout.fit(self.w, self.d, kappa))
         object.__setattr__(
             self, "extractor_spec", ExtractorSpec(w=self.w, u=self.u, m_out=max(1, self.w // 2))
         )

@@ -1,6 +1,7 @@
 """Test-only fixture builders, the ICE trial's per-block accounting,
-block-by-block references for the separation adversaries, and a
-pattern-by-pattern reference for codes-suite's erasure check.
+block-by-block references for the separation adversaries, a step-by-step
+search for the key/value layout's block size, and a pattern-by-pattern
+reference for codes-suite's erasure check.
 
 Nothing in the package calls these: they build test inputs, recount a trial
 independently of the learner they check, or plan an attack one key block (or
@@ -11,7 +12,9 @@ against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -167,6 +170,19 @@ def ice_idealized_block_plans(layout: KeyValueLayout) -> Callable:
         return budget_capped_plans(block_plans(), z)
 
     return strategy
+
+
+def fit_block_size_reference(w: int, d: int, key_fraction: Fraction) -> int:
+    """``KeyValueLayout.fit``'s block size, found by trying each block size in
+    turn from the smallest whose value side reaches ``2^d`` until the value
+    side is an integer."""
+    ratio = (1 - key_fraction) / key_fraction
+    b = max(1, math.ceil((1 << d) / (ratio * w)))
+    while True:
+        value = w * b * ratio
+        if value.denominator == 1 and value >= (1 << d):
+            return b
+        b += 1
 
 
 def erasure_roundtrip_reference(G: GeneratorMatrix, max_erasures: int) -> tuple[int, bool]:

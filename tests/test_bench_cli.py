@@ -7,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special, stats
 
 from noisylab.bench import (
@@ -33,7 +36,9 @@ from noisylab.bench.scenarios import (
 from noisylab.codes import gen_random_linear_code
 import noisylab.core as core
 import noisylab.learn as learn
+from noisylab.icesep import IceSepParams
 from noisylab.learn import AmplifyParams
+from noisylab.sep import SepParams
 from helpers import erasure_roundtrip_reference
 from test_acceptance import RUNS
 from test_golden import CASES as GOLDEN_CASES
@@ -719,7 +724,7 @@ def test_closed_ends_are_inside_and_open_ends_outside():
     for name, param, default, interval in DECLARED:
         for end, closed in _ends(interval, type(default)):
             if end is not None:
-                assert scenarios._within(end, interval) == closed, (name, param, interval)
+                assert core._within(end, interval) == closed, (name, param, interval)
 
 
 def _workloads():
@@ -737,18 +742,22 @@ def _workloads():
         sys.modules.pop(spec.name, None)
 
 
-def test_every_shipped_size_lies_in_its_interval():
-    # The configs, acceptance runs, golden fixtures and benchmark workloads.
+def _shipped_runs() -> list[tuple[str, dict]]:
+    """The configs, acceptance runs, golden fixtures and benchmark workloads,
+    as (scenario, params)."""
     root = Path(__file__).resolve().parents[1]
     configs = [json.loads(p.read_text()) for p in sorted((root / "configs").glob("*.json"))]
-    runs = [
+    assert configs
+    return [
         *((c["scenario"], c["params"]) for c in configs),
         *((name, params) for name, (params, _, _) in RUNS.items()),
         *((name, params) for name, params, _, _ in GOLDEN_CASES),
         *((w.scenario, w.params) for w in _workloads().values()),
     ]
-    assert configs
-    for name, params in runs:
+
+
+def test_every_shipped_size_lies_in_its_interval():
+    for name, params in _shipped_runs():
         for param, value in params.items():
             assert _inside(value, _SCENARIOS[name][2][param]), (name, param, value)
 
@@ -762,6 +771,97 @@ def test_degenerate_sizes_are_bounded():
         ("nasty-budget-law", "n"),
     ):
         assert _SCENARIOS[name][2][param] == "[1, inf)"
+
+
+# Each parameter pack, and the scenarios whose parameters set its fields.
+PACKS = {SepParams: ("sep-learner", "sep-adversary"), IceSepParams: ("ice-learner",)}
+
+
+def _pack_fields(pack: type) -> list:
+    return [f for f in fields(pack) if f.init]
+
+
+def _pack_defaults(pack: type) -> dict:
+    """Each field's default as its first scenario registers it, else the
+    pack's own (or None when it has none)."""
+    registered = _SCENARIOS[PACKS[pack][0]][1]
+    return {
+        f.name: registered.get(f.name, None if f.default is MISSING else f.default)
+        for f in _pack_fields(pack)
+    }
+
+
+# Every finite end of a pack field's interval, as (pack, field, interval, the
+# value just past that end).
+PACK_ENDS = [
+    (pack, f.name, f.metadata["interval"], _past(end, closed, step))
+    for pack in PACKS
+    for f in _pack_fields(pack)
+    for side, step in ((0, -1), (1, 1))
+    for end, closed in [_ends(f.metadata["interval"], type(_pack_defaults(pack)[f.name]))[side]]
+    if end is not None
+]
+
+
+def test_pack_backed_parameters_take_their_pack_intervals():
+    scenario_only = {"sep-adversary": {"significance", "sim_trials", "sim_n"}}
+    for pack, names in PACKS.items():
+        declared = {f.name: f.metadata["interval"] for f in _pack_fields(pack)}
+        for name in names:
+            defaults, intervals = _SCENARIOS[name][1], _SCENARIOS[name][2]
+            assert set(defaults) - set(declared) == scenario_only.get(name, set()), name
+            for param in set(defaults) & set(declared):
+                assert intervals[param] == declared[param], (name, param)
+
+
+@pytest.mark.parametrize(
+    "pack,param,interval,value", PACK_ENDS,
+    ids=[f"{pack.__name__}-{param}-{value!r}" for pack, param, _, value in PACK_ENDS],
+)
+def test_pack_rejects_a_value_past_an_interval_end(pack, param, interval, value):
+    with pytest.raises(ValueError) as exc:
+        pack(**{**_pack_defaults(pack), param: value})
+    assert str(exc.value) == f"{param} must be in {interval}, got {value!r}"
+
+
+def test_every_shipped_key_value_run_builds_its_pack():
+    # The layout's domain limit admits every shipped size.
+    for pack, names in PACKS.items():
+        defaults = _pack_defaults(pack)
+        for name, params in _shipped_runs():
+            if name in names:
+                pack(**{**defaults, **{k: v for k, v in params.items() if k in defaults}})
+
+
+def _in_range(interval: str, kind: type) -> st.SearchStrategy:
+    (low, low_closed), (high, high_closed) = _ends(interval, kind)
+    if kind is float:
+        return st.floats(low, high, exclude_min=not low_closed, exclude_max=not high_closed)
+    return st.integers(
+        low if low_closed else low + 1,
+        None if high is None else high if high_closed else high - 1,
+    )
+
+
+# The checks that link fields, and the layout's domain limit.
+LINKED = ("need eta_M/((1-eta_M)*tau) = ", "rho*w must be an integer", "need d < w", "key fraction ")
+
+
+@pytest.mark.parametrize("pack", PACKS, ids=lambda pack: pack.__name__)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_in_range_pack_builds_or_fails_a_linked_check(pack, data):
+    defaults = _pack_defaults(pack)
+    draws = {}
+    for f in _pack_fields(pack):
+        draws[f.name] = _in_range(f.metadata["interval"], type(defaults[f.name]))
+        if f.default is None:
+            draws[f.name] |= st.none()
+    values = data.draw(st.fixed_dictionaries(draws))
+    try:
+        pack(**values)
+    except ValueError as exc:
+        assert str(exc).startswith(LINKED), (values, exc)
 
 
 def _rejected_before_the_run(scenario, param, interval, value, tmp_path, capsys):
@@ -796,7 +896,9 @@ def test_cli_value_above_bound_is_one_error_line(
 
 
 # Calls that once hung in KeyValueLayout.fit's search for a block size (a key
-# fraction of 1 or more) or took a negative tau. Each must raise ValueError.
+# fraction of 1 or more, or a float read through many decimal digits, whose
+# layout now exceeds the domain limit) or took a negative tau. Each must raise
+# ValueError.
 FORMER_HANGS = {
     "ice-learner-eta": "run_scenario(ExperimentConfig('ice-learner', {'eta': 3}, trials=2))",
     "sep-learner-kappa": "run_scenario(ExperimentConfig('sep-learner', {'kappa': 2}, trials=2))",
@@ -812,6 +914,16 @@ FORMER_HANGS = {
     ),
     "sep-tau": (
         "SepParams(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=-1, w=24, d=12, u=8)"
+    ),
+    "sep-fit-kappa": (
+        "SepParams(eta_N=0.25, eta_M=0.05, kappa=0.45219367500841867, rho=0.5, tau=0.15, "
+        "w=24, d=12, u=8)"
+    ),
+    "ice-fit-kappa-near-1": "IceSepParams(eta=0.05, kappa=0.999999999, w=20, d=11)",
+    "ice-fit-kappa": "IceSepParams(eta=0.05, kappa=0.6022075707856331, w=20, d=10)",
+    "ice-fit-eta": "IceSepParams(eta=0.03337070617549737, kappa=0.7, w=20, d=10)",
+    "sep-adversary-fit-kappa": (
+        "run_scenario(ExperimentConfig('sep-adversary', {'kappa': 0.41858704636410216}, trials=2))"
     ),
     "codes-suite-patterns": (
         "run_scenario(ExperimentConfig('codes-suite', {'w': 30, 'max_erasures': 30, "

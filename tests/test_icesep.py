@@ -69,13 +69,13 @@ class TestParams:
         assert p.decode_radius == 9
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="eta"):
+        with pytest.raises(ValueError, match=r"^eta must be in \(0, 0\.1\], got 0\.2$"):
             IceSepParams(eta=0.2, kappa=0.7, w=8, d=4)
-        with pytest.raises(ValueError, match="kappa"):
+        with pytest.raises(ValueError, match=r"^kappa must be in \(0\.5, 1\), got 0\.5$"):
             IceSepParams(eta=0.05, kappa=0.5, w=8, d=4)
-        with pytest.raises(ValueError, match="d < w"):
+        with pytest.raises(ValueError, match=r"^need d < w for a rate < 1 code$"):
             IceSepParams(eta=0.05, kappa=0.7, w=8, d=8)
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match=r"^n must be in \[1, inf\), got 0$"):
             small_params(0)
 
     def test_exact_key_fraction(self):

@@ -81,6 +81,22 @@ class TestMalicious:
         S, ledger = malicious_corrupt(D4, C4, 60, 0.3, strategy, RngHandle(3))
         assert ledger.reapply().multiset() == S.multiset()
 
+    def test_coin_positions_hold_the_strategy_example(self):
+        # The coins come from rng.split(0) and the clean sample from
+        # rng.split(1). The strategy mislabels its point, so its example is
+        # never a clean one.
+        rng, n, eta = RngHandle(4), 80, 0.3
+        strategy = lambda i, prefix, c, r: (i % 4, -int(c.table[i % 4]))
+        S, _ = malicious_corrupt(D4, C4, n, eta, strategy, rng)
+        coins = rng.split(0).generator().random(n) < eta
+        S_clean = draw_clean_sample(D4, C4, n, rng.split(1))
+        heads = np.flatnonzero(coins)
+        assert 0 < heads.size < n
+        assert S.points[heads].tolist() == (heads % 4).tolist()
+        assert S.labels[heads].tolist() == (-C4.table[heads % 4]).tolist()
+        assert np.array_equal(S.points[~coins], S_clean.points[~coins])
+        assert np.array_equal(S.labels[~coins], S_clean.labels[~coins])
+
     def test_deterministic(self):
         strategy = lambda i, prefix, c, rng: (0, -1)
         a, _ = malicious_corrupt(D4, C4, 30, 0.4, strategy, RngHandle(9))

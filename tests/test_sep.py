@@ -31,7 +31,12 @@ from noisylab.sep import (
     sep_simulate_T_nasty,
 )
 
-from helpers import evaluate, ice_idealized_block_plans, sep_nasty_block_plans
+from helpers import (
+    evaluate,
+    fit_block_size_reference,
+    ice_idealized_block_plans,
+    sep_nasty_block_plans,
+)
 
 
 def small_params(n=4000):
@@ -76,7 +81,7 @@ class TestSepParams:
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_sample_size_validated(self, n):
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match=rf"^n must be in \[1, inf\), got {n}$"):
             small_params(n)
 
     def test_from_ratio_constructs(self):
@@ -110,16 +115,16 @@ class TestSepParams:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"tau": -1}, r"tau must be in \(0, 1\)"),
-            ({"tau": 1}, r"tau must be in \(0, 1\)"),
-            ({"eta_M": 0}, "noise rates"),
-            ({"eta_N": 1}, "noise rates"),
+            ({"tau": -1}, r"tau must be in \(0, 1\), got -1"),
+            ({"tau": 1}, r"tau must be in \(0, 1\), got 1"),
+            ({"eta_M": 0}, r"eta_M must be in \(0, 0\.5\), got 0"),
+            ({"eta_N": 1}, r"eta_N must be in \(0, 0\.5\), got 1"),
             ({"rho": 0.3}, "rho\\*w must be an integer"),
         ],
     )
     def test_rates_validated(self, change, message):
         args = dict(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=8, d=4, u=2, n=100)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             SepParams(**{**args, **change})
 
     def test_exact_key_fraction(self):
@@ -160,6 +165,27 @@ class TestKeyValueLayout:
     def test_non_integer_value_side_rejected(self):
         with pytest.raises(ValueError, match="integer value side"):
             KeyValueLayout(3, 1, Fraction(2, 5))
+
+    def test_fit_matches_the_search_on_random_fractions(self):
+        gen = np.random.default_rng(11)
+        for _ in range(3000):
+            q = int(gen.integers(2, 301))
+            key_fraction = Fraction(int(gen.integers(1, q)), q)
+            w, d = int(gen.integers(1, 65)), int(gen.integers(0, 13))
+            layout = KeyValueLayout.fit(w, d, key_fraction)
+            assert layout.block_size == fit_block_size_reference(w, d, key_fraction)
+            assert layout.value_size >= 1 << d
+
+    def test_fit_admits_the_largest_value_side_at_the_default_rates(self):
+        assert KeyValueLayout.fit(24, 20, Fraction(1, 2)).domain_size == 2_097_168
+
+    def test_fit_rejects_a_domain_over_the_limit(self):
+        with pytest.raises(ValueError) as exc:
+            KeyValueLayout.fit(24, 12, Fraction(1, 10**9))
+        assert str(exc.value) == (
+            "key fraction 1/1000000000 needs block size 1, a 24000000000-point domain; "
+            "the limit is 4194304 points"
+        )
 
 
 class TestBestCandidate:
