@@ -623,6 +623,10 @@ _ERASURE_CHUNK_WORDS = 1 << 10
 # It refuses more erasure patterns than this per code: their list is built in
 # Python, one pattern at a time, before any check runs.
 _ERASURE_PATTERNS = 1 << 16
+# And more (pattern, message) pairs than this per code, the work of its
+# erasure check. At w = 22 and up to 3 erasures (3,674,112 pairs) one code
+# takes about a second on a 2-CPU host; w = 28 (60 million) takes about 20.
+_ERASURE_PAIRS = 1 << 22
 
 
 def _xor_codewords(G: GeneratorMatrix) -> np.ndarray:
@@ -656,6 +660,11 @@ def _scenario_codes_suite(
         raise ValueError(
             f"{n_patterns} erasure patterns of at most {max_erasures} of {w} positions "
             f"exceed the limit of {_ERASURE_PATTERNS}"
+        )
+    if n_patterns << k > _ERASURE_PAIRS:
+        raise ValueError(
+            f"{n_patterns} erasure patterns times 2^{k} messages = {n_patterns << k} "
+            f"(pattern, message) pairs per code exceed the limit of {_ERASURE_PAIRS}"
         )
     records = []
 

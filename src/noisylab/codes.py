@@ -89,9 +89,15 @@ def mask_to_signs(mask: int, w: int) -> np.ndarray:
 def masks_to_signs(masks: int | Sequence[int] | np.ndarray, w: int) -> np.ndarray:
     """Unpack bitmasks into ±1 words of length ``w``, one row per mask; a
     single mask gives a single word."""
-    j = np.arange(w, dtype=np.uint64)
-    bits = (np.asarray(masks, dtype=np.uint64)[..., None] >> j) & np.uint64(1)
-    return np.where(bits == 1, -1, 1).astype(np.int8)
+    bits = _mask_bits(np.asarray(masks, dtype=np.uint64), w)
+    return 1 - 2 * bits.astype(np.int8)
+
+
+def _mask_bits(masks: np.ndarray, w: int) -> np.ndarray:
+    """Bits ``0 .. w-1`` of uint64 ``masks`` as 0/1 uint8, along a new last
+    axis: each mask's 8 little-endian bytes, unpacked."""
+    as_bytes = masks.astype("<u8")[..., None].view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, count=w, bitorder="little")
 
 
 def _as_mask(value: object, bits: int, what: str) -> int:

@@ -5,11 +5,12 @@ cryptographic primitive in the package:
 
 * The PRF output on point ``x`` is bit ``x mod 512`` of the keyed BLAKE2b
   stream block ``x // 512`` (counter mode), so bulk truth tables cost one hash
-  per 512 points. A :class:`PrfDigestStore` keeps, for every key it has
-  hashed, the leading blocks of its raw stream asked for so far, and hashes a
-  (key, block) pair at most once. It hands out packed rows, whole or cut to
-  their first blocks (the raw stream bytes, point ``x`` at bit ``x % 8`` of
-  byte ``x // 8``); ±1 truth tables are the unpacked view of whole rows.
+  per 512 points. A :class:`PrfDigestStore` keeps one dict per stream block,
+  mapping each key it has hashed that far to that block's 64 bytes, and
+  hashes a (key, block) pair at most once. It hands out packed rows, whole or
+  cut to their first blocks (the raw stream bytes, point ``x`` at bit ``x %
+  8`` of byte ``x // 8``); ±1 truth tables are the unpacked view of whole
+  rows.
 * The extractor is a Toeplitz universal hash ``T[i, j] = t[i + j]`` over
   GF(2). Seed ``q``'s defining bits ``t[0 .. w + m_out - 2]`` are bit ``k % 8``
   of byte ``k // 8`` of one BLAKE2b digest (personalization ``b"toeplitz"``,
@@ -87,8 +88,8 @@ def _key_bytes(mask: int, length: int) -> bytes:
     return mask.to_bytes(-(-length // 8), "little")
 
 
-def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> bytes:
-    """The keyed BLAKE2b stream blocks at ``counters``, joined (64 bytes each).
+def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> list[bytes]:
+    """The keyed BLAKE2b stream blocks at ``counters``, 64 bytes each.
 
     The key is absorbed once; each block hashes from a copy of that state.
     """
@@ -98,7 +99,7 @@ def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> bytes:
         h = keyed.copy()
         h.update(c)
         digests.append(h.digest())
-    return b"".join(digests)
+    return digests
 
 
 def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
@@ -108,16 +109,18 @@ def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
 
 class PrfDigestStore:
     """PRF truth tables at points ``0 .. n_points-1`` for ``length``-bit keys,
-    each (key, block) pair hashed at most once: for every mask asked for, the
-    store keeps the leading digest blocks hashed so far and extends them when
-    a caller asks for more. :meth:`packed` returns those streams as rows of
-    bytes, whole or cut to their first blocks, and :meth:`tables` is the
-    unpacked ±1 view of whole rows.
+    each (key, block) pair hashed at most once. :meth:`packed` returns the
+    keys' raw streams as rows of bytes, whole or cut to their first blocks,
+    and :meth:`tables` is the unpacked ±1 view of whole rows.
 
     Block ``b`` hashes the 8-byte little-endian counter ``b`` (one hash per
-    key per 512 points); a row has ``n_blocks`` of them. The store grows only
-    with the keys and blocks actually asked for; its owner decides how long
-    it lives.
+    key per 512 points); a row has ``n_blocks`` of them. The store keeps one
+    dict per block, mapping each mask hashed that far to the block's 64
+    bytes. A mask's hashed blocks are always a leading run, extended when a
+    caller asks for more, so a mask lacks some of the first ``b`` blocks
+    exactly when block ``b - 1``'s dict lacks it. The store grows only with
+    the keys and blocks actually asked for; its owner decides how long it
+    lives.
     """
 
     def __init__(self, length: int, n_points: int):
@@ -129,22 +132,24 @@ class PrfDigestStore:
         self.n_points = n_points
         self.n_blocks = -(-n_points // _PRF_BLOCK_BITS)
         self._counters = [b.to_bytes(8, "little") for b in range(self.n_blocks)]
-        self._digests: dict[int, bytes] = {}
+        self._blocks: list[dict[int, bytes]] = [{} for _ in range(self.n_blocks)]
 
     def _mask_list(self, masks: Sequence[int] | np.ndarray) -> list[int]:
         """``masks`` as Python ints, each an integer in ``[0, 2^length)``.
 
-        A flat integer (or bool, read as 0/1) array, or a sequence numpy reads
-        as one, is checked at once: its dtype, then its smallest and largest
-        entry. Anything else (floats, ints numpy cannot hold in int64 or
-        uint64, non-numbers) gets one :func:`~noisylab.codes._as_mask` check
-        per entry. Both raise :class:`ValueError` on a bad mask.
+        A list of Python ints, a flat integer (or bool, read as 0/1) array, or
+        a sequence numpy reads as one, is checked at once: its type or dtype,
+        then its smallest and largest entry. Anything else (floats, ints numpy
+        cannot hold in int64 or uint64, non-numbers) gets one
+        :func:`~noisylab.codes._as_mask` check per entry. Both raise
+        :class:`ValueError` on a bad mask.
         """
-        arr = np.asarray(masks)
-        if arr.ndim != 1 or arr.dtype.kind not in "biu":
-            items = masks.tolist() if isinstance(masks, np.ndarray) else masks
-            return [_as_mask(m, self.length, "key mask") for m in items]
-        masks = arr.tolist()
+        if not (isinstance(masks, list) and masks and set(map(type, masks)) == {int}):
+            arr = np.asarray(masks)
+            if arr.ndim != 1 or arr.dtype.kind not in "biu":
+                items = masks.tolist() if isinstance(masks, np.ndarray) else masks
+                return [_as_mask(m, self.length, "key mask") for m in items]
+            masks = arr.tolist()
         if masks and (min(masks) < 0 or max(masks) >> self.length):
             raise ValueError(f"key mask must be in [0, 2^{self.length})")
         return masks
@@ -162,16 +167,18 @@ class PrfDigestStore:
         elif not (isinstance(blocks, (int, np.integer)) and 0 <= blocks <= self.n_blocks):
             raise ValueError(f"blocks must be an integer in [0, {self.n_blocks}], got {blocks!r}")
         masks = self._mask_list(masks)
-        row_bytes = blocks * _PRF_BLOCK_BYTES
-        digests = self._digests
-        for m in masks:
-            have = digests.setdefault(m, b"")
-            if len(have) < row_bytes:
-                counters = self._counters[len(have) // _PRF_BLOCK_BYTES : blocks]
-                digests[m] = have + _prf_digests(_key_bytes(m, self.length), counters)
-        # A whole-stream slice is the stored bytes object itself, not a copy.
-        stream = b"".join([digests[m][:row_bytes] for m in masks])
-        return np.frombuffer(stream, dtype=np.uint8).reshape(len(masks), row_bytes)
+        wanted = self._blocks[:blocks]
+        if wanted:
+            last = wanted[-1]
+            for m in dict.fromkeys([m for m in masks if m not in last]):
+                have = 0  # blocks of m stored so far, always a leading run
+                while m in wanted[have]:
+                    have += 1
+                new = _prf_digests(_key_bytes(m, self.length), self._counters[have:blocks])
+                for block, digest in zip(wanted[have:], new):
+                    block[m] = digest
+        stream = b"".join([block[m] for m in masks for block in wanted])
+        return np.frombuffer(stream, dtype=np.uint8).reshape(len(masks), blocks * _PRF_BLOCK_BYTES)
 
     def tables(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
         """±1 truth tables of the keys with packed ``masks``, one int8 row per

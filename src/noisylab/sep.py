@@ -30,11 +30,11 @@ from .codes import (
     GeneratorMatrix,
     ReceivedWord,
     _mask_array,
+    _mask_bits,
     binary_entropy,
     erasure_list_decode,
     gen_random_linear_code,
     low_weight_codewords,
-    masks_to_signs,
 )
 from .core import (
     DiscreteDistribution,
@@ -80,6 +80,19 @@ _MAX_VALUE_BITS = 20
 # otherwise ask for a block size, and a domain, of 10^11 points or more.
 _MAX_DOMAIN_POINTS = 1 << 22
 
+# Longest number an error message prints in full. A float key fraction read
+# through its decimal string can have hundreds of digits.
+_MAX_MESSAGE_DIGITS = 20
+
+
+def _digits(n: int) -> str:
+    """``n`` in decimal, or, past ``_MAX_MESSAGE_DIGITS`` digits, its leading
+    four digits in scientific notation (truncated, so marked ``~``)."""
+    text = str(n)
+    if len(text) <= _MAX_MESSAGE_DIGITS:
+        return text
+    return f"~{text[0]}.{text[1:4]}e{len(text) - 1}"
+
 
 @dataclass(frozen=True)
 class KeyValueLayout:
@@ -109,9 +122,11 @@ class KeyValueLayout:
     @classmethod
     def fit(cls, w: int, d: int, key_fraction: Fraction) -> "KeyValueLayout":
         """Smallest per-block size giving an exact ``key_fraction`` with an
-        integer value side of at least ``2^d`` points; ``key_fraction`` must
-        lie in (0, 1), and a layout over more than ``_MAX_DOMAIN_POINTS``
-        points is a :class:`ValueError`, raised before anything is allocated.
+        integer value side of at least ``2^d`` points; ``w`` must be at least
+        1, ``d`` at least 0 and ``key_fraction`` in (0, 1), and a layout over
+        more than ``_MAX_DOMAIN_POINTS`` points is a :class:`ValueError`,
+        raised before anything is allocated. Its message abbreviates a number
+        of more than ``_MAX_MESSAGE_DIGITS`` digits.
 
         With ``value_size / key_size = p/q`` in lowest terms, the value side
         ``w*b*p/q`` is an integer exactly when the block size ``b`` is a
@@ -119,6 +134,10 @@ class KeyValueLayout:
         the answer is the least such multiple at or above the smallest ``b``
         whose value side reaches ``2^d``.
         """
+        if w < 1:
+            raise ValueError(f"w must be >= 1, got {w}")
+        if d < 0:
+            raise ValueError(f"d must be >= 0, got {d}")
         if not 0 < key_fraction < 1:
             raise ValueError(f"key fraction must be in (0, 1), got {key_fraction}")
         ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
@@ -127,9 +146,10 @@ class KeyValueLayout:
         b = -(-b // step) * step
         domain = int(w * b / key_fraction)
         if domain > _MAX_DOMAIN_POINTS:
+            fraction = f"{_digits(key_fraction.numerator)}/{_digits(key_fraction.denominator)}"
             raise ValueError(
-                f"key fraction {key_fraction} needs block size {b}, a {domain}-point domain; "
-                f"the limit is {_MAX_DOMAIN_POINTS} points"
+                f"key fraction {fraction} needs block size {_digits(b)}, "
+                f"a {_digits(domain)}-point domain; the limit is {_MAX_DOMAIN_POINTS} points"
             )
         return cls(w, b, key_fraction)
 
@@ -210,16 +230,20 @@ class KeyValueLayout:
         On each later point ``x`` a table agrees with the net by at most
         ``|net[x]|``, so a candidate's partial score plus ``Σ |value net|``
         over the later blocks bounds its full score. A candidate whose bound
-        is below ``S`` can neither win nor tie; the others, among them every
-        candidate that wins or ties, are scored on every block, and the
-        lowest index among their maximum is returned. With one value block
-        the partial score is the full score.
+        is below ``S`` can neither win nor tie. The other candidates, the
+        leader's rivals, are scored on every block; the leader, already
+        scored, is not scored again. The highest full score wins, the lowest
+        index among ties, so a rival that ties ``S`` beats the leader only
+        from a lower index. With one value block the partial score is the
+        full score.
 
         Scores are read from the packed rows of :meth:`PrfDigestStore.packed`.
         A set bit labels its point -1, so a row's value-side agreement is
-        ``Σ net - 2 · (net over set bits)``; the second term is bit-sliced,
-        ``((row >> b) & 1) @ net[b::8]`` for ``b`` in ``0 .. 7``. Every term
-        and partial sum of these products is an integer of magnitude at most
+        ``Σ net - 2 · (net over set bits)``, and the key side's is ``Σ
+        block sums - 2 · (block sums over set codeword bits)``. The value
+        side's second term is one product of the unpacked rows' 0/1 bits
+        with ``net``, a bounded chunk of rows at a time. Every term and
+        partial sum of these products is an integer of magnitude at most
         ``Σ |value net|``, so they run exactly in float32 when that is below
         ``2^24``, and in float64 otherwise (exact below ``2^53``, far above
         any sample size).
@@ -233,7 +257,8 @@ class KeyValueLayout:
             raise ValueError(f"net has {len(net)} entries, not one per {self.domain_size} points")
         self.check_store(store)
         codewords = _mask_array(codewords, self.w, "codeword mask")
-        key_agree = masks_to_signs(codewords, self.w).astype(np.int64) @ self.block_sums(net)
+        block_sums = self.block_sums(net)
+        key_agree = int(block_sums.sum()) - 2 * (_mask_bits(codewords, self.w) @ block_sums)
         value_net = net[self.key_size :]
         exact = np.float32 if int(np.abs(value_net).sum()) < 1 << 24 else np.float64
         # Zero past the value side, to the end of the last block.
@@ -248,9 +273,20 @@ class KeyValueLayout:
         later = slice(_PRF_BLOCK_BITS // 8, None)
         best = partial[leader] + _agreement(store.packed([masks[leader]])[:, later], tail)[0]
         bound = partial + int(np.abs(value_net[_PRF_BLOCK_BITS:]).sum())
-        survivors = np.flatnonzero(bound >= best)
-        rows = store.packed([masks[i] for i in survivors.tolist()])[:, later]
-        return int(survivors[np.argmax(partial[survivors] + _agreement(rows, tail))])
+        survivors = np.flatnonzero(bound >= best)  # the leader among them
+        if survivors.size == 1:
+            return leader
+        rivals = survivors != leader
+        scores = partial[survivors]
+        scores[~rivals] = best
+        rows = store.packed([masks[i] for i in survivors[rivals].tolist()])[:, later]
+        scores[rivals] += _agreement(rows, tail)
+        return int(survivors[np.argmax(scores)])
+
+
+# Bits of packed rows that _agreement unpacks at once: the chunk's 0/1 bytes
+# and their float copy stay within a few hundred KiB.
+_AGREEMENT_CHUNK_BITS = 1 << 17
 
 
 def _agreement(rows: np.ndarray, net: np.ndarray) -> np.ndarray:
@@ -259,17 +295,16 @@ def _agreement(rows: np.ndarray, net: np.ndarray) -> np.ndarray:
     Point ``8k + b`` is bit ``b`` of byte ``k``, set where ``h`` is -1, and
     has net ``net[8k + b]`` (zero past the value side). ``net`` is integral
     in the float dtype the products run in; its entries past the row's
-    points are ignored.
+    points are ignored. The rows are unpacked and multiplied by ``net`` a
+    chunk of about ``_AGREEMENT_CHUNK_BITS`` bits at a time.
     """
-    net = net[: 8 * rows.shape[1]]
-    bits = np.empty(rows.shape, dtype=np.uint8)
-    plane = np.empty(rows.shape, dtype=net.dtype)
-    set_sum = np.zeros(len(rows), dtype=np.int64)
-    for b in range(8):
-        np.right_shift(rows, b, out=bits)
-        np.bitwise_and(bits, 1, out=bits)
-        plane[...] = bits
-        set_sum += (plane @ net[b::8]).astype(np.int64)
+    n_bits = 8 * rows.shape[1]
+    net = net[:n_bits]
+    step = max(1, _AGREEMENT_CHUNK_BITS // max(1, n_bits))
+    set_sum = np.empty(len(rows), dtype=np.int64)
+    for lo in range(0, len(rows), step):
+        bits = np.unpackbits(rows[lo : lo + step], axis=1, bitorder="little")
+        set_sum[lo : lo + step] = bits.astype(net.dtype) @ net
     return int(net.sum(dtype=np.float64)) - 2 * set_sum
 
 

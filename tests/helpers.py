@@ -1,7 +1,8 @@
 """Test-only fixture builders, the ICE trial's per-block accounting,
 block-by-block references for the separation adversaries, a step-by-step
-search for the key/value layout's block size, and a pattern-by-pattern
-reference for codes-suite's erasure check.
+search for the key/value layout's block size, a pattern-by-pattern
+reference for codes-suite's erasure check, and bit-by-bit references for
+unpacking masks and scoring packed rows.
 
 Nothing in the package calls these: they build test inputs, recount a trial
 independently of the learner they check, or plan an attack one key block (or
@@ -209,3 +210,21 @@ def erasure_roundtrip_reference(G: GeneratorMatrix, max_erasures: int) -> tuple[
             if not (consistent.all() and np.array_equal(decoded, groups)):
                 ok = False
     return decodes, ok
+
+
+def masks_to_signs_reference(masks: Iterable[int], w: int) -> np.ndarray:
+    """``codes.masks_to_signs`` of a list of masks, one bit at a time: entry
+    ``j`` of a row is -1 where bit ``j`` of its mask is set."""
+    return np.array([[-1 if m >> j & 1 else 1 for j in range(w)] for m in masks], dtype=np.int8)
+
+
+def agreement_reference(rows: np.ndarray, net: Sequence[float]) -> np.ndarray:
+    """``h·net`` of each packed uint8 row ``h``, one bit at a time in int64:
+    bit ``b`` of byte ``k`` is point ``8k + b``, labeled -1 where set."""
+    scores = np.zeros(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows.tolist()):
+        for k, byte in enumerate(row):
+            for b in range(8):
+                sign = -1 if byte >> b & 1 else 1
+                scores[i] += sign * np.int64(net[8 * k + b])
+    return scores

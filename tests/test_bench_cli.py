@@ -520,6 +520,7 @@ class TestCli:
         pytest.param("run codes-suite --config {w64}", id="codes-suite-table-rows-w64"),
         pytest.param("run codes-suite --config {w70}", id="codes-suite-word-length"),
         pytest.param("run codes-suite --config {patterns}", id="codes-suite-pattern-limit"),
+        pytest.param("run codes-suite --config {pairs}", id="codes-suite-work-limit"),
         pytest.param("run ice-coupling --config {filler_far}", id="ice-coupling-filler-outside"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
@@ -599,6 +600,11 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         "patterns": ("codes-suite", '{"w": 30, "max_erasures": 30}',
                      "1073741824 erasure patterns of at most 30 of 30 positions "
                      "exceed the limit of 65536"),
+        # 3,683 patterns of 2^14 messages each: about half an hour of
+        # erasure checks, rejected before the first code is drawn.
+        "pairs": ("codes-suite", '{"w": 28, "codes": 86, "bitflip_codes": 60}',
+                  "3683 erasure patterns times 2^14 messages = 60342272 (pattern, message) "
+                  "pairs per code exceed the limit of 4194304"),
         # The filler point must lie in the domain: 20 is one past its end.
         "filler_far": ("ice-coupling", '{"filler_point": 20}',
                        "filler_point must be < domain = 20, got 20"),
@@ -754,6 +760,16 @@ def _shipped_runs() -> list[tuple[str, dict]]:
         *((name, params) for name, params, _, _ in GOLDEN_CASES),
         *((w.scenario, w.params) for w in _workloads().values()),
     ]
+
+
+@pytest.mark.parametrize("workload", sorted(_workloads()))
+def test_one_benchmark_round_passes_its_checks(workload):
+    # The benchmark checks each round's report apart from the program; a
+    # change that breaks a check should fail here, not only in a benchmark run.
+    w = _workloads()[workload]
+    config = ExperimentConfig(w.scenario, dict(w.params), w.trials, w.default_seed)
+    ops = w.ops(w.params, w.trials, w.default_seed)
+    assert w.check(run_scenario(config), w.trials, w.params, ops) == []
 
 
 def test_every_shipped_size_lies_in_its_interval():

@@ -30,7 +30,7 @@ from noisylab.codes import (
 )
 from noisylab.core import RngHandle
 
-from helpers import erase
+from helpers import erase, masks_to_signs_reference
 
 
 def test_binary_entropy_against_scipy():
@@ -47,6 +47,22 @@ def test_binary_entropy_against_scipy():
 def test_mask_round_trip(w, data):
     mask = data.draw(st.integers(0, (1 << w) - 1))
     assert signs_to_mask(mask_to_signs(mask, w)) == mask
+
+
+@pytest.mark.parametrize("w", [1, 8, 20, 63, 64])
+def test_masks_to_signs_matches_a_bit_loop(w):
+    gen = np.random.default_rng(w)
+    top = (1 << w) - 1
+    drawn = gen.integers(0, top, size=20, endpoint=True, dtype=np.uint64).tolist()
+    masks = [0, top, 1 << (w - 1), *drawn]
+    if w == 64:
+        masks += [1 << 63, (1 << 63) + 5]
+    want = masks_to_signs_reference(masks, w)
+    for form in (masks, np.array(masks, dtype=np.uint64)):
+        rows = masks_to_signs(form, w)
+        assert rows.dtype == np.int8 and np.array_equal(rows, want)
+    assert np.array_equal(masks_to_signs(masks[-1], w), want[-1])
+    assert np.array_equal(Codeword(masks[-1], 0, w).bits, want[-1])
 
 
 @given(st.integers(1, 64), st.data())

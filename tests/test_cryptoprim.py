@@ -306,6 +306,33 @@ class TestPrfDigestStore:
         every_block = [b.to_bytes(8, "little") for b in range(store.n_blocks)]
         assert handed == {bytes([m]): every_block for m in (5, 9, 200)}
 
+    def test_mixed_prefix_lengths_hash_each_block_once(self, monkeypatch):
+        # Block 0 for some keys, every block for others (some of them already
+        # holding block 0), then block 0 again, then a middle prefix: each
+        # (key, block) pair is hashed once, and every call returns the bytes
+        # a fresh store returns.
+        handed = []
+        digests = cryptoprim._prf_digests
+
+        def counting(key_bytes, counters):
+            handed.extend((key_bytes, c) for c in counters)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        store = PrfDigestStore(12, 2000)
+        assert store.n_blocks == 4
+        calls = [([5, 9, 5, 4000], 1), ([9, 77, 4000, 77], None), ([77, 5, 9, 3], 1),
+                 ([3, 5, 4000, 9], 2), (np.array([5, 3, 77, 9], dtype=np.uint64), None)]
+        for masks, blocks in calls:
+            got = store.packed(masks, blocks)
+            monkeypatch.setattr(cryptoprim, "_prf_digests", digests)
+            assert np.array_equal(got, PrfDigestStore(12, 2000).packed(masks, blocks))
+            monkeypatch.setattr(cryptoprim, "_prf_digests", counting)
+        assert len(handed) == len(set(handed))
+        counters = [b.to_bytes(8, "little") for b in range(4)]
+        keys = [5, 9, 4000, 77, 3]
+        assert set(handed) == {(m.to_bytes(2, "little"), c) for m in keys for c in counters}
+
     @pytest.mark.parametrize(
         "blocks", [-1, 4, 1.0, np.float64(2.0), "1"],
         ids=["negative", "past-the-row", "float", "np-float", "str"],

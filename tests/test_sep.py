@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from noisylab import cryptoprim
+from noisylab import cryptoprim, sep
 from noisylab.codes import Codeword, GeneratorMatrix, binary_entropy, masks_to_signs
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
@@ -32,6 +32,7 @@ from noisylab.sep import (
 )
 
 from helpers import (
+    agreement_reference,
     evaluate,
     fit_block_size_reference,
     ice_idealized_block_plans,
@@ -186,6 +187,25 @@ class TestKeyValueLayout:
             "key fraction 1/1000000000 needs block size 1, a 24000000000-point domain; "
             "the limit is 4194304 points"
         )
+
+    def test_domain_limit_message_abbreviates_long_numbers(self):
+        # eta = 5e-324 gives a key fraction whose denominator has 324 digits.
+        with pytest.raises(ValueError) as exc:
+            IceSepParams(eta=5e-324, kappa=0.7, w=20, d=10)
+        message = str(exc.value)
+        assert "\n" not in message and len(message) <= 200
+        assert message == (
+            "key fraction 3/~5.000e323 needs block size 3, a ~1.000e325-point domain; "
+            "the limit is 4194304 points"
+        )
+
+    @pytest.mark.parametrize(
+        "w,d,message", [(0, 4, "w must be >= 1, got 0"), (8, -1, "d must be >= 0, got -1")]
+    )
+    def test_fit_rejects_a_bad_block_count_or_dimension(self, w, d, message):
+        with pytest.raises(ValueError) as exc:
+            KeyValueLayout.fit(w, d, Fraction(1, 2))
+        assert str(exc.value) == message
 
 
 class TestBestCandidate:
@@ -483,6 +503,98 @@ class TestBestCandidate:
         handed = self.hashed_blocks(monkeypatch)
         assert layout.best_candidate(self.net(layout, S), codewords, masks, store) == 100
         assert len(handed) < 2 * 256
+
+
+    @staticmethod
+    def recorded_packed(store, monkeypatch):
+        """A list that collects, per call of ``store.packed``, the masks it is
+        asked for (as ints) and its ``blocks``."""
+        calls = []
+        packed = store.packed
+
+        def recording(masks, blocks=None):
+            calls.append(([int(m) for m in masks], blocks))
+            return packed(masks, blocks)
+
+        monkeypatch.setattr(store, "packed", recording)
+        return calls
+
+    def test_leader_alone_is_scored_once_past_block_0(self, monkeypatch):
+        # sep-learner's size, a sample labeled by candidate 100 with a clean
+        # value side: no rival survives block 0, so the only whole row asked
+        # for is the leader's, once.
+        layout = KeyValueLayout(24, 171, Fraction(1, 2))
+        gen = np.random.default_rng(19)
+        codewords = gen.integers(0, 1 << layout.w, size=256)
+        masks = gen.integers(0, 1 << 12, size=256)
+        (truth,) = self.concepts(layout, codewords[100:101], masks[100:101], 12)
+        points = gen.integers(0, layout.domain_size, size=20_000)
+        S = Sample(points, truth.evaluate_many(points))
+        store = PrfDigestStore(12, layout.value_size)
+        calls = self.recorded_packed(store, monkeypatch)
+        assert layout.best_candidate(self.net(layout, S), codewords, masks, store) == 100
+        assert calls == [(masks.tolist(), 1), ([int(masks[100])], None)]
+
+    @pytest.mark.parametrize("leader,rival", [(9, 14), (14, 9)], ids=["rival-above", "rival-below"])
+    @pytest.mark.parametrize("shape", MULTI_BLOCK, ids=["3-blocks", "4-blocks", "9-blocks"])
+    def test_rival_tying_the_leader_wins_only_from_a_lower_index(
+        self, shape, leader, rival, monkeypatch
+    ):
+        # The two share a codeword, and the net carries their label where
+        # their rows agree. Where they differ it is zero but for one point in
+        # block 0 that favours the leader and one later point that favours the
+        # rival: the leader leads after block 0, and the full scores tie.
+        layout, codewords, masks, store, rows, gen = self.multi_block_case(shape)
+        assert all(masks.tolist().count(masks[i]) == 1 for i in (leader, rival))
+        codewords[rival] = codewords[leader]
+        value_net = np.where(rows[leader] == rows[rival], 2 * rows[leader], 0)
+        differ = np.flatnonzero(rows[leader] != rows[rival])
+        first, later = differ[differ < 512][0], differ[differ >= 512][-1]
+        value_net[first], value_net[later] = rows[leader, first], rows[rival, later]
+        net = np.concatenate([gen.integers(-2, 3, size=layout.key_size), value_net])
+        key = np.repeat(masks_to_signs(codewords, layout.w), layout.block_size, axis=1)
+        partial = np.hstack([key, rows[:, :512]]) @ net[: layout.key_size + 512]
+        assert int(np.argmax(partial)) == leader
+        assert int(rows[leader] @ value_net) == int(rows[rival] @ value_net)
+        assert self.int64_choice(layout, net, codewords, masks, store) == min(leader, rival)
+        calls = self.recorded_packed(store, monkeypatch)
+        assert layout.best_candidate(net, codewords, masks, store) == min(leader, rival)
+        # The leader's whole row is asked for once, the rival's once.
+        whole = [m for asked, blocks in calls if blocks is None for m in asked]
+        assert whole.count(int(masks[leader])) == 1 and whole.count(int(masks[rival])) == 1
+
+
+class TestAgreement:
+    """``_agreement`` of packed rows against a bit-by-bit int64 loop."""
+
+    @pytest.mark.parametrize(
+        "n_rows,n_bytes", [(1, 192), (600, 64), (40, 576), (3, 0)],
+        ids=["one-row", "three-chunks", "nine-blocks", "no-points"],
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_a_bit_loop(self, n_rows, n_bytes, dtype):
+        gen = np.random.default_rng(n_rows + n_bytes)
+        rows = gen.integers(0, 256, size=(n_rows, n_bytes), dtype=np.uint8)
+        # float64 carries values float32 cannot hold exactly.
+        scale = 5 if dtype is np.float32 else 1 << 40
+        net = gen.integers(-scale, scale, size=8 * n_bytes + 7, endpoint=True).astype(dtype)
+        got = sep._agreement(rows, net)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, agreement_reference(rows, net))
+
+    @pytest.mark.parametrize("chunk_bits", [1, 700, 5000])
+    def test_chunks_of_any_size_give_the_same_scores(self, chunk_bits, monkeypatch):
+        # Chunks smaller than a row, of a few rows with a short last chunk,
+        # and of many rows.
+        gen = np.random.default_rng(chunk_bits)
+        rows = gen.integers(0, 256, size=(23, 40), dtype=np.uint8)
+        net = gen.integers(-9, 10, size=320).astype(np.float32)
+        want = agreement_reference(rows, net)
+        monkeypatch.setattr(sep, "_AGREEMENT_CHUNK_BITS", chunk_bits)
+        assert np.array_equal(sep._agreement(rows, net), want)
+        # A column slice, as the later blocks are read, is not contiguous.
+        later = rows[:, 8:]
+        assert np.array_equal(sep._agreement(later, net[64:]), agreement_reference(later, net[64:]))
 
 
 def test_budget_capped_plan_cut_off():
