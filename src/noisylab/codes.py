@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 MAX_WORD_BITS = 64
+# The sign of GF(2) symbols 0 and 1, indexed by the symbol.
+_SIGNS = np.array([1, -1], dtype=np.int8)
+_SIGNS.setflags(write=False)
 # Draws gen_random_linear_code makes for a full-rank matrix before it gives up.
 MAX_CODE_ATTEMPTS = 1000
 
@@ -87,10 +90,16 @@ def mask_to_signs(mask: int, w: int) -> np.ndarray:
 
 
 def masks_to_signs(masks: int | Sequence[int] | np.ndarray, w: int) -> np.ndarray:
-    """Unpack bitmasks into ±1 words of length ``w``, one row per mask; a
-    single mask gives a single word."""
-    bits = _mask_bits(np.asarray(masks, dtype=np.uint64), w)
-    return 1 - 2 * bits.astype(np.int8)
+    """Unpack bitmasks into ±1 words of length ``w`` in ``[1, MAX_WORD_BITS]``,
+    one row per mask; a single mask gives a single word. Each mask must be an
+    integer in ``[0, 2^w)``; a breach of either is a :class:`ValueError`."""
+    if not 1 <= w <= MAX_WORD_BITS:
+        raise ValueError(f"word length must be in [1, {MAX_WORD_BITS}], got {w}")
+    if isinstance(masks, (np.ndarray, Sequence)):
+        arr = _mask_array(masks, w, "mask")
+    else:
+        arr = np.asarray(_as_mask(masks, w, "mask"), dtype=np.uint64)
+    return _SIGNS.take(_mask_bits(arr, w))
 
 
 def _mask_bits(masks: np.ndarray, w: int) -> np.ndarray:
@@ -297,17 +306,16 @@ def _mask_array(values: Sequence[int] | np.ndarray, bits: int, what: str) -> np.
     A numpy array must have an integer dtype; any other sequence is checked
     entry by entry as by :func:`_as_mask`. A breach is a :class:`ValueError`.
     """
-    if isinstance(values, np.ndarray):
-        if values.size and values.dtype.kind not in "iu":
-            raise ValueError(f"{what}s must be integers")
-        arr = values
-    else:  # Python ints on both sides of 2^63 would make a float array
-        arr = np.array([_as_mask(m, bits, what) for m in values], dtype=object)
-    if arr.ndim != 1:
+    if not isinstance(values, np.ndarray):  # each entry is then an int in range
+        return np.array([_as_mask(m, bits, what) for m in values], dtype=np.uint64)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what}s must be integers")
+    if values.ndim != 1:
         raise ValueError(f"{what}s must be one-dimensional")
-    if arr.size and (arr.min() < 0 or arr.max() > (1 << bits) - 1):
+    signed = values.dtype.kind == "i"
+    if values.size and (signed and values.min() < 0 or values.max() > (1 << bits) - 1):
         raise ValueError(f"{what} out of range for code length {bits}")
-    return arr.astype(np.uint64)
+    return values.astype(np.uint64)
 
 
 def erasure_list_decode_many(

@@ -347,9 +347,6 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return int(self.weights.size)
 
-    def weight(self, index: int) -> float:
-        return float(self.weights[index])
-
     def sample_points(self, n: int, rng: RngHandle) -> np.ndarray:
         """``n`` i.i.d. point indices."""
         gen = rng.generator()

@@ -3,8 +3,8 @@
 Models: malicious (online per-example η-coin), strong malicious (adversary
 sees the whole sample and the coin set), nasty (budget drawn first with a
 Bin(n, η) law), fixed-rate nasty (exactly ⌊ηn⌋ replacements), and Huber
-contamination (mixture with an outlier distribution). :func:`tv_distance`
-measures how far apart two distributions are.
+contamination (mixture with an outlier distribution). On one handle, a malicious
+adversary replaying :func:`huber_sample`'s outlier draws gives its sample exactly.
 
 An offline adversary is a plain function ``strategy(S_clean, budget, c,
 rng)`` returning a :class:`StrategyResult`: the sample positions it rewrites
@@ -46,7 +46,6 @@ __all__ = [
     "nasty_corrupt",
     "fixed_rate_nasty_corrupt",
     "huber_sample",
-    "tv_distance",
     "noop",
     "flip_first_z_labels",
     "flip_random_labels",
@@ -267,13 +266,6 @@ def huber_sample(
     pts[coins] = drawn // 2
     labs[coins] = np.where(drawn % 2 == 1, -1, 1).astype(np.int8)
     return Sample(pts, labs)
-
-
-def tv_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
-    """Total variation distance ½‖p − q‖₁."""
-    if len(p) != len(q):
-        raise ValueError("distributions live on different domain sizes")
-    return 0.5 * float(np.abs(p.weights - q.weights).sum())
 
 
 # --------------------------------------------------------------------------

@@ -521,6 +521,7 @@ class TestCli:
         pytest.param("run codes-suite --config {w70}", id="codes-suite-word-length"),
         pytest.param("run codes-suite --config {patterns}", id="codes-suite-pattern-limit"),
         pytest.param("run codes-suite --config {pairs}", id="codes-suite-work-limit"),
+        pytest.param("run codes-suite --config {codes_pairs}", id="codes-suite-work-over-codes"),
         pytest.param("run ice-coupling --config {filler_far}", id="ice-coupling-filler-outside"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
@@ -603,8 +604,13 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         # 3,683 patterns of 2^14 messages each: about half an hour of
         # erasure checks, rejected before the first code is drawn.
         "pairs": ("codes-suite", '{"w": 28, "codes": 86, "bitflip_codes": 60}',
-                  "3683 erasure patterns times 2^14 messages = 60342272 (pattern, message) "
-                  "pairs per code exceed the limit of 4194304"),
+                  "86 codes times 3683 erasure patterns times 2^14 messages = 5189435392 "
+                  "(pattern, message) pairs exceed the limit of 4194304"),
+        # 3,000 codes of 3,674,112 pairs each, about a second per code: every
+        # code is inside the limit, their sum an hour over it.
+        "codes_pairs": ("codes-suite", '{"w": 22, "codes": 3000}',
+                        "3000 codes times 1794 erasure patterns times 2^11 messages = "
+                        "11022336000 (pattern, message) pairs exceed the limit of 4194304"),
         # The filler point must lie in the domain: 20 is one past its end.
         "filler_far": ("ice-coupling", '{"filler_point": 20}',
                        "filler_point must be < domain = 20, got 20"),

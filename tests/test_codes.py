@@ -74,6 +74,26 @@ def test_masks_to_signs_rows_match_mask_to_signs(w, data):
         assert np.array_equal(row, mask_to_signs(m, w))
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: mask_to_signs(20, 4), r"mask must be in \[0, 2\^4\)"),  # bit 4 once dropped
+        (lambda: mask_to_signs(1.5, 4), "mask must be an integer, got 1.5"),  # once read as 1
+        (lambda: masks_to_signs([-1], 4), r"mask must be in \[0, 2\^4\)"),  # once OverflowError
+        (lambda: masks_to_signs(np.array([16], dtype=np.uint64), 4), "out of range"),
+        (lambda: masks_to_signs(np.array([1.0]), 4), "masks must be integers"),
+        (lambda: masks_to_signs([1], 70), r"word length must be in \[1, 64\], got 70"),  # padded
+        (lambda: masks_to_signs([1], 0), r"word length must be in \[1, 64\], got 0"),  # empty rows
+        (lambda: mask_to_signs(0, 0), r"word length must be in \[1, 64\], got 0"),
+    ],
+    ids=["bit-past-w", "float", "negative", "array-past-w", "float-array", "w-70", "w-0",
+         "one-mask-w-0"],
+)
+def test_masks_to_signs_rejects_a_bad_mask_or_length(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_signs_to_mask_validation():
     with pytest.raises(ValueError):
         signs_to_mask([1, 0, -1])

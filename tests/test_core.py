@@ -218,7 +218,7 @@ class TestDiscreteDistribution:
         u = DiscreteDistribution.uniform(4)
         assert np.allclose(u.weights, 0.25)
         p = point_mass(2, 4)
-        assert p.weight(2) == 1.0 and p.weight(0) == 0.0
+        assert p.weights[2] == 1.0 and p.weights[0] == 0.0
 
     def test_sampling_deterministic_and_in_range(self):
         D = DiscreteDistribution([0.5, 0.0, 0.5])

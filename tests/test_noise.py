@@ -22,7 +22,6 @@ from noisylab.noise import (
     nasty_corrupt,
     noop,
     strong_malicious_corrupt,
-    tv_distance,
 )
 
 from helpers import point_mass
@@ -249,14 +248,6 @@ class TestHuber:
         clean_ok = S.labels == C4.evaluate_many(S.points)
         assert np.all(is_outlier | clean_ok)
         assert is_outlier.mean() > 0.9
-
-
-class TestTV:
-    def test_tv_distance_oracle(self):
-        p = DiscreteDistribution([0.5, 0.5, 0.0])
-        q = DiscreteDistribution([0.25, 0.25, 0.5])
-        assert tv_distance(p, q) == pytest.approx(0.5)
-        assert tv_distance(p, p) == 0.0
 
 
 class TestLedger:
