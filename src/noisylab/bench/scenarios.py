@@ -630,6 +630,10 @@ _ERASURE_PATTERNS = 1 << 16
 # takes about a second on a 2-CPU host; w = 28 (60 million) takes about 20.
 # The acceptance run, 50 codes at w = 12, checks 956,800 pairs.
 _ERASURE_PAIRS = 1 << 22
+# And codes of more than 2^k * k message bits, k = round(rho*w): the low-weight
+# oracle builds that (2^k, k) uint64 table per code (_xor_codewords). One code
+# at k = 18 peaked at about 129 MB; the acceptance run has k = 6.
+_ORACLE_BITS = 1 << 19
 
 
 def _xor_codewords(G: GeneratorMatrix) -> np.ndarray:
@@ -656,6 +660,11 @@ def _scenario_codes_suite(
         raise ValueError(
             f"rho*w = {rho * w:g} exceeds {MAX_TABLE_ROWS} rows: the checks "
             "enumerate all 2^(rho*w) messages"
+        )
+    if k << k > _ORACLE_BITS:
+        raise ValueError(
+            f"rho*w = {k} rows give 2^{k} messages of {k} bits = {k << k} message bits "
+            f"per code, over the limit of {_ORACLE_BITS}"
         )
     sizes = range(min(max_erasures, w) + 1)
     n_patterns = sum(math.comb(w, size) for size in sizes)

@@ -74,13 +74,16 @@ def binary_entropy(p: float) -> float:
 
 def signs_to_mask(bits: Sequence[int] | np.ndarray) -> int:
     """Pack a ±1 word into a bitmask (bit j set iff position j is -1)."""
-    mask = 0
-    for j, b in enumerate(np.asarray(bits).tolist()):
-        if b == -1:
-            mask |= 1 << j
-        elif b != 1:
-            raise ValueError("word entries must be ±1")
-    return mask
+    arr = np.asarray(bits)
+    minus = arr == -1
+    if arr.ndim != 1 or np.count_nonzero(minus) + np.count_nonzero(arr == 1) != arr.size:
+        raise ValueError("word entries must be ±1")
+    return _pack_bits(minus)
+
+
+def _pack_bits(flags: np.ndarray) -> int:
+    """The bitmask of a 1-d boolean array: bit ``j`` set iff ``flags[j]``."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def mask_to_signs(mask: int, w: int) -> np.ndarray:
@@ -93,8 +96,7 @@ def masks_to_signs(masks: int | Sequence[int] | np.ndarray, w: int) -> np.ndarra
     """Unpack bitmasks into ±1 words of length ``w`` in ``[1, MAX_WORD_BITS]``,
     one row per mask; a single mask gives a single word. Each mask must be an
     integer in ``[0, 2^w)``; a breach of either is a :class:`ValueError`."""
-    if not 1 <= w <= MAX_WORD_BITS:
-        raise ValueError(f"word length must be in [1, {MAX_WORD_BITS}], got {w}")
+    _check_word_bits(w, "word length")
     if isinstance(masks, (np.ndarray, Sequence)):
         arr = _mask_array(masks, w, "mask")
     else:
@@ -109,19 +111,48 @@ def _mask_bits(masks: np.ndarray, w: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, count=w, bitorder="little")
 
 
-def _as_mask(value: object, bits: int, what: str) -> int:
-    """``value`` as a Python int in ``[0, 2^bits)``.
+def _check_word_bits(n: int, what: str) -> None:
+    """Words, messages and keys fit one packed uint64: ``n`` in ``[1, MAX_WORD_BITS]``."""
+    if not 1 <= n <= MAX_WORD_BITS:
+        raise ValueError(f"{what} must be in [1, {MAX_WORD_BITS}], got {n}")
 
-    A non-integer (a float, even an integral one) or an int out of range is a
-    :class:`ValueError`; numpy integers are accepted and normalised to int.
-    """
-    try:
-        mask = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-    if not 0 <= mask < 1 << bits:
-        raise ValueError(f"{what} must be in [0, 2^{bits})")
-    return mask
+
+def _as_mask(value: object, bits: int, what: str) -> int:
+    """``value`` as a Python int in ``[0, 2^bits)``, the one rule for a packed
+    mask: an integer, Python or numpy, and not a bool. A bool, a float (even an
+    integral one), an array (even a 0-d one), any other type or an int out of
+    range is a :class:`ValueError`."""
+    if type(value) is not int:
+        try:
+            if isinstance(value, (bool, np.bool_, np.ndarray)):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if not 0 <= value < 1 << bits:
+        raise ValueError(f"{what} must be in [0, 2^{bits}), got {value}")
+    return value
+
+
+def _mask_array(values: Sequence[int] | np.ndarray, bits: int, what: str) -> np.ndarray:
+    """``values`` as a 1-d uint64 array of masks, each as by :func:`_as_mask`
+    (``bits <= MAX_WORD_BITS``). A list of Python ints or an integer array is
+    passed by its smallest and largest entry; any other form, or one that
+    fails, is checked entry by entry, so a breach raises :func:`_as_mask`'s
+    message for the first bad entry. A multi-dimensional array is a
+    :class:`ValueError`."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1:
+            raise ValueError(f"{what}s must be one-dimensional")
+        kind = values.dtype.kind
+        if kind in "iu" and (
+            not values.size or (kind == "u" or values.min() >= 0) and int(values.max()) >> bits == 0
+        ):
+            return values.astype(np.uint64, copy=False)
+    elif isinstance(values, list) and set(map(type, values)) == {int}:
+        if min(values) >= 0 and max(values) >> bits == 0:
+            return np.array(values, dtype=np.uint64)
+    return np.array([_as_mask(m, bits, what) for m in values], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -137,8 +168,7 @@ class Codeword:
     w: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.w <= MAX_WORD_BITS:
-            raise ValueError(f"codeword length must be in [1, {MAX_WORD_BITS}]")
+        _check_word_bits(self.w, "codeword length")
         object.__setattr__(self, "mask", _as_mask(self.mask, self.w, "codeword mask"))
         object.__setattr__(self, "message", _as_mask(self.message, self.w, "message"))
 
@@ -176,14 +206,11 @@ class GeneratorMatrix:
     __slots__ = ("w", "row_masks", "__dict__")
 
     def __init__(self, row_masks: Sequence[int], w: int):
-        if w < 1 or w > MAX_WORD_BITS:
-            raise ValueError(f"codeword length must be in [1, {MAX_WORD_BITS}]")
-        masks = tuple(int(m) for m in row_masks)
+        _check_word_bits(w, "codeword length")
+        masks = tuple(_mask_array(row_masks, w, "row mask").tolist())
         if not masks:
             raise ValueError("at least one row required")
-        if any(m < 0 or m >= (1 << w) for m in masks):
-            raise ValueError("row mask out of range for codeword length")
-        if _gf2_rank(list(masks)) != len(masks):
+        if _gf2_rank(masks) != len(masks):
             raise ValueError("generator matrix must have full row rank")
         self.w = w
         self.row_masks = masks
@@ -254,7 +281,7 @@ class GeneratorMatrix:
         return cls([int(ln, 16) for ln in lines[1:]], header["w"])
 
 
-def _gf2_rank(rows: list[int]) -> int:
+def _gf2_rank(rows: Sequence[int]) -> int:
     """Rank of bitmask rows over GF(2) by Gaussian elimination."""
     rank = 0
     basis: list[int] = []
@@ -276,16 +303,15 @@ def gen_random_linear_code(rho: float, w: int, rng: RngHandle) -> GeneratorMatri
     """
     if not 0 < rho < 1:
         raise ValueError("rate must be in (0, 1)")
-    if not 1 <= w <= MAX_WORD_BITS:
-        raise ValueError(f"codeword length must be in [1, {MAX_WORD_BITS}]")
+    _check_word_bits(w, "codeword length")
     k_float = rho * w
     k = round(k_float)
     if abs(k_float - k) > 1e-9 or k < 1:
         raise ValueError(f"rho*w must be a positive integer, got {k_float}")
     gen = rng.generator()
     for _ in range(MAX_CODE_ATTEMPTS):
-        masks = [int(x) for x in gen.integers(0, 1 << w, size=k, dtype=np.uint64)]
-        if _gf2_rank(list(masks)) == k:
+        masks = gen.integers(0, 1 << w, size=k, dtype=np.uint64).tolist()
+        if _gf2_rank(masks) == k:
             return GeneratorMatrix(masks, w)
     raise RuntimeError("could not draw a full-rank generator matrix")
 
@@ -298,24 +324,6 @@ def encode(G: GeneratorMatrix, message: int) -> Codeword:
         if (msg >> i) & 1:
             cmask ^= row
     return Codeword(cmask, msg, G.w)
-
-
-def _mask_array(values: Sequence[int] | np.ndarray, bits: int, what: str) -> np.ndarray:
-    """``values`` as a one-dimensional uint64 array of masks in ``[0, 2^bits)``.
-
-    A numpy array must have an integer dtype; any other sequence is checked
-    entry by entry as by :func:`_as_mask`. A breach is a :class:`ValueError`.
-    """
-    if not isinstance(values, np.ndarray):  # each entry is then an int in range
-        return np.array([_as_mask(m, bits, what) for m in values], dtype=np.uint64)
-    if values.size and values.dtype.kind not in "iu":
-        raise ValueError(f"{what}s must be integers")
-    if values.ndim != 1:
-        raise ValueError(f"{what}s must be one-dimensional")
-    signed = values.dtype.kind == "i"
-    if values.size and (signed and values.min() < 0 or values.max() > (1 << bits) - 1):
-        raise ValueError(f"{what} out of range for code length {bits}")
-    return values.astype(np.uint64)
 
 
 def erasure_list_decode_many(
@@ -465,8 +473,7 @@ def erasure_list_decode(
     """
     if len(r) != G.w:
         raise ValueError(f"received word length {len(r)} != code length {G.w}")
-    erased = sum(1 << j for j in np.flatnonzero(r.symbols == 0).tolist())
-    word = sum(1 << j for j in np.flatnonzero(r.symbols == -1).tolist())
+    erased, word = _pack_bits(r.symbols == 0), _pack_bits(r.symbols == -1)
     consistent, solutions = erasure_list_decode_many(G, erased, [word], cap)
     return solutions[0].tolist() if consistent[0] else []
 
@@ -489,7 +496,7 @@ def bitflip_list_decode(
         raise ValueError(f"list cap must be >= 1, got {cap}")
     if (r.symbols == 0).any():
         raise ValueError("bit-flip decoding takes a fully-determined ±1 word")
-    dists = _kernels.hamming_scan(G.codeword_masks, signs_to_mask(r.symbols))
+    dists = _kernels.hamming_scan(G.codeword_masks, _pack_bits(r.symbols == -1))
     hits = np.flatnonzero(dists <= radius)
     if hits.size > cap:
         raise DecodeFailure(f"list size {hits.size} exceeds the cap {cap}")

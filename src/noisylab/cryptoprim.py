@@ -20,9 +20,11 @@ cryptographic primitive in the package:
   for every fixed seed.
 
 Signs follow the package convention: +1 encodes GF(2) zero, -1 encodes one.
-Keys, extractor sources and extractor outputs are packed like the decoders'
-message integers (bit ``i`` set where the ±1 word has -1); ±1 keys appear only
-at :meth:`PrfKey.from_signs` and :attr:`PrfKey.bits`.
+Keys, seeds, extractor sources and outputs are packed like the decoders'
+message integers (bit ``i`` set where the ±1 word has -1), checked and
+(un)packed by :mod:`noisylab.codes`' one mask rule; keys are 1 to 64 bits, as
+words are. ±1 keys appear only at :meth:`PrfKey.from_signs` and
+:attr:`PrfKey.bits`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import MAX_WORD_BITS, _as_mask, signs_to_mask
+from .codes import _SIGNS, _as_mask, _check_word_bits, _mask_array, mask_to_signs, signs_to_mask
 
 __all__ = [
     "PrfKey",
@@ -48,11 +50,17 @@ __all__ = [
 _PRF_BLOCK_BITS = 512  # one 64-byte BLAKE2b digest per counter block
 _PRF_BLOCK_BYTES = _PRF_BLOCK_BITS // 8
 MAX_SEED_BITS = 16
+# The ±1 signs of each byte value's 8 bits, least significant first: one
+# gather unpacks a row of stream bytes into points.
+_BYTE_SIGNS = _SIGNS.take(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+)
+_BYTE_SIGNS.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class PrfKey:
-    """A ``length``-bit key selecting one function from the keyed-hash family.
+    """A key of 1 to 64 bits selecting one function from the keyed-hash family.
 
     The key is packed: bit ``i`` of ``mask`` is key position ``i``, set where
     the ±1 key has ``-1``, as the decoders' message integers are packed.
@@ -62,29 +70,22 @@ class PrfKey:
     length: int
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError("key must be nonempty")
+        _check_word_bits(self.length, "key length")
         object.__setattr__(self, "mask", _as_mask(self.mask, self.length, "key mask"))
 
     @classmethod
     def from_signs(cls, bits: Sequence[int] | np.ndarray) -> "PrfKey":
         """The key of a ±1 vector."""
-        arr = np.asarray(bits)
-        return cls(signs_to_mask(arr), arr.size)
+        return cls(signs_to_mask(bits), len(bits))
 
     @property
     def bits(self) -> np.ndarray:
         """The key as a ±1 vector."""
-        packed = np.frombuffer(self.key_bytes(), dtype=np.uint8)
-        return _bits_to_signs(np.unpackbits(packed, bitorder="little")[: self.length])
-
-    def key_bytes(self) -> bytes:
-        """The mask in ``ceil(length / 8)`` little-endian bytes (position
-        ``i`` is bit ``i % 8`` of byte ``i // 8``)."""
-        return _key_bytes(self.mask, self.length)
+        return mask_to_signs(self.mask, self.length)
 
 
 def _key_bytes(mask: int, length: int) -> bytes:
+    """The BLAKE2b key: the mask's ``ceil(length / 8)`` little-endian bytes."""
     return mask.to_bytes(-(-length // 8), "little")
 
 
@@ -102,16 +103,12 @@ def _prf_digests(key_bytes: bytes, counters: list[bytes]) -> list[bytes]:
     return digests
 
 
-def _bits_to_signs(bits: np.ndarray) -> np.ndarray:
-    """0/1 bits to ±1 int8 signs (bit 1 -> -1)."""
-    return 1 - 2 * bits.astype(np.int8)
-
-
 class PrfDigestStore:
-    """PRF truth tables at points ``0 .. n_points-1`` for ``length``-bit keys,
+    """PRF truth tables at points ``0 .. n_points-1`` for keys of 1 to 64 bits,
     each (key, block) pair hashed at most once. :meth:`packed` returns the
     keys' raw streams as rows of bytes, whole or cut to their first blocks,
-    and :meth:`tables` is the unpacked ±1 view of whole rows.
+    and :meth:`tables` is the unpacked ±1 view of whole rows; both check the
+    masks with :func:`~noisylab.codes._mask_array`.
 
     Block ``b`` hashes the 8-byte little-endian counter ``b`` (one hash per
     key per 512 points); a row has ``n_blocks`` of them. The store keeps one
@@ -124,8 +121,7 @@ class PrfDigestStore:
     """
 
     def __init__(self, length: int, n_points: int):
-        if length < 1:
-            raise ValueError("key must be nonempty")
+        _check_word_bits(length, "key length")
         if n_points < 0:
             raise ValueError("n_points must be >= 0")
         self.length = length
@@ -133,26 +129,6 @@ class PrfDigestStore:
         self.n_blocks = -(-n_points // _PRF_BLOCK_BITS)
         self._counters = [b.to_bytes(8, "little") for b in range(self.n_blocks)]
         self._blocks: list[dict[int, bytes]] = [{} for _ in range(self.n_blocks)]
-
-    def _mask_list(self, masks: Sequence[int] | np.ndarray) -> list[int]:
-        """``masks`` as Python ints, each an integer in ``[0, 2^length)``.
-
-        A list of Python ints, a flat integer (or bool, read as 0/1) array, or
-        a sequence numpy reads as one, is checked at once: its type or dtype,
-        then its smallest and largest entry. Anything else (floats, ints numpy
-        cannot hold in int64 or uint64, non-numbers) gets one
-        :func:`~noisylab.codes._as_mask` check per entry. Both raise
-        :class:`ValueError` on a bad mask.
-        """
-        if not (isinstance(masks, list) and masks and set(map(type, masks)) == {int}):
-            arr = np.asarray(masks)
-            if arr.ndim != 1 or arr.dtype.kind not in "biu":
-                items = masks.tolist() if isinstance(masks, np.ndarray) else masks
-                return [_as_mask(m, self.length, "key mask") for m in items]
-            masks = arr.tolist()
-        if masks and (min(masks) < 0 or max(masks) >> self.length):
-            raise ValueError(f"key mask must be in [0, 2^{self.length})")
-        return masks
 
     def packed(self, masks: Sequence[int] | np.ndarray, blocks: int | None = None) -> np.ndarray:
         """Raw digest streams of the keys with packed ``masks``: one read-only
@@ -166,7 +142,7 @@ class PrfDigestStore:
             blocks = self.n_blocks
         elif not (isinstance(blocks, (int, np.integer)) and 0 <= blocks <= self.n_blocks):
             raise ValueError(f"blocks must be an integer in [0, {self.n_blocks}], got {blocks!r}")
-        masks = self._mask_list(masks)
+        masks = _mask_array(masks, self.length, "key mask").tolist()
         wanted = self._blocks[:blocks]
         if wanted:
             last = wanted[-1]
@@ -183,8 +159,9 @@ class PrfDigestStore:
     def tables(self, masks: Sequence[int] | np.ndarray) -> np.ndarray:
         """±1 truth tables of the keys with packed ``masks``, one int8 row per
         mask in the given order: the unpacked view of :meth:`packed`."""
-        bits = np.unpackbits(self.packed(masks), axis=1, bitorder="little")
-        return _bits_to_signs(bits[:, : self.n_points])
+        rows = self.packed(masks)
+        signs = _BYTE_SIGNS.take(rows, axis=0).reshape(rows.shape[0], 8 * rows.shape[1])
+        return signs[:, : self.n_points]
 
 
 def prf_truth_table(key: PrfKey, n_points: int) -> np.ndarray:
@@ -208,8 +185,7 @@ class ExtractorSpec:
     m_out: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.w <= MAX_WORD_BITS:
-            raise ValueError(f"source length must be in [1, {MAX_WORD_BITS}]")
+        _check_word_bits(self.w, "source length")
         if not 0 <= self.u <= MAX_SEED_BITS:
             raise ValueError(f"seed length must be in [0, {MAX_SEED_BITS}]")
         if not 0 <= self.m_out <= self.w:
@@ -257,9 +233,8 @@ def extract(x: int, seed: int, spec: ExtractorSpec) -> int:
     Linear in ``x`` for every fixed seed.
     """
     src = _as_mask(x, spec.w, "source")
-    if not 0 <= seed < spec.seed_count():
-        raise ValueError(f"seed must be in [0, 2^{spec.u})")
-    return int(_key_masks(np.array(_toeplitz_rows(seed, spec), dtype=np.uint64), src))
+    rows = _toeplitz_rows(_as_mask(seed, spec.u, "seed"), spec)
+    return int(_key_masks(np.array(rows, dtype=np.uint64), src))
 
 
 def extract_all_seeds(x: int, spec: ExtractorSpec, matrices: np.ndarray) -> np.ndarray:

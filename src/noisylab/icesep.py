@@ -189,7 +189,9 @@ def ice_malicious_learner(
         details.update(flagged=True, flag_reason="empty decode list")
         return TableHypothesis.constant(1, layout.domain_size), details
 
-    idx = layout.best_candidate(net, inst.G.codeword_masks[messages], messages, inst.prf_store)
+    # One array serves the codeword lookup and the store, which would each convert a list.
+    keys = np.array(messages)
+    idx = layout.best_candidate(net, inst.G.codeword_masks[keys], keys, inst.prf_store)
     best = inst.concept(PrfKey(messages[idx], params.d))
     details["selected_key"] = best.key
     return best, details

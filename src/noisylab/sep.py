@@ -29,6 +29,7 @@ from .codes import (
     DecodeFailure,
     GeneratorMatrix,
     ReceivedWord,
+    _as_mask,
     _mask_array,
     _mask_bits,
     binary_entropy,
@@ -472,11 +473,15 @@ class SepInstance:
         return PrfDigestStore(self.params.extractor_spec.m_out, self.params.layout.value_size)
 
     def concept(self, p: int, q: int) -> KeyValueConcept:
-        """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``."""
-        cw = self.low_weight[p]
+        """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``. A
+        ``p`` that is no integer index of ``low_weight``, or a bad seed ``q``,
+        is a :class:`ValueError`."""
+        n = len(self.low_weight)
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p < n:
+            raise ValueError(f"codeword index must be an integer in [0, {n}), got {p!r}")
         spec = self.params.extractor_spec
-        if not 0 <= q < spec.seed_count():
-            raise ValueError(f"seed must be in [0, 2^{spec.u})")
+        q = _as_mask(q, spec.u, "seed")
+        cw = self.low_weight[p]
         # Entry q of every seed's output: the rows are already built, not rehashed.
         mask = extract_all_seeds(cw.mask, spec, self.extractor_matrices)[q]
         key = PrfKey(int(mask), spec.m_out)

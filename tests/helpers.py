@@ -1,8 +1,9 @@
 """Test-only fixture builders, the ICE trial's per-block accounting,
 block-by-block references for the separation adversaries, a step-by-step
 search for the key/value layout's block size, a pattern-by-pattern
-reference for codes-suite's erasure check, and bit-by-bit references for
-unpacking masks and scoring packed rows.
+reference for codes-suite's erasure check, bit-by-bit references for
+unpacking masks and scoring packed rows, and the table of bad masks every
+mask-taking entry point must reject.
 
 Nothing in the package calls these: they build test inputs, recount a trial
 independently of the learner they check, or plan an attack one key block (or
@@ -14,14 +15,23 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from noisylab.codes import GeneratorMatrix, ReceivedWord, erasure_list_decode_many
+from noisylab.codes import (
+    Codeword,
+    GeneratorMatrix,
+    ReceivedWord,
+    encode,
+    erasure_list_decode_many,
+    masks_to_signs,
+)
 from noisylab.core import DiscreteDistribution, RngHandle, Sample, TableHypothesis
+from noisylab.cryptoprim import ExtractorSpec, PrfDigestStore, PrfKey, extract
 from noisylab.icesep import IceSepParams
 from noisylab.learn import ice_filter_keep
 from noisylab.noise import CorruptionLedger, StrategyResult
@@ -228,3 +238,75 @@ def agreement_reference(rows: np.ndarray, net: Sequence[float]) -> np.ndarray:
                 sign = -1 if byte >> b & 1 else 1
                 scores[i] += sign * np.int64(net[8 * k + b])
     return scores
+
+
+# The bad forms of a 4-bit packed mask: id -> (value, its message where one
+# mask is taken, its message where an array of masks is taken). A single
+# value goes to an array entry point as a one-entry list and gives its
+# one-mask message there too.
+BAD_MASKS = {
+    "bool": (True, "{what} must be an integer, got True", None),
+    "np-bool": (np.True_, "{what} must be an integer, got np.True_", None),
+    "bool-array": (
+        np.array([True]),
+        "{what} must be an integer, got array([ True])",
+        "{what} must be an integer, got np.True_",
+    ),
+    "fraction": (1.5, "{what} must be an integer, got 1.5", None),
+    "integral-float": (2.0, "{what} must be an integer, got 2.0", None),
+    "str": ("3", "{what} must be an integer, got '3'", None),
+    "0-d-array": (np.array(3), "{what} must be an integer, got array(3)", None),
+    "negative": (-1, "{what} must be in [0, 2^4), got -1", None),
+    "too-wide": (16, "{what} must be in [0, 2^4), got 16", None),
+    "2-d": (
+        np.zeros((1, 1), dtype=np.uint64),
+        "{what} must be an integer, got array([[0]], dtype=uint64)",
+        "{what}s must be one-dimensional",
+    ),
+}
+
+
+def _mask_entry_points() -> dict[str, tuple[str, bool, Callable]]:
+    """Every public entry point that takes a packed mask, each at 4 bits:
+    id -> (its name for the mask, whether it takes an array of masks, a call
+    that hands it the value)."""
+    G = GeneratorMatrix([1, 2, 4, 8], 4)
+    spec = ExtractorSpec(w=4, u=4, m_out=2)
+    layout = KeyValueLayout.fit(4, 2, Fraction(1, 2))
+    net = np.zeros(layout.domain_size, dtype=np.int64)
+    store = PrfDigestStore(4, layout.value_size)
+    return {
+        "Codeword-mask": ("codeword mask", False, lambda m: Codeword(m, 0, 4)),
+        "Codeword-message": ("message", False, lambda m: Codeword(0, m, 4)),
+        "PrfKey": ("key mask", False, lambda m: PrfKey(m, 4)),
+        "encode": ("message", False, lambda m: encode(G, m)),
+        "extract-source": ("source", False, lambda m: extract(m, 0, spec)),
+        "extract-seed": ("seed", False, lambda m: extract(0, m, spec)),
+        "masks_to_signs": ("mask", True, lambda m: masks_to_signs(m, 4)),
+        "GeneratorMatrix": ("row mask", True, lambda m: GeneratorMatrix(m, 4)),
+        "decode-words": ("word mask", True, lambda m: erasure_list_decode_many(G, 0, m)),
+        "decode-erasures": (
+            "erasure mask", True, lambda m: erasure_list_decode_many(G, m, [0] * len(m))
+        ),
+        "packed": ("key mask", True, lambda m: store.packed(m)),
+        "best_candidate": (
+            "codeword mask", True, lambda m: layout.best_candidate(net, m, [0] * len(m), store)
+        ),
+    }
+
+
+def bad_mask_cases() -> list[tuple[str, Callable[[], object], str]]:
+    """Every bad form at every entry point: ``(id, call, message)``, the
+    message escaped and anchored as a ``pytest.raises`` pattern for exactly
+    that one message."""
+    cases = []
+    for entry, (what, takes_arrays, call) in _mask_entry_points().items():
+        for form, (value, one, many) in BAD_MASKS.items():
+            if takes_arrays and many is None:
+                value = [value]
+            message = (many if takes_arrays and many else one).format(what=what)
+            cases.append((
+                f"{entry}-{form}", lambda call=call, value=value: call(value),
+                f"^{re.escape(message)}$",
+            ))
+    return cases

@@ -522,6 +522,9 @@ class TestCli:
         pytest.param("run codes-suite --config {patterns}", id="codes-suite-pattern-limit"),
         pytest.param("run codes-suite --config {pairs}", id="codes-suite-work-limit"),
         pytest.param("run codes-suite --config {codes_pairs}", id="codes-suite-work-over-codes"),
+        pytest.param("run codes-suite --config {oracle_w32}", id="codes-suite-oracle-limit-w32"),
+        pytest.param("run codes-suite --config {oracle_w36}", id="codes-suite-oracle-limit-w36"),
+        pytest.param("run codes-suite --config {oracle_w44}", id="codes-suite-oracle-limit-w44"),
         pytest.param("run ice-coupling --config {filler_far}", id="ice-coupling-filler-outside"),
         pytest.param("codes gen --rho 1.5 --w 12", id="codes-gen-rate"),
         pytest.param("codes gen --rho 0.3 --w 12", id="codes-gen-rows"),
@@ -611,6 +614,20 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
         "codes_pairs": ("codes-suite", '{"w": 22, "codes": 3000}',
                         "3000 codes times 1794 erasure patterns times 2^11 messages = "
                         "11022336000 (pattern, message) pairs exceed the limit of 4194304"),
+        # Each inside the pair limit, but the low-weight oracle's (2^k, k)
+        # message-bit table of one code took 58 MB at w = 32 and 129 MB at
+        # w = 36, and would take gigabytes at w = 44 (never run past the check).
+        "oracle_w32": ("codes-suite", '{"w": 32, "max_erasures": 0, "codes": 1, '
+                       '"bitflip_codes": 1, "low_weight_codes": 1}',
+                       "rho*w = 16 rows give 2^16 messages of 16 bits = 1048576 message bits "
+                       "per code, over the limit of 524288"),
+        "oracle_w36": ("codes-suite", '{"w": 36, "max_erasures": 0, "codes": 1, '
+                       '"bitflip_codes": 1, "low_weight_codes": 1}',
+                       "rho*w = 18 rows give 2^18 messages of 18 bits = 4718592 message bits "
+                       "per code, over the limit of 524288"),
+        "oracle_w44": ("codes-suite", '{"w": 44, "max_erasures": 0, "codes": 1}',
+                       "rho*w = 22 rows give 2^22 messages of 22 bits = 92274688 message bits "
+                       "per code, over the limit of 524288"),
         # The filler point must lie in the domain: 20 is one past its end.
         "filler_far": ("ice-coupling", '{"filler_point": 20}',
                        "filler_point must be < domain = 20, got 20"),

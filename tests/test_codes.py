@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from noisylab.codes import (
+    MAX_WORD_BITS,
     Codeword,
     DecodeFailure,
     GeneratorMatrix,
@@ -27,10 +28,12 @@ from noisylab.codes import (
     mask_to_signs,
     masks_to_signs,
     signs_to_mask,
+    _as_mask,
+    _mask_array,
 )
 from noisylab.core import RngHandle
 
-from helpers import erase, masks_to_signs_reference
+from helpers import bad_mask_cases, erase, masks_to_signs_reference
 
 
 def test_binary_entropy_against_scipy():
@@ -74,24 +77,74 @@ def test_masks_to_signs_rows_match_mask_to_signs(w, data):
         assert np.array_equal(row, mask_to_signs(m, w))
 
 
+BAD_MASK_CASES = bad_mask_cases()
+
+
 @pytest.mark.parametrize(
     "call,message",
     [
         (lambda: mask_to_signs(20, 4), r"mask must be in \[0, 2\^4\)"),  # bit 4 once dropped
         (lambda: mask_to_signs(1.5, 4), "mask must be an integer, got 1.5"),  # once read as 1
         (lambda: masks_to_signs([-1], 4), r"mask must be in \[0, 2\^4\)"),  # once OverflowError
-        (lambda: masks_to_signs(np.array([16], dtype=np.uint64), 4), "out of range"),
-        (lambda: masks_to_signs(np.array([1.0]), 4), "masks must be integers"),
+        (lambda: masks_to_signs(np.array([16], dtype=np.uint64), 4),
+         r"mask must be in \[0, 2\^4\), got 16"),
+        (lambda: masks_to_signs(np.array([1.0]), 4), "mask must be an integer, got np.float64"),
         (lambda: masks_to_signs([1], 70), r"word length must be in \[1, 64\], got 70"),  # padded
         (lambda: masks_to_signs([1], 0), r"word length must be in \[1, 64\], got 0"),  # empty rows
         (lambda: mask_to_signs(0, 0), r"word length must be in \[1, 64\], got 0"),
+        # Each once built a code: int() truncated the fractions and parsed the string.
+        (lambda: GeneratorMatrix([1.5, 2.7], 4), "^row mask must be an integer, got 1.5$"),
+        (lambda: GeneratorMatrix(["3"], 4), "^row mask must be an integer, got '3'$"),
+        *((call, message) for _, call, message in BAD_MASK_CASES),
     ],
     ids=["bit-past-w", "float", "negative", "array-past-w", "float-array", "w-70", "w-0",
-         "one-mask-w-0"],
+         "one-mask-w-0", "GeneratorMatrix-fractions", "GeneratorMatrix-str",
+         *(case_id for case_id, _, _ in BAD_MASK_CASES)],
 )
 def test_masks_to_signs_rejects_a_bad_mask_or_length(call, message):
+    # Past its own rows, the one table of bad masks (tests/helpers.py): every
+    # bad form at every entry point that takes a packed mask, each with
+    # exactly one message.
     with pytest.raises(ValueError, match=message):
         call()
+
+
+INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, MAX_WORD_BITS), st.data())
+def test_one_mask_and_a_mask_array_follow_one_rule(bits, data):
+    # Guard: _as_mask (one mask) and _mask_array (many) are the only mask
+    # checks. Every value is accepted by both, as the same int, or rejected by
+    # both with the same message: alone, in a list, and (a numpy scalar) in an
+    # array of its own dtype.
+    numpy_ints = st.sampled_from(INT_DTYPES).flatmap(
+        lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)
+    )
+    value = data.draw(
+        st.integers(-3, 3)
+        | st.integers((1 << bits) - 3, (1 << bits) + 3)
+        | st.integers(-(1 << 70), 1 << 70)
+        | numpy_ints
+        | st.booleans()
+        | st.booleans().map(np.bool_)
+        | st.floats()
+        | st.floats(width=32).map(np.float32)
+        | st.text(max_size=3)
+        | st.none()
+    )
+
+    def outcome(check):
+        try:
+            return check()
+        except ValueError as exc:
+            return str(exc)
+
+    one = outcome(lambda: [_as_mask(value, bits, "mask")])
+    forms = [[value]] + ([np.array([value])] if isinstance(value, np.generic) else [])
+    for form in forms:
+        assert outcome(lambda: _mask_array(form, bits, "mask").tolist()) == one
 
 
 def test_signs_to_mask_validation():
@@ -344,7 +397,7 @@ class TestErasureDecodeMany:
             erasure_list_decode_many(self.G, 0, [0, word])
 
     def test_non_integer_words_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
+        with pytest.raises(ValueError, match="word mask must be an integer"):
             erasure_list_decode_many(self.G, 0, np.array([1.0]))
         with pytest.raises(ValueError, match="word mask must be an integer"):
             erasure_list_decode_many(self.G, 0, [1.0])
@@ -399,10 +452,10 @@ class TestErasureDecodeMany:
         [
             ([0, 1 << 4], "erasure mask must be in"),
             ([-1, 0], "erasure mask must be in"),
-            (np.array([0, 1 << 4]), "erasure mask out of range"),
-            (np.array([-1, 0]), "erasure mask out of range"),
+            (np.array([0, 1 << 4]), r"erasure mask must be in \[0, 2\^4\), got 16"),
+            (np.array([-1, 0]), r"erasure mask must be in \[0, 2\^4\), got -1"),
             ([0, 1.0], "erasure mask must be an integer"),
-            (np.array([0.0, 1.0]), "erasure masks must be integers"),
+            (np.array([0.0, 1.0]), r"erasure mask must be an integer, got np.float64\(0.0\)"),
             (np.zeros((2, 1), dtype=np.uint64), "erasure masks must be one-dimensional"),
         ],
         ids=["list-high", "list-negative", "array-high", "array-negative", "list-float",

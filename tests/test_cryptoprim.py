@@ -27,8 +27,10 @@ KEY_B = PrfKey.from_signs([1, -1, 1, -1, 1, 1, -1, 1])
 
 def spec_prf(key: PrfKey, x: int) -> int:
     """The documented PRF, hashed on its own: bit ``x % 512`` of the keyed
-    BLAKE2b digest of the 8-byte little-endian counter ``x // 512``."""
-    digest = hashlib.blake2b((x // 512).to_bytes(8, "little"), key=key.key_bytes(), digest_size=64)
+    BLAKE2b digest of the 8-byte little-endian counter ``x // 512``, keyed
+    with the mask's ``ceil(length / 8)`` little-endian bytes."""
+    key_bytes = key.mask.to_bytes(-(-key.length // 8), "little")
+    digest = hashlib.blake2b((x // 512).to_bytes(8, "little"), key=key_bytes, digest_size=64)
     bit = (digest.digest()[(x % 512) // 8] >> (x % 8)) & 1
     return -1 if bit else 1
 
@@ -81,28 +83,47 @@ class TestPrfKey:
 
     def test_packed_key_is_the_message_int(self):
         # A decoder's message int is the key: packing its ±1 form gives the
-        # same key, whose bytes are the int's little-endian bytes.
+        # same key, and unpacking the key gives that form back.
         gen = np.random.default_rng(4)
-        for d in range(1, 64):
+        for d in range(1, 65):
             for m in (0, (1 << d) - 1, int(gen.integers(0, 1 << d, dtype=np.uint64))):
                 key = PrfKey(m, d)
                 assert PrfKey.from_signs(masks_to_signs([m], d)[0]) == key
-                assert key.key_bytes() == int(m).to_bytes(-(-d // 8), "little")
                 assert np.array_equal(key.bits, masks_to_signs([m], d)[0])
             with pytest.raises(ValueError):
                 PrfKey(1 << d, d)
 
-    def test_key_bytes_hand_oracle(self):
+    @staticmethod
+    def hashed_key_bytes(key, monkeypatch) -> bytes:
+        """The bytes the PRF keys BLAKE2b with for ``key``."""
+        keyed = []
+        digests = cryptoprim._prf_digests
+
+        def recording(key_bytes, counters):
+            keyed.append(key_bytes)
+            return digests(key_bytes, counters)
+
+        monkeypatch.setattr(cryptoprim, "_prf_digests", recording)
+        prf_truth_table(key, 1)
+        return keyed[0]
+
+    def test_key_bytes_hand_oracle(self, monkeypatch):
         # Bits (-1 -> 1) little-endian in the byte: 01010011b = 0x4a reversed;
         # positions 1,3,6,7 are -1 -> bits 1,3,6,7 set -> 0b11001010 = 0xca.
-        assert KEY_A.key_bytes() == bytes([0b11001010])
+        assert self.hashed_key_bytes(KEY_A, monkeypatch) == bytes([0b11001010])
         assert KEY_A.length == 8
 
-    def test_key_bytes_span_bytes(self):
+    def test_key_bytes_span_bytes(self, monkeypatch):
         # Position 8 is bit 0 of the second byte; a 9-bit key packs into 2 bytes.
         key = PrfKey.from_signs([-1, 1, 1, 1, 1, 1, 1, 1, -1])
-        assert key.key_bytes() == bytes([0b00000001, 0b00000001])
-        assert PrfKey.from_signs([1] * 16).key_bytes() == bytes(2)
+        assert self.hashed_key_bytes(key, monkeypatch) == bytes([0b00000001, 0b00000001])
+        assert self.hashed_key_bytes(PrfKey.from_signs([1] * 16), monkeypatch) == bytes(2)
+
+    def test_key_length_at_most_64(self):
+        assert PrfKey(1 << 63, 64).bits[63] == -1
+        for build in (lambda: PrfKey(1, 65), lambda: PrfKey.from_signs([1] * 65)):
+            with pytest.raises(ValueError, match=r"^key length must be in \[1, 64\], got 65$"):
+                build()
 
 
 class TestPrf:
@@ -201,6 +222,12 @@ class TestExtract:
             extract(1.0, 0, self.SPEC)
         with pytest.raises(ValueError):
             ExtractorSpec(w=65, u=2, m_out=3)
+        # A fractional seed once raised AttributeError from int.to_bytes, and
+        # True once extracted under seed 1.
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got 1.5$"):
+            extract(1, 1.5, self.SPEC)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got True$"):
+            extract(1, True, self.SPEC)
 
     def test_m_out_zero(self):
         spec = ExtractorSpec(w=4, u=2, m_out=0)
@@ -342,8 +369,9 @@ class TestPrfDigestStore:
             PrfDigestStore(8, 1200).packed([1], blocks)
 
     @pytest.mark.parametrize(
-        "mask", [-1, 256, 1 << 64, 1.5, 2.0, np.float64(3.0), "3", None],
-        ids=["negative", "too-wide", "too-wide-64", "fraction", "float", "np-float", "str", "none"],
+        "mask", [-1, 256, 1 << 64, 1.5, 2.0, np.float64(3.0), "3", None, True, np.False_],
+        ids=["negative", "too-wide", "too-wide-64", "fraction", "float", "np-float", "str", "none",
+             "bool", "np-bool"],
     )
     def test_bad_mask_rejected(self, mask):
         store = PrfDigestStore(8, 600)
@@ -358,8 +386,10 @@ class TestPrfDigestStore:
                 rows(np.array([1.0, 2.0]))
 
     @pytest.mark.parametrize(
-        "masks", [np.array([-1, 3]), np.array([3, 256], dtype=np.uint16), np.array([[1, 2]])],
-        ids=["negative", "too-wide", "two-dimensional"],
+        "masks",
+        [np.array([-1, 3]), np.array([3, 256], dtype=np.uint16), np.array([[1, 2]]),
+         np.array([True, False])],
+        ids=["negative", "too-wide", "two-dimensional", "bool"],
     )
     def test_bad_int_array_rejected(self, masks):
         store = PrfDigestStore(8, 600)
@@ -367,24 +397,14 @@ class TestPrfDigestStore:
             with pytest.raises(ValueError, match="key mask"):
                 rows(masks)
 
-    def test_bool_masks_read_as_zero_and_one(self):
-        # As _as_mask reads a Python bool: True is key 1, False key 0, in
-        # every form a mask list can take.
-        store = PrfDigestStore(8, 600)
-        want = store.tables([1, 0])
-        for masks in ([True, False], np.array([True, False]), [np.True_, np.False_]):
-            assert np.array_equal(store.tables(masks), want)
-
     def test_wide_keys_checked_one_by_one(self):
-        # numpy reads a list holding 2^63 as float64, and one holding 2^64 as
-        # objects: such lists are checked one mask at a time.
+        # numpy reads a list holding 2^63 as float64: a list of Python ints
+        # is checked as ints. Keys are at most 64 bits, as words are.
         store = PrfDigestStore(64, 600)
         rows = store.tables([1 << 63, 0])
         assert np.array_equal(rows[0], prf_truth_table(PrfKey(1 << 63, 64), 600))
-        wide = PrfDigestStore(70, 600)
-        assert wide.packed([1 << 69, 1]).shape == (2, 128)
-        with pytest.raises(ValueError, match="key mask"):
-            wide.packed([1 << 70])
+        with pytest.raises(ValueError, match=r"^key length must be in \[1, 64\], got 70$"):
+            PrfDigestStore(70, 600)
 
     def test_validation(self):
         with pytest.raises(ValueError):

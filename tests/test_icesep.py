@@ -158,7 +158,7 @@ class TestLearner:
         S = draw_clean_sample(inst.distribution(), c, inst.params.n, RngHandle(0))
         _, det = ice_malicious_learner(S, inst, RngHandle(200))
         assert det["selected_key"] == c.key
-        assert hashed.count(c.key.key_bytes()) == 1
+        assert hashed.count(c.key.mask.to_bytes(-(-c.key.length // 8), "little")) == 1
         assert len(hashed) == len(set(hashed))
 
     def test_selection_matches_oracle(self):

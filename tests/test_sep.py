@@ -703,10 +703,27 @@ class TestSepConcept:
             for q in range(spec.seed_count()):
                 assert inst.concept(p_idx, q).key.mask == extract(cw.mask, q, spec)
 
-    @pytest.mark.parametrize("q", [-1, 4])
+    @pytest.mark.parametrize("q", [-1, 4, 1.5, True])
     def test_seed_out_of_range_rejected(self, q):
+        # A seed follows the one mask rule, as extract's does.
         with pytest.raises(ValueError, match="seed"):
             small_instance().concept(1, q)
+
+    @pytest.mark.parametrize(
+        "p", [-1, 1.5, 1.0, True, "low-weight count"],
+        ids=["negative", "fraction", "integral-float", "bool", "past-the-end"],
+    )
+    def test_codeword_index_rejected(self, p):
+        # -1 once gave the last low-weight codeword's concept, 1.5 numpy's
+        # IndexError and 1.0 a TypeError.
+        inst = small_instance()
+        n = len(inst.low_weight)
+        p = n if p == "low-weight count" else p
+        message = rf"^codeword index must be an integer in \[0, {n}\), got {p!r}$"
+        with pytest.raises(ValueError, match=message):
+            inst.concept(p, 0)
+        last = inst.concept(np.int64(n - 1), 0)
+        assert last.codeword == inst.low_weight[n - 1] and last.key == inst.concept(n - 1, 0).key
 
     def test_value_side_is_prf(self):
         from noisylab.cryptoprim import prf_truth_table
@@ -745,7 +762,7 @@ class TestSepConcept:
         S = draw_clean_sample(inst.distribution(), c, inst.params.n, RngHandle(3))
         _, det = sep_malicious_learner(S, inst)
         assert det["selected"] == (1, 2)
-        assert hashed.count(c.key.key_bytes()) == 1
+        assert hashed.count(c.key.mask.to_bytes(-(-c.key.length // 8), "little")) == 1
         assert len(hashed) == len(set(hashed))
 
     def test_low_weight_index_zero_is_zero_codeword(self):
