@@ -56,8 +56,6 @@ from ..core import (
     draw_clean_sample,
     error_rate,
     labeled_index,
-    philox_keys,
-    philox_uniforms,
 )
 from ..icesep import (
     IceInstance,
@@ -70,7 +68,6 @@ from ..icesep import (
 from ..learn import (
     AmplifyParams,
     Learner,
-    _group_key_suffixes,
     amplify,
     bad_amplify,
     ice_filter,
@@ -416,9 +413,8 @@ def _scenario_amplify_concentration(
 
     wrong = TableHypothesis.constant(-1, 2)
 
-    def train(points: np.ndarray, labels: np.ndarray, parent: tuple[int, ...],
-              suffixes: np.ndarray) -> list[TableHypothesis]:
-        heads = philox_uniforms(philox_keys(parent, suffixes), 1)[:, 0] < 1 - eps
+    def train(points: np.ndarray, labels: np.ndarray, trng: RngHandle) -> list[TableHypothesis]:
+        heads = trng.generator().random(len(points)) < 1 - eps
         return [c if h else wrong for h in heads]
 
     A = Learner(n=n_group, train=train)
@@ -449,9 +445,6 @@ def _scenario_amplify_concentration(
 # Holdout-selection counterexample
 # --------------------------------------------------------------------------
 
-# badamplify draws its base learner's coins for this many trials at a time.
-_COIN_CHUNK = 8
-
 
 @_register(
     "badamplify", eps=(0.3, "[0, 1)"), eta=(0.25, "[0.01, 0.49]"),
@@ -468,11 +461,12 @@ def badamplify_counterexample(
     the constant ``+1``. The base learner reads off the majority label ``b``,
     then with probability ``1 - eps`` outputs the constant ``b`` and
     otherwise a hypothesis that is ``b`` exactly on the subset encoded by the
-    first subset point in its sample (``-b`` elsewhere). The nasty adversary
-    spends its whole drawn budget (``Bin(nk + n_test, eta)`` positions, so
-    each shuffled group of ``n`` sees ``Bin(n, eta)`` corruptions) replacing
-    examples with one subset point that encodes every small-domain point
-    appearing in the holdout arm's clean sample.
+    first subset point in its sample (``-b`` elsewhere); a ``train`` call
+    draws these coins as one uniform per group from the handle it is handed.
+    The nasty adversary spends its whole drawn budget (``Bin(nk + n_test,
+    eta)`` positions, so each shuffled group of ``n`` sees ``Bin(n, eta)``
+    corruptions) replacing examples with one subset point that encodes every
+    small-domain point appearing in the holdout arm's clean sample.
 
     Holdout selection over ``k`` groups then prefers high-error hypotheses
     (their encoded subset covers the holdout). The uniform-mixture arm runs
@@ -480,14 +474,6 @@ def badamplify_counterexample(
     ``amp = AmplifyParams.auto(0.1, 0.01)``: enough groups for amplification's
     guarantee, mixture error at most ``eps + amp.eps_additional`` with
     probability at least ``1 - amp.delta``, which its verdict checks.
-
-    The base learner's coins are drawn ahead, for ``_COIN_CHUNK`` trials and
-    both arms at a time, in one Philox pass. That rests on the group-stream
-    contract of :func:`~noisylab.learn.amplify` and
-    :func:`~noisylab.learn.bad_amplify`: an arm called with handle ``h``
-    trains group ``i`` with the stream ``(*h.ids, *row_i)``, row ``i`` of
-    ``learn._group_key_suffixes(k)``. ``train`` looks its coins up by the
-    parent ids it is handed, and streams not drawn ahead are an error.
     """
     amp = AmplifyParams.auto(eps_additional=0.1, delta=0.01)
     amp_threshold = eps + amp.eps_additional
@@ -509,32 +495,11 @@ def badamplify_counterexample(
         constant[b] = TableHypothesis.constant(b, M + 1)
         constant[b].exact_error = 0.0 if b == 1 else 1.0
 
-    # Trial t runs bad_amplify with handle rng.split(t, BAD_ARM) and amplify
-    # with rng.split(t, MIX_ARM); each arm's groups train with the rows below.
-    BAD_ARM, MIX_ARM = 2, 3
-    arm_groups = ((BAD_ARM, _group_key_suffixes(k)), (MIX_ARM, _group_key_suffixes(amp.k)))
-    coins: dict[tuple[int, ...], tuple[np.ndarray, list[bool]]] = {}  # parent -> suffixes, coins
-
-    def draw_coins(chunk: range) -> None:
-        calls = [(t, arm, suffixes) for t in chunk for arm, suffixes in arm_groups]
-        rows = np.concatenate([
-            np.column_stack((np.full((len(suffixes), 2), (t, arm)), suffixes))
-            for t, arm, suffixes in calls
-        ])
-        heads = (philox_uniforms(philox_keys(rng.ids, rows), 1)[:, 0] < 1 - eps).tolist()
-        start = 0
-        for t, arm, suffixes in calls:
-            stop = start + len(suffixes)
-            coins[(*rng.ids, t, arm)] = suffixes, heads[start:stop]
-            start = stop
-
     records = []
     bad_count = 0
     amp_exceed = 0
     crosscheck = None
     for t in range(trials):
-        if t % _COIN_CHUNK == 0:
-            draw_coins(range(t, min(t + _COIN_CHUNK, trials)))
         r = rng.split(t)
         clean_pts = r.split(0).generator().integers(0, M, size=m_total, dtype=np.int64)
         S_clean = Sample(clean_pts, np.ones(m_total, dtype=np.int8))
@@ -550,16 +515,8 @@ def badamplify_counterexample(
         subset[1].exact_error = 1.0 - appear_frac
         subset[-1].exact_error = appear_frac
 
-        def train(points: np.ndarray, labels: np.ndarray, parent: tuple[int, ...],
-                  suffixes: np.ndarray) -> list[TableHypothesis]:
-            drawn, heads = coins.pop(parent, (None, None))
-            if drawn is None or not np.array_equal(suffixes, drawn):
-                raise RuntimeError(
-                    "badamplify drew no coins for these group streams: it draws them "
-                    "ahead for the streams (*rng.ids, trial, arm, *row), one per row "
-                    "of learn._group_key_suffixes(k), which must be the streams "
-                    "_train_groups hands train"
-                )
+        def train(points: np.ndarray, labels: np.ndarray, trng: RngHandle) -> list[TableHypothesis]:
+            heads = (trng.generator().random(len(points)) < 1 - eps).tolist()
             majority = np.where(labels.sum(axis=1) >= 0, 1, -1).tolist()
             has_subset = (points >= M).any(axis=1).tolist()
             return [
@@ -568,7 +525,7 @@ def badamplify_counterexample(
             ]
 
         A = Learner(n=n, train=train)
-        h_sel = bad_amplify(A, k, n_test, S_corr, r.split(BAD_ARM))
+        h_sel = bad_amplify(A, k, n_test, S_corr, r.split(2))
         bad_err = h_sel.exact_error
         if crosscheck is None:
             crosscheck = abs(bad_err - error_rate(h_sel, c, D))
@@ -577,7 +534,7 @@ def badamplify_counterexample(
 
         S_amp_clean = draw_clean_sample(D, c, n * amp.k, r.split(4))
         S_amp, _ = nasty_corrupt(S_amp_clean, eta, adversary, r.split(5))
-        mix = amplify(A, amp, S_amp, r.split(MIX_ARM))
+        mix = amplify(A, amp, S_amp, r.split(3))
         amp_err = float(np.mean([h.exact_error for h in mix.components]))
         over = amp_err > amp_threshold
         amp_exceed += over

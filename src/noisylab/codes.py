@@ -97,7 +97,7 @@ def masks_to_signs(masks: int | Sequence[int] | np.ndarray, w: int) -> np.ndarra
     one row per mask; a single mask gives a single word. Each mask must be an
     integer in ``[0, 2^w)``; a breach of either is a :class:`ValueError`."""
     _check_word_bits(w, "word length")
-    if isinstance(masks, (np.ndarray, Sequence)):
+    if _many_masks(masks):
         arr = _mask_array(masks, w, "mask")
     else:
         arr = np.asarray(_as_mask(masks, w, "mask"), dtype=np.uint64)
@@ -134,13 +134,24 @@ def _as_mask(value: object, bits: int, what: str) -> int:
     return value
 
 
+def _many_masks(value: object) -> bool:
+    """Whether ``value`` is a list of masks: an array, or a sequence that is
+    not a ``str``, ``bytes`` or ``bytearray``. A set, a generator or bytes is
+    not, so no list of masks depends on iteration order or reads bytes as ints."""
+    return isinstance(value, np.ndarray) or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray))
+    )
+
+
 def _mask_array(values: Sequence[int] | np.ndarray, bits: int, what: str) -> np.ndarray:
     """``values`` as a 1-d uint64 array of masks, each as by :func:`_as_mask`
     (``bits <= MAX_WORD_BITS``). A list of Python ints or an integer array is
     passed by its smallest and largest entry; any other form, or one that
     fails, is checked entry by entry, so a breach raises :func:`_as_mask`'s
-    message for the first bad entry. A multi-dimensional array is a
-    :class:`ValueError`."""
+    message for the first bad entry. A form that is not a list of masks (see
+    :func:`_many_masks`) or a multi-dimensional array is a :class:`ValueError`."""
+    if not _many_masks(values):
+        raise ValueError(f"{what}s must be an array or a sequence, got {type(values).__name__}")
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise ValueError(f"{what}s must be one-dimensional")
@@ -357,7 +368,7 @@ def erasure_list_decode_many(
         raise ValueError(f"list cap must be >= 1, got {cap}")
     w, k = G.w, G.rows
     words = _mask_array(word_masks, w, "word mask")
-    if isinstance(erased_masks, (np.ndarray, Sequence)):
+    if _many_masks(erased_masks):
         erased = _mask_array(erased_masks, w, "erasure mask")
         if erased.size != words.size:
             raise ValueError(f"{erased.size} erasure masks for {words.size} word masks")

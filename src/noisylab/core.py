@@ -9,13 +9,8 @@ Conventions used throughout the package:
   tables whose error :func:`error_rate` takes exactly as the mean of its
   components' errors.
 - Every randomized operation takes an explicit :class:`RngHandle`; identical
-  handles yield identical results, and distinct stream ids yield independent
+  handles yield identical results, and distinct split paths yield independent
   streams (counter-based Philox generators keyed through ``SeedSequence``).
-- Batch code derives the Philox keys of many streams that share a parent
-  handle's ids (:func:`philox_keys`: the parent's ``SeedSequence`` pool, then
-  each stream's suffix ids mixed in numpy) and draws their uniforms in one
-  numpy pass (:func:`philox_uniforms`, Philox4x64-10 in numpy); both match
-  what :meth:`RngHandle.generator` would draw, bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +25,6 @@ __all__ = [
     "Sample",
     "DiscreteDistribution",
     "RngHandle",
-    "philox_keys",
-    "philox_uniforms",
     "TableHypothesis",
     "MixtureHypothesis",
     "labeled_index",
@@ -67,136 +60,21 @@ def _check_intervals(pack: object) -> None:
 class RngHandle:
     """Deterministic, splittable randomness handle.
 
-    ``(seed, stream)`` fully determine the draw sequence. :meth:`split`
+    ``(seed, path)`` fully determine the draw sequence: the Philox generator
+    keyed by ``SeedSequence(seed, spawn_key=(0, *path))``. :meth:`split`
     derives statistically independent child streams (e.g. one per trial or
     per group) without consuming state from the parent.
     """
 
     seed: int
-    stream: int = 0
     path: tuple[int, ...] = field(default=())
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        """``(seed, stream, *path)``: the parent ids :func:`philox_keys` takes."""
-        return (self.seed, self.stream, *self.path)
-
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *self.path))
+        seq = np.random.SeedSequence(self.seed, spawn_key=(0, *self.path))
         return np.random.Generator(np.random.Philox(seq))
 
     def split(self, *ids: int) -> "RngHandle":
-        return RngHandle(self.seed, self.stream, self.path + tuple(ids))
-
-
-# numpy's SeedSequence (numpy/random/bit_generator.pyx, after O'Neill's
-# seed_seq): a pool of 4 uint32 words, mixed with these constants.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
-
-
-def _hash_constants(first: int, mult: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The constants of ``steps`` successive SeedSequence hash steps from
-    ``first``, as two ``(steps, 1)`` columns: step ``j`` xors with ``c_j`` and
-    multiplies by ``c_{j+1} = c_j * mult mod 2**32``. They depend on no data."""
-    c = [first]
-    for _ in range(steps):
-        c.append(c[-1] * mult & _MASK32)
-    col = np.array(c, np.uint32)[:, None]
-    return col[:-1], col[1:]
-
-
-def _hash(words: np.ndarray, xors: np.ndarray, muls: np.ndarray) -> np.ndarray:
-    v = (words ^ xors) * muls
-    return v ^ (v >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return r ^ (r >> 16)
-
-
-def _n_words(value: int) -> int:
-    """How many little-endian 32-bit words ``SeedSequence`` splits an id into."""
-    return max(1, -(-int(value).bit_length() // 32))
-
-
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
-
-
-def philox_keys(parent: Sequence[int], suffixes: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
-    """The Philox key of each id row ``(*parent, *suffixes[i])``.
-
-    For ``parent = (seed, *rest)``, row ``i`` of the ``(k, 2)`` uint64 result
-    equals ``np.random.SeedSequence(seed, spawn_key=(*rest, *suffixes[i]))
-    .generate_state(2, np.uint64)``, bit for bit. The pool after the shared
-    parent ids is numpy's own ``SeedSequence(seed, spawn_key=rest).pool``,
-    which also checks the parent as ``SeedSequence`` does. Only the suffix
-    columns are then hashed and mixed, over a ``(4, k)`` pool; the hash
-    constants pick up where the parent left them. ``suffixes`` is a ``(k, s)``
-    integer array with every entry in ``[0, 2**32)``, one 32-bit word each.
-    """
-    seed, *rest = parent
-    parent_pool = np.random.SeedSequence(seed, spawn_key=tuple(rest)).pool
-    ids = np.asarray(suffixes)
-    if ids.ndim != 2 or (ids.size and ids.dtype.kind not in "iu"):
-        raise ValueError("suffixes must be a (k, s) array of integers")
-    if ids.size and (ids.min() < 0 or ids.max() > _MASK32):
-        raise ValueError("suffix ids must be in [0, 2**32)")
-    k, s = ids.shape
-    # The parent's entropy is its seed, zero-padded to the pool size, then its
-    # spawn ids. The first pool-size words took one hash step each to fill the
-    # pool and three each to mix it; every later word one per pool word.
-    steps = _POOL_SIZE * (max(_POOL_SIZE, _n_words(seed)) + sum(map(_n_words, rest)))
-    first = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
-    xors, muls = _hash_constants(first, _MULT_A, _POOL_SIZE * s)
-    pool = np.broadcast_to(parent_pool[:, None], (_POOL_SIZE, k))
-    for j, word in enumerate(ids.T.astype(np.uint32)):
-        step = slice(_POOL_SIZE * j, _POOL_SIZE * (j + 1))
-        pool = _mix(pool, _hash(word, xors[step], muls[step]))
-    state = _hash(pool, *_STATE_CONSTANTS).astype(np.uint64)
-    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
-
-
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-# 3", SC 2011) as numpy runs it. Multipliers and key increments are (2, 1, 1)
-# columns that pair with counter words (0, 2) and key words (0, 1).
-_PHILOX_MULTS = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], np.uint64)[:, None, None]
-_PHILOX_BUMPS = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], np.uint64)[:, None, None]
-_32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
-_MULTS_LO, _MULTS_HI = _PHILOX_MULTS & _LOW32, _PHILOX_MULTS >> _32
-
-
-def philox_uniforms(keys: np.ndarray, m: int) -> np.ndarray:
-    """The first ``m`` uniforms of each key's Philox stream.
-
-    Row ``i`` of the ``(len(keys), m)`` float64 result equals
-    ``np.random.Generator(np.random.Philox(key=keys[i])).random(m)`` bit for
-    bit. numpy bumps the counter before its first block, so block ``b``
-    (words ``4b`` to ``4b + 3``) encrypts the counter ``(b + 1, 0, 0, 0)``;
-    each word ``x`` gives the double ``(x >> 11) * 2**-53``.
-    """
-    keys = np.asarray(keys, np.uint64)
-    n, blocks = len(keys), -(-m // 4)
-    even = np.zeros((2, n, blocks), np.uint64)  # counter words 0 and 2
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)  # counter words 1 and 3
-    key = keys.T[:, :, None]
-    for r in range(10):  # rounds
-        if r:
-            key = key + _PHILOX_BUMPS
-        # The high words of the 128-bit products, from 32-bit halves so that
-        # no partial product overflows (Warren, Hacker's Delight, mulhu).
-        lo, hi = even & _LOW32, even >> _32
-        t = _MULTS_HI * lo + (_MULTS_LO * lo >> _32)
-        w = (t & _LOW32) + _MULTS_LO * hi
-        high = _MULTS_HI * hi + (t >> _32) + (w >> _32)
-        even, odd = high[::-1] ^ odd ^ key, (_PHILOX_MULTS * even)[::-1]
-    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(n, 4 * blocks)
-    return (words[:, :m] >> np.uint64(11)) * 2.0**-53
+        return RngHandle(self.seed, self.path + tuple(ids))
 
 
 class LabeledExample(NamedTuple):

@@ -35,33 +35,33 @@ __all__ = [
 ]
 
 
-# A learner called with ``rng`` subsamples with ``rng.split(0)`` and trains
-# with the randomness of ``rng.split(_TRAIN_ID)``.
-_TRAIN_ID = 1
-
-
 @dataclass(frozen=True)
 class Learner:
     """A base learner: trains one hypothesis per length-``n`` sample.
 
-    ``train(points, labels, parent, suffixes)`` takes ``k`` samples as
-    ``(k, n)`` point and ±1 label arrays and their randomness: row ``i`` trains
-    with the stream ``(*parent, *suffixes[i])``, whose Philox key is row ``i``
-    of :func:`~noisylab.core.philox_keys` ``(parent, suffixes)``. It returns
-    ``k`` hypotheses, row ``i``'s a function of row ``i`` alone. Calling the
-    learner trains it on one sample: oversized samples are first reduced with
-    :func:`subsample_filter`; undersized samples are an error.
+    ``train(points, labels, rng)`` takes ``k`` samples as ``(k, n)`` point and
+    ±1 label arrays and one handle, from which it draws every row's
+    randomness, and returns ``k`` hypotheses, row ``i``'s from row ``i``'s
+    sample and coins. Rows must get independent coins (for example, row ``i``
+    the ``i``-th of ``k`` uniforms from one generator). Calling the learner
+    with ``rng`` trains it on one sample with ``rng.split(1)``: oversized
+    samples are first reduced with :func:`subsample_filter` on
+    ``rng.split(0)``; undersized samples are an error. ``n`` must be at least 1.
     """
 
     n: int
-    train: Callable[[np.ndarray, np.ndarray, tuple[int, ...], np.ndarray], list[TableHypothesis]]
+    train: Callable[[np.ndarray, np.ndarray, RngHandle], list[TableHypothesis]]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"a learner needs n >= 1 examples, got {self.n}")
 
     def __call__(self, S: Sample, rng: RngHandle) -> TableHypothesis:
         if len(S) > self.n:
             S = subsample_filter(S, self.n, rng.split(0))
         elif len(S) < self.n:
             raise ValueError(f"learner needs {self.n} examples, got {len(S)}")
-        return self.train(S.points[None], S.labels[None], rng.ids, np.array([[_TRAIN_ID]]))[0]
+        return self.train(S.points[None], S.labels[None], rng.split(1))[0]
 
 
 @dataclass(frozen=True)
@@ -122,31 +122,25 @@ def ice_filter(S: Sample) -> Sample:
 
 def subsample_filter(S: Sample, n: int, rng: RngHandle) -> Sample:
     """Uniform ``n``-subset of ``S`` without replacement, order randomized."""
+    if n < 0:
+        raise ValueError(f"cannot subsample a negative count, got {n}")
     if n > len(S):
         raise ValueError(f"cannot subsample {n} from {len(S)} examples")
     perm = rng.generator().permutation(len(S))[:n]
     return S.take(perm)
 
 
-def _group_key_suffixes(k: int) -> np.ndarray:
-    """The ``(k, 3)`` stream suffixes ``_train_groups`` hands ``train``: row
-    ``i`` is ``(1, i, _TRAIN_ID)``, so group ``i`` of a call with handle
-    ``rng`` trains with the stream ``(*rng.ids, *row_i)``, the randomness of
-    ``A(group, rng.split(1, i))``."""
-    return np.column_stack((np.ones(k, np.int64), np.arange(k), np.full(k, _TRAIN_ID)))
-
-
 def _train_groups(
     A: Learner, S_big: Sample, k: int, rng: RngHandle
 ) -> tuple[list[TableHypothesis], Sample]:
-    """Uniformly permute ``S_big`` and train ``A`` on each of its first ``k``
-    runs of ``A.n`` examples, group ``i`` exactly as ``A(group, rng.split(1, i))``
-    would, all ``k`` in one batch. Returns the hypotheses and the examples
-    after the groups."""
+    """Uniformly permute ``S_big`` with ``rng.split(0)`` and train ``A`` on
+    each of its first ``k`` runs of ``A.n`` examples, all ``k`` in one
+    ``train`` call with ``rng.split(1)``. Returns the hypotheses and the
+    examples after the groups."""
     n = A.n
     perm = rng.split(0).generator().permutation(len(S_big))
     groups = perm[: k * n].reshape(k, n)
-    hyps = A.train(S_big.points[groups], S_big.labels[groups], rng.ids, _group_key_suffixes(k))
+    hyps = A.train(S_big.points[groups], S_big.labels[groups], rng.split(1))
     return hyps, S_big.take(perm[k * n :])
 
 

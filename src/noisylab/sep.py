@@ -252,12 +252,12 @@ class KeyValueLayout:
         n_candidates = len(masks)
         if n_candidates == 0:
             raise ValueError("empty candidate list")
+        codewords = _mask_array(codewords, self.w, "codeword mask")
         if len(codewords) != n_candidates:
             raise ValueError(f"{len(codewords)} codewords for {n_candidates} keys")
         if len(net) != self.domain_size:
             raise ValueError(f"net has {len(net)} entries, not one per {self.domain_size} points")
         self.check_store(store)
-        codewords = _mask_array(codewords, self.w, "codeword mask")
         block_sums = self.block_sums(net)
         key_agree = int(block_sums.sum()) - 2 * (_mask_bits(codewords, self.w) @ block_sums)
         value_net = net[self.key_size :]

@@ -241,9 +241,11 @@ def agreement_reference(rows: np.ndarray, net: Sequence[float]) -> np.ndarray:
 
 
 # The bad forms of a 4-bit packed mask: id -> (value, its message where one
-# mask is taken, its message where an array of masks is taken). A single
-# value goes to an array entry point as a one-entry list and gives its
-# one-mask message there too.
+# mask is taken, its message where a list of masks is taken). A single value
+# goes to a list entry point as a one-entry list and gives its one-mask
+# message there too. An entry point that takes one mask or a list reads only
+# an array or a sequence other than str and bytes as a list, so there a
+# bytes, set or generator is one mask and gets its one-mask message.
 BAD_MASKS = {
     "bool": (True, "{what} must be an integer, got True", None),
     "np-bool": (np.True_, "{what} must be an integer, got np.True_", None),
@@ -263,34 +265,51 @@ BAD_MASKS = {
         "{what} must be an integer, got array([[0]], dtype=uint64)",
         "{what}s must be one-dimensional",
     ),
+    "bytes": (
+        b"\x01\x02",
+        "{what} must be an integer, got b'\\x01\\x02'",
+        "{what}s must be an array or a sequence, got bytes",
+    ),
+    "set": (
+        {1, 2},
+        "{what} must be an integer, got {{1, 2}}",
+        "{what}s must be an array or a sequence, got set",
+    ),
+    "generator": (
+        (m for m in [1, 2]),  # never iterated: every entry point rejects it first
+        "{what} must be an integer, got {value!r}",
+        "{what}s must be an array or a sequence, got generator",
+    ),
 }
 
 
-def _mask_entry_points() -> dict[str, tuple[str, bool, Callable]]:
+def _mask_entry_points() -> dict[str, tuple[str, str, Callable]]:
     """Every public entry point that takes a packed mask, each at 4 bits:
-    id -> (its name for the mask, whether it takes an array of masks, a call
-    that hands it the value)."""
+    id -> (its name for the mask, whether it takes ``"one"`` mask, a
+    ``"list"`` of masks or ``"either"``, a call that hands it the value)."""
     G = GeneratorMatrix([1, 2, 4, 8], 4)
     spec = ExtractorSpec(w=4, u=4, m_out=2)
     layout = KeyValueLayout.fit(4, 2, Fraction(1, 2))
     net = np.zeros(layout.domain_size, dtype=np.int64)
     store = PrfDigestStore(4, layout.value_size)
     return {
-        "Codeword-mask": ("codeword mask", False, lambda m: Codeword(m, 0, 4)),
-        "Codeword-message": ("message", False, lambda m: Codeword(0, m, 4)),
-        "PrfKey": ("key mask", False, lambda m: PrfKey(m, 4)),
-        "encode": ("message", False, lambda m: encode(G, m)),
-        "extract-source": ("source", False, lambda m: extract(m, 0, spec)),
-        "extract-seed": ("seed", False, lambda m: extract(0, m, spec)),
-        "masks_to_signs": ("mask", True, lambda m: masks_to_signs(m, 4)),
-        "GeneratorMatrix": ("row mask", True, lambda m: GeneratorMatrix(m, 4)),
-        "decode-words": ("word mask", True, lambda m: erasure_list_decode_many(G, 0, m)),
+        "Codeword-mask": ("codeword mask", "one", lambda m: Codeword(m, 0, 4)),
+        "Codeword-message": ("message", "one", lambda m: Codeword(0, m, 4)),
+        "PrfKey": ("key mask", "one", lambda m: PrfKey(m, 4)),
+        "encode": ("message", "one", lambda m: encode(G, m)),
+        "extract-source": ("source", "one", lambda m: extract(m, 0, spec)),
+        "extract-seed": ("seed", "one", lambda m: extract(0, m, spec)),
+        "masks_to_signs": ("mask", "either", lambda m: masks_to_signs(m, 4)),
+        "GeneratorMatrix": ("row mask", "list", lambda m: GeneratorMatrix(m, 4)),
+        "decode-words": ("word mask", "list", lambda m: erasure_list_decode_many(G, 0, m)),
+        # A bad erasure or codeword list is rejected before its length is
+        # compared with the one word or key.
         "decode-erasures": (
-            "erasure mask", True, lambda m: erasure_list_decode_many(G, m, [0] * len(m))
+            "erasure mask", "either", lambda m: erasure_list_decode_many(G, m, [0])
         ),
-        "packed": ("key mask", True, lambda m: store.packed(m)),
+        "packed": ("key mask", "list", lambda m: store.packed(m)),
         "best_candidate": (
-            "codeword mask", True, lambda m: layout.best_candidate(net, m, [0] * len(m), store)
+            "codeword mask", "list", lambda m: layout.best_candidate(net, m, [0], store)
         ),
     }
 
@@ -300,11 +319,12 @@ def bad_mask_cases() -> list[tuple[str, Callable[[], object], str]]:
     message escaped and anchored as a ``pytest.raises`` pattern for exactly
     that one message."""
     cases = []
-    for entry, (what, takes_arrays, call) in _mask_entry_points().items():
+    for entry, (what, takes, call) in _mask_entry_points().items():
         for form, (value, one, many) in BAD_MASKS.items():
-            if takes_arrays and many is None:
+            if takes != "one" and many is None:
                 value = [value]
-            message = (many if takes_arrays and many else one).format(what=what)
+            as_list = takes == "list" or takes == "either" and isinstance(value, np.ndarray)
+            message = (many if as_list and many else one).format(what=what, value=value)
             cases.append((
                 f"{entry}-{form}", lambda call=call, value=value: call(value),
                 f"^{re.escape(message)}$",

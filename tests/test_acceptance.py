@@ -20,6 +20,7 @@ import pytest
 
 from noisylab.bench import ExperimentConfig, run_scenario, scenarios, write_report
 from noisylab.core import Sample
+from noisylab.learn import Learner
 from noisylab.noise import StrategyResult, noop
 
 PINS = Path(__file__).parent / "golden" / "acceptance_sha256.json"
@@ -107,7 +108,8 @@ def test_criterion_03_amplify_concentration():
     # sum error > eps*k + 3*sqrt(k ln 20) must be < 0.05. The crafted learner
     # ignores its sample, so this checks the per-group coin derivation and
     # the group count, not the noise: it stays True with nasty_corrupt
-    # flipping labels at rate 0.99.
+    # flipping labels at rate 0.99, and one coin shared by every group flips
+    # it (NEGATIVE_CONTROLS).
     rep, dt = _run("amplify-concentration")
     freq = rep.aggregate["exceed_frequency"]
     ok = rep.verdicts["concentration"]
@@ -282,6 +284,7 @@ def test_criterion_11_reduction_demos():
 _nasty_corrupt = scenarios.nasty_corrupt
 _sep_malicious_learner = scenarios.sep_malicious_learner
 _nasty_via_strong_malicious = scenarios.nasty_via_strong_malicious
+_amplify = scenarios.amplify
 
 
 def _huber_without_outliers(D, c, eta, outliers, n, rng):
@@ -294,6 +297,15 @@ def _nasty_at_nine_tenths_eta(S_clean, eta, strategy, rng, c=None):
 
 def _constant_sep_learner(S, inst):
     return inst.concept(0, 0), _sep_malicious_learner(S, inst)[1]
+
+
+def _amplify_with_one_coin(A, params, S_big, rng):
+    # Each group trains in a call of its own on the same handle, so all k
+    # groups draw the same coin.
+    def per_group(points, labels, trng):
+        return [A.train(p[None], l[None], trng)[0] for p, l in zip(points, labels)]
+
+    return _amplify(Learner(n=A.n, train=per_group), params, S_big, rng)
 
 
 def _coupling_with_negated_labels(nasty_strategy, filler_point=0):
@@ -319,6 +331,7 @@ NEGATIVE_CONTROLS = [
     ("sep-learner", "error_ok_rate", "sep_malicious_learner", _constant_sep_learner, 5, {}),
     ("ice-coupling", "coupling_exact", "nasty_via_strong_malicious",
      _coupling_with_negated_labels, 5, {}),
+    ("amplify-concentration", "concentration", "amplify", _amplify_with_one_coin, 20, {}),
 ]
 
 

@@ -35,7 +35,6 @@ from noisylab.bench.scenarios import (
 )
 from noisylab.codes import gen_random_linear_code
 import noisylab.core as core
-import noisylab.learn as learn
 from noisylab.icesep import IceSepParams
 from noisylab.learn import AmplifyParams
 from noisylab.sep import SepParams
@@ -227,54 +226,10 @@ class TestRunScenario:
         rep = run_scenario(ExperimentConfig(scenario="badamplify", trials=2, seed=3))
         assert rep.aggregate["amplify_k"] == AmplifyParams.auto(0.1, 0.01).k
 
-    def test_badamplify_coins_need_the_group_keys(self, monkeypatch):
-        # badamplify draws its coins ahead from the group-stream contract;
-        # when amplify hands train one suffix row it did not draw, train must
-        # fail loudly rather than use other coins.
-        suffixes = learn._group_key_suffixes
-
-        def one_row_shifted(k):
-            rows = suffixes(k)
-            rows[-1, 1] += 1
-            return rows
-
-        monkeypatch.setattr(learn, "_group_key_suffixes", one_row_shifted)
-        with pytest.raises(RuntimeError, match="_group_key_suffixes"):
-            run_scenario(ExperimentConfig(scenario="badamplify", trials=1, seed=3))
-
-    def test_badamplify_coins_need_the_parent_ids(self, monkeypatch):
-        # The same when the meta-learners train under a handle other than the
-        # one each arm is called with.
-        train_groups = learn._train_groups
-
-        def other_handle(A, S_big, k, rng):
-            return train_groups(A, S_big, k, rng.split(0))
-
-        monkeypatch.setattr(learn, "_train_groups", other_handle)
-        with pytest.raises(RuntimeError, match="_group_key_suffixes"):
-            run_scenario(ExperimentConfig(scenario="badamplify", trials=1, seed=3))
-
-    def test_badamplify_derives_each_group_key_once(self, monkeypatch):
-        # 9 trials draw their coins in two chunks (8 trials, then 1). Each
-        # group's Philox key is derived there, once, and nowhere else.
-        derive = core.philox_keys
-        rows = []
-
-        def counting(parent, suffixes):
-            rows.append(len(suffixes))
-            return derive(parent, suffixes)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("noisylab") and getattr(module, "philox_keys", None) is derive:
-                monkeypatch.setattr(module, "philox_keys", counting)
-        run_scenario(ExperimentConfig(scenario="badamplify", trials=9, seed=3))
-        assert len(rows) == 2
-        assert sum(rows) == 9 * (10 + AmplifyParams.auto(0.1, 0.01).k)
-
     def test_badamplify_partial_coin_chunk(self, tmp_path):
-        # 17 trials end on a chunk of one. Trial t draws from rng.split(t)
-        # alone, so the first 5 trials write the golden 5-trial rows, and
-        # the first 9 (one chunk past the first) a 9-trial run's records.
+        # Trial t draws from rng.split(t) alone, its base learner's coins
+        # included, so the first 5 of 17 trials write the golden 5-trial rows,
+        # and the first 9 a 9-trial run's records.
         params = {"eps": 0.3, "eta": 0.25, "n": 60, "k": 10, "n_test": 40}
         runs = {
             trials: run_scenario(

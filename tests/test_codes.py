@@ -117,8 +117,9 @@ INT_DTYPES = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uin
 def test_one_mask_and_a_mask_array_follow_one_rule(bits, data):
     # Guard: _as_mask (one mask) and _mask_array (many) are the only mask
     # checks. Every value is accepted by both, as the same int, or rejected by
-    # both with the same message: alone, in a list, and (a numpy scalar) in an
-    # array of its own dtype.
+    # both with the same message: alone, in a list or a tuple, and (a numpy
+    # scalar) in an array of its own dtype. Any other iterable holding it is
+    # not a list of masks and is rejected by its type.
     numpy_ints = st.sampled_from(INT_DTYPES).flatmap(
         lambda t: st.integers(int(np.iinfo(t).min), int(np.iinfo(t).max)).map(t)
     )
@@ -142,9 +143,12 @@ def test_one_mask_and_a_mask_array_follow_one_rule(bits, data):
             return str(exc)
 
     one = outcome(lambda: [_as_mask(value, bits, "mask")])
-    forms = [[value]] + ([np.array([value])] if isinstance(value, np.generic) else [])
+    forms = [[value], (value,)] + ([np.array([value])] if isinstance(value, np.generic) else [])
     for form in forms:
         assert outcome(lambda: _mask_array(form, bits, "mask").tolist()) == one
+    for form in ({value}, (v for v in [value]), str(value), repr(value).encode()):
+        message = f"masks must be an array or a sequence, got {type(form).__name__}"
+        assert outcome(lambda: _mask_array(form, bits, "mask")) == message
 
 
 def test_signs_to_mask_validation():

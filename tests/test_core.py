@@ -6,10 +6,11 @@ independent path.
 """
 
 import collections
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from noisylab.core import (
@@ -23,8 +24,6 @@ from noisylab.core import (
     empirical_error,
     error_rate,
     labeled_index,
-    philox_keys,
-    philox_uniforms,
 )
 
 from helpers import erase, evaluate, point_mass, sample_from_pairs
@@ -58,113 +57,14 @@ class TestRngHandle:
         a = r.generator().random(5)
         assert np.array_equal(a, RngHandle(7).generator().random(5))
 
-
-def _seed_sequence_key(seed, *spawn_key):
-    return np.random.SeedSequence(seed, spawn_key=spawn_key).generate_state(2, np.uint64)
-
-
-# One id of each word length SeedSequence splits an int into: one 32-bit word
-# (0 included), two, and three or more.
-_ids = st.one_of(
-    st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1), st.integers(2**64, 2**140)
-)
-_handles = st.builds(RngHandle, _ids, _ids, st.lists(_ids, max_size=5).map(tuple))
-# A (k, s) suffix array, s from 0 to 3, each id one 32-bit word.
-_suffixes = st.tuples(st.integers(0, 6), st.integers(0, 3)).flatmap(
-    lambda ks: st.lists(
-        st.integers(0, 2**32 - 1), min_size=ks[0] * ks[1], max_size=ks[0] * ks[1]
-    ).map(lambda flat: np.array(flat, np.int64).reshape(ks))
-)
-
-
-class TestPhiloxKeys:
-    FIXED = [
-        RngHandle(0),
-        RngHandle(5, 3),
-        RngHandle(2**32 - 1, 0, (1, 2)),
-        RngHandle(2**32, 1, (2**32,)),
-        RngHandle(2**64, 2, (0, 2**64 + 1, 7)),
-        RngHandle(2**130, 0, ()),
-        RngHandle(7, 0, (1, 0, 1)),
-        RngHandle(3, 2**40, (2**32 - 1, 2**33, 0, 0, 0, 9)),
-    ]
-    ROWS = np.array([[0, 0, 0], [1, 2, 3], [2**32 - 1, 0, 2**31]])
-
-    def test_fixed_cases_in_one_batch(self):
-        for h in self.FIXED:
-            for s in (0, 1, 3):
-                rows = self.ROWS[:, :s]
-                keys = philox_keys(h.ids, rows)
-                assert keys.dtype == np.uint64 and keys.shape == (len(rows), 2)
-                for row, key in zip(rows.tolist(), keys):
-                    assert np.array_equal(key, _seed_sequence_key(*h.ids, *row)), (h, row)
-
-    def test_parent_without_spawn_key(self):
-        # A seed alone: SeedSequence pads a short seed only when spawn ids follow.
-        for seed in (0, 5, 2**64, 2**130):
-            assert np.array_equal(philox_keys((seed,), [[]]), [_seed_sequence_key(seed)])
-            assert np.array_equal(philox_keys((seed,), [[9]]), [_seed_sequence_key(seed, 9)])
-
-    def test_empty_batch(self):
-        assert philox_keys((1, 0), np.empty((0, 2), np.int64)).shape == (0, 2)
-
-    @settings(max_examples=150, deadline=None)
-    @given(_handles, _suffixes)
-    def test_matches_seed_sequence(self, h, rows):
-        expected = [_seed_sequence_key(*h.ids, *row) for row in rows.tolist()]
-        assert np.array_equal(philox_keys(h.ids, rows), np.array(expected).reshape(-1, 2))
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            RngHandle(-1),
-            RngHandle(1.5),
-            RngHandle(1, -2),
-            RngHandle(1, 0.5),
-            RngHandle(1, 0, (3, -1)),
-            RngHandle(1, 0, (2.5,)),
-            RngHandle(2**64, 0, (-1,)),
-            RngHandle(2**64, 0, (1.0,)),
-        ],
-        ids=repr,
-    )
-    def test_invalid_ids_raise_like_seed_sequence(self, bad):
-        with pytest.raises(Exception) as expected:
-            _seed_sequence_key(*bad.ids, 1)
-        with pytest.raises(Exception) as got:
-            philox_keys(bad.ids, [[1]])
-        assert got.type is expected.type
-
-    @pytest.mark.parametrize(
-        "bad",
-        [[[-1]], [[0, 2**32]], [[1.0]], np.array([[0.5, 1.0]]), [1, 2], [[2**64]]],
-        ids=["negative", "two-words", "float", "float-array", "one-d", "object"],
-    )
-    def test_invalid_suffixes_raise(self, bad):
-        with pytest.raises(ValueError):
-            philox_keys((1, 0), bad)
-
-
-_words = st.integers(0, 2**64 - 1)
-
-
-class TestPhiloxUniforms:
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(_words, _words), min_size=1, max_size=8), st.integers(1, 9))
-    def test_matches_numpy_philox(self, keys, m):
-        # m up to 9 crosses the boundaries of Philox's 4-word blocks.
-        keys = np.array(keys, np.uint64)
-        expected = [np.random.Generator(np.random.Philox(key=key)).random(m) for key in keys]
-        got = philox_uniforms(keys, m)
-        assert got.dtype == np.float64 and got.shape == (len(keys), m)
-        assert np.array_equal(got, np.array(expected))
-
-    @settings(max_examples=30, deadline=None)
-    @given(_handles, _suffixes)
-    def test_keys_of_ids_give_the_handle_draws(self, h, rows):
-        got = philox_uniforms(philox_keys(h.ids, rows), 5)
-        expected = [h.split(*row).generator().random(5) for row in rows.tolist()]
-        assert np.array_equal(got, np.array(expected).reshape(-1, 5))
+    def test_generator_is_philox_keyed_by_seed_sequence(self):
+        # The layout every golden fixture rests on: the Philox generator whose
+        # key is SeedSequence(seed, spawn_key=(0, *path))'s first two words,
+        # its counter at zero.
+        for seed, path in itertools.product((0, 7, 2**70 + 3), ((), (0,), (3, 1), (2, 2**33, 7))):
+            state = RngHandle(seed).split(*path).generator().bit_generator.state["state"]
+            key = np.random.SeedSequence(seed, spawn_key=(0, *path)).generate_state(2, np.uint64)
+            assert np.array_equal(state["key"], key) and not state["counter"].any()
 
 
 class TestSample:

@@ -20,14 +20,10 @@ from noisylab.core import (
     TableHypothesis,
     empirical_error,
     error_rate,
-    philox_keys,
-    philox_uniforms,
 )
 from noisylab.learn import (
-    _TRAIN_ID,
     AmplifyParams,
     Learner,
-    _group_key_suffixes,
     amplify,
     bad_amplify,
     bv_sample_size,
@@ -131,9 +127,15 @@ class TestSubsampleFilter:
         with pytest.raises(ValueError):
             subsample_filter(S, 2, RngHandle(0))
 
+    def test_negative_size_raises(self):
+        # Once kept all but the last example: permutation(4)[:-1].
+        S = sample_from_pairs([(i, 1) for i in range(4)])
+        with pytest.raises(ValueError, match="got -1"):
+            subsample_filter(S, -1, RngHandle(0))
+
 
 def _majority_learner(n):
-    def train(points, labels, parent, suffixes):
+    def train(points, labels, rng):
         return [TableHypothesis.constant(1 if s >= 0 else -1, 2) for s in labels.sum(axis=1)]
 
     return Learner(n=n, train=train)
@@ -150,18 +152,24 @@ class TestLearner:
         S = sample_from_pairs([(0, 1)] * 10)
         assert evaluate(A(S, RngHandle(0)), 0) == 1
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_below_one_rejected(self, n):
+        # n = 0 once let amplify train k hypotheses on empty groups.
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            _majority_learner(n)
+
 
 def _recording_learner(n, domain=6):
-    """A learner whose hypothesis records its group, its key and its draws;
-    its random table makes holdout errors differ between groups."""
+    """A learner whose hypotheses record their group, the handle ``train`` got
+    and their table, one row of uniforms each from that handle; the random
+    tables make holdout errors differ between groups."""
 
-    def train(points, labels, parent, suffixes):
-        keys = philox_keys(parent, suffixes)
-        tables = np.where(philox_uniforms(keys, domain) < 0.5, 1, -1).astype(np.int8)
+    def train(points, labels, rng):
+        tables = np.where(rng.generator().random((len(points), domain)) < 0.5, 1, -1)
         hyps = []
-        for p, l, key, table in zip(points, labels, keys, tables):
+        for p, l, table in zip(points, labels, tables.astype(np.int8)):
             h = TableHypothesis(table)
-            h.record = (p.tolist(), l.tolist(), key.tolist(), table.tolist())
+            h.record = (p.tolist(), l.tolist(), rng, table.tolist())
             hyps.append(h)
         return hyps
 
@@ -169,19 +177,23 @@ def _recording_learner(n, domain=6):
 
 
 def _reference_groups(A, S_big, k, rng):
-    """The groups and hypotheses of a plain loop over ``A(g, rng.split(1, i))``."""
+    """A plain reference: permute with ``rng.split(0)``, slice ``k`` groups
+    of ``A.n``, and train them in one call with ``rng.split(1)``. Returns the
+    hypotheses and the holdout."""
     shuffled = S_big.take(rng.split(0).generator().permutation(len(S_big)))
-    groups = [shuffled.take(np.arange(i * A.n, (i + 1) * A.n)) for i in range(k)]
-    holdout = shuffled.take(np.arange(k * A.n, len(S_big)))
-    return [A(g, rng.split(1, i)) for i, g in enumerate(groups)], holdout
+    groups = [shuffled.take(slice(i * A.n, (i + 1) * A.n)) for i in range(k)]
+    holdout = shuffled.take(slice(k * A.n, len(S_big)))
+    points = np.array([g.points for g in groups])
+    labels = np.array([g.labels for g in groups])
+    return A.train(points, labels, rng.split(1)), holdout
 
 
 _AMPLIFY_HANDLES = [
     RngHandle(0),
     RngHandle(12345),
     RngHandle(2**70 + 3),
-    RngHandle(9, 4),
-    RngHandle(5, 1, (2, 2**33)),
+    RngHandle(9, (4,)),
+    RngHandle(5, (1, 2, 2**33)),
 ]
 
 
@@ -210,43 +222,37 @@ class TestAmplifyMatchesReferenceLoop:
         assert bad_amplify(A, k, n_test, S, rng).record == ref[pick].record
 
     def test_call_and_amplify_share_the_train_handle(self):
-        # Group i of amplify draws what A(group, rng.split(1, i)) draws, and a
-        # call with handle r trains with the randomness of r.split(1).
+        # Group i of amplify gets row i of the uniforms drawn from
+        # rng.split(1), and a call with the same handle gets row 0.
         A, k = _recording_learner(2), 3
         for rng in _AMPLIFY_HANDLES:
             mix = amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 4), rng)
-            for i, h in enumerate(mix.components):
-                draws = rng.split(1, i, 1).generator().random(6)
-                assert h.record[3] == np.where(draws < 0.5, 1, -1).tolist()
-                assert h.record[3] == A(self._sample(A.n, 3), rng.split(1, i)).record[3]
+            draws = rng.split(1).generator().random((k, 6))
+            want = np.where(draws < 0.5, 1, -1).tolist()
+            assert [h.record[3] for h in mix.components] == want
+            assert A(self._sample(A.n, 3), rng).record[3] == want[0]
 
     @pytest.mark.parametrize("rng", _AMPLIFY_HANDLES, ids=repr)
-    def test_groups_train_with_the_suffix_keys(self, rng):
-        # Both meta-learners hand train their handle's ids and the
-        # _group_key_suffixes rows, and a call hands the one row (_TRAIN_ID,):
-        # the contract that lets a caller draw a group's coins before the call.
+    def test_train_gets_the_split_one_handle(self, rng):
+        # amplify, bad_amplify and a call each make one train call, handed
+        # exactly rng.split(1): the contract a learner draws its coins by.
         handed = []
         recording = _recording_learner(2)
 
-        def train(points, labels, parent, suffixes):
-            handed.append((parent, suffixes.copy()))
-            return recording.train(points, labels, parent, suffixes)
+        def train(points, labels, trng):
+            handed.append((len(points), trng))
+            return recording.train(points, labels, trng)
 
         A, k = Learner(n=2, train=train), 5
         amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 6), rng)
         bad_amplify(A, k, 3, self._sample(A.n * k + 3, 7), rng)
         A(self._sample(A.n, 8), rng)
-        want = _group_key_suffixes(k)
-        assert len(handed) == 3
-        for parent, suffixes in handed[:2]:
-            assert parent == rng.ids
-            assert suffixes.dtype == want.dtype and suffixes.tolist() == want.tolist()
-        assert handed[2][0] == rng.ids and handed[2][1].tolist() == [[_TRAIN_ID]]
+        assert handed == [(k, rng.split(1)), (k, rng.split(1)), (1, rng.split(1))]
 
     def test_groups_build_no_seed_sequence(self, monkeypatch):
-        # The k groups' keys come from one batch derivation: the permutation's
-        # handle and the groups' shared parent pool build a SeedSequence each,
-        # however many groups there are.
+        # The k groups train from one generator: the permutation's handle and
+        # the train handle build a SeedSequence each, however many groups
+        # there are.
         calls = []
         seed_sequence = np.random.SeedSequence
 
@@ -261,7 +267,7 @@ class TestAmplifyMatchesReferenceLoop:
             return len(calls) - before
 
         monkeypatch.setattr(np.random, "SeedSequence", counting)
-        assert built(1) == built(50)
+        assert built(1) == built(50) == 2
 
 
 class TestAmplifyParams:
