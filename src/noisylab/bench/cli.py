@@ -25,7 +25,7 @@ from ..codes import (
     gen_random_linear_code,
     mask_to_signs,
 )
-from ..core import RngHandle
+from ..core import RngHandle, _within
 from .reports import render_text, write_report
 from .scenarios import ExperimentConfig, run_scenario, scenario_names
 
@@ -127,10 +127,9 @@ def _parse_word(text: str) -> np.ndarray:
 
 def _cmd_codes(args: argparse.Namespace) -> int:
     if args.codes_command == "gen":
-        if args.seed < 0:
-            return _error(f"seed must be >= 0, got {args.seed}")
         try:
-            text = gen_random_linear_code(args.rho, args.w, RngHandle(args.seed)).to_text()
+            seed = _within(args.seed, "[0, inf)", "seed", integer=True)
+            text = gen_random_linear_code(args.rho, args.w, RngHandle(seed)).to_text()
             if args.out:
                 args.out.write_text(text)
         except (OSError, ValueError) as exc:

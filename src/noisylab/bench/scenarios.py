@@ -52,6 +52,8 @@ from ..core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    _as_number,
+    _check_intervals,
     _within,
     draw_clean_sample,
     error_rate,
@@ -133,19 +135,12 @@ class ExperimentConfig:
 
     scenario: str
     params: dict = field(default_factory=dict)
-    trials: int = 1
-    seed: int = 0
+    trials: int = field(default=1, metadata={"interval": "[1, inf)"})
+    seed: int = field(default=0, metadata={"interval": "[0, inf)"})
     out: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_intervals(self)
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"out must be a directory path string, got {self.out!r}")
         if self.scenario not in _SCENARIOS:
@@ -187,14 +182,13 @@ def run_scenario(config: ExperimentConfig) -> TrialReport:
         # a JSON boolean or infinity is no number.
         kind = type(defaults[key])
         try:
-            cast = params[key] = kind(value)
-            if isinstance(value, bool) or cast != value or abs(cast) == math.inf:
+            cast = params[key] = kind(_as_number(value, key))
+            if cast != value or abs(cast) == math.inf:
                 raise ValueError
         except (TypeError, ValueError, OverflowError):
             noun = "an integer" if kind is int else "a finite number"
             raise ValueError(f"param {key!r} must be {noun}, got {value!r}") from None
-        if not _within(params[key], intervals[key]):
-            raise ValueError(f"{key} must be in {intervals[key]}, got {value!r}")
+        _within(value, intervals[key], key)
     records, aggregate, verdicts = fn(config.trials, RngHandle(config.seed), **params)
     echo = {key: getattr(config, key) for key in ("scenario", "params", "trials", "seed")}
     return TrialReport(config.scenario, echo, records, aggregate, verdicts)
@@ -226,9 +220,9 @@ def binom_ci(successes: int, trials: int) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: float = 5.0) -> float:
+def chisquare_vs_binomial(values: np.ndarray, n: int, p: float) -> float:
     """Goodness-of-fit p-value of observed draws against Bin(n, p), pooling
-    adjacent support bins until every expected count reaches the minimum.
+    adjacent support bins until every expected count reaches 5.
 
     Too few draws to leave two pooled bins is a :class:`ValueError`: the test
     would have no degree of freedom."""
@@ -242,7 +236,7 @@ def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: fl
     for o, e in zip(observed, expected):
         acc_o += o
         acc_e += e
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             obs_pooled.append(acc_o)
             exp_pooled.append(acc_e)
             acc_o = acc_e = 0.0
@@ -255,7 +249,7 @@ def chisquare_vs_binomial(values: np.ndarray, n: int, p: float, min_expected: fl
     if len(exp_pooled) < 2:
         raise ValueError(
             f"{trials} trials pool Bin({n}, {p}) into fewer than 2 bins of expected "
-            f"count >= {min_expected}; the chi-square test needs 2"
+            f"count >= 5.0; the chi-square test needs 2"
         )
     res = stats.chisquare(obs_pooled, exp_pooled, sum_check=False)
     return float(res.pvalue)

@@ -23,7 +23,6 @@ case for a :class:`ReceivedWord`.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .core import RngHandle, _frozen
+from .core import RngHandle, _as_int, _frozen, _within
 
 __all__ = [
     "DecodeFailure",
@@ -65,8 +64,7 @@ class DecodeFailure(Exception):
 
 def binary_entropy(p: float) -> float:
     """H(p) in bits; H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("entropy argument must be in [0, 1]")
+    _within(p, "[0, 1]", "entropy argument")
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
@@ -112,23 +110,20 @@ def _mask_bits(masks: np.ndarray, w: int) -> np.ndarray:
 
 
 def _check_word_bits(n: int, what: str) -> None:
-    """Words, messages and keys fit one packed uint64: ``n`` in ``[1, MAX_WORD_BITS]``."""
+    """Words, messages and keys fit one packed uint64: an integer ``n`` in ``[1, MAX_WORD_BITS]``."""
+    if type(n) is not int:
+        n = _as_int(n, what)
     if not 1 <= n <= MAX_WORD_BITS:
         raise ValueError(f"{what} must be in [1, {MAX_WORD_BITS}], got {n}")
 
 
 def _as_mask(value: object, bits: int, what: str) -> int:
     """``value`` as a Python int in ``[0, 2^bits)``, the one rule for a packed
-    mask: an integer, Python or numpy, and not a bool. A bool, a float (even an
-    integral one), an array (even a 0-d one), any other type or an int out of
-    range is a :class:`ValueError`."""
+    mask: an integer by :func:`~noisylab.core._as_int`'s rule (Python or
+    numpy, never a bool, a float or an array), and in range; a breach of
+    either is a :class:`ValueError`."""
     if type(value) is not int:
-        try:
-            if isinstance(value, (bool, np.bool_, np.ndarray)):
-                raise TypeError
-            value = operator.index(value)
-        except TypeError:
-            raise ValueError(f"{what} must be an integer, got {value!r}") from None
+        value = _as_int(value, what)
     if not 0 <= value < 1 << bits:
         raise ValueError(f"{what} must be in [0, 2^{bits}), got {value}")
     return value
@@ -312,8 +307,7 @@ def gen_random_linear_code(rho: float, w: int, rng: RngHandle) -> GeneratorMatri
     ``rho·w`` must be an integer number of rows; rank-deficient draws are
     regenerated (up to ``MAX_CODE_ATTEMPTS`` draws).
     """
-    if not 0 < rho < 1:
-        raise ValueError("rate must be in (0, 1)")
+    _within(rho, "(0, 1)", "rate")
     _check_word_bits(w, "codeword length")
     k_float = rho * w
     k = round(k_float)
@@ -362,10 +356,9 @@ def erasure_list_decode_many(
     Inconsistency beats the cap: :class:`DecodeFailure` is raised when
     ``2^f > cap``, or ``f`` is above the ``2^24`` listing limit, and at least
     one word is consistent; when none is, ``solutions`` has no columns. A
-    ``cap`` below 1 is a :class:`ValueError`.
+    ``cap`` that is not an integer >= 1 is a :class:`ValueError`.
     """
-    if cap < 1:
-        raise ValueError(f"list cap must be >= 1, got {cap}")
+    cap = _within(cap, "[1, inf)", "list cap", integer=True)
     w, k = G.w, G.rows
     words = _mask_array(word_masks, w, "word mask")
     if _many_masks(erased_masks):
@@ -480,7 +473,7 @@ def erasure_list_decode(
     solution space as sorted message integers. An inconsistent word gives
     ``[]``, even when its solution space would exceed ``cap``; a consistent
     one raises :class:`DecodeFailure` if its solutions exceed ``cap``. A
-    ``cap`` below 1 is a :class:`ValueError`.
+    ``cap`` that is not an integer >= 1 is a :class:`ValueError`.
     """
     if len(r) != G.w:
         raise ValueError(f"received word length {len(r)} != code length {G.w}")
@@ -497,14 +490,12 @@ def bitflip_list_decode(
 
     Exact by enumeration of all ``2^rows`` codewords (packed-bit kernel).
     Raises :class:`DecodeFailure` when the list exceeds ``cap``, and
-    :class:`ValueError` on a negative ``radius`` or a ``cap`` below 1.
+    :class:`ValueError` unless ``radius`` is an integer >= 0 and ``cap`` one >= 1.
     """
     if len(r) != G.w:
         raise ValueError(f"received word length {len(r)} != code length {G.w}")
-    if radius < 0:
-        raise ValueError(f"decoding radius must be >= 0, got {radius}")
-    if cap < 1:
-        raise ValueError(f"list cap must be >= 1, got {cap}")
+    radius = _within(radius, "[0, inf)", "decoding radius", integer=True)
+    cap = _within(cap, "[1, inf)", "list cap", integer=True)
     if (r.symbols == 0).any():
         raise ValueError("bit-flip decoding takes a fully-determined ±1 word")
     dists = _kernels.hamming_scan(G.codeword_masks, _pack_bits(r.symbols == -1))

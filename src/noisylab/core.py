@@ -15,6 +15,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
+import numbers
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Iterator, NamedTuple, Sequence
 
@@ -36,24 +39,58 @@ __all__ = [
 WEIGHT_TOLERANCE = 1e-12
 
 
-def _within(value: float, interval: str) -> bool:
-    """Whether ``value`` lies in ``interval``, written as in mathematics
-    (``"(0, 1)"``, ``"[1, inf)"``): ``[`` and ``]`` close an end, ``(`` and
-    ``)`` open it, and an ``inf`` end leaves that side unbounded."""
+def _as_int(value: object, what: str) -> int:
+    """``value`` as a Python int, by the one integer rule: a Python or numpy
+    integer and never a bool. A bool, a float (even an integral one), an array
+    (even a 0-d one) or any other type is a :class:`ValueError`."""
+    if type(value) is int:
+        return value
+    if hasattr(type(value), "__index__") and not isinstance(value, (bool, np.bool_, np.ndarray)):
+        return operator.index(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _as_number(value: object, what: str) -> object:
+    """``value``, if it is a real number and not a bool; else a :class:`ValueError`."""
+    if type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ):
+        return value
+    raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+@functools.lru_cache(maxsize=64)
+def _ends(interval: str) -> tuple[float, bool, float, bool]:
+    """The low and high ends of ``interval``, each with whether it is closed."""
     low, high = map(float, interval[1:-1].split(","))
-    return (low <= value if interval[0] == "[" else low < value) and (
-        value <= high if interval[-1] == "]" else value < high
-    )
+    return low, interval[0] == "[", high, interval[-1] == "]"
+
+
+def _within(value: object, interval: str, what: str, integer: bool = False) -> object:
+    """``value`` if it lies in ``interval``, written as in mathematics
+    (``"(0, 1)"``, ``"[1, inf)"``: ``[`` and ``]`` close an end, ``(`` and ``)``
+    open it, an ``inf`` end leaves that side unbounded), else a
+    :class:`ValueError`. ``value`` must be a number (:func:`_as_number`), or
+    with ``integer`` an integer, returned as a Python int (:func:`_as_int`)."""
+    value = _as_int(value, what) if integer else _as_number(value, what)
+    low, low_closed, high, high_closed = _ends(interval)
+    if not (low <= value if low_closed else low < value) or not (
+        value <= high if high_closed else value < high
+    ):
+        raise ValueError(f"{what} must be in {interval}, got {value!r}")
+    return value
 
 
 def _check_intervals(pack: object) -> None:
-    """Reject the first field of the dataclass ``pack`` whose value lies
-    outside the ``"interval"`` in its metadata; a field without one, or a
-    ``None`` value (derived later), is not checked."""
+    """Check each field of the dataclass ``pack`` with an ``"interval"`` in its
+    metadata by :func:`_within`: one annotated ``int`` or ``int | None`` as an
+    integer, stored back as a Python int, any other as a number. ``None`` in a
+    field whose default is ``None`` is derived later, and not checked."""
     for f in fields(pack):
-        value, interval = getattr(pack, f.name, None), f.metadata.get("interval")
-        if interval and value is not None and not _within(value, interval):
-            raise ValueError(f"{f.name} must be in {interval}, got {value!r}")
+        interval, value = f.metadata.get("interval"), getattr(pack, f.name, None)
+        if interval and not (value is None and f.default is None):
+            integer = f.type in ("int", "int | None")
+            object.__setattr__(pack, f.name, _within(value, interval, f.name, integer))
 
 
 @dataclass(frozen=True)
@@ -218,8 +255,7 @@ class DiscreteDistribution:
 
     @classmethod
     def uniform(cls, size: int) -> "DiscreteDistribution":
-        if size < 1:
-            raise ValueError(f"a uniform distribution needs size >= 1, got {size}")
+        size = _within(size, "[1, inf)", "size", integer=True)
         return cls(np.full(size, 1.0 / size))
 
     def __len__(self) -> int:
@@ -303,8 +339,7 @@ def draw_clean_sample(
     D: DiscreteDistribution, c: TableHypothesis, n: int, rng: RngHandle
 ) -> Sample:
     """``n`` i.i.d. examples ``(x, c(x))`` with ``x ~ D``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _within(n, "[0, inf)", "n", integer=True)
     _check_domain(c, len(D), "concept")
     pts = D.sample_points(n, rng)
     if n == 0:

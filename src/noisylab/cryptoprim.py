@@ -30,12 +30,13 @@ words are. ±1 keys appear only at :meth:`PrfKey.from_signs` and
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .codes import _SIGNS, _as_mask, _check_word_bits, _mask_array, mask_to_signs, signs_to_mask
+from .core import _check_intervals, _within
 
 __all__ = [
     "PrfKey",
@@ -122,10 +123,8 @@ class PrfDigestStore:
 
     def __init__(self, length: int, n_points: int):
         _check_word_bits(length, "key length")
-        if n_points < 0:
-            raise ValueError("n_points must be >= 0")
         self.length = length
-        self.n_points = n_points
+        self.n_points = n_points = _within(n_points, "[0, inf)", "n_points", integer=True)
         self.n_blocks = -(-n_points // _PRF_BLOCK_BITS)
         self._counters = [b.to_bytes(8, "little") for b in range(self.n_blocks)]
         self._blocks: list[dict[int, bytes]] = [{} for _ in range(self.n_blocks)]
@@ -137,11 +136,10 @@ class PrfDigestStore:
         default). Point ``x`` is bit ``x % 8`` (little-endian) of byte ``x //
         8``, set where the PRF outputs -1; bits past ``n_points`` pad the last
         block. Blocks of a mask not hashed before are hashed first; ``blocks``
-        outside ``[0, n_blocks]`` is a :class:`ValueError`."""
+        that is not an integer in ``[0, n_blocks]`` is a :class:`ValueError`."""
         if blocks is None:
             blocks = self.n_blocks
-        elif not (isinstance(blocks, (int, np.integer)) and 0 <= blocks <= self.n_blocks):
-            raise ValueError(f"blocks must be an integer in [0, {self.n_blocks}], got {blocks!r}")
+        blocks = _within(blocks, f"[0, {self.n_blocks}]", "blocks", integer=True)
         masks = _mask_array(masks, self.length, "key mask").tolist()
         wanted = self._blocks[:blocks]
         if wanted:
@@ -177,19 +175,18 @@ class ExtractorSpec:
     ``w`` source bits in (at most 64, one packed word), ``m_out`` bits out,
     selected by a ``u``-bit seed. ``u`` stays small (≤ 16) so callers can
     enumerate all seeds; the full Toeplitz defining string is expanded from
-    the seed by a fixed hash.
+    the seed by a fixed hash. ``u`` and ``m_out`` are integers, ``m_out <= w``.
     """
 
     w: int
-    u: int
-    m_out: int
+    u: int = field(metadata={"interval": f"[0, {MAX_SEED_BITS}]"})
+    m_out: int = field(metadata={"interval": "[0, inf)"})
 
     def __post_init__(self) -> None:
         _check_word_bits(self.w, "source length")
-        if not 0 <= self.u <= MAX_SEED_BITS:
-            raise ValueError(f"seed length must be in [0, {MAX_SEED_BITS}]")
-        if not 0 <= self.m_out <= self.w:
-            raise ValueError("output length must be in [0, w]")
+        _check_intervals(self)
+        if self.m_out > self.w:
+            raise ValueError(f"m_out must be at most w = {self.w}, got {self.m_out}")
 
     def seed_count(self) -> int:
         return 1 << self.u

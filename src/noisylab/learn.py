@@ -9,7 +9,7 @@ quartic sample-size calculator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -19,6 +19,8 @@ from .core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    _check_intervals,
+    _within,
     empirical_error,
 )
 
@@ -46,15 +48,14 @@ class Learner:
     the ``i``-th of ``k`` uniforms from one generator). Calling the learner
     with ``rng`` trains it on one sample with ``rng.split(1)``: oversized
     samples are first reduced with :func:`subsample_filter` on
-    ``rng.split(0)``; undersized samples are an error. ``n`` must be at least 1.
+    ``rng.split(0)``; undersized samples are an error. ``n`` is an integer >= 1.
     """
 
-    n: int
+    n: int = field(metadata={"interval": "[1, inf)"})
     train: Callable[[np.ndarray, np.ndarray, RngHandle], list[TableHypothesis]]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"a learner needs n >= 1 examples, got {self.n}")
+        _check_intervals(self)
 
     def __call__(self, S: Sample, rng: RngHandle) -> TableHypothesis:
         if len(S) > self.n:
@@ -68,22 +69,17 @@ class Learner:
 class AmplifyParams:
     """Group count and target slack for success amplification."""
 
-    k: int
-    eps_additional: float = 0.1
-    delta: float = 0.01
+    k: int = field(metadata={"interval": "[1, inf)"})
+    eps_additional: float = field(default=0.1, metadata={"interval": "(0, inf)"})
+    delta: float = field(default=0.01, metadata={"interval": "(0, 1)"})
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.eps_additional <= 0:
-            raise ValueError("eps_additional must be > 0")
+        _check_intervals(self)
 
     @classmethod
-    def auto(cls, eps_additional: float, delta: float, C_k: float = 1.0) -> "AmplifyParams":
-        """k = ⌈C_k · ln(1/δ) / ε_additional²⌉ (the constant defaults to 1)."""
-        k = math.ceil(C_k * math.log(1.0 / delta) / eps_additional**2)
+    def auto(cls, eps_additional: float, delta: float) -> "AmplifyParams":
+        """k = ⌈ln(1/δ) / ε_additional²⌉."""
+        k = math.ceil(math.log(1.0 / delta) / eps_additional**2)
         return cls(k=max(k, 1), eps_additional=eps_additional, delta=delta)
 
 
@@ -122,8 +118,7 @@ def ice_filter(S: Sample) -> Sample:
 
 def subsample_filter(S: Sample, n: int, rng: RngHandle) -> Sample:
     """Uniform ``n``-subset of ``S`` without replacement, order randomized."""
-    if n < 0:
-        raise ValueError(f"cannot subsample a negative count, got {n}")
+    n = _within(n, "[0, inf)", "n", integer=True)
     if n > len(S):
         raise ValueError(f"cannot subsample {n} from {len(S)} examples")
     perm = rng.generator().permutation(len(S))[:n]
@@ -168,10 +163,8 @@ def bad_amplify(
     return the trained hypothesis with the lowest empirical error on the
     holdout, ties broken uniformly at random.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n_test < 1:
-        raise ValueError("n_test must be >= 1")
+    k = _within(k, "[1, inf)", "k", integer=True)
+    n_test = _within(n_test, "[1, inf)", "n_test", integer=True)
     if len(S_big) != A.n * k + n_test:
         raise ValueError(
             f"need exactly n·k + n_test = {A.n * k + n_test} examples, got {len(S_big)}"
@@ -198,9 +191,7 @@ def select_best_hypothesis(
 
 def bv_sample_size(n: int, domain_size: int, param: float, C: float = 1.0) -> int:
     """Quartic oversampling bound ``m = ⌈C·n⁴·(log₂(2|X|))²/param⁴⌉``."""
-    if param <= 0:
-        raise ValueError("param must be > 0")
-    if C <= 0:
-        raise ValueError("C must be > 0")
+    _within(param, "(0, inf)", "param")
+    _within(C, "(0, inf)", "C")
     return math.ceil(C * n**4 * math.log2(2 * domain_size) ** 2 / param**4)
 

@@ -35,6 +35,7 @@ from .core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    _within,
     draw_clean_sample,
 )
 
@@ -51,12 +52,6 @@ __all__ = [
     "flip_random_labels",
     "contradict_replaced",
 ]
-
-
-def _check_rate(eta: float) -> None:
-    """Reject a noise rate η outside [0, 1)."""
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"noise rate must be in [0, 1), got {eta}")
 
 
 @dataclass
@@ -154,7 +149,7 @@ def malicious_corrupt(
     far (the online protocol is enforced by construction: it receives the
     prefix, never the full sample).
     """
-    _check_rate(eta)
+    _within(eta, "[0, 1)", "noise rate")
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
     clean = draw_clean_sample(D, c, n, rng.split(1))
@@ -185,7 +180,7 @@ def strong_malicious_corrupt(
     of Z (unused positions keep their clean examples). Writing outside Z is
     an error.
     """
-    _check_rate(eta)
+    _within(eta, "[0, 1)", "noise rate")
     n = len(S_clean)
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
@@ -213,7 +208,7 @@ def nasty_corrupt(
     sees the whole clean sample and ``z`` and returns at most ``z``
     replacements, applied in place.
     """
-    _check_rate(eta)
+    _within(eta, "[0, 1)", "noise rate")
     n = len(S_clean)
     gen = rng.split(0).generator()
     z = int((gen.random(n) < eta).sum())
@@ -231,7 +226,7 @@ def fixed_rate_nasty_corrupt(
     c: TableHypothesis | None = None,
 ) -> tuple[Sample, CorruptionLedger]:
     """Fixed-rate nasty corruption: exactly ⌊ηn⌋ positions replaced."""
-    _check_rate(eta)
+    _within(eta, "[0, 1)", "noise rate")
     n = len(S_clean)
     k = int(np.floor(eta * n))
     result = strategy(S_clean, k, c, rng.split(1))
@@ -253,7 +248,7 @@ def huber_sample(
     ``outliers`` is a distribution over the labeled-example index space
     (see :func:`noisylab.core.labeled_index`).
     """
-    _check_rate(eta)
+    _within(eta, "[0, 1)", "noise rate")
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
     S = draw_clean_sample(D, c, n, rng.split(1))

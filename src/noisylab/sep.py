@@ -43,6 +43,7 @@ from .core import (
     Sample,
     TableHypothesis,
     _check_intervals,
+    _within,
     labeled_index,
 )
 from .cryptoprim import (
@@ -123,11 +124,11 @@ class KeyValueLayout:
     @classmethod
     def fit(cls, w: int, d: int, key_fraction: Fraction) -> "KeyValueLayout":
         """Smallest per-block size giving an exact ``key_fraction`` with an
-        integer value side of at least ``2^d`` points; ``w`` must be at least
-        1, ``d`` at least 0 and ``key_fraction`` in (0, 1), and a layout over
-        more than ``_MAX_DOMAIN_POINTS`` points is a :class:`ValueError`,
-        raised before anything is allocated. Its message abbreviates a number
-        of more than ``_MAX_MESSAGE_DIGITS`` digits.
+        integer value side of at least ``2^d`` points; ``w`` must be an
+        integer of at least 1, ``d`` one of at least 0 and ``key_fraction`` in
+        (0, 1), and a layout over more than ``_MAX_DOMAIN_POINTS`` points is a
+        :class:`ValueError`, raised before anything is allocated. Its message
+        abbreviates a number of more than ``_MAX_MESSAGE_DIGITS`` digits.
 
         With ``value_size / key_size = p/q`` in lowest terms, the value side
         ``w*b*p/q`` is an integer exactly when the block size ``b`` is a
@@ -135,10 +136,8 @@ class KeyValueLayout:
         the answer is the least such multiple at or above the smallest ``b``
         whose value side reaches ``2^d``.
         """
-        if w < 1:
-            raise ValueError(f"w must be >= 1, got {w}")
-        if d < 0:
-            raise ValueError(f"d must be >= 0, got {d}")
+        w = _within(w, "[1, inf)", "w", integer=True)
+        d = _within(d, "[0, inf)", "d", integer=True)
         if not 0 < key_fraction < 1:
             raise ValueError(f"key fraction must be in (0, 1), got {key_fraction}")
         ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
@@ -385,7 +384,8 @@ class SepParams:
         _check_intervals(self)
         eta_M = self.eta_M
         kappa = self.kappa if isinstance(self.kappa, Fraction) else Fraction(str(self.kappa))
-        lower = eta_M / ((1 - eta_M) * self.tau)
+        # Divided in turn: (1 - eta_M) * tau underflows to 0 at a subnormal tau.
+        lower = eta_M / (1 - eta_M) / self.tau
         if not lower < kappa:
             raise ValueError(f"need eta_M/((1-eta_M)*tau) = {lower} < kappa, got {kappa}")
         rows = self.rho * self.w
@@ -412,8 +412,7 @@ class SepParams:
         0.001·eta_M/(1-eta_M)`` snapped down to whole rows at this ``w``,
         ``tau = 0.998·H(eta_N) + 0.002·eta_M/(1-eta_M)``, and ``kappa`` just
         above its lower bound."""
-        if r <= 1:
-            raise ValueError("ratio must be > 1")
+        _within(r, "(1, inf)", "ratio")
         eta_N = 2.0 ** (-8 * r)
         H = binary_entropy(eta_N)
         eta_M = H / (H + 2)
@@ -476,9 +475,7 @@ class SepInstance:
         """Concept ``c_{p,q}``: codeword ``W_p``, PRF key ``Ext(W_p, q)``. A
         ``p`` that is no integer index of ``low_weight``, or a bad seed ``q``,
         is a :class:`ValueError`."""
-        n = len(self.low_weight)
-        if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 0 <= p < n:
-            raise ValueError(f"codeword index must be an integer in [0, {n}), got {p!r}")
+        p = _within(p, f"[0, {len(self.low_weight)})", "codeword index", integer=True)
         spec = self.params.extractor_spec
         q = _as_mask(q, spec.u, "seed")
         cw = self.low_weight[p]
@@ -547,9 +544,7 @@ def _key_bit_thresholds(
     return z
 
 
-def sep_malicious_learner(
-    S: Sample, inst: SepInstance, rng: RngHandle | None = None
-) -> tuple[TableHypothesis, dict]:
+def sep_malicious_learner(S: Sample, inst: SepInstance) -> tuple[TableHypothesis, dict]:
     """Threshold key bits, erasure-list-decode, hypothesis-test candidates.
 
     Returns ``(hypothesis, details)``; on decode failure or an empty

@@ -322,8 +322,10 @@ def _coupling_with_negated_labels(nasty_strategy, filler_point=0):
 NEGATIVE_CONTROLS = [
     ("reduction-demos", "huber_as_malicious_exact", "huber_sample",
      _huber_without_outliers, 1, {}),
+    # At 100 trials the 0.9·eta budget flipped this verdict at 19 of the 40
+    # seeds 100-139; at 400 it flips at all 40, and the unpatched verdict holds.
     ("nasty-budget-law", "budget_law_binomial", "nasty_corrupt",
-     _nasty_at_nine_tenths_eta, 100, {}),
+     _nasty_at_nine_tenths_eta, 400, {}),
     ("sep-adversary", "key_information_free", "sep_nasty_strategy",
      lambda inst: noop, 10, {"sim_trials": 20}),
     ("ice-learner", "idealized_survivor_pattern", "ice_idealized_nasty_strategy",

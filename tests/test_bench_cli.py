@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
@@ -49,7 +49,7 @@ class TestExperimentConfig:
             ExperimentConfig(scenario="does-not-exist")
 
     def test_trials_lower_bound(self):
-        with pytest.raises(ValueError, match="trial count"):
+        with pytest.raises(ValueError, match=r"^trials must be in \[1, inf\), got 0$"):
             ExperimentConfig(scenario="round-lemma", trials=0)
 
     def test_from_file(self, tmp_path):
@@ -219,6 +219,50 @@ class TestRunScenario:
         expected = [erasure_roundtrip_reference(G, 2) for G in codes[:2]]
         assert rep.aggregate["erasure_decodes"] == sum(decodes for decodes, _ in expected)
         assert not rep.verdicts["erasure_roundtrip"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        w=st.integers(1, 64),
+        rho=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        max_erasures=st.integers(0, 70),
+        codes=st.integers(1, 10**5),
+        bitflip_codes=st.integers(1, 10**5),
+        low_weight_codes=st.integers(1, 10**5),
+    )
+    # Exactly 2^16 patterns: at the pattern limit, so inside it.
+    @example(w=16, rho=0.25, max_erasures=16, codes=1, bitflip_codes=1, low_weight_codes=1)
+    def test_codes_suite_prechecks_pass_or_raise_one_error(self, **params):
+        # An in-range config either passes every limit, and reaches its first
+        # code draw, or is one ValueError: the first limit it breaks, with the
+        # limits computed here apart from the scenario.
+        w, k = params["w"], round(params["rho"] * params["w"])
+        patterns = sum(math.comb(w, size) for size in range(min(params["max_erasures"], w) + 1))
+        breaches = [
+            message
+            for message, broken in [
+                ("exceeds 24 rows", k > 24),
+                ("message bits per code, over the limit of 524288", k * 2**k > 2**19),
+                ("erasure patterns of at most", patterns > 2**16),
+                ("(pattern, message) pairs exceed the limit of 4194304",
+                 params["codes"] * patterns * 2**k > 2**22),
+            ]
+            if broken
+        ]
+
+        class Drawn(Exception):
+            pass
+
+        def first_draw(rho, w, rng):
+            raise Drawn
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenarios, "gen_random_linear_code", first_draw)
+            with pytest.raises((Drawn, ValueError)) as exc:
+                run_scenario(ExperimentConfig("codes-suite", params))
+        if breaches:
+            assert exc.type is ValueError and breaches[0] in str(exc.value), (params, exc.value)
+        else:
+            assert exc.type is Drawn, (params, exc.value)
 
     def test_badamplify_mixture_uses_guarantee_group_count(self):
         # The mixture arm must run the group count its verdict's guarantee
@@ -631,16 +675,16 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
     if "nasty-budget-law --trials 5" in argv:
         assert "5 trials" in err[0] and "fewer than 2 bins" in err[0]
     if "--radius -1" in argv:
-        assert err == ["error: decoding radius must be >= 0, got -1"]
+        assert err == ["error: decoding radius must be in [0, inf), got -1"]
     if "--cap 0" in argv:
-        assert err == ["error: list cap must be >= 1, got 0"]
+        assert err == ["error: list cap must be in [1, inf), got 0"]
     for name, (_, message) in code_texts.items():
         if f"{{{name}}}" in argv:
             assert err == [f"error: malformed serialized code: {message}"]
     if "--seed -3" in argv:
-        assert err == ["error: seed must be >= 0, got -3"]
+        assert err == ["error: seed must be in [0, inf), got -3"]
     if "--seed -1" in argv or "seed_neg" in argv:
-        assert err == ["error: seed must be >= 0, got -1"]
+        assert err == ["error: seed must be in [0, inf), got -1"]
 
 
 def _ends(interval: str, kind: type) -> tuple[tuple, tuple]:
@@ -707,8 +751,13 @@ def test_closed_ends_are_inside_and_open_ends_outside():
     # closed bracket from an open one.
     for name, param, default, interval in DECLARED:
         for end, closed in _ends(interval, type(default)):
-            if end is not None:
-                assert core._within(end, interval) == closed, (name, param, interval)
+            if end is None:
+                continue
+            if closed:
+                assert core._within(end, interval, param) == end, (name, param, interval)
+            else:
+                with pytest.raises(ValueError, match=rf"^{param} must be in "):
+                    core._within(end, interval, param)
 
 
 def _workloads():

@@ -502,12 +502,18 @@ class TestBitflipDecode:
         # DecodeFailure; an inconsistent erasure word hid cap 0 entirely.
         G = GeneratorMatrix([0b0011, 0b1100], 4)
         word = ReceivedWord([1, 1, 1, 1])
-        with pytest.raises(ValueError, match="radius must be >= 0"):
+        with pytest.raises(ValueError, match=r"^decoding radius must be in \[0, inf\), got -1$"):
             bitflip_list_decode(G, word, -1)
+        with pytest.raises(ValueError, match=r"^decoding radius must be an integer, got 1.5$"):
+            bitflip_list_decode(G, word, 1.5)
         for cap in (0, -5):
-            with pytest.raises(ValueError, match="list cap must be >= 1"):
+            message = rf"^list cap must be in \[1, inf\), got {cap}$"
+            with pytest.raises(ValueError, match=message):
                 bitflip_list_decode(G, word, 1, cap=cap)
-            with pytest.raises(ValueError, match="list cap must be >= 1"):
+            with pytest.raises(ValueError, match=message):
+                erasure_list_decode(G, ReceivedWord([1, -1, 0, 0]), cap=cap)
+        for cap in (2.5, True):
+            with pytest.raises(ValueError, match=rf"^list cap must be an integer, got {cap!r}$"):
                 erasure_list_decode(G, ReceivedWord([1, -1, 0, 0]), cap=cap)
 
 

@@ -111,7 +111,7 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution([])
         for size in (0, -1):
-            with pytest.raises(ValueError, match="size >= 1"):
+            with pytest.raises(ValueError, match=rf"^size must be in \[1, inf\), got {size}$"):
                 DiscreteDistribution.uniform(size)
 
     def test_uniform_and_point_mass(self):
@@ -245,3 +245,63 @@ def test_values_checked_before_integer_cast(case):
     # a ±1/0 symbol, or a packed mask in range.
     with pytest.raises(ValueError):
         _bad_inputs()[case]()
+
+
+def _bad_sizes():
+    from fractions import Fraction
+
+    from noisylab.cryptoprim import ExtractorSpec, PrfDigestStore
+    from noisylab.icesep import IceSepParams
+    from noisylab.learn import AmplifyParams, Learner, bad_amplify, subsample_filter
+    from noisylab.sep import KeyValueLayout, SepParams
+
+    def learner(n):
+        return Learner(n=n, train=lambda points, labels, rng: [])
+
+    sep = dict(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=8, d=4, u=2, n=4000)
+    ice = dict(eta=0.1, kappa=0.7, w=8, d=4, n=4000)
+    S, rng, D = sample_from_pairs([(0, 1)] * 5), RngHandle(0), DiscreteDistribution.uniform(2)
+    # (call, field, bad value): the call raises "<field> must be an integer,
+    # got <value>". Each once was accepted, or failed later with a TypeError.
+    return {
+        "AmplifyParams-k-fraction": (lambda: AmplifyParams(k=2.5), "k", 2.5),
+        "AmplifyParams-k-bool": (lambda: AmplifyParams(k=True), "k", True),
+        "Learner-n": (lambda: learner(2.5), "n", 2.5),
+        "subsample_filter-n": (lambda: subsample_filter(S, 1.5, rng), "n", 1.5),
+        "bad_amplify-k": (lambda: bad_amplify(learner(2), 1.5, 2, S, rng), "k", 1.5),
+        "ExtractorSpec-u": (lambda: ExtractorSpec(8, 1.5, 4), "u", 1.5),
+        "ExtractorSpec-u-bool": (lambda: ExtractorSpec(8, True, 4), "u", True),
+        "ExtractorSpec-m_out": (lambda: ExtractorSpec(8, 2, 2.5), "m_out", 2.5),
+        "PrfDigestStore-n_points": (lambda: PrfDigestStore(4, 10.5), "n_points", 10.5),
+        "PrfDigestStore.packed-blocks": (
+            lambda: PrfDigestStore(4, 10).packed([1], True), "blocks", True
+        ),
+        "SepParams-w": (lambda: SepParams(**{**sep, "w": 12.0}), "w", 12.0),
+        "SepParams-d": (lambda: SepParams(**{**sep, "d": 6.5}), "d", 6.5),
+        "SepParams-L": (lambda: SepParams(**{**sep, "L": 2.5}), "L", 2.5),
+        "SepParams-n": (lambda: SepParams(**{**sep, "n": True}), "n", True),
+        "IceSepParams-w": (lambda: IceSepParams(**{**ice, "w": 20.5}), "w", 20.5),
+        "IceSepParams-d": (lambda: IceSepParams(**{**ice, "d": True}), "d", True),
+        "uniform-size": (lambda: DiscreteDistribution.uniform(2.5), "size", 2.5),
+        "draw_clean_sample-n": (
+            lambda: draw_clean_sample(D, TableHypothesis([1, 1]), 2.5, rng), "n", 2.5
+        ),
+        "KeyValueLayout.fit-w": (lambda: KeyValueLayout.fit(2.5, 3, Fraction(1, 2)), "w", 2.5),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_sizes()))
+def test_a_float_or_bool_size_is_one_error_naming_its_field(case):
+    call, name, value = _bad_sizes()[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got {value!r}$"):
+        call()
+
+
+def test_numpy_integer_sizes_are_integers():
+    from noisylab.bench.scenarios import ExperimentConfig
+    from noisylab.learn import AmplifyParams
+
+    config = ExperimentConfig(scenario="round-lemma", trials=np.int64(3), seed=np.uint8(7))
+    assert (config.trials, config.seed) == (3, 7) and type(config.trials) is int
+    assert AmplifyParams(k=np.int32(2)).k == 2
+    assert len(DiscreteDistribution.uniform(np.int64(3))) == 3

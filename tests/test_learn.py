@@ -316,7 +316,7 @@ class TestBadAmplify:
     def test_zero_groups_rejected(self):
         # The sample size n·k + n_test matches, so only k itself is wrong.
         A = _majority_learner(2)
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match=r"^k must be in \[1, inf\), got 0$"):
             bad_amplify(A, 0, 4, sample_from_pairs([(0, 1)] * 4), RngHandle(0))
 
     @pytest.mark.parametrize("n_test", [0, -1])
@@ -324,7 +324,7 @@ class TestBadAmplify:
         # The sample size n·k + n_test matches, so only n_test itself is wrong.
         A = _majority_learner(2)
         S = sample_from_pairs([(0, 1)] * (A.n * 2 + n_test))
-        with pytest.raises(ValueError, match="n_test must be >= 1"):
+        with pytest.raises(ValueError, match=rf"^n_test must be in \[1, inf\), got {n_test}$"):
             bad_amplify(A, 2, n_test, S, RngHandle(0))
 
     def test_selects_lowest_holdout_error(self):

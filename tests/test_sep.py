@@ -105,7 +105,7 @@ class TestSepParams:
         # bound 1 - 1/(1 + H(eta_N)) on eta_M is 0.
         with pytest.raises(ValueError, match="eta_N < eta_M < 1 - 1/"):
             SepParams.from_ratio(8, w=10, d=4, u=2, n=2000)
-        with pytest.raises(ValueError, match="ratio must be > 1"):
+        with pytest.raises(ValueError, match=r"^ratio must be in \(1, inf\), got 1$"):
             SepParams.from_ratio(1, w=10, d=4, u=2)
 
     def test_auto_sample_size(self):
@@ -121,6 +121,9 @@ class TestSepParams:
             ({"eta_M": 0}, r"eta_M must be in \(0, 0\.5\), got 0"),
             ({"eta_N": 1}, r"eta_N must be in \(0, 0\.5\), got 1"),
             ({"rho": 0.3}, "rho\\*w must be an integer"),
+            # (1 - eta_M) * tau underflows to 0: once a ZeroDivisionError.
+            ({"eta_M": 0.49999999999999994, "tau": 5e-324},
+             r"need eta_M/\(\(1-eta_M\)\*tau\) = inf < kappa, got 1/2"),
         ],
     )
     def test_rates_validated(self, change, message):
@@ -200,7 +203,9 @@ class TestKeyValueLayout:
         )
 
     @pytest.mark.parametrize(
-        "w,d,message", [(0, 4, "w must be >= 1, got 0"), (8, -1, "d must be >= 0, got -1")]
+        "w,d,message",
+        [(0, 4, "w must be in [1, inf), got 0"), (8, -1, "d must be in [0, inf), got -1")],
+        ids=["zero-w", "negative-d"],
     )
     def test_fit_rejects_a_bad_block_count_or_dimension(self, w, d, message):
         with pytest.raises(ValueError) as exc:
@@ -719,7 +724,10 @@ class TestSepConcept:
         inst = small_instance()
         n = len(inst.low_weight)
         p = n if p == "low-weight count" else p
-        message = rf"^codeword index must be an integer in \[0, {n}\), got {p!r}$"
+        if isinstance(p, int) and not isinstance(p, bool):
+            message = rf"^codeword index must be in \[0, {n}\), got {p!r}$"
+        else:
+            message = rf"^codeword index must be an integer, got {p!r}$"
         with pytest.raises(ValueError, match=message):
             inst.concept(p, 0)
         last = inst.concept(np.int64(n - 1), 0)
