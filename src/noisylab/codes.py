@@ -94,7 +94,7 @@ def masks_to_signs(masks: int | Sequence[int] | np.ndarray, w: int) -> np.ndarra
     """Unpack bitmasks into ±1 words of length ``w`` in ``[1, MAX_WORD_BITS]``,
     one row per mask; a single mask gives a single word. Each mask must be an
     integer in ``[0, 2^w)``; a breach of either is a :class:`ValueError`."""
-    _check_word_bits(w, "word length")
+    w = _check_word_bits(w, "word length")
     if _many_masks(masks):
         arr = _mask_array(masks, w, "mask")
     else:
@@ -109,12 +109,15 @@ def _mask_bits(masks: np.ndarray, w: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=-1, count=w, bitorder="little")
 
 
-def _check_word_bits(n: int, what: str) -> None:
-    """Words, messages and keys fit one packed uint64: an integer ``n`` in ``[1, MAX_WORD_BITS]``."""
+def _check_word_bits(n: int, what: str) -> int:
+    """Words, messages and keys fit one packed uint64: an integer ``n`` in
+    ``[1, MAX_WORD_BITS]``, returned as a Python int, so shifting by it never
+    wraps. Callers store and use the returned length."""
     if type(n) is not int:
         n = _as_int(n, what)
     if not 1 <= n <= MAX_WORD_BITS:
         raise ValueError(f"{what} must be in [1, {MAX_WORD_BITS}], got {n}")
+    return n
 
 
 def _as_mask(value: object, bits: int, what: str) -> int:
@@ -174,7 +177,7 @@ class Codeword:
     w: int
 
     def __post_init__(self) -> None:
-        _check_word_bits(self.w, "codeword length")
+        object.__setattr__(self, "w", _check_word_bits(self.w, "codeword length"))
         object.__setattr__(self, "mask", _as_mask(self.mask, self.w, "codeword mask"))
         object.__setattr__(self, "message", _as_mask(self.message, self.w, "message"))
 
@@ -212,7 +215,7 @@ class GeneratorMatrix:
     __slots__ = ("w", "row_masks", "__dict__")
 
     def __init__(self, row_masks: Sequence[int], w: int):
-        _check_word_bits(w, "codeword length")
+        w = _check_word_bits(w, "codeword length")
         masks = tuple(_mask_array(row_masks, w, "row mask").tolist())
         if not masks:
             raise ValueError("at least one row required")
@@ -308,7 +311,7 @@ def gen_random_linear_code(rho: float, w: int, rng: RngHandle) -> GeneratorMatri
     regenerated (up to ``MAX_CODE_ATTEMPTS`` draws).
     """
     _within(rho, "(0, 1)", "rate")
-    _check_word_bits(w, "codeword length")
+    w = _check_word_bits(w, "codeword length")
     k_float = rho * w
     k = round(k_float)
     if abs(k_float - k) > 1e-9 or k < 1:

@@ -71,7 +71,7 @@ class PrfKey:
     length: int
 
     def __post_init__(self) -> None:
-        _check_word_bits(self.length, "key length")
+        object.__setattr__(self, "length", _check_word_bits(self.length, "key length"))
         object.__setattr__(self, "mask", _as_mask(self.mask, self.length, "key mask"))
 
     @classmethod
@@ -122,8 +122,7 @@ class PrfDigestStore:
     """
 
     def __init__(self, length: int, n_points: int):
-        _check_word_bits(length, "key length")
-        self.length = length
+        self.length = _check_word_bits(length, "key length")
         self.n_points = n_points = _within(n_points, "[0, inf)", "n_points", integer=True)
         self.n_blocks = -(-n_points // _PRF_BLOCK_BITS)
         self._counters = [b.to_bytes(8, "little") for b in range(self.n_blocks)]
@@ -183,7 +182,7 @@ class ExtractorSpec:
     m_out: int = field(metadata={"interval": "[0, inf)"})
 
     def __post_init__(self) -> None:
-        _check_word_bits(self.w, "source length")
+        object.__setattr__(self, "w", _check_word_bits(self.w, "source length"))
         _check_intervals(self)
         if self.m_out > self.w:
             raise ValueError(f"m_out must be at most w = {self.w}, got {self.m_out}")

@@ -40,7 +40,7 @@ from .codes import (
 from .core import DiscreteDistribution, RngHandle, Sample, TableHypothesis, _check_intervals
 from .cryptoprim import PrfDigestStore, PrfKey
 from .noise import StrategyResult
-from .sep import _MAX_VALUE_BITS, KeyValueConcept, KeyValueLayout, budget_capped_plan
+from .sep import _MAX_VALUE_BITS, KeyValueConcept, KeyValueLayout, _exact, budget_capped_plan
 
 __all__ = [
     "IceSepParams",
@@ -81,7 +81,7 @@ class IceSepParams:
         _check_intervals(self)
         if self.d >= self.w:
             raise ValueError("need d < w for a rate < 1 code")
-        key_fraction = (Fraction(str(self.kappa)) + Fraction(1, 2)) * Fraction(str(self.eta))
+        key_fraction = (_exact(self.kappa, "kappa") + Fraction(1, 2)) * _exact(self.eta, "eta")
         # The layout's domain limit bounds 1/eta, and so the derived n.
         object.__setattr__(self, "layout", KeyValueLayout.fit(self.w, self.d, key_fraction))
         n = math.ceil(50 * self.w / self.eta) if self.n is None else self.n

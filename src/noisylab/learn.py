@@ -9,7 +9,7 @@ quartic sample-size calculator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -78,9 +78,11 @@ class AmplifyParams:
 
     @classmethod
     def auto(cls, eps_additional: float, delta: float) -> "AmplifyParams":
-        """k = ⌈ln(1/δ) / ε_additional²⌉."""
-        k = math.ceil(math.log(1.0 / delta) / eps_additional**2)
-        return cls(k=max(k, 1), eps_additional=eps_additional, delta=delta)
+        """k = ⌈ln(1/δ) / ε_additional²⌉, derived once both arguments have
+        passed their declared intervals."""
+        p = cls(k=1, eps_additional=eps_additional, delta=delta)
+        k = math.ceil(math.log(1.0 / p.delta) / p.eps_additional**2)
+        return replace(p, k=max(k, 1))
 
 
 def ice_filter_keep(S: Sample) -> np.ndarray:

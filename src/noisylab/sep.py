@@ -42,6 +42,7 @@ from .core import (
     RngHandle,
     Sample,
     TableHypothesis,
+    _as_number,
     _check_intervals,
     _within,
     labeled_index,
@@ -96,6 +97,15 @@ def _digits(n: int) -> str:
     return f"~{text[0]}.{text[1:4]}e{len(text) - 1}"
 
 
+def _exact(value: float | Fraction, what: str) -> Fraction:
+    """``value`` as an exact fraction: a :class:`~fractions.Fraction` as
+    given, any other number (:func:`~noisylab.core._as_number`) read through
+    its decimal string, so ``0.7`` is ``7/10``."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(str(_as_number(value, what)))
+
+
 @dataclass(frozen=True)
 class KeyValueLayout:
     """Key/value split of the uniform domain ``{0, ..., domain_size - 1}``.
@@ -122,13 +132,14 @@ class KeyValueLayout:
         object.__setattr__(self, "domain_size", key_size + int(value))
 
     @classmethod
-    def fit(cls, w: int, d: int, key_fraction: Fraction) -> "KeyValueLayout":
+    def fit(cls, w: int, d: int, key_fraction: float | Fraction) -> "KeyValueLayout":
         """Smallest per-block size giving an exact ``key_fraction`` with an
         integer value side of at least ``2^d`` points; ``w`` must be an
-        integer of at least 1, ``d`` one of at least 0 and ``key_fraction`` in
-        (0, 1), and a layout over more than ``_MAX_DOMAIN_POINTS`` points is a
-        :class:`ValueError`, raised before anything is allocated. Its message
-        abbreviates a number of more than ``_MAX_MESSAGE_DIGITS`` digits.
+        integer of at least 1, ``d`` one of at least 0 and ``key_fraction`` a
+        number in (0, 1), read exactly by :func:`_exact`; a layout over more
+        than ``_MAX_DOMAIN_POINTS`` points is a :class:`ValueError`, raised
+        before anything is allocated. Its message abbreviates a number of more
+        than ``_MAX_MESSAGE_DIGITS`` digits.
 
         With ``value_size / key_size = p/q`` in lowest terms, the value side
         ``w*b*p/q`` is an integer exactly when the block size ``b`` is a
@@ -138,6 +149,7 @@ class KeyValueLayout:
         """
         w = _within(w, "[1, inf)", "w", integer=True)
         d = _within(d, "[0, inf)", "d", integer=True)
+        key_fraction = _exact(key_fraction, "key fraction")
         if not 0 < key_fraction < 1:
             raise ValueError(f"key fraction must be in (0, 1), got {key_fraction}")
         ratio = (1 - key_fraction) / key_fraction  # value_size / key_size
@@ -383,7 +395,7 @@ class SepParams:
     def __post_init__(self) -> None:
         _check_intervals(self)
         eta_M = self.eta_M
-        kappa = self.kappa if isinstance(self.kappa, Fraction) else Fraction(str(self.kappa))
+        kappa = _exact(self.kappa, "kappa")
         # Divided in turn: (1 - eta_M) * tau underflows to 0 at a subnormal tau.
         lower = eta_M / (1 - eta_M) / self.tau
         if not lower < kappa:

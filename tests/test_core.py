@@ -57,14 +57,15 @@ class TestRngHandle:
         a = r.generator().random(5)
         assert np.array_equal(a, RngHandle(7).generator().random(5))
 
-    def test_generator_is_philox_keyed_by_seed_sequence(self):
-        # The layout every golden fixture rests on: the Philox generator whose
-        # key is SeedSequence(seed, spawn_key=(0, *path))'s first two words,
-        # its counter at zero.
+    def test_generator_is_sfc64_seeded_by_seed_sequence(self):
+        # The layout every golden fixture rests on: the SFC64 generator
+        # seeded by SeedSequence(seed, spawn_key=(0, *path)).
         for seed, path in itertools.product((0, 7, 2**70 + 3), ((), (0,), (3, 1), (2, 2**33, 7))):
-            state = RngHandle(seed).split(*path).generator().bit_generator.state["state"]
-            key = np.random.SeedSequence(seed, spawn_key=(0, *path)).generate_state(2, np.uint64)
-            assert np.array_equal(state["key"], key) and not state["counter"].any()
+            got = RngHandle(seed).split(*path).generator().bit_generator.state
+            want = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, *path))).state
+            assert got.pop("bit_generator") == want.pop("bit_generator") == "SFC64"
+            assert np.array_equal(got.pop("state")["state"], want.pop("state")["state"])
+            assert got == want
 
 
 class TestSample:
@@ -305,3 +306,20 @@ def test_numpy_integer_sizes_are_integers():
     assert (config.trials, config.seed) == (3, 7) and type(config.trials) is int
     assert AmplifyParams(k=np.int32(2)).k == 2
     assert len(DiscreteDistribution.uniform(np.int64(3))) == 3
+
+
+def test_numpy_word_lengths_are_stored_as_ints():
+    from noisylab.codes import Codeword, gen_random_linear_code
+    from noisylab.cryptoprim import ExtractorSpec, PrfDigestStore, PrfKey, toeplitz_matrices
+
+    # A numpy length of 64 once was kept as given, so 1 << w wrapped: each
+    # call below raised or rejected a valid mask.
+    G = gen_random_linear_code(0.5, np.int64(64), RngHandle(0))
+    assert G.row_masks == gen_random_linear_code(0.5, 64, RngHandle(0)).row_masks
+    word = Codeword(5, 3, np.int64(64))
+    assert word == Codeword(5, 3, 64)
+    spec = ExtractorSpec(w=np.int64(64), u=2, m_out=4)
+    assert np.array_equal(toeplitz_matrices(spec), toeplitz_matrices(ExtractorSpec(64, 2, 4)))
+    lengths = (G.w, word.w, spec.w, PrfKey(5, np.int64(64)).length,
+               PrfDigestStore(np.int64(64), 10).length)
+    assert [type(n) for n in lengths] == [int] * 5

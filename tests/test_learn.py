@@ -281,6 +281,18 @@ class TestAmplifyParams:
         with pytest.raises(ValueError):
             AmplifyParams(k=1, delta=1.5)
 
+    @pytest.mark.parametrize(
+        "eps_additional,delta,message",
+        [
+            (0, 0.01, "eps_additional must be in (0, inf), got 0"),
+            (0.1, 0, "delta must be in (0, 1), got 0"),
+        ],
+    )
+    def test_auto_checks_its_arguments_before_deriving_k(self, eps_additional, delta, message):
+        with pytest.raises(ValueError) as exc:
+            AmplifyParams.auto(eps_additional, delta)
+        assert str(exc.value) == message
+
 
 class TestAmplify:
     def test_size_mismatch_raises(self):

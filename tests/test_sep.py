@@ -212,6 +212,14 @@ class TestKeyValueLayout:
             KeyValueLayout.fit(w, d, Fraction(1, 2))
         assert str(exc.value) == message
 
+    def test_fit_reads_a_float_key_fraction_as_its_decimal(self):
+        assert KeyValueLayout.fit(8, 3, 0.5) == KeyValueLayout.fit(8, 3, Fraction(1, 2))
+        assert KeyValueLayout.fit(8, 3, 0.2).key_fraction == Fraction(1, 5)
+        with pytest.raises(ValueError, match=r"^key fraction must be a number, got True$"):
+            KeyValueLayout.fit(8, 3, True)
+        with pytest.raises(ValueError, match=r"^key fraction must be in \(0, 1\), got 1$"):
+            KeyValueLayout.fit(8, 3, 1.0)
+
 
 class TestBestCandidate:
     """The batched scorer, over a sample's per-point net label count, packed
