@@ -93,6 +93,25 @@ def _check_intervals(pack: object) -> None:
             object.__setattr__(pack, f.name, _within(value, interval, f.name, integer))
 
 
+# numpy's SeedSequence pool size, in 32-bit words: the length a spawned
+# sequence's seed words are zero-padded to.
+_POOL_SIZE = 4
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value``'s little-endian 32-bit words, at least one, as numpy splits an
+    integer entropy or spawn-key entry."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"a seed or path id must be non-negative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    value >>= 32
+    while value:
+        words.append(value & 0xFFFFFFFF)
+        value >>= 32
+    return words
+
+
 @dataclass(frozen=True)
 class RngHandle:
     """Deterministic, splittable randomness handle.
@@ -109,7 +128,25 @@ class RngHandle:
     path: tuple[int, ...] = field(default=())
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(self.seed, spawn_key=(0, *self.path))
+        """The SFC64 generator seeded by ``SeedSequence(seed, spawn_key=(0,
+        *path))``, built from that sequence's entropy words.
+
+        numpy (since 1.19) assembles the entropy of a sequence with a spawn
+        key as the seed's little-endian 32-bit words, padded with zeros to
+        the pool size of 4, followed by each spawn-key entry's words; the
+        pool, and so the stream, depends on nothing else. This builds that
+        uint32 array directly and hands it to ``SeedSequence`` as its
+        entropy, which gives the same pool and the same stream at about half
+        the cost of numpy converting the ``spawn_key`` tuple in Python on
+        every call. As in numpy, a negative seed or id is a
+        :class:`ValueError` and a non-integer one a :class:`TypeError`.
+        """
+        words = _uint32_words(self.seed)
+        words += [0] * (_POOL_SIZE - len(words))
+        words.append(0)
+        for i in self.path:
+            words += _uint32_words(i)
+        seq = np.random.SeedSequence(np.array(words, dtype=np.uint32))
         return np.random.Generator(np.random.SFC64(seq))
 
     def split(self, *ids: int) -> "RngHandle":
@@ -341,17 +378,25 @@ def error_rate(
 def draw_clean_sample(
     D: DiscreteDistribution, c: TableHypothesis, n: int, rng: RngHandle
 ) -> Sample:
-    """``n`` i.i.d. examples ``(x, c(x))`` with ``x ~ D``."""
+    """``n`` i.i.d. examples ``(x, c(x))`` with ``x ~ D``.
+
+    The sample is built without :class:`Sample`'s checks and copies: the
+    points are fresh int64 indices in ``[0, len(D))``, and the labels a fresh
+    fancy-indexed copy of ``c``'s ±1 int8 table, checked when it was built and
+    covering ``D``'s domain. Both arrays are frozen and shared with nothing.
+    """
     n = _within(n, "[0, inf)", "n", integer=True)
     _check_domain(c, len(D), "concept")
     pts = D.sample_points(n, rng)
     if n == 0:
         return Sample.empty()
-    return Sample(pts, c.evaluate_many(pts))
+    return Sample._trusted(pts, c.table[pts])
 
 
 def empirical_error(h: TableHypothesis, S: Sample) -> float:
-    """Fraction of examples in ``S`` that ``h`` mislabels."""
+    """Fraction of examples in ``S`` that ``h`` mislabels: the mislabelled
+    count over ``len(S)``. That is bit-identical to the mean of the 0/1
+    mistakes in float64, whose sum of 0s and 1s is exact, and cheaper."""
     if len(S) == 0:
         raise ValueError("empirical error of an empty sample is undefined")
     try:
@@ -360,4 +405,4 @@ def empirical_error(h: TableHypothesis, S: Sample) -> float:
         raise ValueError(
             f"point {int(S.points.max())} is outside the hypothesis's {h.domain_size}-point table"
         ) from None
-    return float((predicted != S.labels).astype(np.float64).mean())
+    return int(np.count_nonzero(predicted != S.labels)) / len(S)

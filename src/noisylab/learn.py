@@ -79,10 +79,18 @@ class AmplifyParams:
     @classmethod
     def auto(cls, eps_additional: float, delta: float) -> "AmplifyParams":
         """k = ⌈ln(1/δ) / ε_additional²⌉, derived once both arguments have
-        passed their declared intervals."""
+        passed their declared intervals. A group count that is not a finite
+        float (ε_additional so small that ε² underflows or the quotient
+        overflows) is a :class:`ValueError`."""
         p = cls(k=1, eps_additional=eps_additional, delta=delta)
-        k = math.ceil(math.log(1.0 / p.delta) / p.eps_additional**2)
-        return replace(p, k=max(k, 1))
+        eps_squared = p.eps_additional**2
+        groups = math.log(1.0 / p.delta) / eps_squared if eps_squared else math.inf
+        if not math.isfinite(groups):
+            raise ValueError(
+                f"eps_additional={p.eps_additional!r} (delta={p.delta!r}) gives the group "
+                f"count ln(1/delta)/eps_additional^2 = {groups}, which is not finite"
+            )
+        return replace(p, k=max(math.ceil(groups), 1))
 
 
 def ice_filter_keep(S: Sample) -> np.ndarray:

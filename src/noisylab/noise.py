@@ -163,7 +163,7 @@ def malicious_corrupt(
         out_pts[i] = ex.point
         out_labs[i] = ex.label
     result = StrategyResult(heads, Sample(out_pts[heads], out_labs[heads]))
-    return _apply_choices(clean, result, drawn_budget=int(coins.sum()))
+    return _apply_choices(clean, result, drawn_budget=int(np.count_nonzero(coins)))
 
 
 def strong_malicious_corrupt(
@@ -211,7 +211,7 @@ def nasty_corrupt(
     _within(eta, "[0, 1)", "noise rate")
     n = len(S_clean)
     gen = rng.split(0).generator()
-    z = int((gen.random(n) < eta).sum())
+    z = int(np.count_nonzero(gen.random(n) < eta))
     result = strategy(S_clean, z, c, rng.split(1))
     if len(result.positions) > z:
         raise ValueError(f"strategy used {len(result.positions)} corruptions, budget {z}")
@@ -252,7 +252,7 @@ def huber_sample(
     gen = rng.split(0).generator()
     coins = gen.random(n) < eta
     S = draw_clean_sample(D, c, n, rng.split(1))
-    n_out = int(coins.sum())
+    n_out = int(np.count_nonzero(coins))
     if not n_out:
         return S
     drawn = outliers.sample_points(n_out, rng.split(2))

@@ -60,12 +60,31 @@ class TestRngHandle:
     def test_generator_is_sfc64_seeded_by_seed_sequence(self):
         # The layout every golden fixture rests on: the SFC64 generator
         # seeded by SeedSequence(seed, spawn_key=(0, *path)).
-        for seed, path in itertools.product((0, 7, 2**70 + 3), ((), (0,), (3, 1), (2, 2**33, 7))):
+        # Seeds of one, three, four (no zero padding) and five 32-bit words;
+        # ids at the one-to-two and two-to-three word boundaries.
+        seeds = (0, 7, 2**70 + 3, 2**96, 2**128 + 1)
+        paths = ((), (0,), (3, 1), (2, 2**33, 7), (2**32 - 1, 2**32, 2**64))
+        for seed, path in itertools.product(seeds, paths):
             got = RngHandle(seed).split(*path).generator().bit_generator.state
             want = np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(0, *path))).state
             assert got.pop("bit_generator") == want.pop("bit_generator") == "SFC64"
             assert np.array_equal(got.pop("state")["state"], want.pop("state")["state"])
             assert got == want
+
+    @pytest.mark.parametrize(
+        "seed,path,error",
+        [
+            (-1, (), ValueError),
+            (0, (3, -1), ValueError),
+            (0, (np.int64(-2**40),), ValueError),
+            (1.5, (), TypeError),
+            (0, (2.0,), TypeError),
+        ],
+        ids=["negative-seed", "negative-id", "numpy-negative-id", "float-seed", "float-id"],
+    )
+    def test_seed_and_ids_are_non_negative_integers(self, seed, path, error):
+        with pytest.raises(error):
+            RngHandle(seed).split(*path).generator()
 
 
 class TestSample:
@@ -177,6 +196,23 @@ class TestHypotheses:
         with pytest.raises(ValueError):
             empirical_error(h, Sample.empty())
 
+    @given(
+        n=st.integers(1, 10**5),
+        size=st.integers(1, 64),
+        wrong=st.floats(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_empirical_error_is_the_float64_mean_bit_for_bit(self, n, size, wrong, seed):
+        gen = np.random.default_rng(seed)
+        h = TableHypothesis(gen.choice(np.array([-1, 1], dtype=np.int8), size=size))
+        pts = gen.integers(0, size, size=n)
+        labs = np.where(gen.random(n) < wrong, -h.table[pts], h.table[pts])
+        S = Sample(pts, labs)
+        got = empirical_error(h, S)
+        want = float((h.table[S.points] != S.labels).astype(np.float64).mean())
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
     def test_empirical_error_point_beyond_the_table(self):
         with pytest.raises(ValueError, match="point 3 is outside the hypothesis's 2-point table"):
             empirical_error(TableHypothesis([1, 1]), Sample([3], [1]))
@@ -188,6 +224,22 @@ class TestDrawCleanSample:
         c = TableHypothesis(np.where(np.arange(8) < 4, 1, -1))
         S = draw_clean_sample(D, c, 200, RngHandle(5))
         assert np.array_equal(S.labels, c.evaluate_many(S.points))
+
+    @pytest.mark.parametrize(
+        "weights", [np.full(8, 1 / 8), np.arange(8) / 28], ids=["uniform", "choice"]
+    )
+    def test_arrays_are_frozen_and_shared_with_nothing(self, weights):
+        D = DiscreteDistribution(weights)
+        c = TableHypothesis(np.where(np.arange(8) % 3 == 0, 1, -1))
+        earlier = draw_clean_sample(D, c, 300, RngHandle(5))
+        S = draw_clean_sample(D, c, 300, RngHandle(6))
+        pts = D.sample_points(300, RngHandle(6))
+        assert S == Sample(pts, c.table[pts])
+        assert S.points.dtype == np.int64 and S.labels.dtype == np.int8
+        for arr in (S.points, S.labels):
+            assert not arr.flags.writeable
+            for other in (c.table, D.weights, earlier.points, earlier.labels):
+                assert not np.shares_memory(arr, other)
 
     def test_zero_length(self):
         D = DiscreteDistribution.uniform(2)

@@ -293,6 +293,11 @@ class TestAmplifyParams:
             AmplifyParams.auto(eps_additional, delta)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("eps_additional", [1e-200, 1e-160], ids=["eps-squared-is-0", "k-is-inf"])
+    def test_auto_rejects_a_group_count_that_is_not_finite(self, eps_additional):
+        with pytest.raises(ValueError, match=r"eps_additional=1e-\d+ .* group count .* not finite"):
+            AmplifyParams.auto(eps_additional, 0.01)
+
 
 class TestAmplify:
     def test_size_mismatch_raises(self):

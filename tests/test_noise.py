@@ -46,12 +46,22 @@ CORRUPTORS = {
 }
 
 
+# The corruptors whose ledger's budget is a count of drawn η-coins.
+COIN_COUNTED = ["malicious", "strong-malicious", "nasty"]
+
+
 @pytest.mark.parametrize("corrupt", CORRUPTORS.values(), ids=CORRUPTORS)
 def test_noise_rate_validation(corrupt):
     corrupt(0.0)
     for eta in (1.0, -0.1):
         with pytest.raises(ValueError, match="noise rate must be in"):
             corrupt(eta)
+
+
+@pytest.mark.parametrize("corrupt", [CORRUPTORS[name] for name in COIN_COUNTED], ids=COIN_COUNTED)
+def test_drawn_budget_is_a_python_int(corrupt):
+    for eta in (0.0, 0.5):
+        assert type(corrupt(eta)[1].drawn_budget) is int
 
 
 class TestMalicious:
