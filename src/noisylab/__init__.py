@@ -14,7 +14,6 @@ Modules:
 
 from .core import (
     DiscreteDistribution,
-    LabeledExample,
     MixtureHypothesis,
     RngHandle,
     Sample,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiscreteDistribution",
-    "LabeledExample",
     "MixtureHypothesis",
     "RngHandle",
     "Sample",

@@ -111,7 +111,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:  # a scenario parameter the scenario rejects
         return _error(exc)
     out_dir = Path(config.out) if config.out else Path.cwd() / "reports"
-    _, json_path = write_report(report, out_dir)
+    try:
+        _, json_path = write_report(report, out_dir)
+    except OSError as exc:  # an --out that is a file, or a directory it cannot write
+        return _error(exc)
     print(render_text(json_path))
     print(f"reports written to {out_dir}")
     return 0 if all(report.verdicts.values()) else 1

@@ -48,12 +48,11 @@ class TrialReport:
     records: list[dict] = field(default_factory=list)
     aggregate: dict = field(default_factory=dict)
     verdicts: dict[str, bool] = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         return _jsonable(
             {
-                "schema_version": self.schema_version,
+                "schema_version": SCHEMA_VERSION,
                 "scenario": self.scenario,
                 "config": self.config,
                 "n_records": len(self.records),
@@ -79,7 +78,7 @@ def write_report(report: TrialReport, out_dir: str | Path) -> tuple[Path, Path]:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
         for rec in report.records:
-            writer.writerow({"schema_version": report.schema_version, **_jsonable(rec)})
+            writer.writerow({"schema_version": SCHEMA_VERSION, **_jsonable(rec)})
 
     with json_path.open("w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)

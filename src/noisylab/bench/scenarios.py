@@ -340,8 +340,10 @@ def _scenario_ice_filter_unit(
         even = bool(np.all((L - surv) % 2 == 0))
         keep2 = ice_filter_keep(out)
         idem = keep2.size == len(out) and bool(np.all(keep2 == np.arange(len(out))))
+        # A rotation also catches adjacent-pair cancellation, which reversal preserves.
         counts_rev, _, _ = batch_counts(digits[:, ::-1])
-        perm = np.array_equal(counts, counts_rev)
+        counts_rot, _, _ = batch_counts(np.roll(digits, 1, axis=1))
+        perm = np.array_equal(counts, counts_rev) and np.array_equal(counts, counts_rot)
 
         rec = {
             "length": L,
@@ -982,7 +984,7 @@ def _scenario_ice_coupling(
         mask[Z[: 2 * half]] = False
         S_inner = S_clean.take(np.flatnonzero(mask))
         res = inner(S_inner, half, c, r.split(2, 1, 0))
-        S_nasty = S_inner.replace_at(res.positions, res.introduced.points, res.introduced.labels)
+        S_nasty = S_inner.replace_at(res.positions, res.introduced)
 
         ms_strong = S_strong.multiset()
         ms_nasty = S_nasty.multiset()

@@ -22,7 +22,6 @@ case for a :class:`ReceivedWord`.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,7 +34,6 @@ from .core import RngHandle, _as_int, _frozen, _within
 
 __all__ = [
     "DecodeFailure",
-    "binary_entropy",
     "Codeword",
     "ReceivedWord",
     "GeneratorMatrix",
@@ -60,14 +58,6 @@ MAX_CODE_ATTEMPTS = 1000
 
 class DecodeFailure(Exception):
     """List size exceeded the cap; the caller treats this as decode failure."""
-
-
-def binary_entropy(p: float) -> float:
-    """H(p) in bits; H(0) = H(1) = 0."""
-    _within(p, "[0, 1]", "entropy argument")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
 def signs_to_mask(bits: Sequence[int] | np.ndarray) -> int:

@@ -19,12 +19,11 @@ import functools
 import numbers
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "LabeledExample",
     "Sample",
     "DiscreteDistribution",
     "RngHandle",
@@ -153,13 +152,6 @@ class RngHandle:
         return RngHandle(self.seed, self.path + tuple(ids))
 
 
-class LabeledExample(NamedTuple):
-    """A ``(point, ±1 label)`` pair."""
-
-    point: int
-    label: int
-
-
 def _as_sign_array(labels: Sequence[int] | np.ndarray) -> np.ndarray:
     arr = np.asarray(labels)
     if arr.size and not (np.abs(arr) == 1).all():
@@ -225,22 +217,12 @@ class Sample:
     def __len__(self) -> int:
         return int(self.points.size)
 
-    def __getitem__(self, i: int) -> LabeledExample:
-        return LabeledExample(int(self.points[i]), int(self.labels[i]))
-
-    def __iter__(self) -> Iterator[LabeledExample]:
-        for p, l in zip(self.points.tolist(), self.labels.tolist()):
-            yield LabeledExample(p, l)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sample):
             return NotImplemented
         return np.array_equal(self.points, other.points) and np.array_equal(
             self.labels, other.labels
         )
-
-    def __hash__(self) -> int:  # pragma: no cover - identity-free value type
-        return hash((self.points.tobytes(), self.labels.tobytes()))
 
     def __repr__(self) -> str:
         return f"Sample(n={len(self)})"
@@ -259,15 +241,12 @@ class Sample:
             raise ValueError("indices must select a 1-d run of examples")
         return Sample._trusted(pts, self.labels[indices])
 
-    def replace_at(self, indices: np.ndarray, points: np.ndarray, labels: np.ndarray) -> "Sample":
-        """A copy with positions ``indices`` replaced by the given examples,
-        which are checked as :class:`Sample` checks its own."""
-        new_pts = _as_point_array(points)
-        new_labs = _as_sign_array(labels)
+    def replace_at(self, indices: np.ndarray, introduced: "Sample") -> "Sample":
+        """A copy with example ``i`` of ``introduced`` at position ``indices[i]``."""
         pts = self.points.copy()
         labs = self.labels.copy()
-        pts[indices] = new_pts
-        labs[indices] = new_labs
+        pts[indices] = introduced.points
+        labs[indices] = introduced.labels
         return Sample._trusted(pts, labs)
 
 
@@ -304,8 +283,6 @@ class DiscreteDistribution:
     def sample_points(self, n: int, rng: RngHandle) -> np.ndarray:
         """``n`` i.i.d. point indices."""
         gen = rng.generator()
-        if n == 0:
-            return np.empty(0, dtype=np.int64)
         # Uniform fast path keeps large Monte-Carlo scenarios cheap.
         w = self.weights
         if self._is_uniform:
@@ -388,8 +365,6 @@ def draw_clean_sample(
     n = _within(n, "[0, inf)", "n", integer=True)
     _check_domain(c, len(D), "concept")
     pts = D.sample_points(n, rng)
-    if n == 0:
-        return Sample.empty()
     return Sample._trusted(pts, c.table[pts])
 
 

@@ -23,8 +23,7 @@ Signs follow the package convention: +1 encodes GF(2) zero, -1 encodes one.
 Keys, seeds, extractor sources and outputs are packed like the decoders'
 message integers (bit ``i`` set where the ±1 word has -1), checked and
 (un)packed by :mod:`noisylab.codes`' one mask rule; keys are 1 to 64 bits, as
-words are. ±1 keys appear only at :meth:`PrfKey.from_signs` and
-:attr:`PrfKey.bits`.
+words are. ±1 keys enter only at :meth:`PrfKey.from_signs`.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .codes import _SIGNS, _as_mask, _check_word_bits, _mask_array, mask_to_signs, signs_to_mask
+from .codes import _SIGNS, _as_mask, _check_word_bits, _mask_array, signs_to_mask
 from .core import _check_intervals, _within
 
 __all__ = [
@@ -78,11 +77,6 @@ class PrfKey:
     def from_signs(cls, bits: Sequence[int] | np.ndarray) -> "PrfKey":
         """The key of a ±1 vector."""
         return cls(signs_to_mask(bits), len(bits))
-
-    @property
-    def bits(self) -> np.ndarray:
-        """The key as a ±1 vector."""
-        return mask_to_signs(self.mask, self.length)
 
 
 def _key_bytes(mask: int, length: int) -> bytes:

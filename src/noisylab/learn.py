@@ -1,9 +1,8 @@
 """Learner interface and meta-learners.
 
-Contains the contradictory-pair filter, the subsampling filter, success
-amplification by sample splitting, its holdout-selection variant (which is a
-counterexample generator, not an improvement), hypothesis selection, and the
-quartic sample-size calculator.
+Contains the contradictory-pair filter, success amplification by sample
+splitting, its holdout-selection variant (which is a counterexample generator,
+not an improvement), and hypothesis selection.
 """
 
 from __future__ import annotations
@@ -29,11 +28,9 @@ __all__ = [
     "AmplifyParams",
     "ice_filter",
     "ice_filter_keep",
-    "subsample_filter",
     "amplify",
     "bad_amplify",
     "select_best_hypothesis",
-    "bv_sample_size",
 ]
 
 
@@ -45,10 +42,7 @@ class Learner:
     ±1 label arrays and one handle, from which it draws every row's
     randomness, and returns ``k`` hypotheses, row ``i``'s from row ``i``'s
     sample and coins. Rows must get independent coins (for example, row ``i``
-    the ``i``-th of ``k`` uniforms from one generator). Calling the learner
-    with ``rng`` trains it on one sample with ``rng.split(1)``: oversized
-    samples are first reduced with :func:`subsample_filter` on
-    ``rng.split(0)``; undersized samples are an error. ``n`` is an integer >= 1.
+    the ``i``-th of ``k`` uniforms from one generator). ``n`` is an integer >= 1.
     """
 
     n: int = field(metadata={"interval": "[1, inf)"})
@@ -56,13 +50,6 @@ class Learner:
 
     def __post_init__(self) -> None:
         _check_intervals(self)
-
-    def __call__(self, S: Sample, rng: RngHandle) -> TableHypothesis:
-        if len(S) > self.n:
-            S = subsample_filter(S, self.n, rng.split(0))
-        elif len(S) < self.n:
-            raise ValueError(f"learner needs {self.n} examples, got {len(S)}")
-        return self.train(S.points[None], S.labels[None], rng.split(1))[0]
 
 
 @dataclass(frozen=True)
@@ -124,15 +111,6 @@ def ice_filter(S: Sample) -> Sample:
     if len(S) == 0:
         return S
     return S.take(ice_filter_keep(S))
-
-
-def subsample_filter(S: Sample, n: int, rng: RngHandle) -> Sample:
-    """Uniform ``n``-subset of ``S`` without replacement, order randomized."""
-    n = _within(n, "[0, inf)", "n", integer=True)
-    if n > len(S):
-        raise ValueError(f"cannot subsample {n} from {len(S)} examples")
-    perm = rng.generator().permutation(len(S))[:n]
-    return S.take(perm)
 
 
 def _train_groups(
@@ -197,11 +175,4 @@ def select_best_hypothesis(
     errors = [empirical_error(h, S_test) for h in hyps]
     idx = int(np.argmin(errors))
     return idx, hyps[idx]
-
-
-def bv_sample_size(n: int, domain_size: int, param: float, C: float = 1.0) -> int:
-    """Quartic oversampling bound ``m = ⌈C·n⁴·(log₂(2|X|))²/param⁴⌉``."""
-    _within(param, "(0, inf)", "param")
-    _within(C, "(0, inf)", "C")
-    return math.ceil(C * n**4 * math.log2(2 * domain_size) ** 2 / param**4)
 

@@ -31,7 +31,6 @@ import numpy as np
 
 from .core import (
     DiscreteDistribution,
-    LabeledExample,
     RngHandle,
     Sample,
     TableHypothesis,
@@ -112,9 +111,7 @@ class CorruptionLedger:
 
     def reapply(self) -> Sample:
         """Reconstruct the corrupted sample from the clean sample + ledger."""
-        return self.clean.replace_at(
-            self.corrupted_indices, self.introduced.points, self.introduced.labels
-        )
+        return self.clean.replace_at(self.corrupted_indices, self.introduced)
 
 
 def _apply_choices(S_clean: Sample, result: StrategyResult, drawn_budget: int,
@@ -150,18 +147,16 @@ def malicious_corrupt(
     prefix, never the full sample).
     """
     _within(eta, "[0, 1)", "noise rate")
+    clean = draw_clean_sample(D, c, n, rng.split(1))  # checks n before the coins
     gen = rng.split(0).generator()
-    coins = gen.random(n) < eta
-    clean = draw_clean_sample(D, c, n, rng.split(1))
+    coins = gen.random(len(clean)) < eta
     out_pts = clean.points.copy()
     out_labs = clean.labels.copy()
     heads = np.flatnonzero(coins)
     for j, i in enumerate(heads.tolist()):
         prefix = Sample(out_pts[:i], out_labs[:i])
         point, label = strategy(i, prefix, c, rng.split(2, j))
-        ex = LabeledExample(int(point), int(label))
-        out_pts[i] = ex.point
-        out_labs[i] = ex.label
+        out_pts[i], out_labs[i] = int(point), int(label)
     result = StrategyResult(heads, Sample(out_pts[heads], out_labs[heads]))
     return _apply_choices(clean, result, drawn_budget=int(np.count_nonzero(coins)))
 
@@ -249,9 +244,9 @@ def huber_sample(
     (see :func:`noisylab.core.labeled_index`).
     """
     _within(eta, "[0, 1)", "noise rate")
+    S = draw_clean_sample(D, c, n, rng.split(1))  # checks n before the coins
     gen = rng.split(0).generator()
-    coins = gen.random(n) < eta
-    S = draw_clean_sample(D, c, n, rng.split(1))
+    coins = gen.random(len(S)) < eta
     n_out = int(np.count_nonzero(coins))
     if not n_out:
         return S

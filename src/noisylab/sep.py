@@ -32,7 +32,6 @@ from .codes import (
     _as_mask,
     _mask_array,
     _mask_bits,
-    binary_entropy,
     erasure_list_decode,
     gen_random_linear_code,
     low_weight_codewords,
@@ -413,36 +412,6 @@ class SepParams:
         object.__setattr__(
             self, "extractor_spec", ExtractorSpec(w=self.w, u=self.u, m_out=max(1, self.w // 2))
         )
-
-    @classmethod
-    def from_ratio(
-        cls, r: float, w: int, d: int, u: int, n: int | None = None, L: int = 64,
-    ) -> "SepParams":
-        """Rate pack derived from the ratio ``r > 1``: ``eta_N = 2^(-8r)``,
-        ``eta_M = H(eta_N)/(H(eta_N)+2)`` (which must satisfy ``0 < eta_N <
-        eta_M < 1 - 1/(1+H(eta_N)) < 0.5``), ``rho = 1 - 0.999·H(eta_N) -
-        0.001·eta_M/(1-eta_M)`` snapped down to whole rows at this ``w``,
-        ``tau = 0.998·H(eta_N) + 0.002·eta_M/(1-eta_M)``, and ``kappa`` just
-        above its lower bound."""
-        _within(r, "(1, inf)", "ratio")
-        eta_N = 2.0 ** (-8 * r)
-        H = binary_entropy(eta_N)
-        eta_M = H / (H + 2)
-        upper = 1 - 1 / (1 + H)
-        if not (0 < eta_N < eta_M < upper < 0.5):
-            raise ValueError(
-                f"need 0 < eta_N < eta_M < 1 - 1/(1+H(eta_N)) < 0.5; "
-                f"got eta_N={eta_N}, eta_M={eta_M}, bound={upper}"
-            )
-        ratio = eta_M / (1 - eta_M)
-        rho = 1 - 0.999 * H - 0.001 * ratio
-        xi = 0.001 * H - 0.001 * ratio
-        tau = 1 - rho - xi
-        # The derived rate is asymptotic; rounding down to an integer number
-        # of rows at this finite w never exceeds it.
-        rows = max(1, math.floor(rho * w))
-        kappa = Fraction(0.998 * eta_M / ((1 - eta_M) * tau) + 0.002).limit_denominator(10_000)
-        return cls(eta_N, eta_M, kappa, rows / w, tau, w, d, u, n, L)
 
     @property
     def D(self) -> float:

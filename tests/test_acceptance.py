@@ -16,6 +16,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from noisylab.bench import ExperimentConfig, run_scenario, scenarios, write_report
@@ -308,6 +309,20 @@ def _amplify_with_one_coin(A, params, S_big, rng):
     return _amplify(Learner(n=A.n, train=per_group), params, S_big, rng)
 
 
+def _adjacent_pair_filter_keep(S):
+    # Cancels a contradicting pair only once the two are adjacent: a stack,
+    # popped when the next example contradicts its top. Reversal maps this
+    # filter's survivors to their reverse, so comparing with the reverse
+    # alone cannot tell it from the canonical filter.
+    stack = []
+    for i, (point, label) in enumerate(zip(S.points.tolist(), S.labels.tolist())):
+        if stack and stack[-1][1:] == (point, -label):
+            stack.pop()
+        else:
+            stack.append((i, point, label))
+    return np.array([i for i, _, _ in stack], dtype=np.int64)
+
+
 def _coupling_with_negated_labels(nasty_strategy, filler_point=0):
     strong = _nasty_via_strong_malicious(nasty_strategy, filler_point=filler_point)
 
@@ -334,6 +349,8 @@ NEGATIVE_CONTROLS = [
     ("ice-coupling", "coupling_exact", "nasty_via_strong_malicious",
      _coupling_with_negated_labels, 5, {}),
     ("amplify-concentration", "concentration", "amplify", _amplify_with_one_coin, 20, {}),
+    ("ice-filter-unit", "permutation_invariant", "ice_filter_keep",
+     _adjacent_pair_filter_keep, 1, {"max_len": 4}),
 ]
 
 

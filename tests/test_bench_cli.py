@@ -530,6 +530,7 @@ class TestCli:
         pytest.param("codes gen --rho 0.5 --w 80", id="codes-gen-length"),
         pytest.param("codes gen --rho 0.5 --w 12 --seed -3", id="codes-gen-negative-seed"),
         pytest.param("run round-lemma --seed -1", id="run-negative-seed"),
+        pytest.param("run round-lemma --out {code}", id="run-out-is-a-file"),
         pytest.param("report render {missing}", id="report-missing"),
         pytest.param("report render {bad}", id="report-malformed"),
         pytest.param("report render {listed}", id="report-not-object"),
@@ -683,6 +684,8 @@ def test_cli_bad_input_is_one_error_line(argv, tmp_path, capsys):
             assert err == [f"error: malformed serialized code: {message}"]
     if "--seed -3" in argv:
         assert err == ["error: seed must be in [0, inf), got -3"]
+    if "--out" in argv:
+        assert "File exists" in err[0] and str(code) in err[0]
     if "--seed -1" in argv or "seed_neg" in argv:
         assert err == ["error: seed must be in [0, inf), got -1"]
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from noisylab.codes import (
     MAX_WORD_BITS,
@@ -18,7 +17,6 @@ from noisylab.codes import (
     DecodeFailure,
     GeneratorMatrix,
     ReceivedWord,
-    binary_entropy,
     bitflip_list_decode,
     encode,
     erasure_list_decode,
@@ -34,16 +32,6 @@ from noisylab.codes import (
 from noisylab.core import RngHandle
 
 from helpers import bad_mask_cases, erase, masks_to_signs_reference
-
-
-def test_binary_entropy_against_scipy():
-    for p in (0.1, 0.25, 0.5, 0.9):
-        assert binary_entropy(p) == pytest.approx(
-            stats.entropy([p, 1 - p], base=2)
-        )
-    assert binary_entropy(0.0) == 0.0 and binary_entropy(1.0) == 0.0
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
 
 
 @given(st.integers(1, 20), st.data())

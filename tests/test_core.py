@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from noisylab.core import (
     DiscreteDistribution,
-    LabeledExample,
     MixtureHypothesis,
     RngHandle,
     Sample,
@@ -91,7 +90,7 @@ class TestSample:
     def test_from_pairs_round_trip(self):
         pairs = [(3, 1), (5, -1), (3, -1)]
         S = sample_from_pairs(pairs)
-        assert [tuple(ex) for ex in S] == pairs
+        assert list(zip(S.points.tolist(), S.labels.tolist())) == pairs
         assert len(S) == 3
 
     def test_immutable(self):
@@ -106,9 +105,9 @@ class TestSample:
     def test_take_and_replace(self):
         S = sample_from_pairs([(0, 1), (1, -1), (2, 1)])
         assert S.take(np.array([2, 0])).multiset() == {(2, 1): 1, (0, 1): 1}
-        S2 = S.replace_at(np.array([1]), np.array([9]), np.array([1], dtype=np.int8))
-        assert S2[1] == LabeledExample(9, 1)
-        assert S[1] == LabeledExample(1, -1)  # original untouched
+        S2 = S.replace_at(np.array([1]), sample_from_pairs([(9, 1)]))
+        assert (S2.points[1], S2.labels[1]) == (9, 1)
+        assert (S.points[1], S.labels[1]) == (1, -1)  # original untouched
 
     def test_multiset_matches_counter_oracle(self):
         rng = np.random.default_rng(0)
@@ -264,10 +263,6 @@ def test_constructors_leave_caller_arrays_writeable():
     assert S.labels[0] == 1
 
 
-def _two():
-    return Sample([0, 1], [1, -1])
-
-
 def _bad_inputs():
     from noisylab.codes import GeneratorMatrix, ReceivedWord, encode, signs_to_mask
     from noisylab.cryptoprim import ExtractorSpec, PrfKey, extract
@@ -277,9 +272,6 @@ def _bad_inputs():
         "sample-fraction": lambda: Sample([0], np.array([1.7])),
         "sample-int8-min": lambda: Sample([0], np.array([-128], dtype=np.int8)),
         "sample-point-fraction": lambda: Sample([2.9], [1]),
-        "replace-at-label-fraction": lambda: _two().replace_at([0], [2], [1.7]),
-        "replace-at-label-wrapping-int": lambda: _two().replace_at([0], [2], np.array([255])),
-        "replace-at-point-fraction": lambda: _two().replace_at([0], [2.9], [-1]),
         "received-word-wrapping-int": lambda: ReceivedWord(np.array([255, 1])),
         "received-word-fraction": lambda: ReceivedWord(np.array([0.5, 1.0])),
         "received-word-int8-min": lambda: ReceivedWord(np.array([-128, 1], dtype=np.int8)),
@@ -305,7 +297,8 @@ def _bad_sizes():
 
     from noisylab.cryptoprim import ExtractorSpec, PrfDigestStore
     from noisylab.icesep import IceSepParams
-    from noisylab.learn import AmplifyParams, Learner, bad_amplify, subsample_filter
+    from noisylab.learn import AmplifyParams, Learner, bad_amplify
+    from noisylab.noise import huber_sample, malicious_corrupt, noop
     from noisylab.sep import KeyValueLayout, SepParams
 
     def learner(n):
@@ -320,7 +313,6 @@ def _bad_sizes():
         "AmplifyParams-k-fraction": (lambda: AmplifyParams(k=2.5), "k", 2.5),
         "AmplifyParams-k-bool": (lambda: AmplifyParams(k=True), "k", True),
         "Learner-n": (lambda: learner(2.5), "n", 2.5),
-        "subsample_filter-n": (lambda: subsample_filter(S, 1.5, rng), "n", 1.5),
         "bad_amplify-k": (lambda: bad_amplify(learner(2), 1.5, 2, S, rng), "k", 1.5),
         "ExtractorSpec-u": (lambda: ExtractorSpec(8, 1.5, 4), "u", 1.5),
         "ExtractorSpec-u-bool": (lambda: ExtractorSpec(8, True, 4), "u", True),
@@ -338,6 +330,12 @@ def _bad_sizes():
         "uniform-size": (lambda: DiscreteDistribution.uniform(2.5), "size", 2.5),
         "draw_clean_sample-n": (
             lambda: draw_clean_sample(D, TableHypothesis([1, 1]), 2.5, rng), "n", 2.5
+        ),
+        "malicious_corrupt-n": (
+            lambda: malicious_corrupt(D, TableHypothesis([1, 1]), 2.5, 0.1, noop, rng), "n", 2.5
+        ),
+        "huber_sample-n": (
+            lambda: huber_sample(D, TableHypothesis([1, 1]), 0.1, D, True, rng), "n", True
         ),
         "KeyValueLayout.fit-w": (lambda: KeyValueLayout.fit(2.5, 3, Fraction(1, 2)), "w", 2.5),
     }

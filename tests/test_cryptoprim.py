@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from noisylab import cryptoprim
-from noisylab.codes import masks_to_signs
+from noisylab.codes import mask_to_signs, masks_to_signs
 from noisylab.cryptoprim import (
     ExtractorSpec,
     PrfDigestStore,
@@ -89,7 +89,7 @@ class TestPrfKey:
             for m in (0, (1 << d) - 1, int(gen.integers(0, 1 << d, dtype=np.uint64))):
                 key = PrfKey(m, d)
                 assert PrfKey.from_signs(masks_to_signs([m], d)[0]) == key
-                assert np.array_equal(key.bits, masks_to_signs([m], d)[0])
+                assert np.array_equal(mask_to_signs(key.mask, key.length), masks_to_signs([m], d)[0])
             with pytest.raises(ValueError):
                 PrfKey(1 << d, d)
 
@@ -120,7 +120,8 @@ class TestPrfKey:
         assert self.hashed_key_bytes(PrfKey.from_signs([1] * 16), monkeypatch) == bytes(2)
 
     def test_key_length_at_most_64(self):
-        assert PrfKey(1 << 63, 64).bits[63] == -1
+        key = PrfKey(1 << 63, 64)
+        assert mask_to_signs(key.mask, key.length)[63] == -1
         for build in (lambda: PrfKey(1, 65), lambda: PrfKey.from_signs([1] * 65)):
             with pytest.raises(ValueError, match=r"^key length must be in \[1, 64\], got 65$"):
                 build()

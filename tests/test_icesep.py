@@ -426,7 +426,7 @@ class TestCoupling:
             mask[Z[: 2 * half]] = False
             S_inner = S.take(np.flatnonzero(mask))
             res = inner(S_inner, half, c, r.split(1, 1, 0))
-            S_nasty = S_inner.replace_at(res.positions, res.introduced.points, res.introduced.labels)
+            S_nasty = S_inner.replace_at(res.positions, res.introduced)
             # Filter outputs agree exactly.
             assert ice_filter(out).multiset() == ice_filter(S_nasty).multiset()
             # The raw surplus is exactly `half` contradictory pairs.

@@ -1,4 +1,4 @@
-"""Learners and meta-learners: filter, amplification, selection, sizing.
+"""Learners and meta-learners: filter, amplification, selection.
 
 The contradiction filter has an independent Counter-based oracle; amplify /
 bad_amplify behavior is pinned down with deterministic crafted learners.
@@ -26,11 +26,9 @@ from noisylab.learn import (
     Learner,
     amplify,
     bad_amplify,
-    bv_sample_size,
     ice_filter,
     ice_filter_keep,
     select_best_hypothesis,
-    subsample_filter,
 )
 
 from helpers import evaluate, sample_from_pairs
@@ -115,25 +113,6 @@ class TestIceFilter:
         assert ice_filter_keep(sample_from_pairs(pairs)).tolist() == _ice_oracle(pairs)
 
 
-class TestSubsampleFilter:
-    def test_subset_and_size(self):
-        S = sample_from_pairs([(i, 1) for i in range(20)])
-        out = subsample_filter(S, 7, RngHandle(0))
-        assert len(out) == 7 and set(out.points) <= set(range(20))
-        assert len(set(out.points.tolist())) == 7  # without replacement
-
-    def test_oversubscription_raises(self):
-        S = sample_from_pairs([(0, 1)])
-        with pytest.raises(ValueError):
-            subsample_filter(S, 2, RngHandle(0))
-
-    def test_negative_size_raises(self):
-        # Once kept all but the last example: permutation(4)[:-1].
-        S = sample_from_pairs([(i, 1) for i in range(4)])
-        with pytest.raises(ValueError, match="got -1"):
-            subsample_filter(S, -1, RngHandle(0))
-
-
 def _majority_learner(n):
     def train(points, labels, rng):
         return [TableHypothesis.constant(1 if s >= 0 else -1, 2) for s in labels.sum(axis=1)]
@@ -142,16 +121,6 @@ def _majority_learner(n):
 
 
 class TestLearner:
-    def test_undersized_raises(self):
-        A = _majority_learner(5)
-        with pytest.raises(ValueError, match="needs 5"):
-            A(sample_from_pairs([(0, 1)]), RngHandle(0))
-
-    def test_oversized_subsampled(self):
-        A = _majority_learner(3)
-        S = sample_from_pairs([(0, 1)] * 10)
-        assert evaluate(A(S, RngHandle(0)), 0) == 1
-
     @pytest.mark.parametrize("n", [0, -1])
     def test_size_below_one_rejected(self, n):
         # n = 0 once let amplify train k hypotheses on empty groups.
@@ -221,21 +190,20 @@ class TestAmplifyMatchesReferenceLoop:
         pick = int(best[rng.split(2).generator().integers(0, len(best))])
         assert bad_amplify(A, k, n_test, S, rng).record == ref[pick].record
 
-    def test_call_and_amplify_share_the_train_handle(self):
+    def test_group_i_gets_row_i_of_the_train_handle(self):
         # Group i of amplify gets row i of the uniforms drawn from
-        # rng.split(1), and a call with the same handle gets row 0.
+        # rng.split(1).
         A, k = _recording_learner(2), 3
         for rng in _AMPLIFY_HANDLES:
             mix = amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 4), rng)
             draws = rng.split(1).generator().random((k, 6))
             want = np.where(draws < 0.5, 1, -1).tolist()
             assert [h.record[3] for h in mix.components] == want
-            assert A(self._sample(A.n, 3), rng).record[3] == want[0]
 
     @pytest.mark.parametrize("rng", _AMPLIFY_HANDLES, ids=repr)
     def test_train_gets_the_split_one_handle(self, rng):
-        # amplify, bad_amplify and a call each make one train call, handed
-        # exactly rng.split(1): the contract a learner draws its coins by.
+        # amplify and bad_amplify each make one train call, handed exactly
+        # rng.split(1): the contract a learner draws its coins by.
         handed = []
         recording = _recording_learner(2)
 
@@ -246,8 +214,7 @@ class TestAmplifyMatchesReferenceLoop:
         A, k = Learner(n=2, train=train), 5
         amplify(A, AmplifyParams(k=k), self._sample(A.n * k, 6), rng)
         bad_amplify(A, k, 3, self._sample(A.n * k + 3, 7), rng)
-        A(self._sample(A.n, 8), rng)
-        assert handed == [(k, rng.split(1)), (k, rng.split(1)), (1, rng.split(1))]
+        assert handed == [(k, rng.split(1)), (k, rng.split(1))]
 
     def test_groups_build_no_seed_sequence(self, monkeypatch):
         # The k groups train from one generator: the permutation's handle and
@@ -376,13 +343,3 @@ class TestSelectBest:
             select_best_hypothesis([], sample_from_pairs([(0, 1)]))
         with pytest.raises(ValueError):
             select_best_hypothesis([TableHypothesis([1])], Sample.empty())
-
-
-def test_bv_sample_size_formula():
-    n, X, param = 3, 16, 0.5
-    expected = math.ceil(n**4 * math.log2(2 * X) ** 2 / param**4)
-    assert bv_sample_size(n, X, param) == expected
-    assert bv_sample_size(n, X, param, C=2.0) == math.ceil(2 * n**4 * math.log2(2 * X) ** 2 / param**4)
-    with pytest.raises(ValueError):
-        bv_sample_size(1, 2, 0.0)
-

@@ -64,6 +64,19 @@ def test_drawn_budget_is_a_python_int(corrupt):
         assert type(corrupt(eta)[1].drawn_budget) is int
 
 
+ONLINE = {
+    "malicious": lambda n: malicious_corrupt(D4, C4, n, 0.1, noop, RngHandle(0)),
+    "huber": lambda n: huber_sample(D4, C4, 0.1, point_mass(0, 8), n, RngHandle(0)),
+}
+
+
+@pytest.mark.parametrize("corrupt", ONLINE.values(), ids=ONLINE)
+def test_negative_n_is_checked_before_the_coins(corrupt):
+    # Once numpy's "negative dimensions are not allowed", from drawing n coins.
+    with pytest.raises(ValueError, match=r"^n must be in \[0, inf\), got -1$"):
+        corrupt(-1)
+
+
 class TestMalicious:
     def test_eta_zero_is_clean(self):
         def boom(*a):  # must never be called

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from noisylab import cryptoprim, sep
-from noisylab.codes import Codeword, GeneratorMatrix, binary_entropy, masks_to_signs
+from noisylab.codes import Codeword, GeneratorMatrix, masks_to_signs
 from noisylab.core import RngHandle, Sample, draw_clean_sample, error_rate
 from noisylab.cryptoprim import PrfDigestStore, PrfKey, extract
 from noisylab.icesep import IceInstance, IceSepParams, ice_idealized_nasty_strategy
@@ -84,29 +84,6 @@ class TestSepParams:
     def test_sample_size_validated(self, n):
         with pytest.raises(ValueError, match=rf"^n must be in \[1, inf\), got {n}$"):
             small_params(n)
-
-    def test_from_ratio_constructs(self):
-        p = SepParams.from_ratio(1.5, w=10, d=4, u=2, n=2000)
-        assert 0 < p.eta_N < p.eta_M < 0.5
-        assert p.layout.key_size + p.layout.value_size == p.layout.domain_size
-        assert (p.eta_N, p.eta_M) == (0.000244140625, 0.0016382442367162146)
-        assert p.kappa == Fraction(1505, 3001)
-        assert (p.rho, p.tau) == (0.9, 0.0032785831048350762)
-        assert p.layout.block_size == 301
-
-    def test_from_ratio_tau_identity(self):
-        # tau = 1 - rho - xi, before rho is snapped to whole rows.
-        p = SepParams.from_ratio(1.5, w=10, d=4, u=2, n=2000)
-        H = binary_entropy(p.eta_N)
-        assert abs(p.tau - (0.998 * H + 0.002 * p.eta_M / (1 - p.eta_M))) < 1e-12
-
-    def test_from_ratio_rejects_rates_that_round_together(self):
-        # From r of about 7.36 on, 1 + H(eta_N) rounds to 1 in float64, so the
-        # bound 1 - 1/(1 + H(eta_N)) on eta_M is 0.
-        with pytest.raises(ValueError, match="eta_N < eta_M < 1 - 1/"):
-            SepParams.from_ratio(8, w=10, d=4, u=2, n=2000)
-        with pytest.raises(ValueError, match=r"^ratio must be in \(1, inf\), got 1$"):
-            SepParams.from_ratio(1, w=10, d=4, u=2)
 
     def test_auto_sample_size(self):
         p = SepParams(eta_N=0.25, eta_M=0.05, kappa=0.5, rho=0.5, tau=0.15, w=8, d=4, u=2)
